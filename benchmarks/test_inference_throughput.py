@@ -35,7 +35,7 @@ import pytest
 from repro.data.datasets import build_ithemal_like_dataset
 from repro.data.synthetic import BlockGenerator
 from repro.models import create_model
-from repro.nn.tensor import use_fast_path, use_fused_ops
+from repro.nn.tensor import use_fast_path
 from repro.testing.equivalence import assert_prediction_equivalent
 
 NUM_BLOCKS = 64
@@ -102,10 +102,7 @@ def test_inference_throughput(name, blocks):
     seed_model = _seed_replica(model, name, small)
 
     def seed_per_block():
-        # use_fused_ops(False) keeps the tape faithful to the pre-fast-path
-        # code: without it the no-grad tape forward would record the fused
-        # training ops (fewer nodes), flattering the seed baseline.
-        with use_fast_path(False), use_fused_ops(False):
+        with use_fast_path(False):
             for block in blocks:
                 seed_model.predict([block])
 

@@ -10,14 +10,12 @@ into the four phases of a step:
 * **backward** — reverse-mode gradient computation,
 * **optimizer** — gradient clipping + the Adam update.
 
-It can compare the fused training fast path against the composed (seed)
-tape, and optionally print cProfile's hottest functions.
+It can additionally print cProfile's hottest functions.
 
 Run it with::
 
     python examples/profile_training.py [--model granite] [--steps 10]
-    python examples/profile_training.py --model ithemal+ --compare
-    python examples/profile_training.py --cprofile --no-fused
+    python examples/profile_training.py --model ithemal+ --cprofile
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from repro.data.datasets import build_ithemal_like_dataset
 from repro.models import create_model
 from repro.models.config import TrainingConfig
 from repro.nn.optim import clip_gradients_by_global_norm
-from repro.nn.tensor import Tensor, use_fused_ops
+from repro.nn.tensor import Tensor
 from repro.training.trainer import Trainer
 
 PHASES = ("encode", "forward", "backward", "optimizer")
@@ -84,8 +82,8 @@ def profile_phases(trainer: Trainer, dataset, steps: int) -> Dict[str, List[floa
     return timings
 
 
-def report(label: str, timings: Dict[str, List[float]]) -> float:
-    """Prints the per-phase breakdown; returns total seconds per step."""
+def report(label: str, timings: Dict[str, List[float]]) -> None:
+    """Prints the per-phase breakdown."""
     totals = {phase: float(np.sum(values)) for phase, values in timings.items()}
     steps = len(next(iter(timings.values())))
     grand_total = sum(totals.values())
@@ -97,7 +95,6 @@ def report(label: str, timings: Dict[str, List[float]]) -> float:
             f"{phase:<12} {seconds:>10.3f} {seconds / steps * 1e3:>10.2f}"
             f" {seconds / grand_total:>7.1%}"
         )
-    return grand_total / steps
 
 
 def main() -> None:
@@ -108,10 +105,6 @@ def main() -> None:
     parser.add_argument("--blocks", type=int, default=160, help="dataset size")
     parser.add_argument("--batch-size", type=int, default=100,
                         help="blocks per training batch (paper: 100)")
-    parser.add_argument("--no-fused", action="store_true",
-                        help="profile the composed (seed) tape instead of the fast path")
-    parser.add_argument("--compare", action="store_true",
-                        help="profile both tape modes and print the speedup")
     parser.add_argument("--cprofile", action="store_true",
                         help="additionally print cProfile's 20 hottest functions")
     parser.add_argument("--full-size-model", action="store_true",
@@ -121,32 +114,21 @@ def main() -> None:
     print(f"Building dataset ({args.blocks} blocks) ...")
     dataset = build_ithemal_like_dataset(args.blocks, seed=5)
 
-    def run(fused: bool) -> float:
-        model = create_model(args.model, small=not args.full_size_model, seed=31)
-        trainer = Trainer(
-            model, TrainingConfig(batch_size=args.batch_size, num_steps=args.steps, seed=11)
-        )
-        with use_fused_ops(fused):
-            trainer.train_step(dataset, step=0)  # warm encode caches
-            if args.cprofile:
-                profiler = cProfile.Profile()
-                profiler.enable()
-            timings = profile_phases(trainer, dataset, args.steps)
-            if args.cprofile:
-                profiler.disable()
-        label = f"{args.model} ({'fused fast path' if fused else 'composed seed tape'})"
-        seconds_per_step = report(label, timings)
-        if args.cprofile:
-            print("\n-- cProfile, hottest 20 by internal time --")
-            pstats.Stats(profiler).sort_stats("tottime").print_stats(20)
-        return seconds_per_step
-
-    if args.compare:
-        seed_seconds = run(fused=False)
-        fast_seconds = run(fused=True)
-        print(f"\nSpeedup (composed -> fused): {seed_seconds / fast_seconds:.2f}x")
-    else:
-        run(fused=not args.no_fused)
+    model = create_model(args.model, small=not args.full_size_model, seed=31)
+    trainer = Trainer(
+        model, TrainingConfig(batch_size=args.batch_size, num_steps=args.steps, seed=11)
+    )
+    trainer.train_step(dataset, step=0)  # warm encode caches
+    if args.cprofile:
+        profiler = cProfile.Profile()
+        profiler.enable()
+    timings = profile_phases(trainer, dataset, args.steps)
+    if args.cprofile:
+        profiler.disable()
+    report(args.model, timings)
+    if args.cprofile:
+        print("\n-- cProfile, hottest 20 by internal time --")
+        pstats.Stats(profiler).sort_stats("tottime").print_stats(20)
 
 
 if __name__ == "__main__":

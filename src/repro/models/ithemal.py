@@ -33,7 +33,7 @@ from repro.graph.vocabulary import Vocabulary
 from repro.nn.layers import Embedding, ResidualMLP
 from repro.nn.lstm import LSTM
 from repro.nn.module import Parameter
-from repro.nn.tensor import Tensor, fused_ops_active, matmul, scatter_rows
+from repro.nn.tensor import Tensor, matmul, scatter_rows
 from repro.utils.cache import LRUCache
 
 __all__ = ["IthemalModel", "IthemalBatch"]
@@ -238,11 +238,8 @@ class IthemalModel(ThroughputModel):
 
         # Re-pack instruction embeddings into a [num_blocks, max_instr, H]
         # padded tensor.  On the no-grad fast path this is a direct indexed
-        # assignment; during training it is the scatter_rows primitive whose
-        # backward is an O(N) gather.  The composed-tape fallback keeps the
-        # original O(N^2) permutation-matrix matmul (same float values:
-        # each output row is 1 * x + 0 * rest).
-        num_instructions = instruction_embeddings.shape[0]
+        # assignment; on the tape it is the scatter_rows primitive whose
+        # backward is an O(N) gather.
         num_blocks = batch.num_blocks
         max_instructions = batch.max_instructions
         hidden_size = self.config.hidden_size
@@ -258,17 +255,10 @@ class IthemalModel(ThroughputModel):
             )
             flat[slots] = instruction_embeddings
             packed = flat.reshape(num_blocks, max_instructions, hidden_size)
-        elif fused_ops_active():
+        else:
             packed = scatter_rows(
                 instruction_embeddings, slots, num_blocks * max_instructions
             ).reshape(num_blocks, max_instructions, hidden_size)
-        else:
-            scatter = np.zeros(
-                (num_blocks * max_instructions, num_instructions), dtype=np.float64
-            )
-            scatter[slots, np.arange(num_instructions, dtype=np.int64)] = 1.0
-            packed = matmul(scatter, instruction_embeddings)
-            packed = packed.reshape(num_blocks, max_instructions, hidden_size)
 
         # Level 2: block LSTM over the instruction embeddings.
         _, block_embeddings = self.block_lstm(

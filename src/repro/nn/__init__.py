@@ -44,7 +44,6 @@ from repro.nn.tensor import (
     compute_dtype,
     concatenate,
     fast_path_active,
-    fused_ops_active,
     gather_rows,
     is_grad_enabled,
     matmul,
@@ -59,7 +58,6 @@ from repro.nn.tensor import (
     stack,
     tanh,
     use_fast_path,
-    use_fused_ops,
     where,
 )
 
@@ -97,7 +95,6 @@ __all__ = [
     "compute_dtype",
     "concatenate",
     "fast_path_active",
-    "fused_ops_active",
     "fused_dense",
     "fused_layer_norm",
     "fused_lstm_step",
@@ -117,6 +114,5 @@ __all__ = [
     "stack",
     "tanh",
     "use_fast_path",
-    "use_fused_ops",
     "where",
 ]

@@ -1,14 +1,15 @@
-"""Fused tape operations with hand-written backwards (training fast path).
+"""Fused tape operations with hand-written backwards.
 
-The define-by-run tape in :mod:`repro.nn.tensor` composes every layer out of
-elementwise primitives, which is easy to verify but records a closure per
-primitive: a single LSTM time step allocates ~15 tape nodes (gate slicing,
-two sigmoids, a tanh, elementwise combines, masking), and a Dense layer
-three to four.  During training the Python/allocation overhead of those
-nodes dominates the actual numpy work for all but the largest models.
+These are the tape path of the Dense, LayerNorm and LSTM layers (see
+"Execution mode" in :mod:`repro.nn.tensor`).  Composing those layers out of
+the tape's elementwise primitives would record a closure per primitive — a
+single LSTM time step ~15 tape nodes (gate slicing, two sigmoids, a tanh,
+elementwise combines, masking), a Dense layer three to four — whose
+Python/allocation overhead dominates the actual numpy work for all but the
+largest models.
 
-The ops below collapse each hot composite into **one** tape node whose
-backward is written by hand against the stashed forward intermediates:
+The ops below are each hot composite as **one** tape node whose backward is
+written by hand against the stashed forward intermediates:
 
 * :func:`fused_dense` — ``activation(x @ W + b)``;
 * :func:`fused_layer_norm` — LayerNorm over the last axis;
@@ -17,12 +18,10 @@ backward is written by hand against the stashed forward intermediates:
   the new hidden and cell states (slice it with basic indexing, whose
   backward is a cheap in-place region add).
 
-Every fused forward replicates the float arithmetic of the composed ops it
-replaces operation-for-operation, so switching fusion on and off
-(:class:`repro.nn.tensor.use_fused_ops`) changes no forward bit; the
-backwards are algebraically identical but may reorder float summations.
-All of them are covered by the numeric gradient checks in
-``tests/test_nn_gradcheck.py`` via :mod:`repro.testing.gradcheck`.
+Every backward is covered by the numeric gradient checks in
+``tests/test_nn_gradcheck.py`` via :mod:`repro.testing.gradcheck`, and the
+whole training tape by a checked-in same-seed loss-trajectory golden
+(``tests/equivalence/golden/training_losses.json``).
 """
 
 from __future__ import annotations
@@ -46,10 +45,10 @@ def fused_dense(
 ) -> Tensor:
     """``activation(inputs @ weight + bias)`` as a single tape node.
 
-    Replaces the composed matmul → add → activation chain of
-    :class:`repro.nn.layers.Dense` (three tape nodes and closures) with one
-    node; the backward computes the input/weight/bias gradients directly
-    from the stashed pre-activation (ReLU) or output (tanh/sigmoid).
+    The tape path of :class:`repro.nn.layers.Dense`: one node instead of a
+    matmul → add → activation chain; the backward computes the
+    input/weight/bias gradients directly from the stashed pre-activation
+    (ReLU) or output (tanh/sigmoid).
     """
     if activation not in _ACTIVATIONS:
         raise ValueError(f"unsupported activation {activation!r}")
@@ -99,9 +98,9 @@ def fused_layer_norm(
 ) -> Tensor:
     """LayerNorm over the last axis as a single tape node.
 
-    The composed implementation records ~8 nodes (mean, centering, variance,
-    rsqrt, two scales, an add); this one stashes the normalised activations
-    and the rsqrt factor and applies the standard LayerNorm gradient
+    One node instead of ~8 (mean, centering, variance, rsqrt, two scales,
+    an add); it stashes the normalised activations and the rsqrt factor and
+    applies the standard LayerNorm gradient
     ``dx = scale * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``.
     """
     inputs = as_tensor(inputs)
@@ -109,8 +108,8 @@ def fused_layer_norm(
     offset = as_tensor(offset)
 
     size = inputs.data.shape[-1]
-    # Same arithmetic sequence as the composed path (sum * 1/n, two-pass
-    # variance), so the fused forward is bit-identical to the composed one.
+    # Mean as sum * 1/n and a two-pass variance: the training-loss golden
+    # was recorded with exactly this arithmetic.
     mean = inputs.data.sum(axis=-1, keepdims=True) * (1.0 / size)
     centered = inputs.data - mean
     variance = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / size)
@@ -151,8 +150,7 @@ def fused_lstm_step(
     which costs one cheap region-add node per slice.  When ``mask`` (a
     ``[batch]`` or ``[batch, 1]`` boolean array) is given, masked-out rows
     keep their previous state and receive no gradient through this step's
-    gates — exactly the ``where``-based length masking of the composed
-    :class:`repro.nn.lstm.LSTM` loop.
+    gates — the length masking of :class:`repro.nn.lstm.LSTM`.
     """
     inputs = as_tensor(inputs)
     hidden = as_tensor(hidden)

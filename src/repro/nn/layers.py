@@ -22,7 +22,6 @@ from repro.nn.tensor import (
     active_dtype,
     as_tensor,
     fast_path_active,
-    fused_ops_active,
     raw,
     sigmoid,
 )
@@ -83,22 +82,7 @@ class Dense(Module):
             elif self.activation == "sigmoid":
                 outputs = sigmoid(outputs)
             return outputs
-        if fused_ops_active():
-            # Training fast path: one fused tape node instead of the
-            # composed matmul -> add -> activation chain (same float
-            # arithmetic, hand-written backward).
-            return fused_dense(inputs, self.weight, self.bias, self.activation)
-        inputs = as_tensor(inputs)
-        outputs = inputs @ self.weight
-        if self.bias is not None:
-            outputs = outputs + self.bias
-        if self.activation == "relu":
-            outputs = outputs.relu()
-        elif self.activation == "tanh":
-            outputs = outputs.tanh()
-        elif self.activation == "sigmoid":
-            outputs = outputs.sigmoid()
-        return outputs
+        return fused_dense(inputs, self.weight, self.bias, self.activation)
 
 
 class Sequential(Module):
@@ -223,16 +207,7 @@ class LayerNorm(Module):
             centered *= self.gain.data_as(dtype)
             centered += self.offset.data_as(dtype)
             return centered
-        if fused_ops_active():
-            # Training fast path: a single fused tape node with the
-            # closed-form LayerNorm backward (composed path records ~8).
-            return fused_layer_norm(inputs, self.gain, self.offset, self.epsilon)
-        inputs = as_tensor(inputs)
-        mean = inputs.mean(axis=-1, keepdims=True)
-        centered = inputs - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered * ((variance + self.epsilon) ** -0.5)
-        return normalized * self.gain + self.offset
+        return fused_layer_norm(inputs, self.gain, self.offset, self.epsilon)
 
 
 class Embedding(Module):

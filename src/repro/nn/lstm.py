@@ -23,10 +23,8 @@ from repro.nn.tensor import (
     as_tensor,
     concatenate,
     fast_path_active,
-    fused_ops_active,
     raw,
     sigmoid,
-    where,
 )
 
 #: States are tape tensors while gradients are recorded and raw arrays on
@@ -88,41 +86,27 @@ class LSTMCell(Module):
             new_cell = forget_gate * raw(cell_state) + input_gate * candidate
             new_hidden = output_gate * np.tanh(new_cell)
             return new_hidden, (new_hidden, new_cell)
-        if fused_ops_active():
-            # Training fast path: one fused tape node for the whole step
-            # plus two cheap basic-index slices, instead of ~15 composed
-            # nodes (per-gate slicing, sigmoids, tanh, combines).
-            state = fused_lstm_step(
-                inputs,
-                hidden_state,
-                cell_state,
-                self.weight_input,
-                self.weight_hidden,
-                self.bias,
-            )
-            size = self.hidden_size
-            new_hidden = state[:, :size]
-            new_cell = state[:, size:]
-            return new_hidden, (new_hidden, new_cell)
-        gates = inputs @ self.weight_input + hidden_state @ self.weight_hidden + self.bias
+        # Tape: one fused node for the whole step plus two cheap
+        # basic-index slices.
+        state = fused_lstm_step(
+            inputs,
+            hidden_state,
+            cell_state,
+            self.weight_input,
+            self.weight_hidden,
+            self.bias,
+        )
         size = self.hidden_size
-        input_gate = gates[:, 0 * size : 1 * size].sigmoid()
-        forget_gate = gates[:, 1 * size : 2 * size].sigmoid()
-        candidate = gates[:, 2 * size : 3 * size].tanh()
-        output_gate = gates[:, 3 * size : 4 * size].sigmoid()
-        new_cell = forget_gate * cell_state + input_gate * candidate
-        new_hidden = output_gate * new_cell.tanh()
+        new_hidden = state[:, :size]
+        new_cell = state[:, size:]
         return new_hidden, (new_hidden, new_cell)
 
     def initial_state(self, batch_size: int) -> Tuple[State, State]:
         """Returns an all-zeros ``(hidden, cell)`` state.
 
-        Tape :class:`Tensor` wrappers are only allocated when an operand
-        could actually join a tape; on the no-grad numpy fast path the state
-        is a pair of raw arrays, which the cell's fast path consumes
-        directly.  (The tape-on-``no_grad`` combination —
-        ``use_fast_path(False)`` inference — still gets Tensors, because the
-        composed ops mix Tensor and ndarray operands left-to-right.)
+        On the no-grad numpy fast path the state is a pair of raw arrays in
+        the active compute dtype, which the cell's fast path consumes
+        directly; on the tape it is a pair of :class:`Tensor` wrappers.
         """
         shape = (batch_size, self.hidden_size)
         if fast_path_active():
@@ -164,17 +148,21 @@ class LSTM(Module):
                 lengths.  When given, the returned final state for each
                 sequence is the state at its own last element, and padded
                 steps do not modify the state.
-            need_outputs: When False, the fused training path skips
-                recording the per-step output stack (the hierarchical models
-                only consume the final state); ``outputs`` is then ``None``.
+            need_outputs: When False, the tape path skips recording the
+                per-step output stack (the hierarchical models only consume
+                the final state); ``outputs`` is then ``None``.
 
         Returns:
             A tuple ``(outputs, final_hidden)`` where ``outputs`` is
             ``[batch, time, hidden_size]`` (or ``None``, see
             ``need_outputs``) and ``final_hidden`` is
-            ``[batch, hidden_size]``.  On the fused path, output rows past a
+            ``[batch, hidden_size]``.  On the tape path, output rows past a
             sequence's length hold its frozen final state rather than the
             padded-step activations — they carry no information either way.
+
+        The tape path records one :func:`repro.nn.fused.fused_lstm_step`
+        node per time step (the length mask folded in) plus two basic-index
+        slices whose backwards accumulate in place.
         """
         if fast_path_active():
             return self._forward_inference(raw(inputs), lengths)
@@ -183,32 +171,6 @@ class LSTM(Module):
         if lengths is None:
             lengths = np.full((batch_size,), max_time, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        if fused_ops_active():
-            return self._forward_fused(inputs, lengths, need_outputs)
-
-        hidden, cell = self.cell.initial_state(batch_size)
-        step_outputs: List[Tensor] = []
-        for time in range(max_time):
-            frame = inputs[:, time, :]
-            new_hidden, (new_hidden_state, new_cell) = self.cell(frame, (hidden, cell))
-            active = (lengths > time).reshape(batch_size, 1)
-            hidden = where(active, new_hidden_state, hidden)
-            cell = where(active, new_cell, cell)
-            step_outputs.append(new_hidden.reshape(batch_size, 1, self.hidden_size))
-        outputs = concatenate(step_outputs, axis=1) if step_outputs else inputs
-        return outputs, hidden
-
-    def _forward_fused(
-        self, inputs: Tensor, lengths: np.ndarray, need_outputs: bool
-    ) -> Tuple[Optional[Tensor], Tensor]:
-        """Training fast path: one fused tape node per time step.
-
-        Each step records a :func:`repro.nn.fused.fused_lstm_step` node (the
-        length mask folded in) plus two basic-index slices whose backwards
-        accumulate in place, instead of the ~17 composed nodes of the
-        define-by-run loop.
-        """
-        batch_size, max_time = inputs.shape[0], inputs.shape[1]
         size = self.hidden_size
         cell_module = self.cell
         hidden, cell = cell_module.initial_state(batch_size)

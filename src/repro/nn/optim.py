@@ -13,7 +13,6 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.nn.module import Parameter, bump_parameter_version
-from repro.nn.tensor import fused_ops_active
 
 __all__ = ["Optimizer", "SGD", "Adam", "clip_gradients_by_global_norm", "global_gradient_norm"]
 
@@ -67,13 +66,11 @@ class Adam(Optimizer):
 
     The moment state lives in two flat slabs over the concatenation of all
     parameters; the per-parameter moment arrays are reshaped views into
-    them.  On the training fast path (``repro.nn.tensor.use_fused_ops``,
-    the default) and when every parameter has a gradient, the update runs
-    as a handful of vectorized operations over the slabs — element-for-
-    element the same arithmetic as the per-parameter loop, so both paths
-    produce bit-identical updates.  The loop is kept for the composed-tape
-    baseline and for steps where some parameters have no gradient (their
-    moments must not decay).
+    them.  When every parameter has a gradient, the update runs as a handful
+    of vectorized operations over the slabs.  A step where some parameter
+    has no gradient runs a per-parameter loop instead, because that
+    parameter's moments must not decay; it is element-for-element the same
+    arithmetic, so both produce bit-identical updates.
     """
 
     def __init__(
@@ -118,9 +115,7 @@ class Adam(Optimizer):
         self._step_count += 1
         bias_correction1 = 1.0 - self.beta1 ** self._step_count
         bias_correction2 = 1.0 - self.beta2 ** self._step_count
-        if fused_ops_active() and all(
-            parameter.grad is not None for parameter in self.parameters
-        ):
+        if all(parameter.grad is not None for parameter in self.parameters):
             self._step_flat(bias_correction1, bias_correction2)
             return
         for parameter, first, second in zip(
@@ -142,7 +137,7 @@ class Adam(Optimizer):
         bump_parameter_version()
 
     def _step_flat(self, bias_correction1: float, bias_correction2: float) -> None:
-        """One update over the flat moment slabs (training fast path)."""
+        """One update over the flat moment slabs (every gradient present)."""
         gradient = self._flat_gradient
         for parameter, (start, stop) in zip(self.parameters, self._spans):
             gradient[start:stop] = parameter.grad.ravel()

@@ -46,40 +46,43 @@ always ``float64`` — master weights and training never run in reduced
 precision, only inference does (see
 ``repro.models.base.ThroughputModel.predict``).
 
-Training fast path
-------------------
+Execution mode
+--------------
 
-Training keeps the define-by-run tape, but its hot composites collapse into
-**fused** tape ops with hand-written backwards (:mod:`repro.nn.fused`):
+Three settings decide how an operation runs: whether gradients are recorded
+(:class:`no_grad`), whether no-grad code takes the numpy fast path
+(:class:`use_fast_path`), and the fast path's compute dtype
+(:class:`compute_dtype`).  They live in one per-thread execution-mode
+object, and each context manager saves and restores only its own field of
+the calling thread's mode.  The serving stack predicts on several threads
+at once, and a trainer may share the process: one thread's ``no_grad``
+never switches gradients off for another, however their enter and exit
+calls interleave.
 
-* one node per Dense layer (matmul + bias + activation), one per LayerNorm,
-  and one per LSTM time step (which otherwise records ~15 nodes of per-gate
-  slicing / sigmoid / tanh / multiply closures);
-* a :func:`scatter_rows` primitive whose backward is an O(N) gather,
-  replacing the quadratic permutation-matrix matmul the Ithemal model used
-  to re-pack instruction embeddings;
-* every scatter-add style backward (embedding / :meth:`Tensor.gather_rows` /
+Every layer has two paths:
+
+* **no-grad numpy** — when gradients are off and the fast path is on
+  (:func:`fast_path_active`, the inference default): raw arrays, no tape;
+* **tape** — otherwise.  The hot composites are **fused** tape ops with
+  hand-written backwards (:mod:`repro.nn.fused`): one node per Dense layer
+  (matmul + bias + activation), one per LayerNorm and one per LSTM time
+  step.  Under ``no_grad`` the tape path computes the same values without
+  recording (``use_fast_path(False)``, the reference the fast path is
+  checked against).
+
+The tape's scatters are vectorized too:
+
+* a :func:`scatter_rows` primitive whose backward is an O(N) gather
+  re-packs the Ithemal model's instruction embeddings;
+* every scatter-add (embedding / :meth:`Tensor.gather_rows` /
   :meth:`Tensor.segment_sum` / integer-array ``__getitem__``) runs on
-  flattened ``np.bincount`` instead of ``np.add.at`` (roughly an order of
+  flattened ``np.bincount`` rather than ``np.add.at`` (roughly an order of
   magnitude faster for 2-D feature matrices), and basic-index slices
-  accumulate in place into the parent's gradient region instead of
-  materialising a full-size zeros array per slice;
+  accumulate in place into the parent's gradient region;
 * gradients accumulate into preallocated per-tensor buffers (reused across
   steps for long-lived tensors such as :class:`repro.nn.module.Parameter`),
   and ``repro.nn.optim.Adam`` applies its update through one flat slab over
   all parameters.
-
-**Fused vs composed:** the composed per-op tape is retained behind
-:class:`use_fused_ops` — ``use_fused_ops(False)`` restores the pre-fusion
-behaviour (per-gate LSTM closures, permutation-matrix scatter, ``np.add.at``
-backwards, per-parameter Adam), which is the baseline that
-``benchmarks/test_training_throughput.py`` measures the fast path against.
-Fused forwards replicate the composed float arithmetic operation-for-
-operation (bit-identical losses); backwards may legitimately reorder float
-summations, so same-seed loss *trajectories* agree within the documented
-tolerance of that benchmark rather than bit-for-bit.  Use the composed path
-when debugging gradients op by op; use the (default) fused path everywhere
-else.
 """
 
 from __future__ import annotations
@@ -96,8 +99,6 @@ __all__ = [
     "is_grad_enabled",
     "use_fast_path",
     "fast_path_active",
-    "use_fused_ops",
-    "fused_ops_active",
     "compute_dtype",
     "active_dtype",
     "resolve_dtype",
@@ -118,29 +119,45 @@ __all__ = [
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-_GRAD_ENABLED = True
-_FAST_PATH_ENABLED = True
-_FUSED_OPS_ENABLED = True
-
 #: Dtype names accepted by :func:`resolve_dtype` / inference configurations.
 SUPPORTED_DTYPES = ("float64", "float32")
 
 
-class _ComputeDtypeState(threading.local):
-    """Per-thread compute dtype.
+class _ExecutionMode(threading.local):
+    """The calling thread's execution mode (see "Execution mode" above).
 
-    Thread-local rather than a module global because the serving stack runs
-    predicts on several threads at once (async dispatcher + client threads),
-    and a float32 service may share the process with a float64 one — each
-    thread's forward must see only its own ``compute_dtype`` context, or a
-    float64 predict could silently compute (and cache) float32 values.
+    Thread-local because the serving stack runs predicts on several threads
+    at once (async dispatcher, flush pool, client threads), possibly next to
+    a training loop or a service of another precision: each thread's
+    forward must see only its own contexts, or a predict could switch
+    another thread's gradients off, or compute (and cache) float32 values
+    for a float64 model.
     """
 
     def __init__(self) -> None:
-        self.value = np.dtype(np.float64)
+        self.grad = True
+        self.fast_path = True
+        self.dtype = np.dtype(np.float64)
 
 
-_COMPUTE_DTYPE = _ComputeDtypeState()
+_MODE = _ExecutionMode()
+
+
+class _ModeContext:
+    """Sets one field of the calling thread's mode; restores it on exit."""
+
+    _field = ""
+
+    def __init__(self, value) -> None:
+        self._value = value
+
+    def __enter__(self):
+        self._previous = getattr(_MODE, self._field)
+        setattr(_MODE, self._field, self._value)
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        setattr(_MODE, self._field, self._previous)
 
 
 def resolve_dtype(dtype: Union[str, np.dtype, type]) -> np.dtype:
@@ -162,10 +179,10 @@ def active_dtype() -> np.dtype:
 
     Per-thread: see :class:`compute_dtype`.
     """
-    return _COMPUTE_DTYPE.value
+    return _MODE.dtype
 
 
-class compute_dtype:
+class compute_dtype(_ModeContext):
     """Context manager selecting the no-grad fast path's compute dtype.
 
     Only the raw-numpy fast path honours it: tape :class:`Tensor` data stays
@@ -180,100 +197,49 @@ class compute_dtype:
     dtype into each other's forwards.
     """
 
+    _field = "dtype"
+
     def __init__(self, dtype: Union[str, np.dtype, type] = np.float64) -> None:
-        self._dtype = resolve_dtype(dtype)
-
-    def __enter__(self) -> "compute_dtype":
-        self._previous = _COMPUTE_DTYPE.value
-        _COMPUTE_DTYPE.value = self._dtype
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        _COMPUTE_DTYPE.value = self._previous
+        super().__init__(resolve_dtype(dtype))
 
 
-class use_fast_path:
-    """Context manager toggling the no-grad numpy fast path.
+class use_fast_path(_ModeContext):
+    """Context manager toggling the no-grad numpy fast path (per thread).
 
     The fast path is on by default; disabling it makes ``no_grad`` inference
-    run through tape :class:`Tensor` wrappers exactly like the original
-    implementation, which is what the throughput benchmarks use as their
-    baseline ("seed path").
+    run through the tape path's :class:`Tensor` wrappers without recording,
+    which is the reference the fast path is checked against and the
+    throughput benchmarks' baseline ("seed path").
     """
 
+    _field = "fast_path"
+
     def __init__(self, enabled: bool = True) -> None:
-        self._enabled = bool(enabled)
-
-    def __enter__(self) -> "use_fast_path":
-        global _FAST_PATH_ENABLED
-        self._previous = _FAST_PATH_ENABLED
-        _FAST_PATH_ENABLED = self._enabled
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        global _FAST_PATH_ENABLED
-        _FAST_PATH_ENABLED = self._previous
+        super().__init__(bool(enabled))
 
 
 def fast_path_active() -> bool:
     """True when ops should dispatch to raw numpy (no-grad fast path)."""
-    return not _GRAD_ENABLED and _FAST_PATH_ENABLED
+    mode = _MODE
+    return not mode.grad and mode.fast_path
 
 
-class use_fused_ops:
-    """Context manager toggling the vectorized *training* fast path.
-
-    On (the default), layers record fused tape ops with hand-written
-    backwards, scatter-add backwards run on ``np.bincount``, the Ithemal
-    scatter is the O(N) :func:`scatter_rows` primitive, and ``Adam`` updates
-    through a flat parameter slab.  ``use_fused_ops(False)`` restores the
-    composed per-op tape (per-gate LSTM closures, permutation-matrix
-    scatter, ``np.add.at`` backwards, per-parameter Adam), which is the
-    pre-fusion baseline measured by
-    ``benchmarks/test_training_throughput.py``.  See the module docstring's
-    "Training fast path" section.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self._enabled = bool(enabled)
-
-    def __enter__(self) -> "use_fused_ops":
-        global _FUSED_OPS_ENABLED
-        self._previous = _FUSED_OPS_ENABLED
-        _FUSED_OPS_ENABLED = self._enabled
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        global _FUSED_OPS_ENABLED
-        _FUSED_OPS_ENABLED = self._previous
-
-
-def fused_ops_active() -> bool:
-    """True when the tape should record fused ops (training fast path)."""
-    return _FUSED_OPS_ENABLED
-
-
-class no_grad:
-    """Context manager that disables gradient recording.
+class no_grad(_ModeContext):
+    """Context manager that disables gradient recording (per thread).
 
     Used during evaluation and inference to avoid building the autodiff
     graph, which keeps memory usage flat and inference fast.
     """
 
-    def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._previous = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
+    _field = "grad"
 
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._previous
+    def __init__(self) -> None:
+        super().__init__(False)
 
 
 def is_grad_enabled() -> bool:
-    """Returns True when operations record gradients."""
-    return _GRAD_ENABLED
+    """Returns True when operations on this thread record gradients."""
+    return _MODE.grad
 
 
 def _unbroadcast(gradient: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -296,8 +262,9 @@ def _row_scatter_add(target: np.ndarray, indices: np.ndarray, values: np.ndarray
     The 1-D/2-D cases run on flattened ``np.bincount`` (a single C loop over
     the value buffer) instead of ``np.add.at``, whose generalised-ufunc
     fallback is roughly an order of magnitude slower for the row-shaped
-    scatters the training backwards perform.  Higher-rank values fall back
-    to ``np.add.at``; no training hot path produces them.
+    scatters the training backwards perform.  Higher-rank values, which
+    bincount cannot express, fall back to ``np.add.at``; no training hot
+    path produces them.
     """
     if indices.size and int(indices.min()) < 0:
         # bincount rejects negative ids; wrap them exactly like numpy
@@ -311,7 +278,7 @@ def _row_scatter_add(target: np.ndarray, indices: np.ndarray, values: np.ndarray
         ).reshape(num_rows, num_features)
     elif values.ndim == 1 and target.ndim == 1:
         target += np.bincount(indices, weights=values, minlength=target.shape[0])
-    else:  # pragma: no cover - no hot path reaches this
+    else:
         np.add.at(target, indices, values)
     return target
 
@@ -357,7 +324,7 @@ class Tensor:
         array = np.asarray(data, dtype=np.float64)
         self.data: np.ndarray = array
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad: bool = bool(requires_grad) and _MODE.grad
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
@@ -411,7 +378,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires_grad = _GRAD_ENABLED and any(parent.requires_grad for parent in parents)
+        requires_grad = _MODE.grad and any(parent.requires_grad for parent in parents)
         result = Tensor(data, requires_grad=requires_grad)
         if requires_grad:
             result._parents = tuple(parents)
@@ -613,24 +580,17 @@ class Tensor:
     def __getitem__(self, key) -> "Tensor":
         data = self.data[key]
         basic = _is_basic_index(key)
-        fused = _FUSED_OPS_ENABLED
 
         def backward(gradient: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            if basic and fused:
+            if basic:
                 # Region accumulate: basic indexing cannot alias, so add the
                 # gradient straight into the parent's gradient slice instead
                 # of materialising a full-size zeros array per time step.
                 self._ensure_grad()[key] += gradient
                 return
-            if (
-                fused
-                and isinstance(key, np.ndarray)
-                and key.ndim == 1
-                and key.dtype.kind in "iu"
-                and self.data.ndim <= 2
-            ):
+            if isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu":
                 _row_scatter_add(self._ensure_grad(), key, np.asarray(gradient))
                 return
             full = np.zeros_like(self.data)
@@ -772,24 +732,13 @@ class Tensor:
         """
         indices = np.asarray(indices, dtype=np.int64)
         data = self.data[indices]
-        fused = _FUSED_OPS_ENABLED
 
         def backward(gradient: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            if fused and self.data.ndim <= 2:
-                # O(N) bincount scatter-add into the (reused) grad buffer
-                # instead of np.add.at on a fresh full-size zeros array.
-                gradient = np.asarray(gradient)
-                if self.data.ndim == 2:
-                    gradient = gradient.reshape(-1, self.data.shape[1])
-                else:
-                    gradient = gradient.reshape(-1)
-                _row_scatter_add(self._ensure_grad(), indices.reshape(-1), gradient)
-                return
-            full = np.zeros_like(self.data)
-            np.add.at(full, indices, gradient)
-            self._accumulate(full)
+            # O(N) bincount scatter-add into the (reused) grad buffer.
+            rows = np.asarray(gradient).reshape((-1,) + self.data.shape[1:])
+            _row_scatter_add(self._ensure_grad(), indices.reshape(-1), rows)
 
         return Tensor._make(data, (self,), backward)
 
@@ -819,16 +768,11 @@ class Tensor:
         This is the aggregation primitive of the graph network: edge features
         are summed per receiving node, node features are summed per graph.
         The forward runs on flattened ``np.bincount`` (see
-        :func:`_row_scatter_add`); ``use_fused_ops(False)`` restores the
-        original ``np.add.at`` scatter.
+        :func:`_row_scatter_add`).
         """
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
         output_shape = (num_segments,) + self.data.shape[1:]
-        data = np.zeros(output_shape, dtype=np.float64)
-        if _FUSED_OPS_ENABLED and self.data.ndim <= 2:
-            _row_scatter_add(data, segment_ids, self.data)
-        else:
-            np.add.at(data, segment_ids, self.data)
+        data = _row_scatter_add(np.zeros(output_shape, dtype=np.float64), segment_ids, self.data)
 
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient[segment_ids])
@@ -916,7 +860,7 @@ def raw(value: ArrayLike) -> np.ndarray:
     ops themselves preserve dtype, so whole forwards cast each input a
     single time).
     """
-    dtype = _COMPUTE_DTYPE.value
+    dtype = _MODE.dtype
     if isinstance(value, Tensor):
         data = value.data
     elif isinstance(value, np.ndarray):

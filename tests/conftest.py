@@ -8,6 +8,23 @@ import pytest
 from repro.data.datasets import build_ithemal_like_dataset
 from repro.data.synthetic import BlockGenerator, GeneratorConfig
 from repro.isa.basic_block import BasicBlock
+from repro.nn.tensor import active_dtype, fast_path_active, is_grad_enabled, no_grad
+
+
+def _assert_default_execution_mode(when: str) -> None:
+    with no_grad():
+        fast_path = fast_path_active()
+    assert is_grad_enabled(), f"gradients are off {when} the test"
+    assert fast_path, f"the no-grad fast path is off {when} the test"
+    assert active_dtype() == np.float64, f"compute dtype is {active_dtype()} {when} the test"
+
+
+@pytest.fixture(autouse=True)
+def default_execution_mode():
+    """Fails the test that leaks a grad / fast-path / dtype mode change."""
+    _assert_default_execution_mode("before")
+    yield
+    _assert_default_execution_mode("after")
 
 
 @pytest.fixture(scope="session")

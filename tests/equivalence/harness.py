@@ -12,10 +12,13 @@ float64 predictions* the suite judges against:
   the equivalence suite exercises;
 * golden files — per-model float64 predictions over the combined corpus
   (``golden/<model>.json``), produced by models built from
-  :data:`MODEL_SEED`.
+  :data:`MODEL_SEED`;
+* a training golden — the per-step losses of a short same-seed training
+  run per model family (``golden/training_losses.json``), which pins the
+  training tape (fused forwards and backwards, Adam) against drift.
 
 Regenerate the goldens (and the BHive CSV) after an *intentional* change to
-the float64 inference path::
+the float64 inference path or the training tape::
 
     python tests/equivalence/harness.py --regenerate
 """
@@ -38,6 +41,8 @@ from repro.data.datasets import build_bhive_like_dataset, build_ithemal_like_dat
 from repro.isa.basic_block import BasicBlock
 from repro.models import create_model
 from repro.models.base import ThroughputModel
+from repro.models.config import TrainingConfig
+from repro.training.trainer import Trainer
 from repro.testing.equivalence import load_golden, save_golden
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -54,6 +59,14 @@ NUM_SYNTHETIC_BLOCKS = 24
 BHIVE_SEED = 2025
 NUM_BHIVE_BLOCKS = 12
 
+#: Model families, seeds and sizes of the training-loss golden.
+TRAINING_MODEL_NAMES = ("granite", "ithemal+", "ithemal")
+TRAINING_MODEL_SEED = 13
+TRAINING_DATASET_SIZE = 60
+TRAINING_DATASET_SEED = 7
+TRAINING_STEPS = 4
+TRAINING_CONFIG = TrainingConfig(batch_size=12, num_steps=TRAINING_STEPS, seed=3)
+
 
 def bhive_corpus_path() -> str:
     return os.path.join(GOLDEN_DIR, "bhive_corpus.csv")
@@ -61,6 +74,27 @@ def bhive_corpus_path() -> str:
 
 def golden_path(model_name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{model_name.replace('+', '_plus')}.json")
+
+
+def training_losses_path() -> str:
+    return os.path.join(GOLDEN_DIR, "training_losses.json")
+
+
+def training_split():
+    """The training split the loss golden trains on."""
+    dataset = build_ithemal_like_dataset(TRAINING_DATASET_SIZE, seed=TRAINING_DATASET_SEED)
+    return dataset.paper_splits(seed=0).train
+
+
+def training_losses(model_name: str, train_split) -> np.ndarray:
+    """Per-step losses of a fresh same-seed model trained on ``train_split``."""
+    model = create_model(model_name, small=True, seed=TRAINING_MODEL_SEED)
+    return Trainer(model, TRAINING_CONFIG).train(train_split).loss_curve()
+
+
+def load_golden_training_losses() -> Dict[str, np.ndarray]:
+    losses, _ = load_golden(training_losses_path())
+    return losses
 
 
 def build_corpus() -> Tuple[List[BasicBlock], Dict[str, np.ndarray]]:
@@ -135,6 +169,20 @@ def regenerate() -> None:
             },
         )
         print(f"wrote {golden_path(model_name)} ({len(blocks)} blocks)")
+    train_split = training_split()
+    save_golden(
+        training_losses_path(),
+        {name: training_losses(name, train_split) for name in TRAINING_MODEL_NAMES},
+        metadata={
+            "model_seed": TRAINING_MODEL_SEED,
+            "dataset_size": TRAINING_DATASET_SIZE,
+            "dataset_seed": TRAINING_DATASET_SEED,
+            "batch_size": TRAINING_CONFIG.batch_size,
+            "steps": TRAINING_STEPS,
+            "trainer_seed": TRAINING_CONFIG.seed,
+        },
+    )
+    print(f"wrote {training_losses_path()} ({TRAINING_STEPS} steps per model)")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """Dtype behaviour of the no-grad inference fast path.
 
 Covers the mixed-precision substrate the float32 serving mode stands on:
-the ``compute_dtype`` context, dtype preservation through every fast-path
-op, the version-keyed ``Parameter.data_as`` cast cache, and the dtype-aware
-LayerNorm epsilon (regression: float32 normalisation of a constant-feature
+the ``compute_dtype`` context (per thread, like the grad and fast-path
+modes), dtype preservation through every fast-path op, the version-keyed
+``Parameter.data_as`` cast cache, and the dtype-aware LayerNorm epsilon (regression: float32 normalisation of a constant-feature
 block must not blow up or go non-finite).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from repro.nn.tensor import (
     active_dtype,
     compute_dtype,
     concatenate,
+    fast_path_active,
+    is_grad_enabled,
     no_grad,
     raw,
     relu,
@@ -29,7 +33,22 @@ from repro.nn.tensor import (
     sigmoid,
     stack,
     tanh,
+    use_fast_path,
 )
+
+
+def _fast_path_enabled() -> bool:
+    """The fast-path flag (only observable while gradients are off)."""
+    with no_grad():
+        return fast_path_active()
+
+
+#: Execution-mode field -> (non-default context, reader, default value).
+_MODES = {
+    "grad": (no_grad, is_grad_enabled, True),
+    "fast_path": (lambda: use_fast_path(False), _fast_path_enabled, True),
+    "dtype": (lambda: compute_dtype("float32"), active_dtype, np.float64),
+}
 
 
 class TestComputeDtypeContext:
@@ -44,41 +63,77 @@ class TestComputeDtypeContext:
             assert active_dtype() == np.float32
         assert active_dtype() == np.float64
 
-    def test_restores_on_exception(self):
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_restores_on_exception(self, mode):
+        enter_context, read, default = _MODES[mode]
         with pytest.raises(RuntimeError):
-            with compute_dtype("float32"):
+            with enter_context():
                 raise RuntimeError("boom")
-        assert active_dtype() == np.float64
+        assert read() == default
 
-    def test_state_is_per_thread(self):
-        """A float32 context on one thread must not leak into another.
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_state_is_per_thread(self, mode):
+        """A mode context on one thread must not leak into another.
 
         The serving stack predicts from several threads at once (async
-        dispatcher + client threads), possibly in different precisions.
+        dispatcher + client threads), possibly in different precisions, and
+        a trainer may share the process.  Each thread sees only its own
+        ``no_grad`` / ``use_fast_path`` / ``compute_dtype`` contexts, also
+        when enter and exit calls of two threads interleave.
         """
-        import threading
+        enter_context, read, default = _MODES[mode]
 
+        # One thread holds the context while this thread reads its default.
         entered = threading.Event()
         release = threading.Event()
         observed = {}
 
-        def hold_float32():
-            with compute_dtype("float32"):
-                observed["worker"] = active_dtype()
+        def hold():
+            with enter_context():
+                observed["worker"] = read()
                 entered.set()
                 release.wait(timeout=10.0)
 
-        worker = threading.Thread(target=hold_float32)
+        worker = threading.Thread(target=hold)
         worker.start()
         try:
             assert entered.wait(timeout=10.0)
-            # The worker sits inside compute_dtype("float32"); this thread
-            # must still see its own default.
-            assert active_dtype() == np.float64
-            assert observed["worker"] == np.float32
+            assert read() == default
+            assert observed["worker"] != default
         finally:
             release.set()
             worker.join(timeout=10.0)
+        assert not worker.is_alive()
+
+        # A enters, B enters, A exits, B exits: with a shared global, B's
+        # exit would restore the value A's context had set.
+        steps = {name: threading.Event() for name in ("a_in", "b_in", "a_out")}
+
+        def thread_a():
+            with enter_context():
+                steps["a_in"].set()
+                steps["b_in"].wait(timeout=10.0)
+            observed["a_after"] = read()
+            steps["a_out"].set()
+
+        def thread_b():
+            steps["a_in"].wait(timeout=10.0)
+            with enter_context():
+                steps["b_in"].set()
+                steps["a_out"].wait(timeout=10.0)
+                observed["b_inside"] = read()
+            observed["b_after"] = read()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert observed["a_after"] == default
+        assert observed["b_inside"] != default
+        assert observed["b_after"] == default
+        assert read() == default
 
     def test_resolve_dtype_accepts_names_and_types(self):
         assert resolve_dtype("float32") == np.float32

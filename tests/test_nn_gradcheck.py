@@ -1,10 +1,8 @@
 """Numeric gradient checks for the training fast path (repro.testing.gradcheck).
 
 Every fused op of ``repro.nn.fused``, the ``scatter_rows`` primitive, the
-bincount-rewritten scatter/segment backwards and the composed layer
-implementations they replace are verified against central-difference
-gradients — in both fusion modes where both exist, plus a fused-vs-composed
-cross-check that the two tapes produce the same gradients.
+bincount scatter/segment backwards, every elementwise and shape tape op and
+the layers built on them are verified against central-difference gradients.
 """
 
 import numpy as np
@@ -16,19 +14,13 @@ from repro.nn.lstm import LSTM, LSTMCell
 from repro.nn.tensor import (
     Tensor,
     concatenate,
+    no_grad,
     scatter_rows,
     stack,
-    use_fused_ops,
+    use_fast_path,
     where,
 )
 from repro.testing.gradcheck import gradcheck, numeric_gradient
-
-
-@pytest.fixture(params=[True, False], ids=["fused", "composed"])
-def fused_mode(request):
-    """Runs the test body under both tape modes."""
-    with use_fused_ops(request.param):
-        yield request.param
 
 
 def _tensor(rng, shape, scale=1.0):
@@ -78,27 +70,11 @@ class TestFusedDense:
         with pytest.raises(ValueError):
             fused_dense(_tensor(rng, (2, 2)), _tensor(rng, (2, 2)), None, "gelu")
 
-    def test_matches_composed_dense_layer(self, rng):
-        layer = Dense(4, 3, rng, activation="tanh")
-        inputs = rng.normal(size=(6, 4))
-
-        def run():
-            layer.zero_grad()
-            tensor = Tensor(inputs, requires_grad=True)
-            layer(tensor).sum().backward()
-            return tensor.grad, layer.weight.grad.copy(), layer.bias.grad.copy()
-
-        with use_fused_ops(True):
-            fused_grads = run()
-        with use_fused_ops(False):
-            composed_grads = run()
-        for fused_grad, composed_grad in zip(fused_grads, composed_grads):
-            np.testing.assert_allclose(fused_grad, composed_grad, rtol=1e-12, atol=1e-12)
-
 
 class TestFusedLayerNorm:
-    def test_against_numeric(self, rng):
-        inputs = _tensor(rng, (5, 6))
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 3, 6)])
+    def test_against_numeric(self, rng, shape):
+        inputs = _tensor(rng, shape)
         gain = Tensor(np.ones(6) + 0.1 * rng.normal(size=6), requires_grad=True)
         offset = _tensor(rng, (6,))
         gradcheck(
@@ -106,23 +82,6 @@ class TestFusedLayerNorm:
             {"inputs": inputs, "gain": gain, "offset": offset},
             atol=1e-5,
         )
-
-    def test_matches_composed_layer(self, rng):
-        layer = LayerNorm(8)
-        inputs = rng.normal(size=(5, 8))
-
-        def run():
-            layer.zero_grad()
-            tensor = Tensor(inputs, requires_grad=True)
-            (layer(tensor) ** 2.0).sum().backward()
-            return tensor.grad, layer.gain.grad.copy(), layer.offset.grad.copy()
-
-        with use_fused_ops(True):
-            fused_grads = run()
-        with use_fused_ops(False):
-            composed_grads = run()
-        for fused_grad, composed_grad in zip(fused_grads, composed_grads):
-            np.testing.assert_allclose(fused_grad, composed_grad, rtol=1e-9, atol=1e-11)
 
 
 class TestFusedLSTMStep:
@@ -157,32 +116,29 @@ class TestFusedLSTMStep:
             state.data[1, hidden_size:], operands["cell"].data[1]
         )
 
-    def test_matches_composed_cell(self, rng):
+    def test_cell_against_numeric(self, rng):
         cell = LSTMCell(4, 5, rng)
-        inputs = rng.normal(size=(3, 4))
+        inputs = _tensor(rng, (3, 4))
 
-        def run():
-            cell.zero_grad()
-            tensor = Tensor(inputs, requires_grad=True)
-            hidden, (_, new_cell) = cell(tensor, cell.initial_state(3))
-            (hidden.sum() + (new_cell * 0.5).sum()).backward()
-            return (
-                tensor.grad,
-                cell.weight_input.grad.copy(),
-                cell.weight_hidden.grad.copy(),
-                cell.bias.grad.copy(),
-            )
+        def build():
+            hidden, (_, new_cell) = cell(inputs, cell.initial_state(3))
+            return hidden + new_cell * 0.5
 
-        with use_fused_ops(True):
-            fused_grads = run()
-        with use_fused_ops(False):
-            composed_grads = run()
-        for fused_grad, composed_grad in zip(fused_grads, composed_grads):
-            np.testing.assert_allclose(fused_grad, composed_grad, rtol=1e-10, atol=1e-12)
+        gradcheck(
+            build,
+            {
+                "inputs": inputs,
+                "weight_input": cell.weight_input,
+                "weight_hidden": cell.weight_hidden,
+                "bias": cell.bias,
+            },
+            atol=1e-5,
+        )
 
 
 class TestLSTMLayer:
-    def test_against_numeric_with_lengths(self, rng, fused_mode):
+    @pytest.mark.parametrize("need_outputs", [False, True])
+    def test_against_numeric_with_lengths(self, rng, need_outputs):
         lstm = LSTM(3, 4, rng)
         inputs = _tensor(rng, (2, 5, 3))
         lengths = np.array([5, 3])
@@ -194,30 +150,23 @@ class TestLSTMLayer:
         }
 
         def build():
-            _, final_hidden = lstm(inputs, lengths, need_outputs=False)
-            return final_hidden
+            outputs, final_hidden = lstm(inputs, lengths, need_outputs=need_outputs)
+            return outputs if need_outputs else final_hidden
 
         gradcheck(build, parameters, atol=1e-5)
 
-    def test_fused_matches_composed_final_state_and_gradients(self, rng):
+    def test_tape_matches_inference_final_state(self, rng):
         lstm = LSTM(3, 4, rng)
         sequences = rng.normal(size=(3, 6, 3))
         lengths = np.array([6, 2, 4])
-
-        def run():
-            lstm.zero_grad()
-            tensor = Tensor(sequences, requires_grad=True)
-            _, final_hidden = lstm(tensor, lengths)
-            (final_hidden**2.0).sum().backward()
-            return final_hidden.data.copy(), tensor.grad, lstm.cell.weight_input.grad.copy()
-
-        with use_fused_ops(True):
-            fused_final, fused_input_grad, fused_weight_grad = run()
-        with use_fused_ops(False):
-            composed_final, composed_input_grad, composed_weight_grad = run()
-        np.testing.assert_array_equal(fused_final, composed_final)
-        np.testing.assert_allclose(fused_input_grad, composed_input_grad, rtol=1e-10, atol=1e-13)
-        np.testing.assert_allclose(fused_weight_grad, composed_weight_grad, rtol=1e-10, atol=1e-13)
+        _, tape_final = lstm(Tensor(sequences, requires_grad=True), lengths)
+        with no_grad():
+            _, fast_final = lstm(sequences, lengths)
+            with use_fast_path(False):
+                _, tape_no_grad_final = lstm(sequences, lengths)
+        assert isinstance(fast_final, np.ndarray)
+        np.testing.assert_allclose(tape_final.data, fast_final, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(tape_no_grad_final.data, tape_final.data)
 
 
 class TestScatterGatherBackwards:
@@ -234,55 +183,57 @@ class TestScatterGatherBackwards:
         permutation[indices, np.arange(4)] = 1.0
         np.testing.assert_array_equal(scattered.data, permutation @ values.data)
 
-    def test_gather_rows_with_duplicates(self, rng, fused_mode):
-        values = _tensor(rng, (4, 3))
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (4, 3, 2)])
+    def test_gather_rows_with_duplicates(self, rng, shape):
+        values = _tensor(rng, shape)
         indices = np.array([0, 2, 2, 1, 0, 2])
         gradcheck(lambda: values.gather_rows(indices), {"values": values})
 
-    def test_gather_rows_multidimensional_indices(self, rng, fused_mode):
+    def test_gather_rows_multidimensional_indices(self, rng):
         values = _tensor(rng, (5, 2))
         indices = np.array([[0, 4], [4, 3]])
         gradcheck(lambda: values.gather_rows(indices), {"values": values})
 
-    def test_getitem_integer_array(self, rng, fused_mode):
-        values = _tensor(rng, (5, 3))
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 3, 2)])
+    def test_getitem_integer_array(self, rng, shape):
+        values = _tensor(rng, shape)
         key = np.array([1, 1, 4, 0])
         gradcheck(lambda: values[key], {"values": values})
 
-    def test_negative_indices_wrap_like_numpy(self, rng, fused_mode):
+    def test_negative_indices_wrap_like_numpy(self, rng):
         values = _tensor(rng, (5, 3))
         key = np.array([-1, 0, -1, 2])
         gradcheck(lambda: values[key], {"values": values})
         gradcheck(lambda: values.gather_rows(np.array([-2, 1])), {"values": values})
 
-    def test_getitem_basic_slice(self, rng, fused_mode):
+    def test_getitem_basic_slice(self, rng):
         values = _tensor(rng, (4, 5))
         gradcheck(lambda: values[:, 1:4], {"values": values})
 
-    def test_getitem_time_slice(self, rng, fused_mode):
+    def test_getitem_time_slice(self, rng):
         values = _tensor(rng, (2, 4, 3))
         gradcheck(lambda: values[:, 2, :], {"values": values})
 
 
 class TestSegmentBackwards:
-    def test_segment_sum(self, rng, fused_mode):
-        values = _tensor(rng, (6, 3))
+    @pytest.mark.parametrize("shape", [(6,), (6, 3), (6, 3, 2)])
+    def test_segment_sum(self, rng, shape):
+        values = _tensor(rng, shape)
         segment_ids = np.array([0, 2, 2, 1, 0, 2])
         gradcheck(lambda: values.segment_sum(segment_ids, 4), {"values": values})
 
-    def test_segment_mean(self, rng, fused_mode):
+    def test_segment_mean(self, rng):
         values = _tensor(rng, (5, 2))
         segment_ids = np.array([1, 1, 0, 2, 2])
         gradcheck(lambda: values.segment_mean(segment_ids, 3), {"values": values})
 
-    def test_segment_sum_forward_identical_across_modes(self, rng):
+    def test_segment_sum_forward_matches_add_at(self, rng):
         values = rng.normal(size=(64, 7))
         segment_ids = rng.integers(0, 9, size=64)
-        with use_fused_ops(True):
-            fused = Tensor(values).segment_sum(segment_ids, 9).data
-        with use_fused_ops(False):
-            composed = Tensor(values).segment_sum(segment_ids, 9).data
-        np.testing.assert_allclose(fused, composed, rtol=1e-15, atol=1e-15)
+        expected = np.zeros((9, 7))
+        np.add.at(expected, segment_ids, values)
+        summed = Tensor(values).segment_sum(segment_ids, 9).data
+        np.testing.assert_allclose(summed, expected, rtol=1e-15, atol=1e-15)
 
 
 class TestElementwiseTapeOps:
@@ -378,10 +329,10 @@ class TestShapeTapeOps:
         )
 
 
-class TestComposedLayersStillCheck:
-    """The legacy composed implementations stay gradcheck-clean too."""
+class TestLayers:
+    """The layers check end to end, through their fused tape ops."""
 
-    def test_dense(self, rng, fused_mode):
+    def test_dense(self, rng):
         layer = Dense(3, 2, rng, activation="sigmoid")
         inputs = _tensor(rng, (4, 3))
         gradcheck(
@@ -389,7 +340,7 @@ class TestComposedLayersStillCheck:
             {"inputs": inputs, "weight": layer.weight, "bias": layer.bias},
         )
 
-    def test_layer_norm(self, rng, fused_mode):
+    def test_layer_norm(self, rng):
         layer = LayerNorm(5)
         inputs = _tensor(rng, (3, 5))
         gradcheck(

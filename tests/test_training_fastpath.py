@@ -1,12 +1,13 @@
-"""Equivalence tests for the vectorized training fast path.
+"""Tests for the vectorized training path.
 
-The fused tape (``use_fused_ops``, on by default) must train exactly like
-the composed tape it replaces: same-seed runs see the same batches, the
-fused forwards are arithmetic-identical, and the flat-slab Adam update is
-element-for-element the per-parameter loop.  These tests pin that down at
-unit scale; ``benchmarks/test_training_throughput.py`` additionally gates
-the speedup and the full loss trajectories.
+The flat-slab Adam update is element-for-element the per-parameter loop,
+the trainer's batch sources behave like per-sample lookups, and a train
+step records a full tape while other threads predict.  Same-seed loss
+trajectories are pinned by ``tests/equivalence/test_training_golden.py``.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from repro.data.datasets import LabeledBlock, ThroughputDataset
 from repro.models import create_model
 from repro.models.config import TrainingConfig
 from repro.nn.layers import Dense
+from repro.nn.module import Parameter
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor, use_fused_ops
+from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.training.trainer import Trainer
 
 
@@ -25,34 +27,70 @@ def train_split(tiny_dataset):
     return tiny_dataset.paper_splits(seed=0).train
 
 
-def _losses(name, train_split, fused, steps=4):
-    model = create_model(name, small=True, seed=13)
-    trainer = Trainer(model, TrainingConfig(batch_size=12, num_steps=steps, seed=3))
-    with use_fused_ops(fused):
-        history = trainer.train(train_split)
-    return history.loss_curve(), model
-
-
-class TestFusedTrainingEquivalence:
-    @pytest.mark.parametrize("name", ["granite", "ithemal+", "ithemal"])
-    def test_loss_trajectory_matches_composed_tape(self, name, train_split):
-        fused_losses, fused_model = _losses(name, train_split, fused=True)
-        composed_losses, composed_model = _losses(name, train_split, fused=False)
-        np.testing.assert_allclose(fused_losses, composed_losses, rtol=1e-9)
-        # The trained weights agree too (backwards may reorder float sums,
-        # so allow a few ulps rather than bit equality).
-        fused_state = fused_model.state_dict()
-        composed_state = composed_model.state_dict()
-        for key, fused_value in fused_state.items():
-            np.testing.assert_allclose(
-                fused_value, composed_state[key], rtol=1e-9, atol=1e-12, err_msg=key
-            )
-
+class TestTraining:
     def test_history_records_throughput(self, train_split):
-        _, model = _losses("ithemal", train_split, fused=True, steps=2)
+        model = create_model("ithemal", small=True, seed=13)
         trainer = Trainer(model, TrainingConfig(batch_size=8, num_steps=2, seed=3))
         history = trainer.train(train_split)
         assert history.steps_per_second > 0.0
+
+    def test_train_step_while_threads_predict(self, train_split):
+        """Training and serving share a process: four threads predict (each
+        inside its own ``no_grad``) while this thread takes a train step,
+        which must still record a full tape."""
+        blocks = train_split.blocks()[:8]
+        serving_models = [create_model("ithemal+", small=True, seed=seed) for seed in range(4)]
+        model = create_model("granite", small=True, seed=13)
+        trainer = Trainer(model, TrainingConfig(batch_size=12, num_steps=1, seed=3))
+        losses = []
+        loss_fn = trainer.loss_fn
+
+        def recording_loss(predictions, actual):
+            loss = loss_fn(predictions, actual)
+            losses.append(loss)
+            return loss
+
+        trainer.loss_fn = recording_loss
+        started = [threading.Event() for _ in serving_models]
+        stop = threading.Event()
+        errors = []
+
+        def predict_loop(serving, ready):
+            serving.prediction_cache_size = 0
+            try:
+                while True:
+                    serving.predict(blocks)
+                    ready.set()
+                    if stop.is_set():
+                        return
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+                ready.set()
+
+        threads = [
+            threading.Thread(target=predict_loop, args=(serving, ready))
+            for serving, ready in zip(serving_models, started)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for ready in started:
+                assert ready.wait(timeout=30.0)
+            trainer.train_step(train_split, step=1)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert losses
+        assert all(isinstance(loss, Tensor) and loss.requires_grad for loss in losses)
+        for parameter in model.parameters():
+            assert parameter.grad is not None
+        assert is_grad_enabled()
 
     def test_partially_labelled_sample_errors_only_when_drawn(self, tiny_dataset):
         # CSV-imported datasets may lack labels for some samples; the
@@ -105,19 +143,20 @@ class TestFlatAdamEquivalence:
     def test_flat_update_is_bit_identical_to_loop(self, rng):
         layer_flat, layer_loop = self._make_pair(rng)
         adam_flat = Adam(layer_flat.parameters(), learning_rate=0.05)
-        adam_loop = Adam(layer_loop.parameters(), learning_rate=0.05)
+        # A parameter that never receives a gradient sends every step of
+        # this optimizer through the per-parameter loop.
+        idle = Parameter(np.zeros((3,), dtype=np.float64))
+        adam_loop = Adam(layer_loop.parameters() + [idle], learning_rate=0.05)
         inputs = rng.normal(size=(16, 3))
         targets = rng.normal(size=(16, 2))
         for _ in range(5):
-            for layer, adam, fused in (
-                (layer_flat, adam_flat, True),
-                (layer_loop, adam_loop, False),
-            ):
-                with use_fused_ops(fused):
-                    layer.zero_grad()
-                    difference = layer(Tensor(inputs)) - Tensor(targets)
-                    (difference * difference).mean().backward()
-                    adam.step()
+            for layer, adam in ((layer_flat, adam_flat), (layer_loop, adam_loop)):
+                layer.zero_grad()
+                difference = layer(Tensor(inputs)) - Tensor(targets)
+                (difference * difference).mean().backward()
+                adam.step()
+        assert idle.grad is None
+        np.testing.assert_array_equal(idle.data, 0.0)
         np.testing.assert_array_equal(layer_flat.weight.data, layer_loop.weight.data)
         np.testing.assert_array_equal(layer_flat.bias.data, layer_loop.bias.data)
 
