@@ -17,11 +17,11 @@ Three measurements over the same hash-sharded two-worker service:
   just sustain, now through the queue: the p99 flush wait must stay within
   2x ``max_latency_ms`` (the deadline half of the acceptance bar).
 
-A separate test checks shard affinity: under hash sharding every worker's
-caches own a stable partition of the block key space, so per-worker hit
-rates must measurably beat round-robin dealing on repeated traffic — both
-single-producer and with 8 concurrent producers over a Zipf-skewed block
-popularity mix.
+A separate test checks shard affinity: under hash routing every worker's
+caches own a stable partition of the block key space, so across the pool
+each distinct block misses the prediction cache exactly once and every
+repeat hits — both single-producer and with 8 concurrent producers over a
+Zipf-skewed block popularity mix.
 
 The load-adaptive serving additions are benchmarked here too:
 
@@ -48,8 +48,8 @@ import pytest
 
 from repro.data.synthetic import BlockGenerator
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     HashRing,
     PredictionRequest,
     PredictionService,
@@ -98,9 +98,7 @@ def test_async_sustains_sync_throughput_within_deadline(block_texts):
     config = ServiceConfig(
         model_name="granite", max_batch_size=64, num_workers=NUM_WORKERS
     )
-    async_config = AsyncServiceConfig(
-        max_batch_size=64, max_latency_ms=DEADLINE_MS, max_queue_blocks=8192
-    )
+    options = AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192)
     with PredictionService(config).warm_start() as service:
         for request in _requests(block_texts[:20], 0)[: 20 // REQUEST_SIZE]:
             service.submit([request])  # warm code paths, not the caches
@@ -113,7 +111,7 @@ def test_async_sustains_sync_throughput_within_deadline(block_texts):
         sync_seconds = time.perf_counter() - start
         sync_rate = NUM_REQUESTS * REQUEST_SIZE / sync_seconds
 
-        with AsyncPredictionService(async_config, service=service) as front_end:
+        with AsyncPredictionService(options, service=service) as front_end:
             # Burst capacity: enqueue everything, drain through the queue.
             burst = _requests(block_texts, 20 + NUM_REQUESTS * REQUEST_SIZE)
             start = time.perf_counter()
@@ -177,12 +175,12 @@ def test_async_sustains_sync_throughput_within_deadline(block_texts):
 def test_latency_bounded_coalescing_on_warm_traffic(block_texts):
     """Warm repeated traffic still coalesces densely and meets the deadline."""
     texts = block_texts[:64]
-    config = AsyncServiceConfig(
-        max_batch_size=64, max_latency_ms=DEADLINE_MS, max_queue_blocks=8192
+    config = ServiceConfig(
+        model_name="granite",
+        max_batch_size=64,
+        async_options=AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192),
     )
-    with AsyncPredictionService(
-        config, service_config=ServiceConfig(model_name="granite", max_batch_size=64)
-    ) as front_end:
+    with AsyncPredictionService(service_config=config) as front_end:
         front_end.predict_blocks(texts)  # fill every cache
         futures = [
             front_end.submit(PredictionRequest.of(texts[index : index + REQUEST_SIZE]))
@@ -202,45 +200,42 @@ def test_latency_bounded_coalescing_on_warm_traffic(block_texts):
     assert p99 <= 2.0 * DEADLINE_MS
 
 
-@pytest.mark.parametrize("rounds", [4])
-def test_hash_sharding_beats_round_robin_cache_affinity(block_texts, rounds):
-    """Per-worker cache hit rates: stable hashing > round-robin dealing."""
-    population = block_texts[:64]
-    rates = {}
-    for mode in ("hash", "round_robin"):
-        config = ServiceConfig(
-            model_name="granite",
-            max_batch_size=16,
-            num_workers=NUM_WORKERS,
-            sharding=mode,
-        )
-        rng = random.Random(13)
-        with PredictionService(config) as service:
-            for _ in range(rounds):
-                # Real traffic never repeats the exact same request
-                # composition, so reshuffle the population every round:
-                # round-robin dealing then scatters each block across
-                # workers while hashing keeps it pinned.
-                shuffled = population[:]
-                rng.shuffle(shuffled)
-                for start in range(0, len(shuffled), 8):
-                    service.submit(
-                        [PredictionRequest.of(shuffled[start : start + 8])]
-                    )
-            worker_stats = service._pool.worker_stats()
-        rates[mode] = [s["prediction_hit_rate"] for s in worker_stats]
-
-    print()
-    print(f"--- per-worker prediction-cache hit rates, {rounds} shuffled rounds ---")
-    for mode, mode_rates in rates.items():
-        print(f"{mode:<12} {['%.3f' % rate for rate in mode_rates]}")
-
-    hash_rate = sum(rates["hash"]) / len(rates["hash"])
-    rr_rate = sum(rates["round_robin"]) / len(rates["round_robin"])
-    assert hash_rate > rr_rate + 0.05, (
-        f"hash sharding's mean per-worker prediction hit rate ({hash_rate:.3f}) "
-        f"is not measurably above round-robin's ({rr_rate:.3f})"
+def _prediction_cache_counts(worker_stats):
+    """Per-worker ``(misses, hits)`` prediction-cache counter lists."""
+    caches = [entry.cache for entry in worker_stats]
+    return (
+        [cache.prediction_misses for cache in caches],
+        [cache.prediction_hits for cache in caches],
     )
+
+
+@pytest.mark.parametrize("rounds", [4])
+def test_hash_routing_misses_each_block_once(block_texts, rounds):
+    """Hash routing pins every block to one worker: across the pool each
+    distinct block misses the prediction cache exactly once and every
+    repeat hits, however the traffic is reshuffled."""
+    population = block_texts[:64]
+    config = ServiceConfig(
+        model_name="granite", max_batch_size=16, num_workers=NUM_WORKERS
+    )
+    rng = random.Random(13)
+    with PredictionService(config) as service:
+        for _ in range(rounds):
+            # Real traffic never repeats the exact same request composition,
+            # so reshuffle the population every round: the ring must keep
+            # each block on its owner regardless of which batch carries it.
+            shuffled = population[:]
+            rng.shuffle(shuffled)
+            for start in range(0, len(shuffled), 8):
+                service.submit([PredictionRequest.of(shuffled[start : start + 8])])
+        misses, hits = _prediction_cache_counts(service.worker_stats())
+
+    distinct = len(set(population))
+    print()
+    print(f"--- per-worker prediction-cache counters, {rounds} shuffled rounds ---")
+    print(f"misses {misses}  hits {hits}  ({distinct} distinct blocks)")
+    assert sum(misses) == distinct
+    assert sum(hits) == rounds * len(population) - distinct
 
 
 def test_multi_producer_no_loss_within_deadline():
@@ -264,9 +259,7 @@ def test_multi_producer_no_loss_within_deadline():
     config = ServiceConfig(
         model_name="granite", max_batch_size=64, num_workers=NUM_WORKERS
     )
-    async_config = AsyncServiceConfig(
-        max_batch_size=64, max_latency_ms=DEADLINE_MS, max_queue_blocks=8192
-    )
+    options = AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192)
     with PredictionService(config).warm_start() as service:
         for start in range(0, warmup, REQUEST_SIZE):
             service.submit([PredictionRequest.of(texts[start : start + REQUEST_SIZE])])
@@ -279,7 +272,7 @@ def test_multi_producer_no_loss_within_deadline():
         sync_rate = calibration * REQUEST_SIZE / (time.perf_counter() - start_time)
         interarrival = NUM_PRODUCERS * REQUEST_SIZE / sync_rate
 
-        with AsyncPredictionService(async_config, service=service) as front_end:
+        with AsyncPredictionService(options, service=service) as front_end:
             results: dict = {}
             errors: list = []
             base = warmup + calibration * REQUEST_SIZE
@@ -369,18 +362,18 @@ def _run_flush_policy(policy, idle_runs, saturated_runs, warm_texts):
     single-shot wall-clock tails on a busy CI box are scheduler noise, not
     policy behaviour.
     """
-    async_config = AsyncServiceConfig(
+    config = ServiceConfig(
+        model_name="granite",
         max_batch_size=64,
-        max_latency_ms=DEADLINE_MS,
-        flush_policy=policy,
-        min_latency_ms=1.0,
-        max_queue_blocks=8192,
+        async_options=AsyncOptions(
+            max_latency_ms=DEADLINE_MS,
+            flush_policy=policy,
+            min_latency_ms=1.0,
+            max_queue_blocks=8192,
+        ),
     )
     idle_p99s, idle_p50s = [], []
-    with AsyncPredictionService(
-        async_config,
-        service_config=ServiceConfig(model_name="granite", max_batch_size=64),
-    ) as front_end:
+    with AsyncPredictionService(service_config=config) as front_end:
         front_end.predict_blocks(warm_texts)  # warm model + code paths
         time.sleep(0.3)  # let the warm-up burst leave the controller window
 
@@ -474,7 +467,7 @@ def test_adaptive_flush_beats_static_on_bursty_traffic():
             f"p99={min(p99s) * 1e3:7.2f} ms (runs: "
             f"{['%.1f' % (p * 1e3) for p in p99s]})   "
             f"saturated {rate:8.0f} blocks/s   "
-            f"flush deadline p50={snapshot['flush_deadline_p50_ms']:.2f} ms"
+            f"flush deadline p50={snapshot.flush.deadline_p50_ms:.2f} ms"
         )
 
     # Best-of-N on both sides: a single scheduler stall in one run must not
@@ -508,8 +501,8 @@ def _hit_rates_from(stats_before, stats_after):
     """Per-worker prediction hit rates over the window between snapshots."""
     rates = []
     for before, after in zip(stats_before, stats_after):
-        hits = after["prediction_hits"] - before["prediction_hits"]
-        misses = after["prediction_misses"] - before["prediction_misses"]
+        hits = after.cache.prediction_hits - before.cache.prediction_hits
+        misses = after.cache.prediction_misses - before.cache.prediction_misses
         total = hits + misses
         rates.append(hits / total if total else 0.0)
     return rates
@@ -593,7 +586,7 @@ def test_elastic_scaling_no_loss_and_affinity_recovery():
     # Cache-affinity recovery: back at N workers the ring topology is the
     # original, so the surviving workers answer the same partition from
     # their still-warm caches.
-    warm_rates = [entry["prediction_hit_rate"] for entry in warm_stats]
+    warm_rates = [entry.cache.prediction_hit_rate for entry in warm_stats]
     recovered_rates = _hit_rates_from(resized_stats, recovered_stats)
     print()
     print(f"--- elastic {NUM_WORKERS} -> {NUM_WORKERS + 1} -> {NUM_WORKERS} ---")
@@ -621,10 +614,13 @@ def _goodput_run(texts, abandon):
     from dispatcher start to the last wanted completion.
     """
     service = AsyncPredictionService(
-        AsyncServiceConfig(
-            max_batch_size=32, max_latency_ms=DEADLINE_MS, max_queue_blocks=65536
-        ),
-        service_config=ServiceConfig(model_name="granite", max_batch_size=32),
+        service_config=ServiceConfig(
+            model_name="granite",
+            max_batch_size=32,
+            async_options=AsyncOptions(
+                max_latency_ms=DEADLINE_MS, max_queue_blocks=65536
+            ),
+        )
     )
     wanted, abandoned = [], []
     for index in range(0, len(texts), REQUEST_SIZE):
@@ -679,10 +675,10 @@ def test_cancellation_increases_goodput():
     print(
         f"cancelling:            {cancelling:8.0f} wanted blocks/s "
         f"({cancelling / baseline:.2f}x), "
-        f"{cancelling_snapshot['cancelled_drops']} drops"
+        f"{cancelling_snapshot.queue.cancelled_drops} drops"
     )
-    assert baseline_snapshot["cancelled_drops"] == 0
-    assert cancelling_snapshot["cancelled_drops"] == num_requests
+    assert baseline_snapshot.queue.cancelled_drops == 0
+    assert cancelling_snapshot.queue.cancelled_drops == num_requests
     # The cancelled half never reaches a worker, so the wanted half should
     # finish in roughly half the time; demand a conservative 1.3x.
     assert cancelling >= 1.3 * baseline, (
@@ -696,10 +692,16 @@ def test_cancellation_increases_goodput():
 # --------------------------------------------------------------------- #
 
 
-def test_hash_sharding_keeps_hit_rate_edge_under_skewed_producers():
+def test_hash_routing_caches_each_block_once_under_skewed_producers():
     """8 concurrent producers sampling blocks from a Zipf-like popularity
-    distribution: hash sharding's per-worker cache-affinity edge over
-    round-robin dealing must survive both the concurrency and the skew."""
+    distribution: hash routing must still cache each distinct block on
+    exactly one worker, through both the concurrency and the skew.
+
+    Counted by cache entries, not misses: a block that appears twice in the
+    flush that first carries it misses once per copy (the model computes it
+    once but looks each copy up), and Zipf traffic repeats head blocks
+    within a flush all the time.
+    """
     population = [
         block.canonical_text()
         for block in BlockGenerator(seed=131).generate_blocks(64)
@@ -707,68 +709,54 @@ def test_hash_sharding_keeps_hit_rate_edge_under_skewed_producers():
     # Zipf-like: popularity ~ 1/rank.  The head blocks recur constantly,
     # the tail rarely — the traffic shape of a real autotuner corpus.
     weights = [1.0 / rank for rank in range(1, len(population) + 1)]
-    # Few enough repeats that round-robin's duplicated first-miss cost (a
-    # block must miss once per worker it is dealt to) stays visible next to
-    # hash sharding's single miss per block.
     requests_per_producer = 24
-    rates = {}
-    flushes = {}
-    for mode in ("hash", "round_robin"):
-        config = ServiceConfig(
-            model_name="granite",
-            max_batch_size=16,
-            num_workers=NUM_WORKERS,
-            sharding=mode,
-        )
-        async_config = AsyncServiceConfig(
-            max_batch_size=16, max_latency_ms=DEADLINE_MS, max_queue_blocks=8192
-        )
-        with AsyncPredictionService(async_config, service_config=config) as front_end:
-            errors = []
+    config = ServiceConfig(
+        model_name="granite",
+        max_batch_size=16,
+        num_workers=NUM_WORKERS,
+        async_options=AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192),
+    )
+    sent = [[] for _ in range(NUM_PRODUCERS_SKEW)]
+    errors = []
+    with AsyncPredictionService(service_config=config) as front_end:
 
-            def produce(producer_index, front_end=front_end, errors=errors):
-                rng = random.Random(500 + producer_index)
-                try:
-                    futures = [
-                        front_end.submit(
-                            PredictionRequest.of(
-                                rng.choices(population, weights=weights, k=4)
-                            )
-                        )
-                        for _ in range(requests_per_producer)
-                    ]
-                    for future in futures:
-                        future.result(timeout=300.0)
-                except Exception as error:  # noqa: BLE001 - reported below
-                    errors.append((producer_index, error))
+        def produce(producer_index):
+            rng = random.Random(500 + producer_index)
+            try:
+                futures = []
+                for _ in range(requests_per_producer):
+                    texts = rng.choices(population, weights=weights, k=4)
+                    sent[producer_index].extend(texts)
+                    futures.append(front_end.submit(PredictionRequest.of(texts)))
+                for future in futures:
+                    future.result(timeout=300.0)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append((producer_index, error))
 
-            producers = [
-                threading.Thread(target=produce, args=(index,), daemon=True)
-                for index in range(NUM_PRODUCERS_SKEW)
-            ]
-            for thread in producers:
-                thread.start()
-            for thread in producers:
-                thread.join(timeout=300.0)
-            assert not errors, f"producers failed under {mode}: {errors}"
-            worker_stats = front_end.service.worker_stats()
-            flushes[mode] = front_end.stats.flushes
-        rates[mode] = [entry["prediction_hit_rate"] for entry in worker_stats]
+        producers = [
+            threading.Thread(target=produce, args=(index,), daemon=True)
+            for index in range(NUM_PRODUCERS_SKEW)
+        ]
+        for thread in producers:
+            thread.start()
+        for thread in producers:
+            thread.join(timeout=300.0)
+        assert not errors, f"producers failed: {errors}"
+        caches = [entry.cache for entry in front_end.service.worker_stats()]
+        flushes = front_end.stats.flushes
 
+    distinct = len({text for texts in sent for text in texts})
+    total = sum(len(texts) for texts in sent)
     print()
     print(
         f"--- {NUM_PRODUCERS_SKEW} producers, Zipf-skewed popularity, "
         f"{NUM_WORKERS} workers ---"
     )
-    for mode, mode_rates in rates.items():
-        print(
-            f"{mode:<12} per-worker hit rates "
-            f"{['%.3f' % rate for rate in mode_rates]} "
-            f"({flushes[mode]} flushes)"
-        )
-    hash_rate = sum(rates["hash"]) / len(rates["hash"])
-    rr_rate = sum(rates["round_robin"]) / len(rates["round_robin"])
-    assert hash_rate > rr_rate + 0.05, (
-        f"hash sharding's mean per-worker hit rate ({hash_rate:.3f}) lost its "
-        f"edge over round-robin ({rr_rate:.3f}) under skewed concurrent load"
+    entries = [cache.prediction_entries for cache in caches]
+    lookups = [cache.prediction_hits + cache.prediction_misses for cache in caches]
+    print(
+        f"cache entries {entries}  lookups {lookups}  "
+        f"({distinct} distinct of {total} blocks, {flushes} flushes)"
     )
+    assert sum(entries) == distinct
+    assert sum(lookups) == total

@@ -35,10 +35,10 @@ import time
 import zlib
 
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
-    PredictionRequest,
     PredictionService,
+    ServiceConfig,
     SloPolicy,
     TraceReplayer,
     synthesize_trace,
@@ -86,8 +86,10 @@ class StragglerService(PredictionService):
     called, keeping the warmup phase stall-free.
     """
 
-    def __init__(self, fault_seed: int, straggle_s: float) -> None:
-        super().__init__()
+    def __init__(
+        self, fault_seed: int, straggle_s: float, config: ServiceConfig
+    ) -> None:
+        super().__init__(config)
         self._fault_seed = fault_seed
         self._straggle_s = straggle_s
         self._seen = set()
@@ -118,27 +120,31 @@ class StragglerService(PredictionService):
         return super().submit(requests)
 
 
-def _leg_config(hedge_enabled: bool) -> AsyncServiceConfig:
-    return AsyncServiceConfig(
+def _leg_config(hedge_enabled: bool) -> ServiceConfig:
+    """Both legs flush at 4 blocks; only ``hedge_enabled`` differs."""
+    return ServiceConfig(
         max_batch_size=4,
-        max_latency_ms=2.0,
-        max_queue_blocks=8192,
-        hedge_enabled=hedge_enabled,
-        hedge_quantile=0.5,
-        hedge_min_samples=8,
-        hedge_min_ms=1.0,
-        hedge_max_ms=25.0,
-        hedge_poll_ms=1.0,
-        max_concurrent_flushes=4,
+        async_options=AsyncOptions(
+            max_latency_ms=2.0,
+            max_queue_blocks=8192,
+            hedge_enabled=hedge_enabled,
+            hedge_quantile=0.5,
+            hedge_min_samples=8,
+            hedge_min_ms=1.0,
+            hedge_max_ms=25.0,
+            hedge_poll_ms=1.0,
+            max_concurrent_flushes=4,
+        ),
     )
 
 
 def _run_leg(trace, hedge_enabled: bool, slo: SloPolicy):
     """One replay of ``trace`` on a fresh service with a fresh fault seed."""
-    inner = StragglerService(FAULT_SEED, STRAGGLE_MS / 1e3)
-    with AsyncPredictionService(
-        _leg_config(hedge_enabled), service=inner
-    ) as front_end:
+    inner = StragglerService(
+        FAULT_SEED, STRAGGLE_MS / 1e3, _leg_config(hedge_enabled)
+    )
+    with AsyncPredictionService(service=inner) as front_end:
+        assert front_end.max_batch_size == 4
         # Warm the code paths and the hedge controller's latency reservoir
         # (>= hedge_min_samples) with out-of-universe blocks; faults are
         # not armed yet, so the trace's straggle pattern is untouched.

@@ -34,8 +34,8 @@ The serving stack has two front ends over one execution core:
 
 Execution beneath either front end is controlled by ``ServiceConfig``:
 ``num_workers=0`` runs in-process; ``num_workers=N`` shards work across N
-warm worker processes.  With ``sharding="hash"`` (the default) each block
-is routed by a stable hash of its canonical text, so every worker's encode
+warm worker processes.  Each block is routed through a consistent hash
+ring over a stable hash of its canonical text, so every worker's encode
 and prediction caches own a fixed partition of the key space — repeated
 traffic stays hot no matter how clients slice it.  Crashed workers are
 respawned automatically and their in-flight work is resubmitted.
@@ -107,8 +107,8 @@ from repro.models import create_model
 from repro.models.config import TrainingConfig
 from repro.nn.serialization import save_checkpoint
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     HttpServerConfig,
     ModelRegistry,
     ModelVariant,
@@ -154,14 +154,16 @@ def demo_synchronous(service: PredictionService, test_blocks, tasks) -> None:
 def demo_asynchronous(
     service: PredictionService, test_blocks, max_latency_ms: float, flush_policy: str
 ) -> None:
-    """Streams prioritised requests through the queued async front end."""
-    config = AsyncServiceConfig(
-        max_batch_size=32,
+    """Streams prioritised requests through the queued async front end.
+
+    The front end flushes at the service's own ``max_batch_size``.
+    """
+    options = AsyncOptions(
         max_latency_ms=max_latency_ms,
         flush_policy=flush_policy,
         max_queue_blocks=1024,
     )
-    with AsyncPredictionService(config, service=service) as front_end:
+    with AsyncPredictionService(options, service=service) as front_end:
         futures = {}
         # Bulk traffic first, then an interactive request that jumps it.
         for index in range(0, len(test_blocks) - 2, 4):
@@ -186,17 +188,18 @@ def demo_asynchronous(
             f"mean {stats.mean_flush_blocks:.1f} blocks/flush"
         )
         snapshot = front_end.snapshot()
+        flush, queue = snapshot.flush, snapshot.queue
         print(
-            f"  flush wait p50={snapshot['flush_wait_p50_ms']:.2f} ms "
-            f"p99={snapshot['flush_wait_p99_ms']:.2f} ms "
-            f"(policy {snapshot['flush_policy']}, "
+            f"  flush wait p50={flush.wait_p50_ms:.2f} ms "
+            f"p99={flush.wait_p99_ms:.2f} ms "
+            f"(policy {flush.policy}, "
             f"deadline ceiling {max_latency_ms} ms, "
-            f"realized p50 {snapshot['flush_deadline_p50_ms']:.2f} ms)"
+            f"realized p50 {flush.deadline_p50_ms:.2f} ms)"
         )
-        if snapshot["cancelled_drops"] or snapshot["expired_drops"]:
+        if queue.cancelled_drops or queue.expired_drops:
             print(
-                f"  drops: {snapshot['cancelled_drops']} cancelled, "
-                f"{snapshot['expired_drops']} expired"
+                f"  drops: {queue.cancelled_drops} cancelled, "
+                f"{queue.expired_drops} expired"
             )
 
 
@@ -368,7 +371,7 @@ def main() -> None:
         )
         print(
             f"warm-starting service (workers={config.num_workers}, {elastic}"
-            f"sharding={config.sharding}, max_batch_size={config.max_batch_size}, "
+            f"max_batch_size={config.max_batch_size}, "
             f"flush_policy={flush_policy}, "
             f"inference_dtype={config.inference_dtype}) ..."
         )

@@ -34,7 +34,7 @@ from repro.graph.graph import BlockGraph
 from repro.graph.types import EdgeType, NodeType, SpecialToken
 from repro.isa.basic_block import BasicBlock
 from repro.isa.instructions import Instruction
-from repro.isa.operands import MemoryReference, Operand, OperandKind
+from repro.isa.operands import MemoryReference, OperandKind
 from repro.isa.registers import canonical_register
 from repro.isa.semantics import OperandAction, semantics_for
 

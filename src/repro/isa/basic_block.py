@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Instruction, render_instructions
-from repro.isa.operands import Operand, OperandKind
+from repro.isa.operands import OperandKind
 from repro.isa.parser import parse_block_text
 from repro.isa.registers import canonical_register
 from repro.isa.semantics import OperandAction, semantics_for

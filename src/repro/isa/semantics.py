@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Sequence, Tuple
 
 from repro.isa.instructions import Instruction
-from repro.isa.operands import Operand, OperandKind
+from repro.isa.operands import OperandKind
 
 __all__ = [
     "OperandAction",

@@ -27,8 +27,8 @@ All of it builds on the no-grad inference fast path in
 
 Configuration is layered the same way: :class:`ServiceConfig` describes
 one served model variant end to end, carrying the queueing/flushing knobs
-as a nested :class:`AsyncOptions`.  (The historical
-:class:`AsyncServiceConfig` spelling still works and converts.)
+as a nested :class:`AsyncOptions`; the async front end flushes at the
+service's own ``max_batch_size``.
 
 Error taxonomy
 --------------
@@ -69,11 +69,10 @@ the in-process one:
   counters), ``snapshot`` (:class:`ServiceSnapshot`, ``null`` while the
   variant is cold) and ``workers`` (list of :class:`WorkerStats`).
 
-Every stats dataclass also supports the historical flat-dict reads
-(``snapshot["flush_wait_p99_ms"]``); new code should prefer attribute
-access (``snapshot.flush.wait_p99_ms``).  Latency percentiles are NaN —
-never 0.0 — while their sample window is empty, and serialize to JSON
-``null``.
+In-process readers use attribute access (``snapshot.flush.wait_p99_ms``);
+``to_dict()`` is the one mapping view, and it is the wire view.  Latency
+percentiles are NaN — never 0.0 — while their sample window is empty, and
+serialize to JSON ``null``.
 
 Tail-latency harness
 --------------------
@@ -120,14 +119,9 @@ from repro.serve.batching import (
     coalesce_requests,
     coalesce_requests_by_ring,
     coalesce_requests_by_router,
-    coalesce_requests_by_shard,
     shard_key,
 )
-from repro.serve.config import (
-    AsyncOptions,
-    AsyncServiceConfig,
-    ServiceConfig,
-)
+from repro.serve.config import AsyncOptions, ServiceConfig
 from repro.serve.faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -222,7 +216,6 @@ __all__ = [
     "coalesce_requests",
     "coalesce_requests_by_ring",
     "coalesce_requests_by_router",
-    "coalesce_requests_by_shard",
     "shard_key",
     # Services and configuration.
     "PredictionService",
@@ -230,7 +223,6 @@ __all__ = [
     "ServiceStats",
     "AsyncPredictionService",
     "AsyncOptions",
-    "AsyncServiceConfig",
     "AsyncServiceStats",
     # Flush and hedge policies.
     "FLUSH_POLICIES",

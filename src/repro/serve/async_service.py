@@ -54,7 +54,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.isa.basic_block import BasicBlock
-from repro.serve.config import AsyncOptions, AsyncServiceConfig
+from repro.serve.config import AsyncOptions, ServiceConfig
 from repro.serve.faults import FaultInjector
 from repro.serve.flush import (
     FlushController,
@@ -69,7 +69,7 @@ from repro.serve.queue import (
     RequestQueue,
 )
 from repro.serve.resilience import StalePredictionCache, run_with_retries
-from repro.serve.service import PredictionService, ServiceConfig
+from repro.serve.service import PredictionService
 from repro.serve.stats import (
     FlushStats,
     HedgeStats,
@@ -84,10 +84,7 @@ from repro.serve.types import (
     ServiceClosedError,
 )
 
-# AsyncServiceConfig moved to repro.serve.config (deprecated in favour of
-# ServiceConfig.async_options / AsyncOptions); re-exported here so the
-# historical import path keeps working.
-__all__ = ["AsyncServiceConfig", "AsyncServiceStats", "AsyncPredictionService"]
+__all__ = ["AsyncServiceStats", "AsyncPredictionService"]
 
 
 @dataclass
@@ -234,10 +231,9 @@ class AsyncPredictionService:
     """Queued prediction front end with latency-bounded micro-batching.
 
     Args:
-        config: Flush/queue knobs: an :class:`~repro.serve.AsyncOptions`
-            (preferred), a legacy ``AsyncServiceConfig``, or ``None`` to
-            inherit the service config's ``async_options`` (and its
-            ``max_batch_size`` as the size-flush bound).
+        options: Flush/queue knobs; ``None`` inherits the service config's
+            ``async_options``.  The size-flush bound is always the service
+            config's ``max_batch_size``.
         service: The synchronous service to flush into.  When ``None``, one
             is built from ``service_config`` (or its defaults) and owned —
             i.e. closed — by this front end; a caller-provided service is
@@ -248,7 +244,7 @@ class AsyncPredictionService:
 
     def __init__(
         self,
-        config: Union[AsyncServiceConfig, AsyncOptions, None] = None,
+        options: Optional[AsyncOptions] = None,
         service: Optional[PredictionService] = None,
         service_config: Optional[ServiceConfig] = None,
     ) -> None:
@@ -256,20 +252,12 @@ class AsyncPredictionService:
             raise ValueError("pass either a service or a service_config, not both")
         self._owns_service = service is None
         self.service = service or PredictionService(service_config)
-        if config is None:
+        if options is None:
             options = self.service.config.async_options
-            max_batch_size = self.service.config.max_batch_size
-        elif isinstance(config, AsyncOptions):
-            options = config
-            max_batch_size = self.service.config.max_batch_size
-        else:
-            options = config.options
-            max_batch_size = config.max_batch_size
-        #: The async layer's own knobs (the preferred spelling).
+        #: The async layer's own knobs.
         self.options = options
-        #: Normalized legacy view (``options`` + the size-flush bound);
-        #: kept so existing ``front_end.config.max_batch_size`` reads work.
-        self.config = AsyncServiceConfig.from_options(options, max_batch_size)
+        #: Size-flush bound: the service's one batch-size knob.
+        self.max_batch_size = self.service.config.max_batch_size
         self.queue = RequestQueue(
             max_blocks=options.max_queue_blocks,
             policy=options.backpressure,
@@ -278,7 +266,7 @@ class AsyncPredictionService:
             options.flush_policy,
             options.max_latency_ms / 1e3,
             options.min_latency_ms / 1e3,
-            max_batch_size,
+            self.max_batch_size,
             options.controller_window_ms / 1e3,
         )
         self.stats = AsyncServiceStats()
@@ -499,8 +487,11 @@ class AsyncPredictionService:
         the caller is, by construction, blocked on the answer.  ``timeout``
         bounds each of the two waits (admission under the ``block``
         back-pressure policy, then the result), so the call cannot hang
-        un-bounded on a full queue.
+        un-bounded on a full queue.  Starts the front end first if it was
+        never started: unlike :meth:`submit`, this call waits for its own
+        answer, which only a running dispatcher can produce.
         """
+        self.start()
         future = self.submit(
             PredictionRequest.of(blocks), priority=priority, timeout=timeout
         )
@@ -659,8 +650,7 @@ class AsyncPredictionService:
         (counters, realized wait/deadline percentiles, the controller's
         current deadline), the underlying service's
         :class:`~repro.serve.stats.ModelStats`, and the flush controller's
-        raw state dict.  Historical flat keys
-        (``snapshot["flush_wait_p99_ms"]`` etc.) still resolve.
+        raw state dict.
         """
         # Controller and queue take their own locks; read them before
         # entering the stats critical section to keep it a leaf lock.
@@ -760,7 +750,7 @@ class AsyncPredictionService:
         self._drain_queue(self.controller.deadline_s)
 
     def _autoscale_loop(self) -> None:
-        interval = self.config.autoscale_poll_ms / 1e3
+        interval = self.options.autoscale_poll_ms / 1e3
         # The wait budget the realized-latency signals are judged against:
         # twice the flush-deadline ceiling.  Waits below it are the
         # batching policy working as configured; sustained p99 beyond it
@@ -820,9 +810,7 @@ class AsyncPredictionService:
         pool, slots = self._flush_pool, self._flush_slots
         try:
             while True:
-                entries, reason = self.queue.take_batch(
-                    self.config.max_batch_size, max_wait_s
-                )
+                entries, reason = self.queue.take_batch(self.max_batch_size, max_wait_s)
                 if not entries:
                     return  # closed and fully drained
                 if pool is None:

@@ -1,4 +1,4 @@
-"""Request/response types and micro-batch coalescing.
+"""Micro-batch coalescing of prediction requests.
 
 The serving layer speaks *canonical block text* rather than in-memory
 :class:`~repro.isa.basic_block.BasicBlock` objects: text is what a compiler
@@ -19,18 +19,13 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-# The envelope types moved to repro.serve.types (shared with the network
-# front end); re-exported here so historical import paths keep working.
-from repro.serve.types import PredictionRequest, PredictionResponse
+from repro.serve.types import PredictionRequest
 
 __all__ = [
-    "PredictionRequest",
-    "PredictionResponse",
     "MicroBatch",
     "coalesce_requests",
     "coalesce_requests_by_ring",
     "coalesce_requests_by_router",
-    "coalesce_requests_by_shard",
     "shard_key",
 ]
 
@@ -141,37 +136,6 @@ def _coalesce_by_owner(
     return assignments
 
 
-def coalesce_requests_by_shard(
-    requests: Sequence[PredictionRequest],
-    max_batch_size: int,
-    num_shards: int,
-) -> List[Tuple[int, MicroBatch]]:
-    """Merges requests into per-shard size-bounded micro-batches.
-
-    Every block is routed to shard ``shard_key(text) % num_shards``, so a
-    given block text always lands on the same shard no matter which request
-    carries it or how traffic is sliced.  This is the fixed-pool routing
-    (kept for comparison; the elastic pool routes with
-    :func:`coalesce_requests_by_ring` instead): cache affinity is perfect
-    while ``num_shards`` never changes, but changing it remaps almost every
-    key.
-
-    Args:
-        requests: The requests of one submission.
-        max_batch_size: Upper bound on the blocks per micro-batch.
-        num_shards: Number of shards (worker replicas).
-
-    Returns:
-        ``(shard_index, micro_batch)`` pairs covering every block exactly
-        once; shards with no blocks contribute no pairs.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be positive")
-    return _coalesce_by_owner(
-        requests, max_batch_size, lambda text: shard_key(text) % num_shards
-    )
-
-
 def coalesce_requests_by_ring(
     requests: Sequence[PredictionRequest],
     max_batch_size: int,
@@ -179,13 +143,12 @@ def coalesce_requests_by_ring(
 ) -> List[Tuple[int, MicroBatch]]:
     """Merges requests into per-worker micro-batches routed by a hash ring.
 
-    The elastic variant of :func:`coalesce_requests_by_shard`: every block
-    is routed to ``ring.owner(shard_key(text))`` — a
-    :class:`repro.serve.ring.HashRing` over the pool's live worker ids —
-    instead of a fixed ``% num_shards``.  Routing still depends only on the
-    block text and the ring topology, so cache affinity is preserved while
-    the worker count stays put, and only ~1/N of the key space moves when
-    it changes.
+    Every block is routed to ``ring.owner(shard_key(text))`` — a
+    :class:`repro.serve.ring.HashRing` over the pool's live worker ids.
+    Routing depends only on the block text and the ring topology, so a
+    given block always lands on the same worker no matter which request
+    carries it (cache affinity) while the worker count stays put, and only
+    ~1/N of the key space moves when it changes.
 
     Args:
         requests: The requests of one submission.

@@ -6,14 +6,7 @@ checkpoint), the synchronous batching/sharding front end, and, nested as
 :attr:`ServiceConfig.async_options`, the queueing/flushing knobs of the
 async front end.  :class:`AsyncOptions` holds only what is *specific* to
 the async layer; the batch-size bound it flushes at is the service's own
-``max_batch_size``, so the historical duplication between the two config
-classes is gone.
-
-:class:`AsyncServiceConfig` remains as a **deprecated but fully working
-alias**: every old field keeps its old name, default and validation, and
-``AsyncPredictionService`` still accepts it.  New code should pass an
-:class:`AsyncOptions` (or nothing, inheriting the service config's
-options) instead.
+``max_batch_size``.
 """
 
 from __future__ import annotations
@@ -28,15 +21,7 @@ from repro.serve.flush import FLUSH_POLICIES, default_flush_policy
 from repro.serve.queue import BACKPRESSURE_POLICIES
 from repro.serve.resilience import BreakerPolicy, RespawnPolicy, RetryPolicy
 
-__all__ = [
-    "AsyncOptions",
-    "AsyncServiceConfig",
-    "ServiceConfig",
-    "SHARDING_MODES",
-]
-
-#: Worker-sharding strategies accepted by :class:`ServiceConfig`.
-SHARDING_MODES = ("hash", "round_robin")
+__all__ = ["AsyncOptions", "ServiceConfig"]
 
 
 @dataclass(frozen=True)
@@ -195,16 +180,14 @@ class ServiceConfig:
             a size other than ``num_workers``; manual
             ``PredictionService.scale_workers`` calls work regardless.
         scale_cooldown_s: Minimum seconds between autoscaler resizes.
-        sharding: ``"hash"`` routes every block through a consistent hash
-            ring over the live worker ids (stable cache affinity, and only
-            ~1/N of the key space moves when the pool resizes);
-            ``"round_robin"`` deals micro-batches out cyclically.
-        hot_key_replicas: Replication factor for Zipf-head block keys
-            under ``"hash"`` sharding.  1 (default) keeps the pure ring
-            (every key has exactly one owner); >= 2 routes the hottest
-            keys read-any across that many distinct ring successors, so a
-            single scorching key no longer serializes on one worker.  Only
-            meaningful with ``num_workers >= 2``.
+        hot_key_replicas: Replication factor for Zipf-head block keys on
+            the consistent hash ring that routes every block to a worker.
+            1 (default) keeps the pure ring (every key has exactly one
+            owner, stable cache affinity, ~1/N of the key space moving per
+            resize); >= 2 routes the hottest keys read-any across that
+            many distinct ring successors, so a single scorching key no
+            longer serializes on one worker.  Only meaningful with
+            ``num_workers >= 2``.
         hot_key_count: How many keys may be classified hot at once.
         inference_dtype: Compute dtype of every replica's no-grad inference
             fast path (``"float64"`` default, ``"float32"`` for
@@ -245,7 +228,6 @@ class ServiceConfig:
     min_workers: Optional[int] = None
     max_workers: Optional[int] = None
     scale_cooldown_s: float = 2.0
-    sharding: str = "hash"
     hot_key_replicas: int = 1
     hot_key_count: int = 8
     inference_dtype: str = field(default_factory=default_inference_dtype)
@@ -277,15 +259,8 @@ class ServiceConfig:
                 )
         if self.scale_cooldown_s < 0:
             raise ValueError("scale_cooldown_s must be >= 0")
-        if self.sharding not in SHARDING_MODES:
-            raise ValueError(
-                f"unknown sharding mode {self.sharding!r}; "
-                f"expected one of {SHARDING_MODES}"
-            )
         if self.hot_key_replicas < 1:
             raise ValueError("hot_key_replicas must be >= 1")
-        if self.hot_key_replicas > 1 and self.sharding != "hash":
-            raise ValueError("hot_key_replicas > 1 requires sharding='hash'")
         if self.hot_key_count < 1:
             raise ValueError("hot_key_count must be >= 1")
         if self.inference_dtype not in SUPPORTED_DTYPES:
@@ -301,83 +276,3 @@ class ServiceConfig:
             raise ValueError("respawn_policy must be a RespawnPolicy")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ValueError("fault_plan must be a FaultPlan (or None)")
-
-
-@dataclass(frozen=True)
-class AsyncServiceConfig:
-    """Deprecated flat spelling of ``max_batch_size`` + :class:`AsyncOptions`.
-
-    .. deprecated::
-        Use ``ServiceConfig(max_batch_size=..., async_options=
-        AsyncOptions(...))`` — or pass an :class:`AsyncOptions` directly to
-        ``AsyncPredictionService`` — instead.  Every old field keeps its
-        old name, default and validation, so existing constructor calls
-        build an equivalent service; this class is kept only so they keep
-        working.
-    """
-
-    max_batch_size: int = 64
-    max_latency_ms: float = 10.0
-    flush_policy: str = field(default_factory=default_flush_policy)
-    min_latency_ms: float = 1.0
-    controller_window_ms: float = 250.0
-    autoscale_poll_ms: float = 50.0
-    max_queue_blocks: int = 4096
-    backpressure: str = "block"
-    max_concurrent_flushes: int = 1
-    hedge_enabled: bool = False
-    hedge_quantile: float = 0.99
-    hedge_min_ms: float = 1.0
-    hedge_max_ms: Optional[float] = None
-    hedge_min_samples: int = 32
-    hedge_poll_ms: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
-        # Everything else is the AsyncOptions contract; build one so the
-        # validation lives in exactly one place.
-        _ = self.options
-
-    @property
-    def options(self) -> AsyncOptions:
-        """The :class:`AsyncOptions` equivalent of this config."""
-        return AsyncOptions(
-            max_latency_ms=self.max_latency_ms,
-            flush_policy=self.flush_policy,
-            min_latency_ms=self.min_latency_ms,
-            controller_window_ms=self.controller_window_ms,
-            autoscale_poll_ms=self.autoscale_poll_ms,
-            max_queue_blocks=self.max_queue_blocks,
-            backpressure=self.backpressure,
-            max_concurrent_flushes=self.max_concurrent_flushes,
-            hedge_enabled=self.hedge_enabled,
-            hedge_quantile=self.hedge_quantile,
-            hedge_min_ms=self.hedge_min_ms,
-            hedge_max_ms=self.hedge_max_ms,
-            hedge_min_samples=self.hedge_min_samples,
-            hedge_poll_ms=self.hedge_poll_ms,
-        )
-
-    @classmethod
-    def from_options(
-        cls, options: AsyncOptions, max_batch_size: int = 64
-    ) -> "AsyncServiceConfig":
-        """Builds the flat spelling from ``options`` + a batch-size bound."""
-        return cls(
-            max_batch_size=max_batch_size,
-            max_latency_ms=options.max_latency_ms,
-            flush_policy=options.flush_policy,
-            min_latency_ms=options.min_latency_ms,
-            controller_window_ms=options.controller_window_ms,
-            autoscale_poll_ms=options.autoscale_poll_ms,
-            max_queue_blocks=options.max_queue_blocks,
-            backpressure=options.backpressure,
-            max_concurrent_flushes=options.max_concurrent_flushes,
-            hedge_enabled=options.hedge_enabled,
-            hedge_quantile=options.hedge_quantile,
-            hedge_min_ms=options.hedge_min_ms,
-            hedge_max_ms=options.hedge_max_ms,
-            hedge_min_samples=options.hedge_min_samples,
-            hedge_poll_ms=options.hedge_poll_ms,
-        )

@@ -102,7 +102,7 @@ class QueuedRequest:
         deadline_at: Optional ``time.monotonic()`` instant after which the
             request is dropped with :class:`RequestExpiredError` instead of
             being dispatched (``None`` = never expires).
-        future: Resolves to the :class:`~repro.serve.batching.PredictionResponse`
+        future: Resolves to the :class:`~repro.serve.types.PredictionResponse`
             (or the submission's exception).
     """
 

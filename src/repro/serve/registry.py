@@ -4,7 +4,7 @@ A production cost-model service rarely serves *one* model: compilers want
 one head per microarchitecture, autotuners compare model families, and
 mixed-precision variants trade accuracy for speed.  :class:`ModelRegistry`
 hosts any number of named :class:`ModelVariant`\\ s — each a full
-``ServiceConfig`` (model family × uarch tasks × dtype × sharding ×
+``ServiceConfig`` (model family × uarch tasks × dtype × worker pool ×
 checkpoint) — behind one process:
 
 * **lazy load** — a variant costs nothing until its first request (or an
@@ -61,7 +61,7 @@ class ModelVariant:
     Attributes:
         name: URL-safe registry name (letters, digits, ``._-``).
         config: The full service configuration of this variant — model
-            family, uarch task heads, dtype, sharding, checkpoint, and the
+            family, uarch task heads, dtype, worker pool, checkpoint, and the
             nested async options its front end runs with.
         description: Free-form operator note, echoed in ``GET /v1/models``.
     """

@@ -565,8 +565,8 @@ class TraceReplayer:
     Args:
         service: An :class:`~repro.serve.async_service.AsyncPredictionService`
             (or anything with its ``submit(request, priority=...,
-            deadline_ms=...)`` -> future signature; ``snapshot()`` is used
-            for hedge counters when present).
+            deadline_ms=...)`` -> future signature; the ``hedge`` section of
+            its ``snapshot()`` supplies hedge counters when present).
         speedup: Timeline compression (see :meth:`Trace.scaled`); applied
             at replay time, the trace itself is not modified.
         slo: Optional policy checked into the report's ``slo`` field.
@@ -597,11 +597,10 @@ class TraceReplayer:
         )
         if snapshot is None:
             return 0, 0
-        view = snapshot()
-        try:
-            return int(view["hedges_issued"]), int(view["hedges_won"])
-        except (KeyError, TypeError):
+        hedge = getattr(snapshot(), "hedge", None)
+        if hedge is None:
             return 0, 0
+        return hedge.issued, hedge.won
 
     def run(self, trace: Trace) -> ReplayReport:
         """Replays ``trace`` once and reports the realized latencies."""

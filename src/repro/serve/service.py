@@ -11,14 +11,13 @@
   kernels dense regardless of how clients slice their traffic.
 * **Worker sharding** — with ``num_workers > 0`` the work is sharded
   across a pool of addressable worker processes, each holding its own warm
-  model replica.  With the default ``sharding="hash"`` every block is
-  routed by a stable hash of its canonical text, so each worker's encode
-  and prediction caches own a fixed partition of the key space;
-  ``sharding="round_robin"`` deals micro-batches out cyclically instead
-  (kept for comparison benchmarks).  Crashed workers are detected and
-  respawned transparently.  With ``num_workers = 0`` everything runs
-  in-process, which is the right choice for unit tests and for callers
-  that already manage their own parallelism.
+  model replica.  Every block is routed through a consistent hash ring
+  over a stable hash of its canonical text, so each worker's encode and
+  prediction caches own a fixed partition of the key space.  Crashed
+  workers are detected and respawned transparently.  With
+  ``num_workers = 0`` everything runs in-process, which is the right
+  choice for unit tests and for callers that already manage their own
+  parallelism.
 
 The service speaks canonical block text at the boundary, so it composes
 with any transport (CLI, RPC, files) without pulling one in here.
@@ -42,7 +41,7 @@ from repro.serve.batching import (
     coalesce_requests_by_ring,
     coalesce_requests_by_router,
 )
-from repro.serve.config import SHARDING_MODES, ServiceConfig
+from repro.serve.config import ServiceConfig
 from repro.serve.resilience import BreakerRing, CircuitBreaker
 from repro.serve.ring import HotKeyRouter
 from repro.serve.stats import CacheStats, ModelStats, WorkerStats
@@ -60,9 +59,7 @@ from repro.serve.workers import (
 )
 from repro.utils.cache import LRUCache
 
-# ServiceConfig moved to repro.serve.config; re-exported here so the
-# historical ``from repro.serve.service import ServiceConfig`` keeps working.
-__all__ = ["ServiceConfig", "ServiceStats", "PredictionService", "SHARDING_MODES"]
+__all__ = ["ServiceStats", "PredictionService"]
 
 
 @dataclass
@@ -120,14 +117,10 @@ class PredictionService:
         # Breaker-aware view of the pool's ring, built lazily with the
         # pool (None when circuit breaking is off).
         self._breaker_ring: Optional[BreakerRing] = None  # guarded-by: _submit_lock
-        # Hot-key replication router (hash sharding with
-        # hot_key_replicas > 1 only), built lazily with the pool.
+        # Hot-key replication router (hot_key_replicas > 1 only), built
+        # lazily with the pool.
         self._hot_router: Optional[HotKeyRouter] = None  # guarded-by: _submit_lock
         self._parse_cache: LRUCache = LRUCache(PARSE_CACHE_SIZE)
-        # Round-robin sharding deals micro-batches out across *submissions*
-        # (not restarting at worker 0 every submit), like the former
-        # ``Pool.map`` pool did over time.
-        self._round_robin_position = 0
         # Serializes submissions: the model caches, stats, parse cache and
         # worker pipes are all single-submission state, so a service shared
         # by several threads (e.g. two async front ends) flushes one
@@ -505,28 +498,17 @@ class PredictionService:
             # No liveness pre-check needed: run_batches detects dead workers
             # on send/recv, respawns them and resubmits the lost work.
             pool = self._ensure_pool()
-            if self.config.sharding == "hash":
-                router = self._hot_router_locked(pool)
-                if router is not None:
-                    assignments = coalesce_requests_by_router(
-                        requests, self.config.max_batch_size, router
-                    )
-                else:
-                    assignments = coalesce_requests_by_ring(
-                        requests,
-                        self.config.max_batch_size,
-                        self._routing_ring_locked(pool),
-                    )
+            router = self._hot_router_locked(pool)
+            if router is not None:
+                assignments = coalesce_requests_by_router(
+                    requests, self.config.max_batch_size, router
+                )
             else:
-                assignments = [
-                    ((self._round_robin_position + index) % pool.num_workers, batch)
-                    for index, batch in enumerate(
-                        coalesce_requests(requests, self.config.max_batch_size)
-                    )
-                ]
-                self._round_robin_position = (
-                    self._round_robin_position + len(assignments)
-                ) % pool.num_workers
+                assignments = coalesce_requests_by_ring(
+                    requests,
+                    self.config.max_batch_size,
+                    self._routing_ring_locked(pool),
+                )
             batches = [batch for _, batch in assignments]
             batch_results = pool.run_batches(
                 [(worker, batch.block_texts) for worker, batch in assignments]

@@ -20,7 +20,7 @@ multi-task experiments in the paper exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.semantics import InstructionCategory, semantics_for

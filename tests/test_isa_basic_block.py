@@ -8,7 +8,6 @@ from repro.isa.basic_block import (
     MEMORY_LOCATION,
     instruction_accesses,
 )
-from repro.isa.instructions import Instruction
 from repro.isa.parser import parse_instruction
 
 

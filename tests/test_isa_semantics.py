@@ -1,8 +1,5 @@
 """Tests for instruction semantics (repro.isa.semantics)."""
 
-
-from repro.isa.instructions import Instruction
-from repro.isa.operands import Operand
 from repro.isa.parser import parse_instruction
 from repro.isa.semantics import (
     CONDITION_CODES,

@@ -1,15 +1,15 @@
 """Tests of the unified serve API: layered configs, reason-coded errors,
-typed stats, import-path shims, tenancy and the model registry."""
+typed stats, public import paths, tenancy and the model registry."""
 
 import dataclasses
 
 import pytest
 
+import repro.serve
 from repro.serve import (
     ANONYMOUS,
     AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     AuthenticationError,
     AuthorizationError,
     CacheStats,
@@ -22,10 +22,12 @@ from repro.serve import (
     ReasonCode,
     RequestExpiredError,
     RequestQueue,
+    RetryPolicy,
     ServeError,
     ServiceClosedError,
     ServiceConfig,
     ServiceSnapshot,
+    StatsStruct,
     Tenant,
     TenantDirectory,
     UnknownModelError,
@@ -60,59 +62,72 @@ class TestLayeredConfig:
             AsyncOptions(flush_policy="adaptive", min_latency_ms=20.0,
                          max_latency_ms=10.0)
 
-    def test_deprecated_spelling_converts(self):
-        old = AsyncServiceConfig(
-            max_batch_size=8,
-            max_latency_ms=7.5,
-            flush_policy="static",
-            max_queue_blocks=64,
-            backpressure="reject",
-        )
-        options = old.options
-        assert options == AsyncOptions(
-            max_latency_ms=7.5,
-            flush_policy="static",
-            max_queue_blocks=64,
-            backpressure="reject",
-        )
-        assert AsyncServiceConfig.from_options(options, max_batch_size=8) == old
-
-    def test_deprecated_spelling_still_validates(self):
+    def test_service_config_validates_batch_size(self):
         with pytest.raises(ValueError):
-            AsyncServiceConfig(max_batch_size=0)
-        with pytest.raises(ValueError):
-            AsyncServiceConfig(flush_policy="nope")
+            ServiceConfig(max_batch_size=0)
 
-    def test_old_and_new_spellings_build_equivalent_services(self):
-        # Old: async knobs (batch size included) on AsyncServiceConfig,
-        # wrapped around an externally configured service.
-        old_front = AsyncPredictionService(
-            AsyncServiceConfig(
-                max_batch_size=8, max_latency_ms=7.5, max_queue_blocks=64,
-                backpressure="reject",
-            ),
-            service=PredictionService(ServiceConfig(max_batch_size=8)),
+    def test_explicit_and_inherited_options_build_equivalent_front_ends(self):
+        options = AsyncOptions(
+            max_latency_ms=7.5, max_queue_blocks=64, backpressure="reject"
         )
-        # New: one ServiceConfig carries everything; the front end infers.
-        new_front = AsyncPredictionService(
-            service_config=ServiceConfig(
+        # Explicit options around an externally configured service ...
+        explicit = AsyncPredictionService(
+            options, service=PredictionService(ServiceConfig(max_batch_size=8))
+        )
+        # ... and one ServiceConfig carrying everything; the front end infers.
+        inherited = AsyncPredictionService(
+            service_config=ServiceConfig(max_batch_size=8, async_options=options)
+        )
+        assert explicit.options == inherited.options == options
+        # The size-flush bound is always the service's own batch size.
+        assert explicit.max_batch_size == inherited.max_batch_size == 8
+        assert explicit.queue.max_blocks == inherited.queue.max_blocks == 64
+        assert explicit.queue.policy == inherited.queue.policy == "reject"
+
+    def test_front_end_inherits_a_provided_services_options(self):
+        service = PredictionService(
+            ServiceConfig(
                 max_batch_size=8,
-                async_options=AsyncOptions(
-                    max_latency_ms=7.5, max_queue_blocks=64,
-                    backpressure="reject",
-                ),
+                async_options=AsyncOptions(max_queue_blocks=32),
             )
         )
-        assert old_front.options == new_front.options
-        assert old_front.config == new_front.config
-        assert old_front.queue.max_blocks == new_front.queue.max_blocks == 64
-        assert old_front.queue.policy == new_front.queue.policy == "reject"
+        front_end = AsyncPredictionService(service=service)
+        assert front_end.options is service.config.async_options
+        assert front_end.max_batch_size == 8
+        assert front_end.queue.max_blocks == 32
 
-    def test_old_spelling_batch_size_still_drives_flushes(self, sample_blocks):
-        config = AsyncServiceConfig(
-            max_batch_size=4, max_latency_ms=60_000.0, flush_policy="static"
+    def test_explicit_options_keep_resilience_knobs(self, sample_blocks):
+        # Every AsyncOptions field reaches the front end, including the
+        # retry, degraded-mode and stale-cache knobs.
+        options = AsyncOptions(
+            max_latency_ms=5.0,
+            retry_policy=RetryPolicy(max_attempts=2),
+            degraded_mode=True,
+            stale_cache_size=2,
         )
-        with AsyncPredictionService(config) as front_end:
+        service = PredictionService(ServiceConfig(max_batch_size=4))
+        with AsyncPredictionService(options, service=service) as front_end:
+            front_end.predict_blocks(sample_blocks[:3], timeout=120.0)
+            snapshot = front_end.snapshot()
+        assert front_end.options.retry_policy == RetryPolicy(max_attempts=2)
+        # The stale cache records served blocks, bounded at its size.
+        assert snapshot.resilience.stale_cache_entries == 2
+        service.close()
+
+    def test_removed_settings_are_rejected(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(sharding="hash")
+        with pytest.raises(TypeError):
+            AsyncOptions(max_batch_size=8)
+
+    def test_service_batch_size_drives_flushes(self, sample_blocks):
+        config = ServiceConfig(
+            max_batch_size=4,
+            async_options=AsyncOptions(
+                max_latency_ms=60_000.0, flush_policy="static"
+            ),
+        )
+        with AsyncPredictionService(service_config=config) as front_end:
             future = front_end.submit(PredictionRequest.of(sample_blocks[:4]))
             response = future.result(timeout=120.0)
         assert response.num_blocks == 4
@@ -159,22 +174,37 @@ class TestReasonCodes:
             queue.put(PredictionRequest.of(["mov rcx, 3"]))
 
 
-class TestImportShims:
-    def test_old_import_paths_resolve_to_the_same_objects(self):
-        from repro.serve import batching, queue, service
-        from repro.serve import async_service as async_module
+class TestPublicImports:
+    def test_each_name_has_one_home(self):
+        from repro.serve import async_service, batching, config, service, types
 
-        assert batching.PredictionRequest is PredictionRequest
-        assert batching.PredictionResponse is not None
-        assert queue.QueueFullError is QueueFullError
-        assert queue.RequestExpiredError is RequestExpiredError
-        assert service.ServiceConfig is ServiceConfig
-        assert service.SHARDING_MODES == ("hash", "round_robin")
-        assert async_module.AsyncServiceConfig is AsyncServiceConfig
+        assert repro.serve.ServiceConfig is config.ServiceConfig
+        assert repro.serve.AsyncOptions is config.AsyncOptions
+        assert repro.serve.PredictionRequest is types.PredictionRequest
+        assert repro.serve.PredictionResponse is types.PredictionResponse
+        assert repro.serve.QueueFullError is types.QueueFullError
+        # The defining modules no longer re-export each other's names.
+        assert "ServiceConfig" not in service.__all__
+        assert "PredictionRequest" not in batching.__all__
+        assert "PredictionResponse" not in batching.__all__
+        assert not hasattr(async_service, "AsyncServiceConfig")
+
+    def test_package_all_resolves(self):
+        names = repro.serve.__all__
+        assert len(names) == len(set(names))
+        for name in names:
+            assert getattr(repro.serve, name) is not None
+        for removed in (
+            "AsyncServiceConfig",
+            "SHARDING_MODES",
+            "coalesce_requests_by_shard",
+        ):
+            assert removed not in names
+            assert not hasattr(repro.serve, removed)
 
 
 class TestTypedStats:
-    def test_snapshot_flat_aliases_resolve(self, sample_blocks):
+    def test_snapshot_attributes_match_wire_view(self, sample_blocks):
         with AsyncPredictionService(
             service_config=ServiceConfig(max_batch_size=8)
         ) as front_end:
@@ -182,17 +212,32 @@ class TestTypedStats:
                 PredictionRequest.of(sample_blocks[:3])
             ).result(timeout=120.0)
             snapshot = front_end.snapshot()
-        assert isinstance(snapshot, ServiceSnapshot)
-        # Old flat keys and new attribute paths agree.
-        assert snapshot["requests"] == snapshot.queue.submitted_requests == 1
-        assert snapshot["blocks"] == snapshot.queue.submitted_blocks == 3
-        assert snapshot["flushes"] == snapshot.flush.flushes
-        assert snapshot["flush_wait_p99_ms"] == snapshot.flush.wait_p99_ms
-        assert snapshot["num_workers"] == snapshot.model.num_workers
-        assert snapshot.get("not_a_key") is None
-        assert "flush_policy" in snapshot
-        with pytest.raises(KeyError):
-            snapshot["not_a_key"]
+        document = snapshot.to_dict()
+        assert snapshot.queue.submitted_requests == 1
+        assert snapshot.queue.submitted_blocks == 3
+        assert document["queue"]["submitted_requests"] == 1
+        assert document["queue"]["submitted_blocks"] == 3
+        assert document["flush"]["flushes"] == snapshot.flush.flushes >= 1
+        assert document["model"]["num_workers"] == snapshot.model.num_workers
+        assert document["flush"]["policy"] == snapshot.flush.policy
+        assert (
+            document["model"]["cache"]["prediction_misses"]
+            == snapshot.model.cache.prediction_misses
+        )
+
+    def test_stats_structs_are_not_mappings(self, sample_blocks):
+        # Attributes are the one read path; to_dict() is the wire view.
+        sections = [StatsStruct, *StatsStruct.__subclasses__()]
+        assert ServiceSnapshot in sections and CacheStats in sections
+        for section in sections:
+            for method in ("__getitem__", "get", "__contains__"):
+                assert not hasattr(section, method), (section, method)
+        service = PredictionService(ServiceConfig(max_batch_size=8)).warm_start()
+        service.submit([PredictionRequest.of(sample_blocks[:1])])
+        stats = service.snapshot()
+        service.close()
+        with pytest.raises(TypeError):
+            stats["requests"]
 
     def test_to_dict_is_schema_complete_and_recursive(self, sample_blocks):
         with AsyncPredictionService(
@@ -218,8 +263,7 @@ class TestTypedStats:
         assert stats.requests == 1
         assert stats.blocks == 2
         assert stats.cache is not None
-        # Flat access reaches through the nested cache section too.
-        assert stats["prediction_misses"] == stats.cache.prediction_misses
+        assert stats.cache.prediction_misses >= 1
         service.close()
 
     def test_cache_stats_tolerates_unknown_keys(self):

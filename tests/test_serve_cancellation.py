@@ -18,8 +18,8 @@ import pytest
 
 from repro.data.synthetic import BlockGenerator, GeneratorConfig
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     PredictionRequest,
     RequestExpiredError,
     RequestQueue,
@@ -128,8 +128,11 @@ class TestServiceCancellation:
         """Cancel half the backlog before the dispatcher starts: the
         service must only ever see (and spend compute on) the survivors."""
         service = AsyncPredictionService(
-            AsyncServiceConfig(max_batch_size=8, max_latency_ms=5.0),
-            service_config=ServiceConfig(model_name="granite"),
+            service_config=ServiceConfig(
+                model_name="granite",
+                max_batch_size=8,
+                async_options=AsyncOptions(max_latency_ms=5.0),
+            )
         )
         futures = [
             service.submit(_request(blocks, 2 * index, 2, request_id=f"r{index}"))
@@ -145,15 +148,17 @@ class TestServiceCancellation:
         service.close()
         # The sync service behind the queue only saw the surviving blocks.
         assert service.service.stats.blocks == 8
-        assert snapshot["cancelled_drops"] == 4
-        assert snapshot["expired_drops"] == 0
+        assert snapshot.queue.cancelled_drops == 4
+        assert snapshot.queue.expired_drops == 0
         for index in (1, 3, 5, 7):
             assert futures[index].cancelled()
 
     def test_expired_requests_resolve_and_are_counted(self, blocks):
         service = AsyncPredictionService(
-            AsyncServiceConfig(max_batch_size=64, max_latency_ms=5.0),
-            service_config=ServiceConfig(model_name="granite"),
+            service_config=ServiceConfig(
+                model_name="granite",
+                async_options=AsyncOptions(max_latency_ms=5.0),
+            )
         )
         doomed = service.submit(_request(blocks, 0, 2), deadline_ms=1.0)
         kept = service.submit(_request(blocks, 2, 2))
@@ -164,15 +169,17 @@ class TestServiceCancellation:
             doomed.result(timeout=5.0)
         snapshot = service.snapshot()
         service.close()
-        assert snapshot["expired_drops"] == 1
-        assert snapshot["cancelled_drops"] == 0
+        assert snapshot.queue.expired_drops == 1
+        assert snapshot.queue.cancelled_drops == 0
         assert service.service.stats.blocks == 2
 
     def test_drop_counters_add_up(self, blocks):
         """cancelled + expired + served == submitted, each counted once."""
         service = AsyncPredictionService(
-            AsyncServiceConfig(max_batch_size=64, max_latency_ms=5.0),
-            service_config=ServiceConfig(model_name="granite"),
+            service_config=ServiceConfig(
+                model_name="granite",
+                async_options=AsyncOptions(max_latency_ms=5.0),
+            )
         )
         cancelled = [service.submit(_request(blocks, 0, 2)) for _ in range(3)]
         expired = [
@@ -191,9 +198,9 @@ class TestServiceCancellation:
                 future.result(timeout=5.0)
         snapshot = service.snapshot()
         service.close()
-        assert snapshot["cancelled_drops"] == 3
-        assert snapshot["expired_drops"] == 2
-        assert snapshot["requests"] == 9
+        assert snapshot.queue.cancelled_drops == 3
+        assert snapshot.queue.expired_drops == 2
+        assert snapshot.queue.submitted_requests == 9
         assert service.service.stats.blocks == 2 * 4
 
     def test_cancel_after_completion_is_a_noop(self, blocks):
@@ -204,4 +211,4 @@ class TestServiceCancellation:
             future.result(timeout=30.0)
             assert not future.cancel()
             snapshot = service.snapshot()
-        assert snapshot["cancelled_drops"] == 0
+        assert snapshot.queue.cancelled_drops == 0

@@ -14,11 +14,12 @@ import time
 import pytest
 
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     HedgeController,
     PredictionRequest,
     PredictionService,
+    ServiceConfig,
 )
 
 
@@ -75,8 +76,8 @@ class _BlockingOnceService(PredictionService):
 
 
 def _hedging_config(**overrides):
+    """A service flushing at 4 blocks whose front end hedges stragglers."""
     base = dict(
-        max_batch_size=4,
         max_latency_ms=1.0,
         hedge_enabled=True,
         hedge_quantile=0.5,
@@ -87,13 +88,13 @@ def _hedging_config(**overrides):
         max_concurrent_flushes=2,
     )
     base.update(overrides)
-    return AsyncServiceConfig(**base)
+    return ServiceConfig(max_batch_size=4, async_options=AsyncOptions(**base))
 
 
 class TestHedgingEndToEnd:
     def test_hedge_overtakes_straggler_and_no_double_complete(self):
-        inner = _BlockingOnceService()
-        with AsyncPredictionService(_hedging_config(), service=inner) as service:
+        inner = _BlockingOnceService(_hedging_config())
+        with AsyncPredictionService(service=inner) as service:
             # Warm the latency reservoir past hedge_min_samples so the
             # controller has a deadline.  (First flush is the stalled one,
             # so release it for the warmup.)
@@ -112,8 +113,8 @@ class TestHedgingEndToEnd:
             assert response.num_blocks == 1
             snapshot = service.snapshot()
             assert snapshot.hedge.enabled
-            assert snapshot["hedges_issued"] >= 1
-            assert snapshot["hedges_won"] >= 1
+            assert snapshot.hedge.issued >= 1
+            assert snapshot.hedge.won >= 1
             # Release the straggler; its late completion must not blow up
             # (the client future is already resolved — set_result twice
             # would raise InvalidStateError inside the flush thread and
@@ -125,8 +126,8 @@ class TestHedgingEndToEnd:
         assert future.done() and not future.cancelled()
 
     def test_cancelling_the_client_cancels_every_attempt(self):
-        inner = _BlockingOnceService()
-        with AsyncPredictionService(_hedging_config(), service=inner) as service:
+        inner = _BlockingOnceService(_hedging_config())
+        with AsyncPredictionService(service=inner) as service:
             inner.release.set()
             for index in range(6):
                 service.predict_blocks([f"ADD RAX, {index}"])
@@ -151,17 +152,17 @@ class TestHedgingEndToEnd:
 
     def test_hedging_disabled_issues_nothing(self):
         config = _hedging_config(hedge_enabled=False)
-        with AsyncPredictionService(config) as service:
+        with AsyncPredictionService(service_config=config) as service:
             for index in range(8):
                 service.predict_blocks([f"ADD RAX, {index}"])
             snapshot = service.snapshot()
         assert not snapshot.hedge.enabled
-        assert snapshot["hedges_issued"] == 0
-        assert snapshot["hedges_won"] == 0
+        assert snapshot.hedge.issued == 0
+        assert snapshot.hedge.won == 0
         assert snapshot.hedge.losers_cancelled == 0
 
     def test_hedged_futures_resolve_exactly_once_under_load(self):
-        with AsyncPredictionService(_hedging_config()) as service:
+        with AsyncPredictionService(service_config=_hedging_config()) as service:
             futures = [
                 service.submit(PredictionRequest.of([f"ADD RCX, {index % 16}"]))
                 for index in range(64)
@@ -175,8 +176,8 @@ class TestHedgingEndToEnd:
         assert all(future.done() for future in futures)
 
     def test_losers_cancelled_counter_moves(self):
-        inner = _BlockingOnceService()
-        with AsyncPredictionService(_hedging_config(), service=inner) as service:
+        inner = _BlockingOnceService(_hedging_config())
+        with AsyncPredictionService(service=inner) as service:
             inner.release.set()
             for index in range(6):
                 service.predict_blocks([f"ADD RAX, {index}"])
@@ -196,5 +197,5 @@ class TestHedgingEndToEnd:
             # pending) or completed unobserved — either way the counter
             # must reflect the hedge outcome without errors.
             snapshot = service.snapshot()
-            assert snapshot["hedges_won"] >= 1
+            assert snapshot.hedge.won >= 1
             assert snapshot.flush.request_errors == 0

@@ -8,13 +8,14 @@ import pytest
 
 from repro.data.synthetic import BlockGenerator, GeneratorConfig
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     PredictionRequest,
     PredictionService,
     Priority,
     QueueFullError,
     RequestQueue,
+    ServiceClosedError,
     ServiceConfig,
 )
 
@@ -157,10 +158,12 @@ class TestRequestQueue:
 
 class TestAsyncPredictionService:
     def test_matches_direct_predictions(self, blocks):
-        config = AsyncServiceConfig(max_batch_size=8, max_latency_ms=5.0)
-        with AsyncPredictionService(
-            config, service_config=ServiceConfig(model_name="granite")
-        ) as service:
+        config = ServiceConfig(
+            model_name="granite",
+            max_batch_size=8,
+            async_options=AsyncOptions(max_latency_ms=5.0),
+        )
+        with AsyncPredictionService(service_config=config) as service:
             direct = service.service.model.predict(blocks)
             futures = [
                 service.submit(
@@ -185,10 +188,12 @@ class TestAsyncPredictionService:
 
     def test_deadline_bounds_straggler_latency(self, blocks):
         """With a huge batch size, a lone request still answers by deadline."""
-        config = AsyncServiceConfig(max_batch_size=4096, max_latency_ms=30.0)
-        with AsyncPredictionService(
-            config, service_config=ServiceConfig(model_name="granite")
-        ) as service:
+        config = ServiceConfig(
+            model_name="granite",
+            max_batch_size=4096,
+            async_options=AsyncOptions(max_latency_ms=30.0),
+        )
+        with AsyncPredictionService(service_config=config) as service:
             service.predict_blocks(blocks[:1])  # warm every cache
             start = time.monotonic()
             service.predict_blocks(blocks[:1])
@@ -199,10 +204,11 @@ class TestAsyncPredictionService:
 
     def test_backpressure_reject_end_to_end(self, blocks):
         """With no dispatcher draining, the bounded queue rejects overflow."""
-        config = AsyncServiceConfig(max_queue_blocks=4, backpressure="reject")
-        service = AsyncPredictionService(
-            config, service_config=ServiceConfig(model_name="granite")
+        config = ServiceConfig(
+            model_name="granite",
+            async_options=AsyncOptions(max_queue_blocks=4, backpressure="reject"),
         )
+        service = AsyncPredictionService(service_config=config)
         accepted = service.submit(PredictionRequest.of(blocks[:4]))
         with pytest.raises(QueueFullError):
             service.submit(PredictionRequest.of(blocks[4:6]))
@@ -232,10 +238,12 @@ class TestAsyncPredictionService:
 
     def test_cancelled_future_is_skipped_not_fatal(self, blocks):
         """A client cancelling a queued future must not kill the dispatcher."""
-        config = AsyncServiceConfig(max_batch_size=8, max_latency_ms=5.0)
-        service = AsyncPredictionService(
-            config, service_config=ServiceConfig(model_name="granite")
+        config = ServiceConfig(
+            model_name="granite",
+            max_batch_size=8,
+            async_options=AsyncOptions(max_latency_ms=5.0),
         )
+        service = AsyncPredictionService(service_config=config)
         doomed = service.submit(PredictionRequest.of(blocks[:2]))
         kept = service.submit(PredictionRequest.of(blocks[2:4]))
         assert doomed.cancel()  # still queued: cancellable
@@ -265,6 +273,28 @@ class TestAsyncPredictionService:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            AsyncServiceConfig(max_batch_size=0)
+            ServiceConfig(max_batch_size=0)
         with pytest.raises(ValueError):
-            AsyncServiceConfig(max_latency_ms=-1.0)
+            AsyncOptions(max_latency_ms=-1.0)
+
+    def test_predict_blocks_starts_an_unstarted_front_end(self, blocks):
+        """predict_blocks waits for its own answer, so it cannot queue behind
+        a dispatcher that was never started (submit still may)."""
+        service = AsyncPredictionService(
+            service_config=ServiceConfig(model_name="granite")
+        )
+        try:
+            predictions = service.predict_blocks(blocks[:2], timeout=5.0)
+        finally:
+            service.close()
+        assert predictions
+        assert all(len(values) == 2 for values in predictions.values())
+
+    def test_predict_blocks_does_not_restart_a_closed_front_end(self, blocks):
+        service = AsyncPredictionService(
+            service_config=ServiceConfig(model_name="granite")
+        )
+        service.close()
+        with pytest.raises(ServiceClosedError):
+            service.predict_blocks(blocks[:1], timeout=5.0)
+        assert len(service.queue) == 0

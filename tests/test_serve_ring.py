@@ -279,7 +279,7 @@ class TestHotKeyRouter:
         assert router.replicated_routes == 0
         assert router.total_routes == 50
 
-    def test_hot_key_round_robins_its_replica_set(self, router):
+    def test_hot_key_alternates_over_its_replica_set(self, router):
         hot = 12345
         for _ in range(20):
             router.tracker.observe(hot)

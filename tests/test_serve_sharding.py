@@ -1,4 +1,4 @@
-"""Tests of hash sharding and the elastic, respawning worker pool."""
+"""Tests of hash-ring sharding and the elastic, respawning worker pool."""
 
 import time
 
@@ -6,13 +6,14 @@ import pytest
 
 from repro.data.synthetic import BlockGenerator, GeneratorConfig
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
+    HashRing,
     PoolAutoscaler,
     PredictionRequest,
     PredictionService,
     ServiceConfig,
-    coalesce_requests_by_shard,
+    coalesce_requests_by_ring,
     shard_key,
 )
 from repro.testing.equivalence import assert_allclose_for_dtype
@@ -34,41 +35,16 @@ class TestShardPartitioning:
         assert shard_key(text) == shard_key(text)
         assert isinstance(shard_key(text), int)
 
-    def test_partition_covers_every_block_once(self, blocks):
-        requests = [
-            PredictionRequest.of(blocks[:20]),
-            PredictionRequest.of(blocks[20:]),
-        ]
-        assignments = coalesce_requests_by_shard(
-            requests, max_batch_size=8, num_shards=3
-        )
-        origins = [
-            origin for _, batch in assignments for origin in batch.origins
-        ]
-        assert sorted(origins) == [
-            (index, position)
-            for index, request in enumerate(requests)
-            for position in range(request.num_blocks)
-        ]
-        assert all(batch.num_blocks <= 8 for _, batch in assignments)
-
-    def test_blocks_routed_by_their_hash(self, blocks):
-        assignments = coalesce_requests_by_shard(
-            [PredictionRequest.of(blocks)], max_batch_size=8, num_shards=4
-        )
-        for shard, batch in assignments:
-            for text in batch.block_texts:
-                assert shard_key(text) % 4 == shard
-
     def test_same_block_always_same_shard(self, blocks):
         """Routing only depends on the text, not on request composition."""
-        solo = coalesce_requests_by_shard(
-            [PredictionRequest.of(blocks[:1])], max_batch_size=8, num_shards=4
+        ring = HashRing(nodes=range(4))
+        solo = coalesce_requests_by_ring(
+            [PredictionRequest.of(blocks[:1])], max_batch_size=8, ring=ring
         )
-        mixed = coalesce_requests_by_shard(
+        mixed = coalesce_requests_by_ring(
             [PredictionRequest.of(list(reversed(blocks)))],
             max_batch_size=8,
-            num_shards=4,
+            ring=ring,
         )
         target_text = blocks[0].canonical_text()
         solo_shard = solo[0][0]
@@ -79,17 +55,6 @@ class TestShardPartitioning:
         }
         assert mixed_shards == {solo_shard}
 
-    def test_invalid_arguments(self, blocks):
-        request = PredictionRequest.of(blocks[:2])
-        with pytest.raises(ValueError):
-            coalesce_requests_by_shard([request], max_batch_size=0, num_shards=2)
-        with pytest.raises(ValueError):
-            coalesce_requests_by_shard([request], max_batch_size=4, num_shards=0)
-
-    def test_unknown_sharding_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(sharding="random")
-
 
 @pytest.mark.slow
 class TestShardedWorkerPool:
@@ -98,29 +63,31 @@ class TestShardedWorkerPool:
             ServiceConfig(model_name="granite", max_batch_size=5)
         )
         expected = in_process.predict_blocks(blocks)
-        config = ServiceConfig(
-            model_name="granite", max_batch_size=5, num_workers=2, sharding="hash"
-        )
+        config = ServiceConfig(model_name="granite", max_batch_size=5, num_workers=2)
         with PredictionService(config) as sharded:
             served = sharded.predict_blocks(blocks)
         for task in in_process.model.tasks:
             _assert_served_close(in_process, served[task], expected[task])
 
-    def test_round_robin_mode_matches_in_process(self, blocks):
+    def test_hot_key_replicas_match_in_process(self, blocks):
+        """Hot keys served read-any over replicas answer as in-process."""
+        traffic = [blocks[0]] * 32 + list(blocks)
         in_process = PredictionService(
             ServiceConfig(model_name="granite", max_batch_size=5)
         )
-        expected = in_process.predict_blocks(blocks)
+        expected = in_process.predict_blocks(traffic)
         config = ServiceConfig(
-            model_name="granite",
-            max_batch_size=5,
-            num_workers=2,
-            sharding="round_robin",
+            model_name="granite", max_batch_size=5, num_workers=2, hot_key_replicas=2
         )
         with PredictionService(config) as sharded:
-            served = sharded.predict_blocks(blocks)
-        for task in in_process.model.tasks:
-            _assert_served_close(in_process, served[task], expected[task])
+            rounds = [sharded.predict_blocks(traffic) for _ in range(3)]
+            snapshot = sharded.snapshot()
+        assert snapshot.hot_key_replicas == 2
+        assert snapshot.hot_keys >= 1
+        assert snapshot.replicated_routes > 0
+        for served in rounds:
+            for task in in_process.model.tasks:
+                _assert_served_close(in_process, served[task], expected[task])
 
     def test_worker_crash_respawns_mid_stream(self, blocks):
         """Killing a worker between submissions must not lose any request."""
@@ -151,7 +118,7 @@ class TestShardedWorkerPool:
 
     def test_worker_stats_report_shard_affinity(self, blocks):
         """Repeated traffic turns into per-worker cache hits under hashing."""
-        config = ServiceConfig(model_name="granite", num_workers=2, sharding="hash")
+        config = ServiceConfig(model_name="granite", num_workers=2)
         with PredictionService(config) as service:
             for _ in range(3):
                 service.predict_blocks(blocks)
@@ -160,8 +127,8 @@ class TestShardedWorkerPool:
         for worker_stats in stats:
             # Every worker saw each of its shard's blocks three times: one
             # miss, then hits — so its prediction hit rate lands at ~2/3.
-            assert worker_stats["prediction_hit_rate"] >= 0.5
-            assert worker_stats["parse_hits"] >= worker_stats["parse_misses"]
+            assert worker_stats.cache.prediction_hit_rate >= 0.5
+            assert worker_stats.cache.parse_hits >= worker_stats.cache.parse_misses
 
     def test_in_process_check_health_is_noop(self):
         service = PredictionService(ServiceConfig(model_name="granite"))
@@ -172,9 +139,9 @@ class TestShardedWorkerPool:
         with PredictionService(config) as service:
             service.predict_blocks(blocks[:8])
             stats = service.worker_stats()
-        assert [entry["worker_id"] for entry in stats] == [0, 1]
-        assert sum(entry["ring_share"] for entry in stats) == pytest.approx(1.0)
-        assert all(entry["spawn_count"] >= 1 for entry in stats)
+        assert [entry.worker_id for entry in stats] == [0, 1]
+        assert sum(entry.ring_share for entry in stats) == pytest.approx(1.0)
+        assert all(entry.spawn_count >= 1 for entry in stats)
 
     def test_closed_service_does_not_respawn_pool(self, blocks):
         """Use after close must raise, not silently leak a fresh pool."""
@@ -282,7 +249,7 @@ class TestElasticScaling:
         assert service.stats.resizes == 2
         assert [event["action"] for event in events] == ["add", "remove"]
         assert [event["worker_id"] for event in events] == [2, 2]
-        assert [entry["worker_id"] for entry in stats] == [0, 1]
+        assert [entry.worker_id for entry in stats] == [0, 1]
 
     def test_scale_to_same_size_is_a_noop(self, blocks):
         config = ServiceConfig(model_name="granite", num_workers=2)
@@ -308,9 +275,7 @@ class TestElasticScaling:
             min_workers=1,
             max_workers=2,
             scale_cooldown_s=0.1,
-        )
-        async_config = AsyncServiceConfig(
-            max_batch_size=8, max_latency_ms=5.0, autoscale_poll_ms=20.0
+            async_options=AsyncOptions(max_latency_ms=5.0, autoscale_poll_ms=20.0),
         )
         # Novel blocks so every flush pays real model compute: the backlog
         # must outlive several autoscaler polls, not vanish into cache hits.
@@ -318,7 +283,7 @@ class TestElasticScaling:
             block.canonical_text()
             for block in BlockGenerator(GeneratorConfig(seed=61)).generate_blocks(800)
         ]
-        with AsyncPredictionService(async_config, service_config=config) as front:
+        with AsyncPredictionService(service_config=config) as front:
             futures = [
                 front.submit(PredictionRequest.of(texts[2 * index : 2 * index + 2]))
                 for index in range(400)
