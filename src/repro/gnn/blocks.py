@@ -18,9 +18,9 @@ per edge or per node: ``[edge, node[sender], node[receiver],
 global[graph]]`` for edges, ``[aggregated edges, node, global[graph]]`` for
 nodes.  The blocks hand the pieces and their row indices to
 :meth:`repro.nn.layers.ResidualMLP.forward_pieces` instead of building the
-concatenation.  On the no-grad path that evaluates, for the first Dense
-layer ``W`` (row blocks ``W_k``, with the LayerNorm gain and mean
-subtraction folded in) and the residual projection ``P``::
+concatenation.  That evaluates, for the first Dense layer ``W`` (row blocks
+``W_k``, with the LayerNorm gain and mean subtraction folded in) and the
+residual projection ``P``::
 
     concat_k(x_k[i_k]) @ [W | P] = Σ_k (x_k @ [W_k | P_k])[i_k]
 
@@ -29,9 +29,12 @@ edges) and only the products are gathered, with the LayerNorm variance of
 the concatenated row assembled from per-piece row sums and sums of
 squares.  The identity is exact algebra (a row gather commutes with a
 right-multiplication, and a matrix product splits over row blocks); only
-the order of floating-point additions differs, so the result equals the
-concatenate-then-normalise tape path up to rounding.  The tape path still
-gathers and concatenates, so training is unchanged.
+the order of floating-point additions differs from concatenating,
+normalising and multiplying.  Inference and training both run it: under
+gradient recording it is one tape node
+(:func:`repro.nn.fused.fused_piece_update`) whose backward scatters the
+output gradient onto the source rows, so neither direction ever holds an
+``[edges, edge + 2·node + global]`` array.
 """
 
 from __future__ import annotations

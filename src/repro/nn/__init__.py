@@ -1,11 +1,12 @@
 """Neural-network substrate: autodiff tensors, layers, losses, optimizers.
 
 This subpackage replaces the TensorFlow 1.x runtime used by the original
-GRANITE implementation with a small, dependency-free (numpy only)
-reverse-mode autodiff engine and the layers the paper's models need.
+GRANITE implementation with a small numpy reverse-mode autodiff engine
+(``scipy.sparse`` runs its row scatter-adds) and the layers the paper's
+models need.
 """
 
-from repro.nn.fused import fused_dense, fused_layer_norm, fused_lstm_step
+from repro.nn.fused import fused_dense, fused_layer_norm, fused_lstm_step, fused_piece_update
 from repro.nn.layers import Dense, Embedding, LayerNorm, MLP, ResidualMLP, Sequential
 from repro.nn.losses import (
     LOSS_FUNCTIONS,
@@ -98,6 +99,7 @@ __all__ = [
     "fused_dense",
     "fused_layer_norm",
     "fused_lstm_step",
+    "fused_piece_update",
     "resolve_dtype",
     "gather_rows",
     "is_grad_enabled",

@@ -15,7 +15,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn import init
-from repro.nn.fused import fused_dense, fused_layer_norm
+from repro.nn.fused import (
+    Layout,
+    Pieces,
+    _activate,
+    _fold_piece_weights,
+    _group_pieces,
+    _transform_then_gather,
+    fused_dense,
+    fused_layer_norm,
+    fused_piece_update,
+)
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import (
     Tensor,
@@ -25,7 +35,6 @@ from repro.nn.tensor import (
     fast_path_active,
     gather_rows,
     raw,
-    sigmoid,
 )
 
 __all__ = [
@@ -79,17 +88,6 @@ class Dense(Module):
                 outputs += self.bias.data_as(dtype)
             return _activate(outputs, self.activation)
         return fused_dense(inputs, self.weight, self.bias, self.activation)
-
-
-def _activate(outputs: np.ndarray, activation: Optional[str]) -> np.ndarray:
-    """Applies a Dense activation to a no-grad array, in place where possible."""
-    if activation == "relu":
-        np.maximum(outputs, 0.0, out=outputs)
-    elif activation == "tanh":
-        np.tanh(outputs, out=outputs)
-    elif activation == "sigmoid":
-        outputs = sigmoid(outputs)
-    return outputs
 
 
 class Sequential(Module):
@@ -272,7 +270,9 @@ class ResidualMLP(Module):
     :meth:`forward` up to rounding.  A gather commutes with a
     right-multiplication, ``x_k[i] @ M = (x_k @ M)[i]``, so each piece is
     multiplied on its source rows (nodes or graphs) and only the product is
-    gathered per edge.
+    gathered per edge.  Inference and training both evaluate it; the
+    backward of the tape node (:func:`repro.nn.fused.fused_piece_update`)
+    likewise scatters each gradient onto source rows before multiplying.
 
     Args:
         input_size: Number of input features.
@@ -319,84 +319,79 @@ class ResidualMLP(Module):
                 outputs = outputs + residual
         return outputs
 
-    def forward_pieces(self, pieces: Sequence[Tuple[Tensor, Optional[np.ndarray]]]) -> Tensor:
+    def forward_pieces(self, pieces: Pieces) -> Tensor:
         """The update of the concatenated, row-gathered ``pieces``.
 
         Equal to ``self(concatenate([gather_rows(f, i) if i is not None
-        else f for f, i in pieces]))``, which is what the tape path runs.
-        The no-grad path evaluates the identity in the class docstring
-        instead: pieces that share a source array share one GEMM, and the
-        wide concatenated input is never built.  An identity residual
+        else f for f, i in pieces]))``, but evaluated by the identity in the
+        class docstring, which is what both paths run: pieces that share a
+        source array share one GEMM, and the wide concatenated input is
+        never built.  The tape records the LayerNorm, first Dense and
+        projection as one :func:`repro.nn.fused.fused_piece_update` node,
+        whose backward also works on source rows.  An identity residual
         (input size equals output size) needs that input and falls back to
         the concatenation.
         """
-        if not fast_path_active() or (self.use_residual and self.projection is None):
+        if self.use_residual and self.projection is None:
             inputs = [f if i is None else gather_rows(f, i) for f, i in pieces]
             return self(concatenate(inputs, axis=-1))
-
-        # Pieces of one source array form a group with one GEMM.
-        groups: Dict[int, List[int]] = {}
-        for position, (features, _) in enumerate(pieces):
-            groups.setdefault(id(features), []).append(position)
-        layout = tuple(tuple(group) for group in groups.values())
         widths = tuple(features.shape[-1] for features, _ in pieces)
         if sum(widths) != self.input_size:
             raise ValueError(
                 f"pieces have {sum(widths)} features in total, expected {self.input_size}"
             )
-        dtype = active_dtype()
-        weights, bias = self._folded_weights(dtype, layout, widths)
 
         first = self.mlp.layers[0]
-        width = first.output_size + (self.output_size if self.projection is not None else 0)
-        total = None
-        row_sums = row_squares = 0.0
-        for group, weight in zip(layout, weights):
-            source = raw(pieces[group[0]][0])
-            product = source @ weight
-            if self.layer_norm is not None:
-                sums = source.sum(axis=-1, dtype=np.float64)
-                squares = np.einsum("ij,ij->i", source, source, dtype=np.float64)
-            for slot, position in enumerate(group):
-                index = pieces[position][1]
-                columns = slice(slot * width, (slot + 1) * width)
-                # Column slots are disjoint, so accumulating into the first
-                # slot's view never touches a slot read later.
-                part = product[:, columns] if index is None else product[index, columns]
-                if total is None:
-                    total = part
-                else:
-                    total += part
-                if self.layer_norm is not None:
-                    row_sums += sums if index is None else sums[index]
-                    row_squares += squares if index is None else squares[index]
-
-        hidden = total[:, : first.output_size]
-        if self.layer_norm is not None:
-            mean = row_sums / self.input_size
-            variance = np.maximum(row_squares / self.input_size - mean * mean, 0.0)
-            scale = (variance + self.layer_norm.epsilon_for(dtype)) ** -0.5
-            hidden *= scale.astype(dtype, copy=False)[:, None]
-        if bias is not None:
-            hidden += bias
-        outputs = _activate(hidden, first.activation)
+        layer_norm, projection = self.layer_norm, self.projection
+        fast = fast_path_active()
+        if fast:
+            dtype = active_dtype()
+            layout = _group_pieces(pieces)
+            weights, bias = self._folded_weights(dtype, layout, widths)
+            update, _, _ = _transform_then_gather(
+                [raw(pieces[group[0]][0]) for group in layout],
+                [index for _, index in pieces],
+                layout,
+                weights,
+                bias,
+                first.output_size,
+                None if layer_norm is None else layer_norm.epsilon_for(dtype),
+            )
+            _activate(update[:, : first.output_size], first.activation)
+        else:
+            gain, offset, epsilon = (
+                (None, None, 0.0)
+                if layer_norm is None
+                else (layer_norm.gain, layer_norm.offset, layer_norm.epsilon)
+            )
+            update = fused_piece_update(
+                pieces,
+                first.weight,
+                first.bias,
+                gain,
+                offset,
+                None if projection is None else projection.weight,
+                first.activation,
+                epsilon,
+            )
+        outputs = update[:, : first.output_size]
         for layer in self.mlp.layers[1:]:
             outputs = layer(outputs)
-        if self.projection is not None:
-            outputs += total[:, first.output_size :]
+        if projection is not None:
+            residual = update[:, first.output_size :]
+            if fast:
+                outputs += residual
+            else:
+                outputs = outputs + residual
         return outputs
 
-    def _folded_weights(
-        self, dtype: np.dtype, layout: Tuple[Tuple[int, ...], ...], widths: Tuple[int, ...]
-    ) -> tuple:
+    def _folded_weights(self, dtype: np.dtype, layout: Layout, widths: Tuple[int, ...]) -> tuple:
         """``(per-group weights, b')`` of the no-grad :meth:`forward_pieces`.
 
-        Group ``j`` of ``layout`` gets ``[W''_k | P_k]`` for each of its
-        pieces ``k``, side by side (``W`` itself without LayerNorm, no ``P``
-        without a projection); ``b'`` is ``None`` when there is nothing to
-        add.  Derived in float64 from the master weights, cast to ``dtype``,
-        and cached until an optimizer step, ``load_state_dict`` or
-        ``bump_version`` changes one of the five parameters involved.
+        :func:`repro.nn.fused._fold_piece_weights` of the master weights
+        (float64), cast to ``dtype`` and cached until an optimizer step,
+        ``load_state_dict`` or ``bump_version`` changes one of the five
+        parameters involved.
         """
         first = self.mlp.layers[0]
         layer_norm, projection = self.layer_norm, self.projection
@@ -413,26 +408,13 @@ class ResidualMLP(Module):
         if cached is not None and cached[0] == versions:
             return cached[1]
 
-        weight = first.weight.data
-        bias = None if first.bias is None else first.bias.data
-        if layer_norm is not None:
-            offset_bias = layer_norm.offset.data @ weight
-            bias = offset_bias if bias is None else offset_bias + bias
-            weight = layer_norm.gain.data[:, None] * weight
-            weight -= weight.sum(axis=0) / self.input_size
-        starts = np.cumsum((0,) + widths)
-
-        def columns(position: int) -> List[np.ndarray]:
-            rows = slice(starts[position], starts[position + 1])
-            if projection is None:
-                return [weight[rows]]
-            return [weight[rows], projection.weight.data[rows]]
-
-        weights = tuple(
-            np.concatenate([block for k in group for block in columns(k)], axis=1).astype(dtype)
-            for group in layout
+        weights, bias = _fold_piece_weights(
+            *(None if p is None else p.data for p in parameters), widths, layout
         )
-        folded = (weights, None if bias is None else bias.astype(dtype))
+        folded = (
+            tuple(weight.astype(dtype) for weight in weights),
+            None if bias is None else bias.astype(dtype),
+        )
         self._folded.entries[key] = (versions, folded)
         return folded
 

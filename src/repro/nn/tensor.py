@@ -75,9 +75,9 @@ The tape's scatters are vectorized too:
 * a :func:`scatter_rows` primitive whose backward is an O(N) gather
   re-packs the Ithemal model's instruction embeddings;
 * every scatter-add (embedding / :meth:`Tensor.gather_rows` /
-  :meth:`Tensor.segment_sum` / integer-array ``__getitem__``) runs on
-  flattened ``np.bincount`` rather than ``np.add.at`` (roughly an order of
-  magnitude faster for 2-D feature matrices), and basic-index slices
+  :meth:`Tensor.segment_sum` / integer-array ``__getitem__``) runs as a
+  ``scipy.sparse`` product for 2-D feature matrices and on ``np.bincount``
+  for vectors, rather than on ``np.add.at``, and basic-index slices
   accumulate in place into the parent's gradient region;
 * gradients accumulate into preallocated per-tensor buffers (reused across
   steps for long-lived tensors such as :class:`repro.nn.module.Parameter`),
@@ -91,6 +91,7 @@ import threading
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "Tensor",
@@ -259,23 +260,26 @@ def _unbroadcast(gradient: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 def _row_scatter_add(target: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``target[indices] += values`` with duplicate indices summed, in O(N).
 
-    The 1-D/2-D cases run on flattened ``np.bincount`` (a single C loop over
-    the value buffer) instead of ``np.add.at``, whose generalised-ufunc
-    fallback is roughly an order of magnitude slower for the row-shaped
-    scatters the training backwards perform.  Higher-rank values, which
-    bincount cannot express, fall back to ``np.add.at``; no training hot
-    path produces them.
+    Rows of a 2-D ``values`` are summed by a sparse product ``S @ values``
+    (``S[indices[r], r] = 1``), about ten times faster than a flattened
+    ``np.bincount`` at the sizes the training backwards scatter, and
+    bit-identical to it: both add each target row's values in index order,
+    starting from zero.  1-D values run on ``np.bincount``; higher-rank
+    values fall back to ``np.add.at`` (no training hot path produces them).
     """
     if indices.size and int(indices.min()) < 0:
-        # bincount rejects negative ids; wrap them exactly like numpy
+        # bincount and scipy reject negative ids; wrap them exactly like numpy
         # indexing does (any index the forward accepted is in [-n, n)).
         indices = indices % target.shape[0]
     if values.ndim == 2 and target.ndim == 2:
-        num_rows, num_features = target.shape
-        flat_ids = indices[:, None] * num_features + np.arange(num_features, dtype=np.int64)
-        target += np.bincount(
-            flat_ids.ravel(), weights=values.ravel(), minlength=num_rows * num_features
-        ).reshape(num_rows, num_features)
+        # S @ values with S[indices[r], r] = 1: a CSC matrix with one entry
+        # per column, built without sorting.
+        count = indices.shape[0]
+        spread = scipy.sparse.csc_matrix(
+            (np.ones(count, dtype=np.float64), indices, np.arange(count + 1, dtype=np.int64)),
+            shape=(target.shape[0], count),
+        )
+        target += spread @ values
     elif values.ndim == 1 and target.ndim == 1:
         target += np.bincount(indices, weights=values, minlength=target.shape[0])
     else:
@@ -736,7 +740,7 @@ class Tensor:
         def backward(gradient: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            # O(N) bincount scatter-add into the (reused) grad buffer.
+            # O(N) scatter-add into the (reused) grad buffer.
             rows = np.asarray(gradient).reshape((-1,) + self.data.shape[1:])
             _row_scatter_add(self._ensure_grad(), indices.reshape(-1), rows)
 
@@ -767,8 +771,7 @@ class Tensor:
 
         This is the aggregation primitive of the graph network: edge features
         are summed per receiving node, node features are summed per graph.
-        The forward runs on flattened ``np.bincount`` (see
-        :func:`_row_scatter_add`).
+        The forward runs on :func:`_row_scatter_add`.
         """
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
         output_shape = (num_segments,) + self.data.shape[1:]

@@ -14,9 +14,11 @@ from repro.gnn.blocks import (
     GraphTopology,
     NodeBlock,
 )
+from repro.models import TrainingConfig, create_model
 from repro.nn.layers import ResidualMLP
 from repro.nn.tensor import Tensor, compute_dtype, concatenate, gather_rows, no_grad
 from repro.testing.equivalence import relative_errors
+from repro.training.trainer import Trainer
 
 
 def make_two_triangle_batch(rng, node_size=6, edge_size=5, global_size=4):
@@ -170,8 +172,8 @@ class TestMessagePassing:
 
 
 # ---------------------------------------------------------------------- #
-# Equivalence matrix: the no-grad path (ResidualMLP.forward_pieces, which
-# never builds the concatenated update input) against the tape path.
+# Equivalence matrix: ResidualMLP.forward_pieces, which never builds the
+# concatenated update input on either path, against that concatenation.
 # ---------------------------------------------------------------------- #
 EDGE, NODE, GLOBAL = 5, 6, 4
 DTYPES = ("float64", "float32")
@@ -218,6 +220,11 @@ def assert_matches_tape(fast, tape, dtype):
         assert relative_errors(tape, fast).max() <= 1e-3
 
 
+def concatenated_update(network, pieces):
+    """The definition of ``ResidualMLP.forward_pieces``, run literally."""
+    return network(concatenate([f if i is None else gather_rows(f, i) for f, i in pieces]))
+
+
 def no_grad_run(dtype, function, *args):
     with no_grad(), compute_dtype(dtype):
         return function(*args)
@@ -256,16 +263,33 @@ class TestForwardPiecesEquivalence:
         tape = network(concatenate([Tensor(nodes[index]), Tensor(nodes[index[::-1]])])).data
         assert_matches_tape(no_grad_run(dtype, network.forward_pieces, pieces), tape, dtype)
 
-    def test_tape_path_is_the_gather_concatenate_forward(self, rng):
-        network = ResidualMLP(2 * NODE, [8], 3, rng)
+    @pytest.mark.parametrize("use_layer_norm,use_residual", NORM_RESIDUAL)
+    def test_tape_path_is_the_gather_concatenate_forward(
+        self, use_layer_norm, use_residual, rng
+    ):
+        network = ResidualMLP(
+            2 * NODE + GLOBAL, [8], 3, rng,
+            use_layer_norm=use_layer_norm, use_residual=use_residual,
+        )
+        randomize_layer_norms(network, rng)
         nodes = Tensor(rng.normal(size=(3, NODE)), requires_grad=True)
-        index = np.array([2, 0, 2])
-        output = network.forward_pieces([(nodes, index), (nodes, None)])
-        expected = network(concatenate([gather_rows(nodes, index), nodes]))
-        assert isinstance(output, Tensor)
-        np.testing.assert_array_equal(output.data, expected.data)
-        output.sum().backward()
-        assert nodes.grad is not None and np.abs(nodes.grad).sum() > 0
+        globals_ = Tensor(rng.normal(size=(2, GLOBAL)), requires_grad=True)
+        pieces = [(nodes, np.array([2, 0, 2])), (nodes, None), (globals_, np.array([1, 1, 0]))]
+        projection = Tensor(rng.normal(size=(3, 3)))
+        tensors = dict(network.named_parameters(), nodes=nodes, globals_=globals_)
+
+        def run(update):
+            for tensor in tensors.values():
+                tensor.zero_grad()
+            output = update(network, pieces)
+            (output * projection).sum().backward()
+            return output.data, {name: tensor.grad.copy() for name, tensor in tensors.items()}
+
+        output, gradients = run(ResidualMLP.forward_pieces)
+        expected, expected_gradients = run(concatenated_update)
+        np.testing.assert_allclose(output, expected, rtol=1e-9)
+        for name, gradient in expected_gradients.items():
+            np.testing.assert_allclose(gradients[name], gradient, rtol=1e-9, err_msg=name)
 
     def test_rejects_pieces_of_the_wrong_total_width(self, rng):
         network = ResidualMLP(2 * NODE, [8], 3, rng)
@@ -278,7 +302,8 @@ class TestForwardPiecesEquivalence:
     @pytest.mark.parametrize("aggregate_sent_edges", [True, False])
     @pytest.mark.parametrize("use_layer_norm,use_residual", NORM_RESIDUAL)
     def test_node_block_matches_tape(
-        self, use_layer_norm, use_residual, aggregate_sent_edges, aggregation, dtype
+        self, use_layer_norm, use_residual, aggregate_sent_edges, aggregation, dtype,
+        monkeypatch,
     ):
         rng = np.random.default_rng(4)
         for kind in ("one_graph", "zero_edges"):
@@ -290,7 +315,9 @@ class TestForwardPiecesEquivalence:
             )
             randomize_layer_norms(block, rng)
             tape_state = GraphState(*map(Tensor, (state.nodes, state.edges, state.globals_)))
-            tape = block(tape_state, topology, Tensor(state.edges)).data
+            with monkeypatch.context() as patch:
+                patch.setattr(ResidualMLP, "forward_pieces", concatenated_update)
+                tape = block(tape_state, topology, Tensor(state.edges)).data
             fast = no_grad_run(dtype, block, state, topology, state.edges)
             assert_matches_tape(fast, tape, dtype)
 
@@ -301,7 +328,8 @@ class TestForwardPiecesEquivalence:
     )
     @pytest.mark.parametrize("use_layer_norm,use_residual", NORM_RESIDUAL)
     def test_graph_network_matches_tape(
-        self, use_layer_norm, use_residual, share_weights, aggregation, kind, dtype
+        self, use_layer_norm, use_residual, share_weights, aggregation, kind, dtype,
+        monkeypatch,
     ):
         rng = np.random.default_rng(5)
         state, topology = make_batch(kind, rng)
@@ -312,7 +340,56 @@ class TestForwardPiecesEquivalence:
         )
         randomize_layer_norms(network, rng)
         tape_state = GraphState(*map(Tensor, (state.nodes, state.edges, state.globals_)))
-        tape = network(tape_state, topology)
+        with monkeypatch.context() as patch:
+            patch.setattr(ResidualMLP, "forward_pieces", concatenated_update)
+            tape = network(tape_state, topology)
         fast = no_grad_run(dtype, network, state, topology)
         for name in ("nodes", "edges", "globals_"):
             assert_matches_tape(getattr(fast, name), getattr(tape, name).data, dtype)
+
+
+class TestGraniteTape:
+    """A small multi-task GRANITE model trained through ``forward_pieces``."""
+
+    def test_train_step_matches_the_concatenation(self, tiny_dataset, monkeypatch):
+        def train_step():
+            model = create_model("granite", small=True, seed=3)
+            trainer = Trainer(model, TrainingConfig(batch_size=20, seed=3))
+            gradients = {}
+            # Snapshot the gradients the update would apply, then skip it.
+            trainer.optimizer.step = lambda: gradients.update(
+                (name, p.grad.copy()) for name, p in model.named_parameters()
+            )
+            return trainer.train_step(tiny_dataset, 0).loss, gradients
+
+        loss, gradients = train_step()
+        with monkeypatch.context() as patch:
+            patch.setattr(ResidualMLP, "forward_pieces", concatenated_update)
+            expected_loss, expected_gradients = train_step()
+        assert len(expected_gradients) > 40 and gradients.keys() == expected_gradients.keys()
+        np.testing.assert_allclose(loss, expected_loss, rtol=1e-9)
+        for name, gradient in expected_gradients.items():
+            np.testing.assert_allclose(gradients[name], gradient, rtol=1e-9, err_msg=name)
+
+    def test_tape_never_holds_the_wide_edge_input(self, tiny_dataset):
+        model = create_model("granite", small=True, seed=3)
+        batch = model.encode_blocks(tiny_dataset.blocks()[:20])
+        predictions = model.forward(batch)
+        loss = sum(prediction.sum() for prediction in predictions.values())
+        config = model.config
+        wide = (
+            batch.graphs.num_edges,
+            config.edge_embedding_size + 2 * config.node_embedding_size
+            + config.global_embedding_size,
+        )
+
+        visited, shapes, stack = set(), [], [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in visited:
+                visited.add(id(node))
+                shapes.append(node.data.shape)
+                stack.extend(node._parents)
+        # The walk crossed the edge updates down to the edge embeddings.
+        assert id(model.edge_embedding.table) in visited
+        assert wide not in shapes

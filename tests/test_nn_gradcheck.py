@@ -1,19 +1,25 @@
 """Numeric gradient checks for the training fast path (repro.testing.gradcheck).
 
 Every fused op of ``repro.nn.fused``, the ``scatter_rows`` primitive, the
-bincount scatter/segment backwards, every elementwise and shape tape op and
+scatter-add/segment backwards, every elementwise and shape tape op and
 the layers built on them are verified against central-difference gradients.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.fused import fused_dense, fused_layer_norm, fused_lstm_step
+from repro.nn.fused import (
+    fused_dense,
+    fused_layer_norm,
+    fused_lstm_step,
+    fused_piece_update,
+)
 from repro.nn.layers import Dense, LayerNorm
 from repro.nn.lstm import LSTM, LSTMCell
 from repro.nn.tensor import (
     Tensor,
     concatenate,
+    gather_rows,
     no_grad,
     scatter_rows,
     stack,
@@ -136,6 +142,107 @@ class TestFusedLSTMStep:
         )
 
 
+class TestFusedPieceUpdate:
+    """An edge update's pieces: the un-indexed edges, sender and receiver
+    rows of one node source, and per-graph globals with repeated indices."""
+
+    EDGE, NODE, GLOBAL, HIDDEN, OUTPUT = 3, 4, 2, 5, 3
+    TOPOLOGY = (np.array([0, 0, 1, 2, 3]), np.array([1, 2, 3, 3, 0]), np.array([0, 0, 0, 1, 1]))
+    NO_EDGES = (np.zeros(0, dtype=np.int64),) * 3
+
+    def _operands(self, rng, num_edges=5, layer_norm=True, projection=True):
+        input_size = self.EDGE + 2 * self.NODE + self.GLOBAL
+        operands = {
+            "edges": _tensor(rng, (num_edges, self.EDGE)),
+            "nodes": _tensor(rng, (4, self.NODE)),
+            "globals": _tensor(rng, (2, self.GLOBAL)),
+            "weight": _tensor(rng, (input_size, self.HIDDEN), scale=0.5),
+            "bias": _tensor(rng, (self.HIDDEN,), scale=0.5),
+        }
+        if layer_norm:
+            gain = np.ones(input_size) + 0.3 * rng.normal(size=input_size)
+            operands["gain"] = Tensor(gain, requires_grad=True)
+            operands["offset"] = _tensor(rng, (input_size,))
+        if projection:
+            operands["projection"] = _tensor(rng, (input_size, self.OUTPUT), scale=0.5)
+        return operands
+
+    def _pieces(self, operands, topology):
+        senders, receivers, graph_ids = topology
+        nodes = operands["nodes"]
+        return [
+            (operands["edges"], None),
+            (nodes, senders),
+            (nodes, receivers),
+            (operands["globals"], graph_ids),
+        ]
+
+    def _update(self, operands, topology=TOPOLOGY, activation="relu"):
+        return fused_piece_update(
+            self._pieces(operands, topology),
+            operands["weight"],
+            operands["bias"],
+            operands.get("gain"),
+            operands.get("offset"),
+            operands.get("projection"),
+            activation,
+        )
+
+    @pytest.mark.parametrize("layer_norm", [True, False])
+    @pytest.mark.parametrize("projection", [True, False])
+    def test_against_numeric(self, rng, layer_norm, projection):
+        operands = self._operands(rng, layer_norm=layer_norm, projection=projection)
+        gradcheck(lambda: self._update(operands), operands, atol=1e-5)
+
+    @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid"])
+    def test_other_activations_against_numeric(self, rng, activation):
+        operands = self._operands(rng)
+        gradcheck(lambda: self._update(operands, activation=activation), operands, atol=1e-5)
+
+    def test_source_without_gradient(self, rng):
+        operands = self._operands(rng)
+        nodes = operands.pop("nodes")
+        operands["nodes"] = Tensor(nodes.data)
+        checked = {name: t for name, t in operands.items() if name != "nodes"}
+        gradcheck(lambda: self._update(operands), checked, atol=1e-5)
+        assert operands["nodes"].grad is None
+
+    def test_zero_edges(self, rng):
+        operands = self._operands(rng, num_edges=0)
+        output = self._update(operands, self.NO_EDGES)
+        assert output.shape == (0, self.HIDDEN + self.OUTPUT)
+        gradcheck(lambda: self._update(operands, self.NO_EDGES), operands)
+        for name in ("nodes", "globals", "weight", "gain", "projection"):
+            np.testing.assert_array_equal(operands[name].grad, 0.0)
+
+    @pytest.mark.parametrize("layer_norm", [True, False])
+    @pytest.mark.parametrize("projection", [True, False])
+    def test_forward_is_the_concatenated_definition(self, rng, layer_norm, projection):
+        operands = self._operands(rng, layer_norm=layer_norm, projection=projection)
+        pieces = self._pieces(operands, self.TOPOLOGY)
+        inputs = concatenate([f if i is None else gather_rows(f, i) for f, i in pieces])
+        normalized = (
+            fused_layer_norm(inputs, operands["gain"], operands["offset"])
+            if layer_norm
+            else inputs
+        )
+        expected = fused_dense(normalized, operands["weight"], operands["bias"], "relu").data
+        if projection:
+            expected = np.concatenate([expected, inputs.data @ operands["projection"].data], 1)
+        np.testing.assert_allclose(self._update(operands).data, expected, rtol=1e-12, atol=1e-13)
+
+    def test_rejects_bad_arguments(self, rng):
+        operands = self._operands(rng)
+        with pytest.raises(ValueError, match="activation"):
+            self._update(operands, activation="gelu")
+        with pytest.raises(ValueError, match="features"):
+            fused_piece_update([(operands["nodes"], None)], operands["weight"])
+        with pytest.raises(ValueError, match="gain and offset"):
+            fused_piece_update(
+                self._pieces(operands, self.TOPOLOGY), operands["weight"], gain=operands["gain"]
+            )
+
+
 class TestLSTMLayer:
     @pytest.mark.parametrize("need_outputs", [False, True])
     def test_against_numeric_with_lengths(self, rng, need_outputs):
@@ -227,13 +334,17 @@ class TestSegmentBackwards:
         segment_ids = np.array([1, 1, 0, 2, 2])
         gradcheck(lambda: values.segment_mean(segment_ids, 3), {"values": values})
 
-    def test_segment_sum_forward_matches_add_at(self, rng):
-        values = rng.normal(size=(64, 7))
-        segment_ids = rng.integers(0, 9, size=64)
+    @pytest.mark.parametrize("num_values", [0, 64])
+    def test_segment_sum_forward_matches_add_at(self, rng, num_values):
+        # Rows of mixed magnitudes, so any change of summation order shows;
+        # negative ids wrap like numpy indexing.
+        scales = 10.0 ** rng.integers(-8, 8, size=(num_values, 1))
+        values = rng.normal(size=(num_values, 7)) * scales
+        segment_ids = rng.integers(-9, 9, size=num_values)
         expected = np.zeros((9, 7))
         np.add.at(expected, segment_ids, values)
         summed = Tensor(values).segment_sum(segment_ids, 9).data
-        np.testing.assert_allclose(summed, expected, rtol=1e-15, atol=1e-15)
+        np.testing.assert_array_equal(summed, expected)
 
 
 class TestElementwiseTapeOps:
