@@ -117,8 +117,6 @@ from repro.serve.auth import ANONYMOUS, Tenant, TenantDirectory
 from repro.serve.batching import (
     MicroBatch,
     coalesce_requests,
-    coalesce_requests_by_ring,
-    coalesce_requests_by_router,
     shard_key,
 )
 from repro.serve.config import AsyncOptions, ServiceConfig
@@ -156,7 +154,6 @@ from repro.serve.registry import (
 )
 from repro.serve.resilience import (
     BreakerPolicy,
-    BreakerRing,
     CircuitBreaker,
     RespawnGovernor,
     RespawnPolicy,
@@ -214,8 +211,6 @@ __all__ = [
     "PredictionRequest",
     "PredictionResponse",
     "coalesce_requests",
-    "coalesce_requests_by_ring",
-    "coalesce_requests_by_router",
     "shard_key",
     # Services and configuration.
     "PredictionService",
@@ -254,7 +249,6 @@ __all__ = [
     "run_with_retries",
     "BreakerPolicy",
     "CircuitBreaker",
-    "BreakerRing",
     "RespawnPolicy",
     "RespawnGovernor",
     "StalePredictionCache",

@@ -15,11 +15,11 @@ loops elsewhere in the package):
   Failures (crashes, job timeouts, corrupted replies) trip a worker open;
   after ``reset_timeout_s`` the breaker admits exactly ``probe_quota``
   probes (half-open); probe successes close it again.  The breaker never
-  sleeps — callers consult :meth:`CircuitBreaker.allow` at routing time.
-- :class:`BreakerRing` — a :class:`~repro.serve.ring.HashRing` adapter that
-  routes around tripped workers: the owner of a key is the first clockwise
-  replica whose breaker admits traffic, falling back to the true owner when
-  everything is open (so the pool still heals via respawn).
+  sleeps — the service's :class:`~repro.serve.ring.HotKeyRouter` passes
+  :meth:`CircuitBreaker.allow` to the hash ring as its admit predicate, so
+  a key's owner is the first clockwise worker whose breaker admits traffic
+  (the true owner when everything is open, so the pool still heals via
+  respawn).
 - :class:`RespawnGovernor` — bounds worker respawns per sliding window with
   exponential backoff, so a crash storm cannot spin the pool through an
   endless fork/build/crash cycle.
@@ -52,7 +52,6 @@ __all__ = [
     "run_with_retries",
     "BreakerPolicy",
     "CircuitBreaker",
-    "BreakerRing",
     "RespawnPolicy",
     "RespawnGovernor",
     "StalePredictionCache",
@@ -361,45 +360,6 @@ class CircuitBreaker:
         """Trip / probe / recovery tallies."""
         with self._lock:
             return {"trips": self.trips, "probes": self.probes, "recoveries": self.recoveries}
-
-
-class BreakerRing:
-    """Hash-ring adapter that routes around workers with open breakers.
-
-    Wraps a :class:`~repro.serve.ring.HashRing` (or anything with its
-    ``owner`` / ``owners`` / ``__len__`` surface): the owner of a key
-    becomes the first clockwise replica the breaker admits.  When every
-    replica is refused the true owner is returned — traffic must land
-    somewhere, and the pool's respawn path heals it.
-    """
-
-    def __init__(self, ring, breaker: CircuitBreaker) -> None:
-        self._ring = ring
-        self._breaker = breaker
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def nodes(self):
-        return self._ring.nodes
-
-    def owner(self, key: int) -> int:
-        candidates = self._ring.owners(key, count=len(self._ring))
-        for node in candidates:
-            if self._breaker.allow(node):
-                return node
-        return candidates[0]
-
-    def owners(self, key: int, count: int) -> List[int]:
-        candidates = self._ring.owners(key, count=len(self._ring))
-        allowed = [node for node in candidates if self._breaker.allow(node)]
-        if not allowed:
-            return self._ring.owners(key, count=count)
-        return allowed[: max(1, count)]
-
-    def shares(self):
-        return self._ring.shares()
 
 
 # ---------------------------------------------------------------------------

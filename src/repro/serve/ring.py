@@ -38,14 +38,30 @@ prediction cache warms the key independently and the per-key round-robin
 spreads the load.  Cold keys keep the pure single-owner routing (perfect
 cache affinity), and replica sets move under resizes exactly like single
 owners do: ~1/N of the key space, no more.
+
+Routing around sick workers
+---------------------------
+
+:meth:`HashRing.owner` and :meth:`HashRing.owners` take an optional
+*admit predicate* (the pool's ``CircuitBreaker.allow``): the walk goes
+clockwise from the key and returns the first worker(s) the predicate
+accepts, falling back to the plain topological owner when it accepts
+none.  The predicate is called lazily and the walk stops at the first
+acceptance, because an acceptance can be consumed — a half-open breaker
+admits exactly one probe — and must be followed by a block routed to
+that worker.  :class:`HotKeyRouter` is the one place the serving stack
+makes this decision.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import zlib
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+
+from repro.serve.batching import shard_key
 
 __all__ = [
     "HashRing",
@@ -66,6 +82,11 @@ DEFAULT_VNODES = 1024
 
 #: Size of the ring's key space (CRC32 is 32-bit).
 RING_SPACE = 1 << 32
+
+#: A routing predicate: True when the worker may take a block right now.
+#: A True answer may be consumed (a half-open breaker's probe), so it must
+#: be followed by a block routed to that worker.
+Admit = Callable[[int], bool]
 
 
 def _vnode_point(node: int, replica: int) -> int:
@@ -141,8 +162,14 @@ class HashRing:
     # ------------------------------------------------------------------ #
     # Lookup.
     # ------------------------------------------------------------------ #
-    def owner(self, key: int) -> int:
-        """The worker id owning ``key`` (any int; taken modulo the ring)."""
+    def owner(self, key: int, admit: Optional[Admit] = None) -> int:
+        """The worker id owning ``key`` (any int; taken modulo the ring).
+
+        With ``admit``, the first worker clockwise from ``key`` that the
+        predicate accepts (see :meth:`owners`).
+        """
+        if admit is not None:
+            return self.owners(key, 1, admit)[0]
         if not self._points:
             raise LookupError("the ring has no nodes")
         index = bisect.bisect_left(self._points, int(key) % RING_SPACE)
@@ -150,7 +177,9 @@ class HashRing:
             index = 0  # wrap: keys past the last point belong to the first
         return self._owners[index]
 
-    def owners(self, key: int, count: int = 1) -> List[int]:
+    def owners(
+        self, key: int, count: int = 1, admit: Optional[Admit] = None
+    ) -> List[int]:
         """The first ``count`` *distinct* workers clockwise from ``key``.
 
         ``owners(key, 1) == [owner(key)]`` by construction, and growing
@@ -163,27 +192,46 @@ class HashRing:
 
         ``count`` is clamped to the number of nodes on the ring (a
         two-worker pool cannot hold three replicas).
+
+        ``admit`` skips the workers it refuses.  It is called lazily, in
+        walk order, and the walk stops once ``count`` workers were
+        accepted, so a predicate with side effects (a half-open breaker
+        handing out its one probe) is consulted only for workers that are
+        returned or passed over.  When it accepts none, the plain
+        topological owners come back: traffic must land somewhere, and the
+        pool's respawn path heals it.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
         if not self._points:
             raise LookupError("the ring has no nodes")
-        count = min(count, len(self._nodes))
+        walk = self._walk(key)
+        if admit is None:
+            return list(itertools.islice(walk, count))
+        chosen: List[int] = []
+        for node in walk:
+            if admit(node):
+                chosen.append(node)
+                if len(chosen) == count:
+                    break
+        return chosen or self.owners(key, count)
+
+    def _walk(self, key: int) -> Iterator[int]:
+        """Yields every node once, clockwise from ``key``.
+
+        Bounded by one full lap (every node appears within one lap by
+        definition).
+        """
         index = bisect.bisect_left(self._points, int(key) % RING_SPACE)
         total = len(self._points)
-        owners: List[int] = []
         seen: set = set()
-        # Walk clockwise until `count` distinct owners surface; bounded by
-        # one full lap (every node appears within one lap by definition).
         for step in range(total):
-            position = (index + step) % total
-            node = self._owners[position]
+            node = self._owners[(index + step) % total]
             if node not in seen:
                 seen.add(node)
-                owners.append(node)
-                if len(owners) == count:
-                    break
-        return owners
+                yield node
+                if len(seen) == len(self._nodes):
+                    return
 
     def shares(self) -> Dict[int, float]:
         """Fraction of the key space owned per worker (sums to 1.0)."""
@@ -284,14 +332,23 @@ class HotKeyTracker:
 
 
 class HotKeyRouter:
-    """Read-any routing of hot keys over their ring replica sets.
+    """The serving stack's one routing decision: block text -> worker id.
 
     Cold keys route exactly like the plain ring (``ring.owner``): one
     owner, perfect cache affinity.  Keys the tracker classifies hot route
     round-robin across their first ``replicas`` distinct ring successors,
     so the Zipf head's traffic spreads instead of serializing on one
     worker — each replica's prediction cache warms the key once and every
-    route after that is a cache hit wherever it lands.
+    route after that is a cache hit wherever it lands.  A single-replica
+    router neither observes keys nor replicates, so it costs no more than
+    ``ring.owner(shard_key(text))``.
+
+    ``admit`` (the pool's ``CircuitBreaker.allow`` when circuit breaking
+    is on) is asked only about the worker a route is about to pick: the
+    rotation's replica first, and when it refuses, the ring's admit walk
+    (:meth:`HashRing.owner`).  Every admission is therefore followed by a
+    block routed to the admitted worker, so a half-open worker never loses
+    its probe to a route that went elsewhere.
 
     The router reads the live ring on every route, so pool resizes need
     no notification: replica sets follow the ring's own movement bound.
@@ -304,11 +361,13 @@ class HotKeyRouter:
         replicas: int = 2,
         tracker: HotKeyTracker = None,
         hot_count: int = 8,
+        admit: Optional[Admit] = None,
     ) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         self.ring = ring
         self.replicas = int(replicas)
+        self.admit = admit
         # `tracker or ...` would discard an *empty* tracker (its __len__ is
         # 0, hence falsy) — an explicit None check is required.
         if tracker is None:
@@ -322,25 +381,30 @@ class HotKeyRouter:
 
     def route(self, key: int) -> int:
         """The worker ``key`` should go to right now (and counts the route)."""
+        if not self.ring:
+            raise ValueError("the ring has no workers to route to")
         self.total_routes += 1
         if self.replicas > 1 and key in self.tracker.hot_keys():
             owners = self.ring.owners(key, self.replicas)
             if len(owners) > 1:
                 cursor = self._cursors.get(key, 0)
                 self._cursors[key] = cursor + 1
-                self.replicated_routes += 1
                 if len(self._cursors) > 4 * self.tracker.hot_count:
                     hot = self.tracker.hot_keys()
                     self._cursors = {
                         k: v for k, v in self._cursors.items() if k in hot
                     }
-                return owners[cursor % len(owners)]
-        return self.ring.owner(key)
+                node = owners[cursor % len(owners)]
+                if self.admit is None or self.admit(node):
+                    self.replicated_routes += 1
+                    return node
+        return self.ring.owner(key, self.admit)
 
     def route_text(self, text: str) -> int:
         """Observes and routes one block text (the coalescer's owner_of)."""
-        key = zlib.crc32(text.encode("utf-8"))
-        self.tracker.observe(key)
+        key = shard_key(text)
+        if self.replicas > 1:
+            self.tracker.observe(key)
         return self.route(key)
 
     @property

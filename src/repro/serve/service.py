@@ -11,10 +11,12 @@
   kernels dense regardless of how clients slice their traffic.
 * **Worker sharding** — with ``num_workers > 0`` the work is sharded
   across a pool of addressable worker processes, each holding its own warm
-  model replica.  Every block is routed through a consistent hash ring
-  over a stable hash of its canonical text, so each worker's encode and
-  prediction caches own a fixed partition of the key space.  Crashed
-  workers are detected and respawned transparently.  With
+  model replica.  One :class:`~repro.serve.ring.HotKeyRouter` routes every
+  block through a consistent hash ring over a stable hash of its canonical
+  text, so each worker's encode and prediction caches own a fixed
+  partition of the key space; it spreads hot keys over replicas and, with
+  circuit breaking on, walks past workers whose breaker refuses traffic.
+  Crashed workers are detected and respawned transparently.  With
   ``num_workers = 0`` everything runs in-process, which is the right
   choice for unit tests and for callers that already manage their own
   parallelism.
@@ -36,13 +38,9 @@ import numpy as np
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.isa.basic_block import BasicBlock
 from repro.models.base import ThroughputModel
-from repro.serve.batching import (
-    coalesce_requests,
-    coalesce_requests_by_ring,
-    coalesce_requests_by_router,
-)
+from repro.serve.batching import coalesce_requests
 from repro.serve.config import ServiceConfig
-from repro.serve.resilience import BreakerRing, CircuitBreaker
+from repro.serve.resilience import CircuitBreaker
 from repro.serve.ring import HotKeyRouter
 from repro.serve.stats import CacheStats, ModelStats, WorkerStats
 from repro.serve.types import (
@@ -107,19 +105,15 @@ class PredictionService:
         self._pool: Optional[ShardedWorkerPool] = None
         self._autoscaler: Optional[PoolAutoscaler] = None
         # Per-worker circuit breaker (None unless the config enables one).
-        # Shared with the pool, which feeds outcomes in; routing consults
-        # it to walk past open workers.
+        # Shared with the pool, which feeds outcomes in; the router admits
+        # traffic through it to walk past open workers.
         self._breaker: Optional[CircuitBreaker] = (
             CircuitBreaker(self.config.breaker_policy)
-            if getattr(self.config, "breaker_policy", None) is not None
+            if self.config.breaker_policy is not None
             else None
         )
-        # Breaker-aware view of the pool's ring, built lazily with the
-        # pool (None when circuit breaking is off).
-        self._breaker_ring: Optional[BreakerRing] = None  # guarded-by: _submit_lock
-        # Hot-key replication router (hot_key_replicas > 1 only), built
-        # lazily with the pool.
-        self._hot_router: Optional[HotKeyRouter] = None  # guarded-by: _submit_lock
+        # Routes every block of a sharded submission; built with the pool.
+        self._router: Optional[HotKeyRouter] = None  # guarded-by: _submit_lock
         self._parse_cache: LRUCache = LRUCache(PARSE_CACHE_SIZE)
         # Serializes submissions: the model caches, stats, parse cache and
         # worker pipes are all single-submission state, so a service shared
@@ -158,12 +152,18 @@ class PredictionService:
         the pool is pinged, which blocks until every replica is built.
         """
         if self.config.num_workers > 0:
-            self._ensure_pool().ping()
+            with self._submit_lock:
+                pool = self._ensure_pool_locked()
+            pool.ping()
         else:
             _ = self.model
         return self
 
-    def _ensure_pool(self) -> ShardedWorkerPool:
+    def _ensure_pool_locked(self) -> ShardedWorkerPool:
+        """The worker pool and its router, built on first use.
+
+        Caller holds ``_submit_lock``.
+        """
         if self._closed:
             # Without this, any use after close() would silently respawn a
             # whole new worker pool that nothing ever shuts down again.
@@ -173,6 +173,12 @@ class PredictionService:
         if self._pool is None:
             self._validate_worker_config()
             self._pool = ShardedWorkerPool(self.config, breaker=self._breaker)
+            self._router = HotKeyRouter(
+                self._pool.ring,
+                replicas=self.config.hot_key_replicas,
+                hot_count=self.config.hot_key_count,
+                admit=self._breaker.allow if self._breaker is not None else None,
+            )
         return self._pool
 
     # ------------------------------------------------------------------ #
@@ -221,7 +227,7 @@ class PredictionService:
         if self.config.num_workers < 1:
             raise RuntimeError("an in-process service has no worker pool to scale")
         with self._submit_lock:
-            delta = self._ensure_pool().scale_to(count)
+            delta = self._ensure_pool_locked().scale_to(count)
             if delta:
                 self.stats.resizes += 1
             return delta
@@ -267,38 +273,6 @@ class PredictionService:
             self.scale_workers(target)
         return target
 
-    def _routing_ring_locked(self, pool: ShardedWorkerPool):
-        """The ring routing decisions should consult (breaker-aware if on).
-
-        With circuit breaking enabled the pool's live ring is wrapped in a
-        :class:`~repro.serve.resilience.BreakerRing`, so the owner of a key
-        becomes the first clockwise replica whose breaker admits traffic —
-        blocks route *around* tripped workers instead of piling onto them.
-        Caller holds ``_submit_lock``.
-        """
-        if self._breaker is None:
-            return pool.ring
-        if self._breaker_ring is None:
-            self._breaker_ring = BreakerRing(pool.ring, self._breaker)
-        return self._breaker_ring
-
-    def _hot_router_locked(self, pool: ShardedWorkerPool) -> Optional[HotKeyRouter]:
-        """The hot-key router, built on first use (``None`` when disabled).
-
-        The router wraps the pool's *live* ring (breaker-aware when circuit
-        breaking is on), so resizes need no re-wiring — replica sets follow
-        the ring.  Caller holds ``_submit_lock``.
-        """
-        if self.config.hot_key_replicas <= 1:
-            return None
-        if self._hot_router is None:
-            self._hot_router = HotKeyRouter(
-                self._routing_ring_locked(pool),
-                replicas=self.config.hot_key_replicas,
-                hot_count=self.config.hot_key_count,
-            )
-        return self._hot_router
-
     def worker_stats(self) -> List[WorkerStats]:
         """Typed per-worker cache/ring stats (empty for in-process services)."""
         if self.config.num_workers < 1 or self._pool is None:
@@ -320,7 +294,7 @@ class PredictionService:
             cache = CacheStats.from_model_stats(raw)
         with self._submit_lock:
             stats = self.stats
-            router = self._hot_router
+            router = self._router
             pool = self._pool
             breaker = self._breaker
             breaker_counts = (
@@ -497,25 +471,20 @@ class PredictionService:
         ):
             # No liveness pre-check needed: run_batches detects dead workers
             # on send/recv, respawns them and resubmits the lost work.
-            pool = self._ensure_pool()
-            router = self._hot_router_locked(pool)
-            if router is not None:
-                assignments = coalesce_requests_by_router(
-                    requests, self.config.max_batch_size, router
-                )
-            else:
-                assignments = coalesce_requests_by_ring(
-                    requests,
-                    self.config.max_batch_size,
-                    self._routing_ring_locked(pool),
-                )
+            pool = self._ensure_pool_locked()
+            assignments = coalesce_requests(
+                requests, self.config.max_batch_size, self._router.route_text
+            )
             batches = [batch for _, batch in assignments]
             batch_results = pool.run_batches(
                 [(worker, batch.block_texts) for worker, batch in assignments]
             )
             self.stats.respawns = pool.respawns
         else:
-            batches = coalesce_requests(requests, self.config.max_batch_size)
+            assignments = coalesce_requests(
+                requests, self.config.max_batch_size, lambda text: 0
+            )
+            batches = [batch for _, batch in assignments]
             model = self.model if batches else None
             batch_results = [
                 predict_texts(model, batch.block_texts, self._parse_cache)

@@ -20,6 +20,10 @@ def blocks():
     return BlockGenerator(GeneratorConfig(seed=9)).generate_blocks(24)
 
 
+def _one_owner(text):
+    return 0
+
+
 class TestCoalescing:
     def test_requests_merge_into_bounded_batches(self, blocks):
         requests = [
@@ -27,7 +31,9 @@ class TestCoalescing:
             PredictionRequest.of(blocks[10:12]),
             PredictionRequest.of(blocks[12:]),
         ]
-        batches = coalesce_requests(requests, max_batch_size=8)
+        assignments = coalesce_requests(requests, 8, _one_owner)
+        assert {owner for owner, _ in assignments} == {0}
+        batches = [batch for _, batch in assignments]
         assert all(batch.num_blocks <= 8 for batch in batches)
         assert sum(batch.num_blocks for batch in batches) == 24
         # Origins cover every (request, position) pair exactly once.
@@ -38,13 +44,39 @@ class TestCoalescing:
             for position in range(request.num_blocks)
         ]
 
+    def test_constant_owner_chunks_in_submission_order(self, blocks):
+        """One owner gives plain submission-order chunking: request order,
+        then block order, cut every ``max_batch_size`` blocks."""
+        requests = [
+            PredictionRequest.of(blocks[:3]),
+            PredictionRequest.of(blocks[3:17]),
+            PredictionRequest.of([]),
+            PredictionRequest.of(blocks[17:]),
+        ]
+        flat = [
+            (text, (index, position))
+            for index, request in enumerate(requests)
+            for position, text in enumerate(request.block_texts)
+        ]
+        expected = [
+            (
+                tuple(text for text, _ in flat[start : start + 5]),
+                tuple(origin for _, origin in flat[start : start + 5]),
+            )
+            for start in range(0, len(flat), 5)
+        ]
+        assignments = coalesce_requests(requests, 5, _one_owner)
+        assert [owner for owner, _ in assignments] == [0] * len(expected)
+        assert [
+            (batch.block_texts, batch.origins) for _, batch in assignments
+        ] == expected
+
     def test_empty_requests_contribute_nothing(self):
-        batches = coalesce_requests([PredictionRequest.of([])], max_batch_size=4)
-        assert batches == []
+        assert coalesce_requests([PredictionRequest.of([])], 4, _one_owner) == []
 
     def test_invalid_batch_size(self, blocks):
         with pytest.raises(ValueError):
-            coalesce_requests([PredictionRequest.of(blocks[:2])], max_batch_size=0)
+            coalesce_requests([PredictionRequest.of(blocks[:2])], 0, _one_owner)
 
     def test_request_accepts_text_and_blocks(self, blocks):
         request = PredictionRequest.of([blocks[0], blocks[1].render()])

@@ -198,6 +198,9 @@ class TestPublicImports:
             "AsyncServiceConfig",
             "SHARDING_MODES",
             "coalesce_requests_by_shard",
+            "BreakerRing",
+            "coalesce_requests_by_ring",
+            "coalesce_requests_by_router",
         ):
             assert removed not in names
             assert not hasattr(repro.serve, removed)

@@ -19,7 +19,6 @@ from repro.serve.resilience import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     BreakerPolicy,
-    BreakerRing,
     CircuitBreaker,
     RespawnGovernor,
     RespawnPolicy,
@@ -27,7 +26,6 @@ from repro.serve.resilience import (
     StalePredictionCache,
     run_with_retries,
 )
-from repro.serve.ring import HashRing
 from repro.serve.types import ServiceClosedError
 
 
@@ -286,37 +284,6 @@ class TestCircuitBreaker:
         assert breaker.state(0) == BREAKER_HALF_OPEN
         admitted = sum(1 for _ in range(quota + 5) if breaker.allow(0))
         assert admitted == quota
-
-
-class TestBreakerRing:
-    def test_routes_around_open_workers(self):
-        ring = HashRing(nodes=(0, 1, 2))
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1))
-        wrapped = BreakerRing(ring, breaker)
-        key = 123456
-        true_owner = ring.owner(key)
-        assert wrapped.owner(key) == true_owner
-        breaker.record_failure(true_owner)
-        rerouted = wrapped.owner(key)
-        assert rerouted != true_owner
-        assert rerouted in (0, 1, 2)
-
-    def test_all_open_falls_back_to_true_owner(self):
-        ring = HashRing(nodes=(0, 1, 2))
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1))
-        for node in (0, 1, 2):
-            breaker.record_failure(node)
-        wrapped = BreakerRing(ring, breaker)
-        key = 98765
-        assert wrapped.owner(key) == ring.owners(key, count=3)[0]
-
-    def test_duck_types_the_ring_surface(self):
-        ring = HashRing(nodes=(0, 1, 2))
-        wrapped = BreakerRing(ring, CircuitBreaker())
-        assert len(wrapped) == 3
-        assert set(wrapped.nodes) == {0, 1, 2}
-        assert wrapped.shares() == ring.shares()
-        assert wrapped.owners(5, count=2) == ring.owners(5, count=2)
 
 
 # ---------------------------------------------------------------------------

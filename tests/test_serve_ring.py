@@ -8,9 +8,34 @@ from repro.serve import (
     HotKeyRouter,
     HotKeyTracker,
     PredictionRequest,
-    coalesce_requests_by_ring,
+    coalesce_requests,
     shard_key,
 )
+from repro.serve.resilience import (
+    BREAKER_HALF_OPEN,
+    BreakerPolicy,
+    CircuitBreaker,
+)
+
+
+def _ring_owner(ring):
+    """The plain ring routing function the service's router reduces to."""
+    return HotKeyRouter(ring, replicas=1).route_text
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 1000.0
+
+    def __call__(self):
+        return self.now
+
+
+def _half_open(breaker, clock, worker):
+    """Trips ``worker`` open, then lets its reset timeout elapse."""
+    breaker.record_failure(worker)
+    clock.now += breaker.policy.reset_timeout_s + 0.5
+    assert breaker.state(worker) == BREAKER_HALF_OPEN
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +133,7 @@ class TestRingCoalescing:
             PredictionRequest.of(blocks[:25]),
             PredictionRequest.of(blocks[25:]),
         ]
-        assignments = coalesce_requests_by_ring(requests, 8, ring)
+        assignments = coalesce_requests(requests, 8, _ring_owner(ring))
         origins = [origin for _, batch in assignments for origin in batch.origins]
         assert sorted(origins) == [
             (index, position)
@@ -119,8 +144,8 @@ class TestRingCoalescing:
 
     def test_blocks_routed_by_ring_owner(self, blocks):
         ring = HashRing(nodes=range(4))
-        assignments = coalesce_requests_by_ring(
-            [PredictionRequest.of(blocks)], 8, ring
+        assignments = coalesce_requests(
+            [PredictionRequest.of(blocks)], 8, _ring_owner(ring)
         )
         for worker_id, batch in assignments:
             for text in batch.block_texts:
@@ -134,12 +159,12 @@ class TestRingCoalescing:
         request = [PredictionRequest.of(blocks)]
         before = {
             text: worker_id
-            for worker_id, batch in coalesce_requests_by_ring(request, 64, small)
+            for worker_id, batch in coalesce_requests(request, 64, _ring_owner(small))
             for text in batch.block_texts
         }
         after = {
             text: worker_id
-            for worker_id, batch in coalesce_requests_by_ring(request, 64, grown)
+            for worker_id, batch in coalesce_requests(request, 64, _ring_owner(grown))
             for text in batch.block_texts
         }
         assert set(before) == set(after)
@@ -149,9 +174,9 @@ class TestRingCoalescing:
     def test_invalid_arguments(self, blocks):
         request = PredictionRequest.of(blocks[:2])
         with pytest.raises(ValueError):
-            coalesce_requests_by_ring([request], 0, HashRing(nodes=(0,)))
+            coalesce_requests([request], 0, _ring_owner(HashRing(nodes=(0,))))
         with pytest.raises(ValueError):
-            coalesce_requests_by_ring([request], 4, HashRing())
+            coalesce_requests([request], 4, _ring_owner(HashRing()))
 
 
 class TestReplicaSets:
@@ -201,6 +226,56 @@ class TestReplicaSets:
             else:
                 # The survivor keeps its slot; one successor fills in.
                 assert set(old) - {4} <= set(new)
+
+    def test_admit_routes_around_refused_workers(self):
+        ring = HashRing(nodes=(0, 1, 2))
+        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1))
+        key = 123456
+        true_owner = ring.owner(key)
+        assert ring.owner(key, breaker.allow) == true_owner
+        breaker.record_failure(true_owner)
+        rerouted = ring.owner(key, breaker.allow)
+        assert rerouted != true_owner
+        assert rerouted == ring.owners(key, 2)[1]
+
+    def test_all_refused_falls_back_to_true_owner(self):
+        ring = HashRing(nodes=(0, 1, 2))
+        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1))
+        for node in (0, 1, 2):
+            breaker.record_failure(node)
+        key = 98765
+        assert ring.owner(key, breaker.allow) == ring.owner(key)
+        assert ring.owners(key, 2, breaker.allow) == ring.owners(key, 2)
+
+    def test_admit_not_called_past_first_accepted(self, keys):
+        ring = HashRing(nodes=range(4))
+        for key in keys[:50]:
+            walk = ring.owners(key, 4)
+            asked = []
+
+            def admit(node, refused=walk[0]):
+                asked.append(node)
+                return node != refused
+
+            assert ring.owner(key, admit) == walk[1]
+            assert asked == walk[:2]
+            asked.clear()
+            assert ring.owners(key, 2, admit) == walk[1:3]
+            assert asked == walk[:3]
+
+    def test_owner_walk_leaves_a_later_half_open_probe_unconsumed(self, keys):
+        """An admission is only asked of workers up to the one returned: a
+        half-open worker further along the walk keeps its single probe."""
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            BreakerPolicy(failure_threshold=1, reset_timeout_s=1.0), clock=clock
+        )
+        ring = HashRing(nodes=range(4))
+        _half_open(breaker, clock, 2)
+        key = next(key for key in keys if ring.owners(key, 4)[0] != 2)
+        assert ring.owners(key, 1, breaker.allow) == ring.owners(key, 1)
+        assert breaker.state(2) == BREAKER_HALF_OPEN
+        assert breaker.allow(2) is True
 
     def test_owners_validation(self):
         ring = HashRing(nodes=(0,))
@@ -325,6 +400,53 @@ class TestHotKeyRouter:
         ring.add_node(2)  # in-place mutation, no router rewiring
         allowed = set(ring.owners(hot, 2))
         assert {router.route(hot) for _ in range(8)} <= allowed
+
+    def test_single_replica_router_does_not_observe(self, keys):
+        router = HotKeyRouter(HashRing(nodes=range(3)), replicas=1)
+        for key in keys[:20]:
+            router.route_text(str(key))
+        assert len(router.tracker) == 0
+
+    def test_empty_ring_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            HotKeyRouter(HashRing(), replicas=1).route(7)
+
+    def test_refused_replica_falls_back_to_admit_walk(self):
+        ring = HashRing(nodes=range(3))
+        tracker = HotKeyTracker(hot_count=1, min_hits=4, refresh_interval=4)
+        hot = 4242
+        first, second = ring.owners(hot, 2)
+        router = HotKeyRouter(
+            ring, replicas=2, tracker=tracker, admit=lambda node: node != second
+        )
+        for _ in range(8):
+            tracker.observe(hot)
+        # The rotation alternates first/second; second is refused and the
+        # walk from the true owner lands on first instead.
+        assert [router.route(hot) for _ in range(6)] == [first] * 6
+        assert router.replicated_routes == 3
+
+    def test_hot_rotation_leaves_a_half_open_replica_probe_unconsumed(self, keys):
+        """The probe leak: a hot key whose rotation picks a closed replica
+        must not spend the probe of a half-open worker elsewhere on the
+        ring, or that worker gets no traffic and never records an outcome."""
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            BreakerPolicy(failure_threshold=1, reset_timeout_s=1.0), clock=clock
+        )
+        ring = HashRing(nodes=range(4))
+        _half_open(breaker, clock, 2)
+        tracker = HotKeyTracker(hot_count=1, min_hits=4, refresh_interval=4)
+        router = HotKeyRouter(ring, replicas=2, tracker=tracker, admit=breaker.allow)
+        hot = next(key for key in keys if 2 not in ring.owners(key, 3))
+        for _ in range(8):
+            tracker.observe(hot)
+        closed = ring.owners(hot, 2)
+        assert router.route(hot) == closed[0]
+        assert router.replicated_routes == 1
+        assert breaker.state(2) == BREAKER_HALF_OPEN
+        assert breaker.counters()["probes"] == 0
+        assert breaker.allow(2) is True
 
     def test_validation(self):
         with pytest.raises(ValueError):

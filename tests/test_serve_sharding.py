@@ -13,9 +13,10 @@ from repro.serve import (
     PredictionRequest,
     PredictionService,
     ServiceConfig,
-    coalesce_requests_by_ring,
+    coalesce_requests,
     shard_key,
 )
+from repro.serve.resilience import BreakerPolicy
 from repro.testing.equivalence import assert_allclose_for_dtype
 
 
@@ -38,13 +39,13 @@ class TestShardPartitioning:
     def test_same_block_always_same_shard(self, blocks):
         """Routing only depends on the text, not on request composition."""
         ring = HashRing(nodes=range(4))
-        solo = coalesce_requests_by_ring(
-            [PredictionRequest.of(blocks[:1])], max_batch_size=8, ring=ring
-        )
-        mixed = coalesce_requests_by_ring(
-            [PredictionRequest.of(list(reversed(blocks)))],
-            max_batch_size=8,
-            ring=ring,
+
+        def owner_of(text):
+            return ring.owner(shard_key(text))
+
+        solo = coalesce_requests([PredictionRequest.of(blocks[:1])], 8, owner_of)
+        mixed = coalesce_requests(
+            [PredictionRequest.of(list(reversed(blocks)))], 8, owner_of
         )
         target_text = blocks[0].canonical_text()
         solo_shard = solo[0][0]
@@ -85,6 +86,48 @@ class TestShardedWorkerPool:
         assert snapshot.hot_key_replicas == 2
         assert snapshot.hot_keys >= 1
         assert snapshot.replicated_routes > 0
+        for served in rounds:
+            for task in in_process.model.tasks:
+                _assert_served_close(in_process, served[task], expected[task])
+
+    @pytest.mark.parametrize("hot_key_replicas", [1, 2])
+    def test_blocks_route_around_a_tripped_worker(
+        self, blocks, monkeypatch, hot_key_replicas
+    ):
+        """With worker 0's breaker open, every block of every submission
+        goes to worker 1 — hot keys included — and answers as in-process."""
+        traffic = [blocks[0]] * 32 + list(blocks)
+        in_process = PredictionService(
+            ServiceConfig(model_name="granite", max_batch_size=5)
+        )
+        expected = in_process.predict_blocks(traffic)
+        config = ServiceConfig(
+            model_name="granite",
+            max_batch_size=5,
+            num_workers=2,
+            hot_key_replicas=hot_key_replicas,
+            breaker_policy=BreakerPolicy(failure_threshold=1, reset_timeout_s=3600.0),
+        )
+        with PredictionService(config) as sharded:
+            pool = sharded._pool
+            jobs = []
+            run_batches = pool.run_batches
+
+            def capture(batch_jobs):
+                jobs.extend(batch_jobs)
+                return run_batches(batch_jobs)
+
+            monkeypatch.setattr(pool, "run_batches", capture)
+            sharded._breaker.record_failure(0)
+            assert sharded._breaker.allow(0) is False
+            rounds = [sharded.predict_blocks(traffic) for _ in range(2)]
+            snapshot = sharded.snapshot()
+        assert snapshot.breaker_open_workers == 1
+        if hot_key_replicas > 1:
+            assert snapshot.hot_keys >= 1
+        routed = [text for _, texts in jobs for text in texts]
+        assert len(routed) == 2 * len(traffic)
+        assert {worker for worker, _ in jobs} == {1}
         for served in rounds:
             for task in in_process.model.tasks:
                 _assert_served_close(in_process, served[task], expected[task])
