@@ -344,6 +344,9 @@ def test_multi_producer_no_loss_within_deadline():
 IDLE_REQUESTS = 60
 IDLE_INTERARRIVAL_S = 0.030  # slower than the 25 ms deadline: idle-heavy
 SATURATED_REQUESTS = 200  # per repeat, submitted all at once
+#: Flush-deadline floor of each compared setup: "static" is the fixed
+#: deadline (floor at the ceiling), "adaptive" scales down to 1 ms idle.
+FLUSH_FLOORS_MS = {"static": DEADLINE_MS, "adaptive": 1.0}
 
 
 def _percentile(samples, quantile):
@@ -352,7 +355,7 @@ def _percentile(samples, quantile):
     return ordered[index]
 
 
-def _run_flush_policy(policy, idle_runs, saturated_runs, warm_texts):
+def _run_flush_setup(policy, idle_runs, saturated_runs, warm_texts):
     """One policy's measurement over the shared bursty workload.
 
     Returns ``(idle_p99s_s, idle_p50s_s, best_saturated_rate, snapshot)``
@@ -367,8 +370,7 @@ def _run_flush_policy(policy, idle_runs, saturated_runs, warm_texts):
         max_batch_size=64,
         async_options=AsyncOptions(
             max_latency_ms=DEADLINE_MS,
-            flush_policy=policy,
-            min_latency_ms=1.0,
+            min_latency_ms=FLUSH_FLOORS_MS[policy],
             max_queue_blocks=8192,
         ),
     )
@@ -455,7 +457,7 @@ def test_adaptive_flush_beats_static_on_bursty_traffic():
 
     results = {}
     for policy in ("static", "adaptive"):
-        results[policy] = _run_flush_policy(
+        results[policy] = _run_flush_setup(
             policy, idle_runs, saturated_runs, warm_texts
         )
 

@@ -50,12 +50,12 @@ predictions to the float64 path within an explicit tolerance/MAPE budget.
 Load-adaptive serving
 ---------------------
 
-``--flush-policy adaptive`` replaces the fixed flush deadline with the
-load-adaptive controller: when the queue is idle a lone request flushes
-after ~``min_latency_ms`` instead of sitting out the whole deadline, and
-under saturation the deadline stretches back to ``--max-latency-ms`` so
-flushes stay dense (the ``REPRO_FLUSH_POLICY`` environment variable sets
-the default).  With ``--workers N --min-workers LO --max-workers HI`` the
+``--min-latency-ms`` below ``--max-latency-ms`` turns the fixed flush
+deadline into a load-adaptive one: when the queue is idle a lone request
+flushes after ~``--min-latency-ms`` instead of sitting out the whole
+deadline, and under saturation the deadline stretches back to
+``--max-latency-ms`` so flushes stay dense (by default the floor equals
+the ceiling: a fixed deadline).  With ``--workers N --min-workers LO --max-workers HI`` the
 sharded pool also becomes *elastic*: an autoscale monitor grows it when
 the queue backs up and shrinks it after sustained idleness, with a
 consistent hash ring keeping ~(N-1)/N of every worker's cache partition
@@ -78,16 +78,16 @@ ephemeral port).
 
 Usage::
 
-    # static flushing, fixed in-process serving (the PR 2/3 behaviour)
+    # a fixed flush deadline, in-process serving
     python examples/serve_blocks.py --steps 100 --workers 0
 
-    # adaptive flushing over an elastic 1..3-worker hash-sharded pool
+    # load-adaptive flushing over an elastic 1..3-worker hash-sharded pool
     python examples/serve_blocks.py --workers 1 --min-workers 1 \
-        --max-workers 3 --flush-policy adaptive --max-latency-ms 25
+        --max-workers 3 --min-latency-ms 1 --max-latency-ms 25
 
     # mixed precision on top: float32 replicas behind the same queue
     python examples/serve_blocks.py --workers 2 --dtype float32 \
-        --flush-policy adaptive
+        --min-latency-ms 1
 
     # multi-model HTTP serving on an ephemeral port
     python examples/serve_blocks.py --steps 50 --http 0
@@ -99,6 +99,7 @@ import argparse
 import os
 import sys
 import tempfile
+from typing import Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -119,7 +120,6 @@ from repro.serve import (
     ServiceConfig,
     Tenant,
     TenantDirectory,
-    default_flush_policy,
 )
 from repro.training.trainer import Trainer
 
@@ -152,7 +152,10 @@ def demo_synchronous(service: PredictionService, test_blocks, tasks) -> None:
 
 
 def demo_asynchronous(
-    service: PredictionService, test_blocks, max_latency_ms: float, flush_policy: str
+    service: PredictionService,
+    test_blocks,
+    max_latency_ms: float,
+    min_latency_ms: Optional[float],
 ) -> None:
     """Streams prioritised requests through the queued async front end.
 
@@ -160,7 +163,7 @@ def demo_asynchronous(
     """
     options = AsyncOptions(
         max_latency_ms=max_latency_ms,
-        flush_policy=flush_policy,
+        min_latency_ms=min_latency_ms,
         max_queue_blocks=1024,
     )
     with AsyncPredictionService(options, service=service) as front_end:
@@ -192,8 +195,8 @@ def demo_asynchronous(
         print(
             f"  flush wait p50={flush.wait_p50_ms:.2f} ms "
             f"p99={flush.wait_p99_ms:.2f} ms "
-            f"(policy {flush.policy}, "
-            f"deadline ceiling {max_latency_ms} ms, "
+            f"(deadline {snapshot.controller['min_deadline_ms']:g}.."
+            f"{max_latency_ms:g} ms, "
             f"realized p50 {flush.deadline_p50_ms:.2f} ms)"
         )
         if queue.cancelled_drops or queue.expired_drops:
@@ -300,16 +303,14 @@ def main() -> None:
         "--max-latency-ms",
         type=float,
         default=10.0,
-        help="flush deadline (ceiling, for the adaptive policy) of the "
-        "async front end",
+        help="flush deadline of the async front end under saturating load",
     )
     parser.add_argument(
-        "--flush-policy",
-        choices=("static", "adaptive"),
+        "--min-latency-ms",
+        type=float,
         default=None,
-        help="flush-deadline policy of the async front end: 'static' always "
-        "waits --max-latency-ms, 'adaptive' scales the deadline with load "
-        "(default honours REPRO_FLUSH_POLICY, falling back to static)",
+        help="flush deadline of an idle queue; the deadline scales with load "
+        "between the two (default: --max-latency-ms, a fixed deadline)",
     )
     parser.add_argument(
         "--min-workers",
@@ -354,7 +355,6 @@ def main() -> None:
         checkpoint = os.path.join(directory, "granite.npz")
         save_checkpoint(model, checkpoint)
 
-        flush_policy = arguments.flush_policy or default_flush_policy()
         config = ServiceConfig(
             model_name="granite",
             checkpoint_path=checkpoint,
@@ -372,7 +372,6 @@ def main() -> None:
         print(
             f"warm-starting service (workers={config.num_workers}, {elastic}"
             f"max_batch_size={config.max_batch_size}, "
-            f"flush_policy={flush_policy}, "
             f"inference_dtype={config.inference_dtype}) ..."
         )
         with PredictionService(config) as service:
@@ -381,7 +380,10 @@ def main() -> None:
             demo_synchronous(service, test_blocks, model.tasks)
             print("async front end:")
             demo_asynchronous(
-                service, test_blocks, arguments.max_latency_ms, flush_policy
+                service,
+                test_blocks,
+                arguments.max_latency_ms,
+                arguments.min_latency_ms,
             )
         if arguments.http is not None:
             print("http front end:")

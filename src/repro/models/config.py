@@ -36,8 +36,8 @@ def default_inference_dtype() -> str:
     otherwise — which is how the CI matrix runs the whole tier-1 suite with
     float32 inference without touching any individual test.  Training is
     always float64 regardless (see ``repro.nn.tensor.compute_dtype``).
-    The serving stack follows the same env-default pattern for its
-    flush-deadline policy (``repro.serve.flush.default_flush_policy``).
+    The serving stack follows the same env-default pattern for its chaos
+    schedule (``repro.serve.faults.default_fault_plan``).
     """
     return os.environ.get("INFERENCE_DTYPE", "float64")
 

@@ -12,10 +12,10 @@ three layers:
 * the async :class:`AsyncPredictionService` front end: producers enqueue
   requests into a bounded priority queue with back-pressure and get
   futures (cancellable while queued, with optional per-request deadlines);
-  a dispatcher thread flushes micro-batches on ``max_batch_size`` OR a
-  latency deadline governed by a static or load-adaptive
-  :mod:`~repro.serve.flush` policy, and an autoscale monitor feeds queue
-  depth into the pool's elasticity bounds;
+  dispatcher threads flush micro-batches on ``max_batch_size`` OR a
+  latency deadline set by the load-adaptive :class:`FlushController`
+  (fixed when its floor equals its ceiling, the default), and an
+  autoscale monitor feeds queue depth into the pool's elasticity bounds;
 * the network layer: a :class:`ModelRegistry` hosts many named model
   variants (family × uarch × dtype) with lazy load/unload, checkpoint
   warm-start and per-tenant request accounting, and
@@ -127,15 +127,7 @@ from repro.serve.faults import (
     FaultSpec,
     load_fault_plan_from_env,
 )
-from repro.serve.flush import (
-    FLUSH_POLICIES,
-    AdaptiveFlushController,
-    FlushController,
-    HedgeController,
-    StaticFlushController,
-    create_flush_controller,
-    default_flush_policy,
-)
+from repro.serve.flush import FlushController, HedgeController
 from repro.serve.http import (
     STATUS_BY_REASON,
     HttpServerConfig,
@@ -219,14 +211,9 @@ __all__ = [
     "AsyncPredictionService",
     "AsyncOptions",
     "AsyncServiceStats",
-    # Flush and hedge policies.
-    "FLUSH_POLICIES",
-    "AdaptiveFlushController",
+    # Flush and hedge controllers.
     "FlushController",
     "HedgeController",
-    "StaticFlushController",
-    "create_flush_controller",
-    "default_flush_policy",
     # Queueing and routing.
     "HashRing",
     "HotKeyRouter",

@@ -8,29 +8,32 @@ front of it:
 
 * producers :meth:`~AsyncPredictionService.submit` individual requests and
   immediately receive a :class:`concurrent.futures.Future`;
-* a dispatcher thread drains the shared :class:`~repro.serve.queue.RequestQueue`
-  into micro-batch flushes, each flush triggered by ``max_batch_size``
-  pending blocks OR a latency deadline on the oldest request — whichever
-  fires first;
+* ``max_concurrent_flushes`` dispatcher threads (one by default) drain the
+  shared :class:`~repro.serve.queue.RequestQueue` into micro-batch flushes,
+  each flush triggered by ``max_batch_size`` pending blocks OR a latency
+  deadline on the oldest request — whichever fires first.  A dispatcher
+  takes a batch only when it is free to flush it, so a request arriving
+  while every dispatcher is busy stays queued: still cancellable, still
+  able to expire, still able to join a denser batch;
 * every flush is one synchronous ``PredictionService.submit`` call, so the
   async front end composes unchanged with the in-process model or the
   hash-sharded worker pool behind it — including that service's
   ``inference_dtype``: put the queue in front of a float32 service config
   and every flush runs mixed-precision across the whole sharded pool.
 
-The flush deadline itself is governed by a pluggable policy
-(:mod:`repro.serve.flush`): ``flush_policy="static"`` keeps the fixed
-``max_latency_ms`` deadline, ``"adaptive"`` scales it with the observed
-load between ``min_latency_ms`` (idle — flush a lone request fast, nobody
-else is coming) and ``max_latency_ms`` (busy — let batches pack densely).
+The flush deadline itself comes from the
+:class:`~repro.serve.flush.FlushController`, which scales it with the
+observed load between ``min_latency_ms`` (idle — flush a lone request
+fast, nobody else is coming) and ``max_latency_ms`` (busy — let batches
+pack densely).  By default the two are equal: a fixed deadline.
 
 Requests can leave the queue without being served: clients may ``cancel()``
 their future while it is queued (the entry is discarded eagerly, before it
 can occupy a micro-batch) and requests submitted with a ``deadline_ms``
 budget resolve with :class:`~repro.serve.queue.RequestExpiredError` when
-the budget runs out.  Both drop classes are counted and reported by
-:meth:`AsyncPredictionService.snapshot`, alongside the controller state,
-queue depth and realized flush-wait percentiles.
+the budget runs out.  The queue alone drops and counts both; the counts
+are reported by :meth:`AsyncPredictionService.snapshot`, alongside the
+controller state, queue depth and realized flush-wait percentiles.
 
 When the underlying service declares elastic worker bounds
 (``ServiceConfig(min_workers=..., max_workers=...)``), the front end also
@@ -47,7 +50,7 @@ import math
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Union
 
@@ -56,16 +59,11 @@ import numpy as np
 from repro.isa.basic_block import BasicBlock
 from repro.serve.config import AsyncOptions, ServiceConfig
 from repro.serve.faults import FaultInjector
-from repro.serve.flush import (
-    FlushController,
-    HedgeController,
-    create_flush_controller,
-)
+from repro.serve.flush import FlushController, HedgeController
 from repro.serve.queue import (
     Priority,
     QueuedRequest,
     QueueFullError,
-    RequestExpiredError,
     RequestQueue,
 )
 from repro.serve.resilience import StalePredictionCache, run_with_retries
@@ -98,12 +96,6 @@ class AsyncServiceStats:
     deadline_flushes: int = 0
     close_flushes: int = 0
     flushed_blocks: int = 0
-    #: Entries dropped at flush time because their future was already
-    #: cancelled (eagerly-discarded queue entries are counted by the queue).
-    cancelled_drops: int = 0
-    #: Entries dropped at flush time because their deadline had passed
-    #: (queue-side expiries are counted by the queue).
-    expired_drops: int = 0
     #: Wait of each flush's *oldest* request, enqueue -> dispatch, seconds.
     #: Bounded so a long-lived service cannot grow without limit.  A biased
     #: request-latency estimate by construction (one sample per flush, the
@@ -115,8 +107,6 @@ class AsyncServiceStats:
     flush_deadlines_ms: Deque[float] = field(
         default_factory=lambda: deque(maxlen=8192)
     )
-    #: Queue depth (pending blocks) right after each flush was drained.
-    queue_depths: Deque[int] = field(default_factory=lambda: deque(maxlen=8192))
     #: Per-request enqueue -> completion latency, seconds (bounded
     #: reservoir).  Every served queue entry contributes one sample — the
     #: whole distribution, not just each flush's oldest request — so these
@@ -262,10 +252,14 @@ class AsyncPredictionService:
             max_blocks=options.max_queue_blocks,
             policy=options.backpressure,
         )
-        self.controller: FlushController = create_flush_controller(
-            options.flush_policy,
+        min_latency_ms = (
+            options.max_latency_ms
+            if options.min_latency_ms is None
+            else options.min_latency_ms
+        )
+        self.controller = FlushController(
             options.max_latency_ms / 1e3,
-            options.min_latency_ms / 1e3,
+            min_latency_ms / 1e3,
             self.max_batch_size,
             options.controller_window_ms / 1e3,
         )
@@ -276,28 +270,14 @@ class AsyncPredictionService:
         # Serializes start/close transitions against each other (close is
         # documented idempotent, which includes concurrent callers).
         self._lifecycle_lock = threading.Lock()
-        self._dispatcher: Optional[threading.Thread] = None
+        #: One thread per concurrent flush slot (``max_concurrent_flushes``).
+        self._dispatchers: List[threading.Thread] = []
         self._autoscale_monitor: Optional[threading.Thread] = None
         self._hedge_monitor: Optional[threading.Thread] = None
         self._monitor_stop = threading.Event()
         #: Autoscale attempts that raised (e.g. a worker spawn failing
         #: under resource pressure); the monitor retries on the next poll.
         self.autoscale_errors = 0
-        # Concurrent flush dispatch: >1 hands flushes to this pool so a
-        # straggling batch cannot head-of-line-block the batches (and
-        # hedges) behind it.  The semaphore bounds in-flight flushes and
-        # doubles as the dispatcher's drain barrier.
-        if options.max_concurrent_flushes > 1:
-            self._flush_pool: Optional[ThreadPoolExecutor] = ThreadPoolExecutor(
-                max_workers=options.max_concurrent_flushes,
-                thread_name_prefix="repro-serve-flush",
-            )
-            self._flush_slots: Optional[threading.Semaphore] = threading.Semaphore(
-                options.max_concurrent_flushes
-            )
-        else:
-            self._flush_pool = None
-            self._flush_slots = None
         # Hedging: the monitor re-submits calls that outlive the deadline
         # derived from observed request latencies.
         self._hedge_controller = HedgeController(
@@ -337,10 +317,10 @@ class AsyncPredictionService:
     # Lifecycle.
     # ------------------------------------------------------------------ #
     def start(self) -> "AsyncPredictionService":
-        """Warm-starts the underlying service and the dispatcher thread.
+        """Warm-starts the underlying service and the dispatcher threads.
 
         The service is warmed in the caller's thread (worker processes must
-        not be forked from the dispatcher), then the dispatcher starts
+        not be forked from a dispatcher), then the dispatchers start
         draining.  Requests submitted before ``start`` simply wait in the
         queue.  When the service has elastic worker bounds, an autoscale
         monitor thread starts too.  Idempotent while running.
@@ -348,14 +328,22 @@ class AsyncPredictionService:
         with self._lifecycle_lock:
             if self._closed:
                 raise ServiceClosedError("service is closed")
-            if self._dispatcher is None:
+            if not self._dispatchers:
                 self.service.warm_start()
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop,
-                    name="repro-serve-dispatcher",
-                    daemon=True,
-                )
-                self._dispatcher.start()
+                # The controller runs inside the queue's flush-wait loop
+                # (under the queue lock), which is why it receives the
+                # pending-block count as an argument.
+                self._dispatchers = [
+                    threading.Thread(
+                        target=self._dispatch_loop,
+                        args=(self.controller.deadline_s,),
+                        name=f"repro-serve-dispatcher-{index}",
+                        daemon=True,
+                    )
+                    for index in range(self.options.max_concurrent_flushes)
+                ]
+                for dispatcher in self._dispatchers:
+                    dispatcher.start()
             if (
                 self._autoscale_monitor is None
                 and self.service.autoscaling_enabled
@@ -386,7 +374,7 @@ class AsyncPredictionService:
             if self._closed:
                 return
             self._closed = True
-            dispatcher, self._dispatcher = self._dispatcher, None
+            dispatchers, self._dispatchers = self._dispatchers, []
             monitor, self._autoscale_monitor = self._autoscale_monitor, None
             hedger, self._hedge_monitor = self._hedge_monitor, None
         self._monitor_stop.set()
@@ -395,15 +383,11 @@ class AsyncPredictionService:
         if hedger is not None:
             hedger.join()
         self.queue.close()
-        if dispatcher is not None:
-            dispatcher.join()
-        else:
+        if not dispatchers:
             # Never started: resolve whatever was queued ourselves.
-            self._drain_queue(max_wait_s=0.0)
-        # The dispatcher's drain barrier already waited for in-flight
-        # flushes; shutting down afterwards just retires the idle threads.
-        if self._flush_pool is not None:
-            self._flush_pool.shutdown(wait=True)
+            self._dispatch_loop(max_wait_s=0.0)
+        for dispatcher in dispatchers:
+            dispatcher.join()
         if self._owns_service:
             self.service.close()
 
@@ -645,10 +629,9 @@ class AsyncPredictionService:
         """A point-in-time typed view of the serving stack.
 
         Returns a :class:`~repro.serve.stats.ServiceSnapshot` combining the
-        queue section (admission state and drop counters — queue-side eager
-        discards plus dispatcher-side flush-time drops), the flush section
-        (counters, realized wait/deadline percentiles, the controller's
-        current deadline), the underlying service's
+        queue section (admission state and the queue's drop counters), the
+        flush section (counters, realized wait/deadline percentiles, the
+        controller's current deadline), the underlying service's
         :class:`~repro.serve.stats.ModelStats`, and the flush controller's
         raw state dict.
         """
@@ -660,7 +643,7 @@ class AsyncPredictionService:
         current_deadline_ms = (
             self.controller.peek_deadline_s(self.queue.pending_blocks) * 1e3
         )
-        # Counters are mutated by client threads (submit), the dispatcher
+        # Counters are mutated by client threads (submit), the dispatchers
         # (_flush) and the autoscale monitor — read them under the same
         # lock so the snapshot is internally consistent.
         with self._stats_lock:
@@ -668,7 +651,6 @@ class AsyncPredictionService:
             submitted_requests = stats.requests
             submitted_blocks = stats.blocks
             flush = FlushStats(
-                policy=self.controller.policy,
                 current_deadline_ms=current_deadline_ms,
                 flushes=stats.flushes,
                 size_flushes=stats.size_flushes,
@@ -686,8 +668,6 @@ class AsyncPredictionService:
                 requests_completed=stats.requests_completed,
                 request_errors=stats.request_errors,
             )
-            dispatcher_cancelled = stats.cancelled_drops
-            dispatcher_expired = stats.expired_drops
             autoscale_errors = self.autoscale_errors
             hedge_samples = list(stats.request_latencies)
             hedges_issued = stats.hedges_issued
@@ -715,8 +695,8 @@ class AsyncPredictionService:
             submitted_requests=submitted_requests,
             submitted_blocks=submitted_blocks,
             rejected=self.queue.rejected,
-            cancelled_drops=self.queue.cancelled + dispatcher_cancelled,
-            expired_drops=self.queue.expired + dispatcher_expired,
+            cancelled_drops=self.queue.cancelled,
+            expired_drops=self.queue.expired,
         )
         resilience = ResilienceStats(
             retries=retries,
@@ -743,11 +723,20 @@ class AsyncPredictionService:
     # ------------------------------------------------------------------ #
     # Dispatcher.
     # ------------------------------------------------------------------ #
-    def _dispatch_loop(self) -> None:
-        # The controller runs inside the queue's flush-wait loop (under the
-        # queue lock), which is why it receives the pending-block count as
-        # an argument instead of reading the queue itself.
-        self._drain_queue(self.controller.deadline_s)
+    def _dispatch_loop(self, max_wait_s) -> None:
+        """Flushes batches until the queue reports closed-and-empty.
+
+        ``max_wait_s`` is a float or a ``pending_blocks -> seconds``
+        callable, passed straight through to ``RequestQueue.take_batch``.
+        Each dispatcher thread is one flush slot: it takes a batch only
+        once its previous flush is done, so a request arriving while every
+        slot is busy waits in the queue rather than in a parked batch.
+        """
+        while True:
+            entries, reason = self.queue.take_batch(self.max_batch_size, max_wait_s)
+            if not entries:
+                return  # closed and fully drained
+            self._flush(entries, reason)
 
     def _autoscale_loop(self) -> None:
         interval = self.options.autoscale_poll_ms / 1e3
@@ -798,86 +787,18 @@ class AsyncPredictionService:
                 with self._stats_lock:
                     self.autoscale_errors += 1
 
-    def _drain_queue(self, max_wait_s) -> None:
-        """Flushes batches until the queue reports closed-and-empty.
-
-        ``max_wait_s`` is a float or a ``pending_blocks -> seconds``
-        callable, passed straight through to ``RequestQueue.take_batch``.
-        With ``max_concurrent_flushes > 1`` each flush is handed to the
-        flush pool (bounded by the slot semaphore) so the next batch can
-        dispatch while a straggler is still in the service.
-        """
-        pool, slots = self._flush_pool, self._flush_slots
-        try:
-            while True:
-                entries, reason = self.queue.take_batch(self.max_batch_size, max_wait_s)
-                if not entries:
-                    return  # closed and fully drained
-                if pool is None:
-                    self._flush(entries, reason)
-                else:
-                    slots.acquire()
-                    pool.submit(self._flush_and_release, entries, reason)
-        finally:
-            if slots is not None:
-                # Drain barrier: owning every slot proves no flush is in
-                # flight, so close() can resolve "drained" truthfully.
-                for _ in range(self.options.max_concurrent_flushes):
-                    slots.acquire()
-                for _ in range(self.options.max_concurrent_flushes):
-                    slots.release()
-
-    def _flush_and_release(self, entries, reason: str) -> None:
-        try:
-            self._flush(entries, reason)
-        finally:
-            self._flush_slots.release()
-
     def _flush(self, entries, reason: str) -> None:
+        # Every entry is claimed (running) by RequestQueue.take_batch, which
+        # already dropped the cancelled and expired ones.
         now = time.monotonic()
-        # Drop dead entries *before* coalescing, so abandoned or expired
-        # requests never consume worker time.  Cancelled futures must never
-        # see set_result/set_exception (InvalidStateError would kill the
-        # dispatcher thread and strand every later request) — a False
-        # set_running_or_notify_cancel() return means the client cancelled
-        # while queued.
-        kept = []
-        expired_drops = 0
-        cancelled_drops = 0
-        for entry in entries:
-            if entry.deadline_at is not None and now >= entry.deadline_at:
-                if entry.future.set_running_or_notify_cancel():
-                    entry.future.set_exception(
-                        RequestExpiredError(
-                            f"request {entry.request.request_id!r} expired "
-                            f"after waiting {now - entry.enqueued_at:.3f}s"
-                        )
-                    )
-                    expired_drops += 1
-                else:
-                    cancelled_drops += 1
-            elif entry.future.set_running_or_notify_cancel():
-                kept.append(entry)
-            else:
-                cancelled_drops += 1
-        entries = kept
-        if not entries:
-            with self._stats_lock:
-                self.stats.expired_drops += expired_drops
-                self.stats.cancelled_drops += cancelled_drops
-            return
-        # Controller and queue take their own locks; read them before
-        # entering the stats critical section to keep it a leaf lock.
+        # The controller takes its own lock; read it before entering the
+        # stats critical section to keep that a leaf lock.
         deadline_ms = float(self.controller.state()["deadline_ms"])
-        queue_depth = self.queue.pending_blocks
         with self._stats_lock:
-            self.stats.expired_drops += expired_drops
-            self.stats.cancelled_drops += cancelled_drops
             self.stats.flushes += 1
             self.stats.flushed_blocks += sum(e.request.num_blocks for e in entries)
             self.stats.flush_waits.append(now - min(e.enqueued_at for e in entries))
             self.stats.flush_deadlines_ms.append(deadline_ms)
-            self.stats.queue_depths.append(queue_depth)
             if reason == "size":
                 self.stats.size_flushes += 1
             elif reason == "deadline":

@@ -17,7 +17,6 @@ from typing import Optional, Tuple
 from repro.models.config import default_inference_dtype
 from repro.nn.tensor import SUPPORTED_DTYPES
 from repro.serve.faults import FaultPlan, default_fault_plan
-from repro.serve.flush import FLUSH_POLICIES, default_flush_policy
 from repro.serve.queue import BACKPRESSURE_POLICIES
 from repro.serve.resilience import BreakerPolicy, RespawnPolicy, RetryPolicy
 
@@ -35,15 +34,13 @@ class AsyncOptions:
     Attributes:
         max_latency_ms: Flush the oldest pending request after at most this
             long, however few blocks have accumulated (the latency bound of
-            the latency/throughput trade-off, and the adaptive policy's
-            deadline ceiling).
-        flush_policy: ``"static"`` (always ``max_latency_ms``) or
-            ``"adaptive"`` (deadline scales with observed load between
-            ``min_latency_ms`` and ``max_latency_ms``).  The default
-            honours the ``REPRO_FLUSH_POLICY`` environment variable.
-        min_latency_ms: The adaptive policy's deadline floor (ignored by
-            ``static``).
-        controller_window_ms: Sliding arrival window of the adaptive
+            the latency/throughput trade-off, and the flush controller's
+            deadline ceiling, applied under saturating load).
+        min_latency_ms: The flush controller's deadline floor, applied to
+            an idle queue; the deadline scales with the observed load
+            between the two.  ``None`` (default) means "equal to
+            ``max_latency_ms``": a fixed deadline.
+        controller_window_ms: Sliding arrival window of the flush
             controller's load estimate.
         autoscale_poll_ms: How often the elasticity monitor feeds queue
             depth into the service's autoscaler (only runs when the
@@ -53,10 +50,11 @@ class AsyncOptions:
             ``"reject"`` (producers get
             :class:`~repro.serve.types.QueueFullError`).
         max_concurrent_flushes: Micro-batch flushes allowed in flight at
-            once.  1 (default) keeps the historical serial dispatcher; >1
-            hands flushes to a small thread pool so one straggling batch
-            cannot head-of-line-block every batch behind it (a
-            prerequisite for hedging to beat a straggler at all).
+            once, i.e. the number of dispatcher threads.  1 (default) is a
+            serial dispatcher; >1 lets the next batch flush while a
+            straggling one is still in the service, so it cannot
+            head-of-line-block every batch behind it (a prerequisite for
+            hedging to beat a straggler at all).
         hedge_enabled: Re-submit requests that outlive the observed
             request-latency hedge deadline as a duplicate queue entry;
             first result wins, the loser is cancelled (or its result
@@ -90,8 +88,7 @@ class AsyncOptions:
     """
 
     max_latency_ms: float = 10.0
-    flush_policy: str = field(default_factory=default_flush_policy)
-    min_latency_ms: float = 1.0
+    min_latency_ms: Optional[float] = None
     controller_window_ms: float = 250.0
     autoscale_poll_ms: float = 50.0
     max_queue_blocks: int = 4096
@@ -110,20 +107,10 @@ class AsyncOptions:
     def __post_init__(self) -> None:
         if self.max_latency_ms < 0:
             raise ValueError("max_latency_ms must be >= 0")
-        if self.flush_policy not in FLUSH_POLICIES:
-            raise ValueError(
-                f"unknown flush policy {self.flush_policy!r}; "
-                f"expected one of {FLUSH_POLICIES}"
-            )
-        if self.min_latency_ms < 0:
-            raise ValueError("min_latency_ms must be >= 0")
-        # The floor only exists for the adaptive policy; a static config
-        # with a sub-floor (or zero) deadline stays valid, as before.
-        if (
-            self.flush_policy == "adaptive"
-            and self.min_latency_ms > self.max_latency_ms
+        if self.min_latency_ms is not None and not (
+            0 <= self.min_latency_ms <= self.max_latency_ms
         ):
-            raise ValueError("need min_latency_ms <= max_latency_ms")
+            raise ValueError("need 0 <= min_latency_ms <= max_latency_ms")
         if self.controller_window_ms <= 0:
             raise ValueError("controller_window_ms must be positive")
         if self.autoscale_poll_ms <= 0:

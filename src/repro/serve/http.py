@@ -5,8 +5,8 @@
 be consumed from any language with a socket.  The event loop runs on a
 daemon thread; request admission goes through the registry's async
 services, so all the existing machinery — bounded priority queues,
-micro-batch coalescing, adaptive flushing, sharded worker pools — sits
-unchanged behind the socket.
+micro-batch coalescing, load-adaptive flush deadlines, sharded worker
+pools — sits unchanged behind the socket.
 
 Routes
 ------
@@ -57,6 +57,7 @@ import functools
 import json
 import math
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -554,10 +555,15 @@ class PredictionHttpServer:
             raise InvalidRequestError("'priority' must be a name or an integer")
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or isinstance(
-                deadline_ms, bool
-            ) or deadline_ms < 0:
-                raise InvalidRequestError("'deadline_ms' must be a number >= 0")
+            # json.loads accepts NaN and Infinity, and NaN < 0 is False.
+            if (
+                not isinstance(deadline_ms, (int, float))
+                or isinstance(deadline_ms, bool)
+                or not 0 <= deadline_ms <= sys.float_info.max
+            ):
+                raise InvalidRequestError(
+                    "'deadline_ms' must be a finite number >= 0"
+                )
             deadline_ms = float(deadline_ms)
         stream = payload.get("stream", False)
         if not isinstance(stream, bool):

@@ -3,7 +3,7 @@
 This is the producer/consumer core of the async serving front end
 (:class:`repro.serve.async_service.AsyncPredictionService`).  Producers
 :meth:`~RequestQueue.put` requests and immediately get a
-:class:`concurrent.futures.Future`; a single dispatcher thread calls
+:class:`concurrent.futures.Future`; each dispatcher thread calls
 :meth:`~RequestQueue.take_batch`, which blocks until a flush is due and
 returns the batch to predict.  The flush rule is the classic
 latency/throughput trade-off knob:
@@ -36,14 +36,20 @@ Admitted requests can still leave the queue without being served:
   dispatcher cannot meet resolves with :class:`RequestExpiredError` instead
   of occupying a micro-batch slot.
 
-Both are counted (:attr:`RequestQueue.cancelled`,
-:attr:`RequestQueue.expired`) so the serving stats can report drop rates.
+The queue is the one place that drops them: :meth:`RequestQueue.take_batch`
+claims the future of every entry it drains (``set_running_or_notify_cancel``),
+so a request cancelled in the instant before the claim is dropped and
+counted there too, and every future it hands to the dispatcher is already
+running — no longer cancellable, and never dead.  Both drop classes are
+counted once (:attr:`RequestQueue.cancelled`, :attr:`RequestQueue.expired`)
+so the serving stats can report drop rates.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -149,7 +155,8 @@ class RequestQueue:
         self._closed = False
         #: Requests turned away (reject policy or block-policy timeout).
         self.rejected = 0
-        #: Requests discarded because their future was cancelled in-queue.
+        #: Requests discarded because their future was cancelled in-queue
+        #: (eagerly, or found cancelled when ``take_batch`` claimed it).
         self.cancelled = 0
         #: Requests dropped (``RequestExpiredError``) past their deadline.
         self.expired = 0
@@ -191,8 +198,8 @@ class RequestQueue:
             ServiceClosedError: The queue is closed (a ``RuntimeError``
                 subclass, so historical handlers still catch it).
         """
-        if deadline_s is not None and deadline_s < 0:
-            raise ValueError("deadline_s must be >= 0")
+        if deadline_s is not None and not 0 <= deadline_s < math.inf:
+            raise ValueError("deadline_s must be finite and >= 0")
         blocks = request.num_blocks
         with self._lock:
             if self._closed:
@@ -329,9 +336,13 @@ class RequestQueue:
         list (reason ``"close"``) means the queue was closed and fully
         drained: the dispatcher should exit.
 
-        Requests whose per-request deadline has passed are dropped here —
-        before they can occupy batch capacity — and their futures resolve
-        with :class:`RequestExpiredError`.
+        Every returned entry's future is already running (claimed with
+        ``set_running_or_notify_cancel``), so the caller resolves it with a
+        result or an exception and nothing else.  Dead requests are dropped
+        here, before they can occupy batch capacity: entries found cancelled
+        at the claim are counted in :attr:`cancelled`, and entries whose
+        per-request deadline has passed resolve with
+        :class:`RequestExpiredError`.
         """
         if max_blocks < 1:
             raise ValueError("max_blocks must be positive")
@@ -375,8 +386,11 @@ class RequestQueue:
                             timeout = min(timeout, max(next_expiry - now, 0.0))
                         self._work.wait(timeout=timeout)
                         continue
-                    batch = self._drain_locked(max_blocks)
-                    break
+                    # Everything drained may have been cancelled: then batch
+                    # stays None, so only a closed, empty queue returns [].
+                    batch = self._drain_locked(max_blocks) or None
+                    if batch:
+                        break
             # Futures are resolved outside the lock: done callbacks run in
             # the resolving thread and may call back into the queue.
             for entry in expired:
@@ -444,9 +458,8 @@ class RequestQueue:
         # filling every batch would leave an old bulk request (and every
         # flush's "deadline" attribution) stuck behind it forever.
         oldest_entry = next(iter(self._by_arrival.values()))
-        self._remove_entry_locked(oldest_entry)
-        taken: List[QueuedRequest] = [oldest_entry]
-        total = oldest_entry.request.num_blocks
+        taken = [oldest_entry] if self._claim_locked(oldest_entry) else []
+        total = sum(entry.request.num_blocks for entry in taken)
         while self._heap:
             _, sequence, entry = self._heap[0]
             if sequence not in self._by_arrival:
@@ -456,13 +469,26 @@ class RequestQueue:
             if total + entry.request.num_blocks > max_blocks:
                 break
             heapq.heappop(self._heap)
-            self._remove_entry_locked(entry)
-            taken.append(entry)
-            total += entry.request.num_blocks
+            if self._claim_locked(entry):
+                taken.append(entry)
+                total += entry.request.num_blocks
         # The batch itself still leads with the highest-priority entries.
         taken.sort(key=lambda entry: (entry.priority, entry.sequence))
         self._not_full.notify_all()
         return taken
+
+    def _claim_locked(self, entry: QueuedRequest) -> bool:
+        """Drains ``entry`` and claims its future; False if it was cancelled.
+
+        Safe under the queue lock: a False return (cancelled before the
+        claim) runs no callbacks, and a cancel() that loses the race finds
+        the future running and the entry gone, so it counts nothing.
+        """
+        self._remove_entry_locked(entry)
+        if entry.future.set_running_or_notify_cancel():
+            return True
+        self.cancelled += 1
+        return False
 
     # ------------------------------------------------------------------ #
     # Lifecycle.

@@ -163,7 +163,6 @@ class FlushStats(StatsStruct):
     0.0 — "no data" must not read as "zero latency").
     """
 
-    policy: str
     current_deadline_ms: float
     flushes: int
     size_flushes: int

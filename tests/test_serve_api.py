@@ -53,14 +53,11 @@ class TestLayeredConfig:
         with pytest.raises(ValueError):
             AsyncOptions(max_latency_ms=-1.0)
         with pytest.raises(ValueError):
-            AsyncOptions(flush_policy="nope")
-        with pytest.raises(ValueError):
             AsyncOptions(max_queue_blocks=0)
         with pytest.raises(ValueError):
             AsyncOptions(backpressure="drop")
         with pytest.raises(ValueError):
-            AsyncOptions(flush_policy="adaptive", min_latency_ms=20.0,
-                         max_latency_ms=10.0)
+            AsyncOptions(min_latency_ms=20.0, max_latency_ms=10.0)
 
     def test_service_config_validates_batch_size(self):
         with pytest.raises(ValueError):
@@ -123,9 +120,7 @@ class TestLayeredConfig:
     def test_service_batch_size_drives_flushes(self, sample_blocks):
         config = ServiceConfig(
             max_batch_size=4,
-            async_options=AsyncOptions(
-                max_latency_ms=60_000.0, flush_policy="static"
-            ),
+            async_options=AsyncOptions(max_latency_ms=60_000.0),
         )
         with AsyncPredictionService(service_config=config) as front_end:
             future = front_end.submit(PredictionRequest.of(sample_blocks[:4]))
@@ -201,9 +196,16 @@ class TestPublicImports:
             "BreakerRing",
             "coalesce_requests_by_ring",
             "coalesce_requests_by_router",
+            "FLUSH_POLICIES",
+            "AdaptiveFlushController",
+            "StaticFlushController",
+            "create_flush_controller",
+            "default_flush_policy",
         ):
             assert removed not in names
             assert not hasattr(repro.serve, removed)
+        # One flush controller: the floor/ceiling pair replaced the policy.
+        assert not hasattr(AsyncOptions(), "flush_policy")
 
 
 class TestTypedStats:
@@ -222,7 +224,8 @@ class TestTypedStats:
         assert document["queue"]["submitted_blocks"] == 3
         assert document["flush"]["flushes"] == snapshot.flush.flushes >= 1
         assert document["model"]["num_workers"] == snapshot.model.num_workers
-        assert document["flush"]["policy"] == snapshot.flush.policy
+        assert "policy" not in document["flush"]
+        assert "policy" not in document["controller"]
         assert (
             document["model"]["cache"]["prediction_misses"]
             == snapshot.model.cache.prediction_misses

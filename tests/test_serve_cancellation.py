@@ -12,6 +12,8 @@ The contract under test (the PR's goodput story):
   surfaced by ``AsyncPredictionService.snapshot()`` add up.
 """
 
+import sys
+import threading
 import time
 
 import pytest
@@ -21,6 +23,8 @@ from repro.serve import (
     AsyncOptions,
     AsyncPredictionService,
     PredictionRequest,
+    PredictionResponse,
+    PredictionService,
     RequestExpiredError,
     RequestQueue,
     ServiceConfig,
@@ -50,8 +54,6 @@ class TestQueueCancellation:
         queue.put(_request(blocks, 4, 4))
 
     def test_cancel_unblocks_blocked_producer(self, blocks):
-        import threading
-
         queue = RequestQueue(max_blocks=4, policy="block")
         doomed = queue.put(_request(blocks, 0, 4))
         admitted = threading.Event()
@@ -89,6 +91,90 @@ class TestQueueCancellation:
         entries, _ = queue.take_batch(max_blocks=64, max_wait_s=0.0)
         assert [e.request.request_id for e in entries] == ["kept"]
 
+    def test_take_batch_claims_every_future(self, blocks):
+        """A cancel that lands before the eager discard runs is caught by
+        the claim: never returned, counted once, and every returned future
+        is already running (no longer cancellable)."""
+        queue = RequestQueue(max_blocks=64)
+        entries = [
+            queue.put(_request(blocks, 2 * index, 2, request_id=f"r{index}"))
+            for index in range(6)
+        ]
+        # Simulate the race: the futures are cancelled, but the done
+        # callbacks that would discard them eagerly do nothing.
+        queue._on_future_done = lambda entry: None
+        for index in (0, 3):  # r0 is the arrival-oldest entry
+            assert entries[index].future.cancel()
+        taken, _ = queue.take_batch(max_blocks=64, max_wait_s=0.0)
+        assert [e.request.request_id for e in taken] == ["r1", "r2", "r4", "r5"]
+        assert all(entry.future.running() for entry in taken)
+        assert not any(entry.future.cancel() for entry in taken)
+        assert queue.cancelled == 2
+        assert queue.pending_blocks == 0
+        assert len(queue) == 0
+
+    def test_cancelled_blocks_do_not_use_the_batch_budget(self, blocks):
+        queue = RequestQueue(max_blocks=64)
+        doomed = queue.put(_request(blocks, 0, 4, request_id="doomed"))
+        queue.put(_request(blocks, 4, 2, request_id="a"))
+        queue.put(_request(blocks, 6, 2, request_id="b"))
+        queue._on_future_done = lambda entry: None
+        assert doomed.future.cancel()
+        taken, reason = queue.take_batch(max_blocks=4, max_wait_s=0.0)
+        assert reason == "size"
+        assert [e.request.request_id for e in taken] == ["a", "b"]
+        assert queue.cancelled == 1
+
+    def test_all_cancelled_drain_is_not_a_close(self, blocks):
+        """A drain whose every entry was cancelled returns nothing and waits
+        on; only a closed, empty queue yields the empty ``close`` batch."""
+        queue = RequestQueue(max_blocks=64)
+        doomed = queue.put(_request(blocks, 0, 2, request_id="doomed"))
+        queue._on_future_done = lambda entry: None
+        assert doomed.future.cancel()
+        result = []
+        thread = threading.Thread(
+            target=lambda: result.append(queue.take_batch(64, max_wait_s=0.0)),
+            daemon=True,
+        )
+        thread.start()
+        time.sleep(0.05)
+        queue.put(_request(blocks, 2, 2, request_id="kept"))
+        thread.join(timeout=5.0)
+        entries, _ = result[0]
+        assert [e.request.request_id for e in entries] == ["kept"]
+        assert queue.cancelled == 1
+        queue.close()
+        assert queue.take_batch(64, max_wait_s=0.0) == ([], "close")
+
+    def test_all_cancelled_drain_beside_an_expiry_is_not_a_close(self, blocks):
+        """An expired entry resolving in the same pass as an all-cancelled
+        drain must not surface as an empty batch: the dispatcher would read
+        it as close and exit."""
+        queue = RequestQueue(max_blocks=64)
+        late = queue.put(_request(blocks, 0, 2, request_id="late"), deadline_s=0.0)
+        doomed = queue.put(_request(blocks, 2, 2, request_id="doomed"))
+        queue._on_future_done = lambda entry: None
+        assert doomed.future.cancel()
+        result = []
+        thread = threading.Thread(
+            target=lambda: result.append(queue.take_batch(64, max_wait_s=0.0)),
+            daemon=True,
+        )
+        thread.start()
+        with pytest.raises(RequestExpiredError):
+            late.future.result(timeout=5.0)
+        time.sleep(0.05)
+        assert thread.is_alive() and not result
+        queue.put(_request(blocks, 4, 2, request_id="kept"))
+        thread.join(timeout=5.0)
+        entries, reason = result[0]
+        assert [e.request.request_id for e in entries] == ["kept"]
+        assert reason == "deadline"
+        assert (queue.expired, queue.cancelled) == (1, 1)
+        queue.close()
+        assert queue.take_batch(64, max_wait_s=0.0) == ([], "close")
+
 
 class TestQueueExpiry:
     def test_expired_entry_resolves_with_timeout_error(self, blocks):
@@ -117,10 +203,12 @@ class TestQueueExpiry:
         with pytest.raises(RequestExpiredError):
             doomed.future.result(timeout=1.0)
 
-    def test_negative_deadline_rejected(self, blocks):
+    @pytest.mark.parametrize("deadline_s", [-1.0, float("nan"), float("inf")])
+    def test_negative_deadline_rejected(self, blocks, deadline_s):
         queue = RequestQueue(max_blocks=64)
         with pytest.raises(ValueError):
-            queue.put(_request(blocks, 0, 2), deadline_s=-1.0)
+            queue.put(_request(blocks, 0, 2), deadline_s=deadline_s)
+        assert len(queue) == 0
 
 
 class TestServiceCancellation:
@@ -203,6 +291,29 @@ class TestServiceCancellation:
         assert snapshot.queue.submitted_requests == 9
         assert service.service.stats.blocks == 2 * 4
 
+    def test_single_dispatcher_survives_an_all_cancelled_drain(self, blocks):
+        """With one dispatcher, an expiry and an all-cancelled drain in the
+        same pass leave the front end serving later requests."""
+        inner = _EchoService(ServiceConfig(async_options=AsyncOptions()))
+        service = AsyncPredictionService(service=inner)
+        # The cancel lands "while the dispatcher holds the queue lock": the
+        # entry stays queued and is only found cancelled at the claim.
+        service.queue._on_future_done = lambda entry: None
+        late = service.submit(_request(blocks, 0, 1, request_id="late"), deadline_ms=0.0)
+        doomed = service.submit(_request(blocks, 1, 1, request_id="doomed"))
+        assert doomed.cancel()
+        time.sleep(0.05)  # past the flush deadline: the first pass drains
+        with service:
+            with pytest.raises(RequestExpiredError):
+                late.result(timeout=5.0)
+            time.sleep(0.05)
+            later = service.submit(_request(blocks, 2, 1, request_id="later"))
+            assert later.result(timeout=5.0).num_blocks == 1
+            snapshot = service.snapshot()
+        assert inner.served == ["later"]
+        assert snapshot.queue.cancelled_drops == 1
+        assert snapshot.queue.expired_drops == 1
+
     def test_cancel_after_completion_is_a_noop(self, blocks):
         with AsyncPredictionService(
             service_config=ServiceConfig(model_name="granite")
@@ -212,3 +323,149 @@ class TestServiceCancellation:
             assert not future.cancel()
             snapshot = service.snapshot()
         assert snapshot.queue.cancelled_drops == 0
+
+
+class _StallingService(PredictionService):
+    """The first ``stalls`` submissions block until released.
+
+    Records the request ids of every submission, so a test can see which
+    requests shared a micro-batch.
+    """
+
+    def __init__(self, config, stalls):
+        super().__init__(config)
+        self.release = threading.Event()
+        self.stalled = threading.Semaphore(0)
+        self.calls = []
+        self._stalls = stalls
+        self._calls_lock = threading.Lock()
+
+    def submit(self, requests):
+        with self._calls_lock:
+            self.calls.append([request.request_id for request in requests])
+            stall = self._stalls > 0
+            self._stalls -= int(stall)
+        if stall:
+            self.stalled.release()
+            assert self.release.wait(timeout=30.0), "never released"
+        return super().submit(requests)
+
+
+class TestBusyFlushSlots:
+    """While every flush slot is busy, new requests stay in the queue."""
+
+    def test_requests_arriving_during_a_stall_share_one_batch(self, blocks):
+        inner = _StallingService(
+            ServiceConfig(
+                model_name="granite",
+                max_batch_size=16,
+                async_options=AsyncOptions(
+                    max_latency_ms=1.0, max_concurrent_flushes=2
+                ),
+            ),
+            stalls=2,
+        )
+        with AsyncPredictionService(service=inner) as service:
+            first = service.submit(_request(blocks, 0, 1, request_id="first"))
+            assert inner.stalled.acquire(timeout=10.0)
+            second = service.submit(_request(blocks, 1, 1, request_id="second"))
+            assert inner.stalled.acquire(timeout=10.0)
+            # Both slots are inside the service.  The next requests arrive
+            # well past the 1 ms deadline of each other.
+            late_a = service.submit(_request(blocks, 2, 1, request_id="late-a"))
+            time.sleep(0.05)
+            late_b = service.submit(_request(blocks, 3, 1, request_id="late-b"))
+            victim = service.submit(_request(blocks, 4, 1, request_id="victim"))
+            time.sleep(0.05)
+            assert victim.cancel()  # still queued, so still cancellable
+            inner.release.set()
+            for future in (first, second, late_a, late_b):
+                assert future.result(timeout=30.0).num_blocks == 1
+            snapshot = service.snapshot()
+        assert ["late-a", "late-b"] in inner.calls
+        assert not any("victim" in call for call in inner.calls)
+        assert victim.cancelled()
+        assert snapshot.queue.cancelled_drops == 1
+        assert snapshot.flush.requests_completed == 4
+
+
+class _EchoService(PredictionService):
+    """Answers every request with an empty prediction, without a model."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.served = []
+        self._served_lock = threading.Lock()
+
+    def warm_start(self):
+        return self
+
+    def submit(self, requests):
+        with self._served_lock:
+            self.served.extend(request.request_id for request in requests)
+        return [
+            PredictionResponse(request.request_id, {}, request.num_blocks)
+            for request in requests
+        ]
+
+
+class TestConcurrentDispatchers:
+    def test_every_request_is_served_or_dropped_exactly_once(self, blocks):
+        """Four dispatchers (more than the cores) race four producers that
+        cancel and expire some of their requests: nothing is lost, nothing
+        is served twice, and every drop is counted once."""
+        inner = _EchoService(
+            ServiceConfig(
+                max_batch_size=4,
+                async_options=AsyncOptions(
+                    max_latency_ms=0.5, max_concurrent_flushes=4
+                ),
+            )
+        )
+        futures = {}
+
+        def produce(service, worker):
+            for index in range(100):
+                request_id = f"{worker}-{index}"
+                future = service.submit(
+                    _request(blocks, index % 20, 1, request_id=request_id),
+                    deadline_ms=0.0 if index % 7 == 0 else None,
+                )
+                if index % 5 == 0:
+                    future.cancel()
+                futures[request_id] = future
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AsyncPredictionService(service=inner) as service:
+                producers = [
+                    threading.Thread(target=produce, args=(service, worker))
+                    for worker in range(4)
+                ]
+                for producer in producers:
+                    producer.start()
+                for producer in producers:
+                    producer.join(timeout=30.0)
+                    assert not producer.is_alive()
+                for future in futures.values():
+                    if not future.cancelled():
+                        future.exception(timeout=30.0)
+                snapshot = service.snapshot()
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(futures) == 400
+        cancelled = [f for f in futures.values() if f.cancelled()]
+        rest = [f for f in futures.values() if not f.cancelled()]
+        expired = [f for f in rest if isinstance(f.exception(), RequestExpiredError)]
+        served = [
+            request_id
+            for request_id, f in futures.items()
+            if not f.cancelled() and f.exception() is None
+        ]
+        assert cancelled and expired and served
+        assert len(cancelled) + len(expired) + len(served) == 400
+        assert sorted(inner.served) == sorted(served)
+        assert snapshot.queue.cancelled_drops == len(cancelled)
+        assert snapshot.queue.expired_drops == len(expired)
+        assert snapshot.flush.requests_completed == len(served)

@@ -1,18 +1,15 @@
-"""Tests of the flush-deadline controllers (repro.serve.flush)."""
+"""Tests of the flush-deadline controller (repro.serve.flush)."""
 
 import time
 
 import pytest
 
 from repro.serve import (
-    AdaptiveFlushController,
     AsyncOptions,
     AsyncPredictionService,
+    FlushController,
     PredictionRequest,
     ServiceConfig,
-    StaticFlushController,
-    create_flush_controller,
-    default_flush_policy,
 )
 
 MAX_S = 0.025  # the ceiling (25 ms)
@@ -20,18 +17,24 @@ MIN_S = 0.001  # the floor (1 ms)
 BATCH = 64
 
 
-def _adaptive(window_s=0.25) -> AdaptiveFlushController:
-    return AdaptiveFlushController(MAX_S, MIN_S, BATCH, window_s=window_s)
+def _adaptive(window_s=0.25) -> FlushController:
+    return FlushController(MAX_S, MIN_S, BATCH, window_s=window_s)
 
 
-class TestStaticController:
-    def test_always_max_latency(self):
-        controller = StaticFlushController(MAX_S)
-        assert controller.deadline_s() == MAX_S
-        assert controller.deadline_s(pending_blocks=10_000) == MAX_S
-        controller.observe_arrival(500)  # ignored by design
-        assert controller.deadline_s() == MAX_S
+class TestFixedDeadline:
+    @pytest.mark.parametrize("arrivals", [0, 1, BATCH, 10_000])
+    @pytest.mark.parametrize("pending", [0, 1, BATCH // 2, BATCH, 10_000])
+    def test_floor_equal_to_ceiling_is_always_the_ceiling(self, arrivals, pending):
+        controller = FlushController(MAX_S, MAX_S, BATCH)
+        if arrivals:
+            controller.observe_arrival(arrivals, now=100.0)
+        assert controller.deadline_s(pending, now=100.0) == MAX_S
+        assert controller.peek_deadline_s(pending, now=100.0) == MAX_S
         assert controller.state()["deadline_ms"] == pytest.approx(MAX_S * 1e3)
+
+    def test_zero_deadline_flushes_at_once(self):
+        controller = FlushController(0.0, 0.0, BATCH)
+        assert controller.deadline_s(0, now=100.0) == 0.0
 
 
 class TestAdaptiveController:
@@ -73,51 +76,63 @@ class TestAdaptiveController:
         controller.observe_arrival(10_000, now=100.0)
         controller.deadline_s(0, now=100.0)
         state = controller.state()
-        assert state["policy"] == "adaptive"
+        assert "policy" not in state
         assert state["load"] == pytest.approx(1.0)
         assert state["deadline_ms"] == pytest.approx(MAX_S * 1e3)
         assert state["min_deadline_ms"] == pytest.approx(MIN_S * 1e3)
 
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
-            AdaptiveFlushController(-1.0, 0.0, BATCH)
+            FlushController(-1.0, 0.0, BATCH)
         with pytest.raises(ValueError):
-            AdaptiveFlushController(MAX_S, MAX_S * 2, BATCH)  # floor > ceiling
+            FlushController(MAX_S, MAX_S * 2, BATCH)  # floor > ceiling
         with pytest.raises(ValueError):
-            AdaptiveFlushController(MAX_S, MIN_S, 0)
+            FlushController(MAX_S, MIN_S, 0)
         with pytest.raises(ValueError):
-            AdaptiveFlushController(MAX_S, MIN_S, BATCH, window_s=0.0)
+            FlushController(MAX_S, MIN_S, BATCH, window_s=0.0)
 
 
-class TestFactoryAndConfig:
-    def test_factory_builds_both_policies(self):
-        assert isinstance(
-            create_flush_controller("static", MAX_S, MIN_S, BATCH),
-            StaticFlushController,
+class TestConfig:
+    def test_default_floor_is_the_ceiling(self):
+        assert AsyncOptions().min_latency_ms is None
+        front_end = AsyncPredictionService(options=AsyncOptions(max_latency_ms=7.0))
+        try:
+            controller = front_end.controller
+            assert controller.min_latency_s == controller.max_latency_s == 0.007
+            controller.observe_arrival(10_000)
+            assert controller.deadline_s(0) == 0.007
+        finally:
+            front_end.close()
+
+    def test_explicit_floor_reaches_the_controller(self):
+        front_end = AsyncPredictionService(
+            options=AsyncOptions(max_latency_ms=20.0, min_latency_ms=2.0)
         )
-        assert isinstance(
-            create_flush_controller("adaptive", MAX_S, MIN_S, BATCH),
-            AdaptiveFlushController,
-        )
-        with pytest.raises(ValueError):
-            create_flush_controller("nagle", MAX_S, MIN_S, BATCH)
+        try:
+            assert front_end.controller.min_latency_s == pytest.approx(0.002)
+            assert front_end.controller.max_latency_s == pytest.approx(0.020)
+        finally:
+            front_end.close()
 
-    def test_async_options_validate_policy(self):
-        assert AsyncOptions(flush_policy="adaptive").flush_policy == "adaptive"
-        with pytest.raises(ValueError):
-            AsyncOptions(flush_policy="nagle")
+    @pytest.mark.parametrize("max_latency_ms", [0.0, 0.5, 10.0])
+    def test_floor_above_ceiling_always_raises(self, max_latency_ms):
         with pytest.raises(ValueError):
             AsyncOptions(
-                flush_policy="adaptive", min_latency_ms=20.0, max_latency_ms=10.0
+                max_latency_ms=max_latency_ms, min_latency_ms=max_latency_ms + 1.0
             )
+
+    def test_async_options_validate_the_floor(self):
         with pytest.raises(ValueError):
             AsyncOptions(min_latency_ms=-1.0)
         with pytest.raises(ValueError):
+            AsyncOptions(min_latency_ms=float("nan"))
+        with pytest.raises(ValueError):
             AsyncOptions(controller_window_ms=0.0)
+        assert AsyncOptions(min_latency_ms=10.0).min_latency_ms == 10.0
 
-    def test_static_policy_allows_sub_floor_deadlines(self):
-        """The adaptive floor must not invalidate static configs that were
-        legal before it existed (min_latency_ms is ignored by static)."""
+    def test_sub_millisecond_deadlines_stay_valid(self):
+        """The default floor follows the ceiling, so a sub-millisecond (or
+        zero) fixed deadline is valid without naming a floor."""
         assert AsyncOptions(max_latency_ms=0.5).max_latency_ms == 0.5
         assert AsyncOptions(max_latency_ms=0.0).max_latency_ms == 0.0
 
@@ -133,18 +148,11 @@ class TestFactoryAndConfig:
         assert peeked == pytest.approx(MIN_S)
         assert controller.state()["deadline_ms"] == recorded
 
-    def test_env_default_flush_policy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLUSH_POLICY", raising=False)
-        assert default_flush_policy() == "static"
-        monkeypatch.setenv("REPRO_FLUSH_POLICY", "adaptive")
-        assert default_flush_policy() == "adaptive"
-        assert AsyncOptions().flush_policy == "adaptive"
-
 
 class TestAdaptiveEndToEnd:
     def test_idle_request_answers_far_below_the_ceiling(self):
-        """A lone request under the adaptive policy must not sit out the
-        full ``max_latency_ms`` the static policy would charge it."""
+        """A lone request under a 1 ms floor must not sit out the full
+        ``max_latency_ms`` a fixed deadline would charge it."""
         from repro.data.synthetic import BlockGenerator
 
         blocks = BlockGenerator(seed=3).generate_blocks(2)
@@ -152,7 +160,7 @@ class TestAdaptiveEndToEnd:
             model_name="granite",
             max_batch_size=64,
             async_options=AsyncOptions(
-                max_latency_ms=500.0, flush_policy="adaptive", min_latency_ms=1.0
+                max_latency_ms=500.0, min_latency_ms=1.0
             ),
         )
         with AsyncPredictionService(service_config=config) as service:
@@ -163,10 +171,9 @@ class TestAdaptiveEndToEnd:
             future.result(timeout=30.0)
             elapsed = time.monotonic() - start
             snapshot = service.snapshot()
-        # Static would wait the full 500 ms deadline before flushing; the
-        # adaptive controller should flush the idle queue almost at once.
+        # A fixed deadline would wait the full 500 ms before flushing; the
+        # 1 ms floor should flush the idle queue almost at once.
         assert elapsed < 0.25
-        assert snapshot.flush.policy == "adaptive"
         assert snapshot.flush.deadline_p50_ms <= 500.0
 
     def test_snapshot_exposes_controller_and_queue(self):
@@ -175,7 +182,7 @@ class TestAdaptiveEndToEnd:
         blocks = BlockGenerator(seed=4).generate_blocks(4)
         config = ServiceConfig(
             model_name="granite",
-            async_options=AsyncOptions(max_latency_ms=5.0, flush_policy="adaptive"),
+            async_options=AsyncOptions(max_latency_ms=5.0, min_latency_ms=1.0),
         )
         with AsyncPredictionService(service_config=config) as service:
             service.predict_blocks(blocks)
@@ -186,7 +193,5 @@ class TestAdaptiveEndToEnd:
         assert snapshot.queue.cancelled_drops == 0
         assert snapshot.queue.expired_drops == 0
         assert 0.0 <= snapshot.flush.current_deadline_ms <= 5.0
-        assert snapshot.controller["policy"] == "adaptive"
-        assert len(service.stats.flush_deadlines_ms) == len(
-            service.stats.queue_depths
-        )
+        assert snapshot.controller["min_deadline_ms"] == pytest.approx(1.0)
+        assert len(service.stats.flush_deadlines_ms) == snapshot.flush.flushes

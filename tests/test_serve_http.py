@@ -102,7 +102,6 @@ def server():
                     max_batch_size=4,
                     async_options=AsyncOptions(
                         max_latency_ms=60_000.0,
-                        flush_policy="static",
                         max_queue_blocks=2,
                         backpressure="reject",
                     ),
@@ -189,6 +188,8 @@ class TestRoutingAndAuth:
             {"block": "mov rax, 1", "blocks": ["mov rax, 1"]},
             {"blocks": ["mov rax, 1"], "priority": "urgent"},
             {"blocks": ["mov rax, 1"], "deadline_ms": -5},
+            {"blocks": ["mov rax, 1"], "deadline_ms": float("nan")},
+            {"blocks": ["mov rax, 1"], "deadline_ms": float("inf")},
             {"blocks": ["mov rax, 1"], "stream": "yes"},
         ],
     )
@@ -494,10 +495,7 @@ class TestStreamDisconnect:
                     ServiceConfig(
                         tasks=("haswell",),
                         max_batch_size=8,
-                        async_options=AsyncOptions(
-                            max_latency_ms=60_000.0,
-                            flush_policy="static",
-                        ),
+                        async_options=AsyncOptions(max_latency_ms=60_000.0),
                     ),
                 ),
             )
