@@ -54,7 +54,8 @@ the in-process one:
   request/block/batch/latency counters of one service, its worker-pool
   respawn/resize counters, and (in-process mode) a :class:`CacheStats`
   section with encode/prediction/parse cache hit rates;
-* ``PredictionService.worker_stats()`` -> list of :class:`WorkerStats` —
+* ``PredictionService.worker_stats()`` -> list of
+  :class:`~repro.serve.stats.WorkerStats` —
   per-replica identity (``worker_id``, ``spawn_count``), hash-ring share,
   dtype, job errors and a nested :class:`CacheStats`;
 * ``AsyncPredictionService.snapshot()`` -> :class:`ServiceSnapshot` with
@@ -67,7 +68,7 @@ the in-process one:
   :class:`~repro.serve.registry.ModelReport`: ``info`` (a
   :class:`~repro.serve.registry.ModelInfo` with the per-tenant request
   counters), ``snapshot`` (:class:`ServiceSnapshot`, ``null`` while the
-  variant is cold) and ``workers`` (list of :class:`WorkerStats`).
+  variant is cold) and ``workers`` (list of ``WorkerStats``).
 
 In-process readers use attribute access (``snapshot.flush.wait_p99_ms``);
 ``to_dict()`` is the one mapping view, and it is the wire view.  Latency
@@ -95,69 +96,42 @@ Fault injection and self-healing
 :mod:`repro.serve.faults` is a deterministic chaos plane: a
 :class:`FaultPlan` (seeded, JSON-serializable, loadable from the
 ``REPRO_FAULT_PLAN`` environment variable) selects faults — worker
-crashes, hangs, slow or corrupted replies, queue saturation, checkpoint
-write failures — by content hash, so every chaos run is bit-reproducible.
+crashes, hangs, slow or corrupted replies, queue saturation — by content
+hash or event index, so every chaos run is bit-reproducible.
 :mod:`repro.serve.resilience` is the machinery it validates:
 :class:`RetryPolicy` (capped, seeded exponential backoff behind
 ``AsyncOptions.retry_policy``, bounded by a sliding-window retry budget),
-a per-worker :class:`CircuitBreaker` (``ServiceConfig.breaker_policy``)
-whose open workers the hash ring routes around, a respawn governor that
-backs off crash-storming replicas, and a stale prediction cache serving
-``degraded=True`` responses when the backend keeps failing
-(``AsyncOptions.degraded_mode``).  ``GET /readyz`` exposes the aggregate:
-``ready``/``degraded`` answer 200, ``unready`` answers 503 with
-``Retry-After``.
+a per-worker circuit breaker (``ServiceConfig.breaker_policy``) whose open
+workers the hash ring routes around, the respawn governor — the one bound
+on replacing a worker, 3 respawns per worker per 5 s and then exponential
+backoff — and a stale prediction cache serving ``degraded=True``
+responses when the backend keeps failing (``AsyncOptions.degraded_mode``).
+Every way a worker can fail a job (a crash, a hang caught by the
+watchdog, a non-finite reply) takes the same path: terminate, feed the
+breaker, respawn if the governor admits it, resubmit.  A malformed request
+(unparseable block, unknown task) is refused at admission with
+``invalid_request``, so it never fails the requests batched with it.
+``GET /readyz`` exposes the aggregate: ``ready``/``degraded`` answer 200,
+``unready`` answers 503 with ``Retry-After``.
 """
 
-from repro.serve.async_service import (
-    AsyncPredictionService,
-    AsyncServiceStats,
-)
+from repro.serve.async_service import AsyncPredictionService
 from repro.serve.auth import ANONYMOUS, Tenant, TenantDirectory
-from repro.serve.batching import (
-    MicroBatch,
-    coalesce_requests,
-    shard_key,
-)
+from repro.serve.batching import coalesce_requests, shard_key
 from repro.serve.config import AsyncOptions, ServiceConfig
-from repro.serve.faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    load_fault_plan_from_env,
-)
+from repro.serve.faults import FaultPlan, FaultSpec
 from repro.serve.flush import FlushController, HedgeController
 from repro.serve.http import (
     STATUS_BY_REASON,
     HttpServerConfig,
     PredictionHttpServer,
 )
-from repro.serve.queue import (
-    Priority,
-    QueuedRequest,
-    RequestQueue,
-)
-from repro.serve.registry import (
-    ModelInfo,
-    ModelRegistry,
-    ModelReport,
-    ModelVariant,
-)
-from repro.serve.resilience import (
-    BreakerPolicy,
-    CircuitBreaker,
-    RespawnGovernor,
-    RespawnPolicy,
-    RetryBudget,
-    RetryPolicy,
-    StalePredictionCache,
-    run_with_retries,
-)
+from repro.serve.queue import Priority, RequestQueue
+from repro.serve.registry import ModelRegistry, ModelVariant
+from repro.serve.resilience import BreakerPolicy, RetryPolicy
 from repro.serve.replay import (
     ReplayReport,
     SloPolicy,
-    SloVerdict,
     Trace,
     TraceRecorder,
     TraceReplayer,
@@ -165,17 +139,14 @@ from repro.serve.replay import (
     synthesize_trace,
 )
 from repro.serve.ring import HashRing, HotKeyRouter, HotKeyTracker
-from repro.serve.service import PredictionService, ServiceStats
+from repro.serve.service import PredictionService
 from repro.serve.stats import (
     CacheStats,
     FlushStats,
-    HedgeStats,
     ModelStats,
     QueueStats,
-    ResilienceStats,
     ServiceSnapshot,
     StatsStruct,
-    WorkerStats,
     latency_percentile,
 )
 from repro.serve.types import (
@@ -191,15 +162,10 @@ from repro.serve.types import (
     ServiceClosedError,
     UnknownModelError,
 )
-from repro.serve.workers import (
-    PoolAutoscaler,
-    ShardedWorkerPool,
-    WorkerCrashError,
-)
+from repro.serve.workers import PoolAutoscaler
 
 __all__ = [
     # Envelopes and batching.
-    "MicroBatch",
     "PredictionRequest",
     "PredictionResponse",
     "coalesce_requests",
@@ -207,10 +173,8 @@ __all__ = [
     # Services and configuration.
     "PredictionService",
     "ServiceConfig",
-    "ServiceStats",
     "AsyncPredictionService",
     "AsyncOptions",
-    "AsyncServiceStats",
     # Flush and hedge controllers.
     "FlushController",
     "HedgeController",
@@ -219,26 +183,14 @@ __all__ = [
     "HotKeyRouter",
     "HotKeyTracker",
     "Priority",
-    "QueuedRequest",
     "RequestQueue",
     # Worker pool.
     "PoolAutoscaler",
-    "ShardedWorkerPool",
-    "WorkerCrashError",
     # Fault injection and self-healing.
-    "FAULT_KINDS",
     "FaultSpec",
     "FaultPlan",
-    "FaultInjector",
-    "load_fault_plan_from_env",
     "RetryPolicy",
-    "RetryBudget",
-    "run_with_retries",
     "BreakerPolicy",
-    "CircuitBreaker",
-    "RespawnPolicy",
-    "RespawnGovernor",
-    "StalePredictionCache",
     # Error taxonomy.
     "ReasonCode",
     "ServeError",
@@ -252,12 +204,9 @@ __all__ = [
     # Typed stats schema.
     "StatsStruct",
     "CacheStats",
-    "WorkerStats",
     "QueueStats",
     "FlushStats",
-    "HedgeStats",
     "ModelStats",
-    "ResilienceStats",
     "ServiceSnapshot",
     "latency_percentile",
     # Tail-latency SLO harness.
@@ -267,7 +216,6 @@ __all__ = [
     "TraceReplayer",
     "ReplayReport",
     "SloPolicy",
-    "SloVerdict",
     "synthesize_trace",
     # Tenancy.
     "Tenant",
@@ -275,8 +223,6 @@ __all__ = [
     "ANONYMOUS",
     # Registry and network front end.
     "ModelVariant",
-    "ModelInfo",
-    "ModelReport",
     "ModelRegistry",
     "HttpServerConfig",
     "PredictionHttpServer",

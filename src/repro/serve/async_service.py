@@ -302,7 +302,7 @@ class AsyncPredictionService:
             if options.degraded_mode
             else None
         )
-        fault_plan = getattr(self.service.config, "fault_plan", None)
+        fault_plan = self.service.config.fault_plan
         self._fault_injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
@@ -429,6 +429,9 @@ class AsyncPredictionService:
         cancelling it cancels every attempt.
 
         Raises:
+            InvalidRequestError: A block does not parse or the task filter
+                is unknown (checked here, so a malformed request never
+                shares a batch with well-formed ones).
             QueueFullError: The queue is full (``reject`` policy) or the
                 wait for space timed out (``block`` policy).
         """
@@ -436,6 +439,7 @@ class AsyncPredictionService:
             with self._stats_lock:
                 self.stats.injected_queue_rejections += 1
             raise QueueFullError("injected queue-saturation fault")
+        self.service.admit(request)
         deadline_s = None if deadline_ms is None else deadline_ms / 1e3
         entry = self.queue.put(
             request,

@@ -18,7 +18,7 @@ from repro.models.config import default_inference_dtype
 from repro.nn.tensor import SUPPORTED_DTYPES
 from repro.serve.faults import FaultPlan, default_fault_plan
 from repro.serve.queue import BACKPRESSURE_POLICIES
-from repro.serve.resilience import BreakerPolicy, RespawnPolicy, RetryPolicy
+from repro.serve.resilience import BreakerPolicy, RetryPolicy
 
 __all__ = ["AsyncOptions", "ServiceConfig"]
 
@@ -188,16 +188,15 @@ class ServiceConfig:
             registry) is put in front of this service.
         worker_job_timeout_s: Per-job watchdog of the sharded pool: an
             in-flight worker job older than this is treated as a crash
-            (the worker is killed and respawned, the job re-queued), so a
-            hung replica cannot stall the batch forever.  ``None``
+            (the worker is killed and, if the respawn governor admits it,
+            respawned, the job re-queued), so a hung replica cannot stall
+            the batch forever.  Respawns are not configurable: at most 3
+            per worker per 5 s, then exponential backoff.  ``None``
             (default) keeps the historical wait-forever behaviour.
         breaker_policy: Optional per-worker circuit-breaker tuning.
             ``None`` disables circuit breaking; a
             :class:`~repro.serve.resilience.BreakerPolicy` makes hash
             routing walk past workers whose breaker is open.
-        respawn_policy: Respawn rate limits of the sharded pool (always
-            on; the defaults are generous enough that a healthy pool
-            never notices them).
         fault_plan: Optional deterministic chaos schedule
             (:class:`~repro.serve.faults.FaultPlan`) shipped to every
             worker replica and the async front end.  The default honours
@@ -221,7 +220,6 @@ class ServiceConfig:
     async_options: AsyncOptions = field(default_factory=AsyncOptions)
     worker_job_timeout_s: Optional[float] = None
     breaker_policy: Optional[BreakerPolicy] = None
-    respawn_policy: RespawnPolicy = field(default_factory=RespawnPolicy)
     fault_plan: Optional[FaultPlan] = field(default_factory=default_fault_plan)
 
     def __post_init__(self) -> None:
@@ -259,7 +257,5 @@ class ServiceConfig:
             raise ValueError("worker_job_timeout_s must be positive (or None)")
         if self.breaker_policy is not None and not isinstance(self.breaker_policy, BreakerPolicy):
             raise ValueError("breaker_policy must be a BreakerPolicy (or None)")
-        if not isinstance(self.respawn_policy, RespawnPolicy):
-            raise ValueError("respawn_policy must be a RespawnPolicy")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ValueError("fault_plan must be a FaultPlan (or None)")

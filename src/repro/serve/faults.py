@@ -11,10 +11,10 @@ request content* — no wall clock, no global RNG:
   texts is therefore a property of the plan alone: two processes with the
   same plan agree on it without communicating, and a benchmark can compute
   it up front with :meth:`FaultPlan.prone_texts`.
-- **Event-scoped faults** (``queue_saturation``, ``checkpoint_write_failure``)
-  fire on a window of event *indices* (the Nth submission, the Nth checkpoint
-  write) counted by the injector, which is equally reproducible under a
-  deterministic driver such as :class:`~repro.serve.replay.TraceReplayer`.
+- **Event-scoped faults** (``queue_saturation``) fire on a window of event
+  *indices* (the Nth submission) counted by the injector, which is equally
+  reproducible under a deterministic replay such as
+  :class:`~repro.serve.replay.TraceReplayer`.
 
 A :class:`FaultPlan` is the frozen description (seed + specs); a
 :class:`FaultInjector` is the per-process runtime that consults the plan and
@@ -62,14 +62,13 @@ FAULT_KINDS = (
     "slow_reply",
     "corrupt_reply",
     "queue_saturation",
-    "checkpoint_write_failure",
 )
 
 #: Fault kinds selected by content hash (per-block-text probability band).
 CONTENT_KINDS = ("crash", "hang", "slow_reply", "corrupt_reply")
 
 #: Fault kinds selected by event index window.
-EVENT_KINDS = ("queue_saturation", "checkpoint_write_failure")
+EVENT_KINDS = ("queue_saturation",)
 
 #: Resolution of the probability band; crc32 buckets are compared against
 #: ``probability * _BAND``.
@@ -279,7 +278,3 @@ class FaultInjector:
     def on_submit(self) -> bool:
         """Counts one submission; True when it falls in a saturation window."""
         return self._event_fault("queue_saturation")
-
-    def on_checkpoint_write(self) -> bool:
-        """Counts one checkpoint write; True when the write should fail."""
-        return self._event_fault("checkpoint_write_failure")

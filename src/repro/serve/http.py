@@ -617,7 +617,7 @@ class PredictionHttpServer:
                 "model": name,
                 "num_blocks": response.num_blocks,
                 "seconds": response.seconds,
-                "degraded": getattr(response, "degraded", False),
+                "degraded": response.degraded,
                 "predictions": response.predictions,
             },
             keep_alive,
@@ -690,7 +690,7 @@ class PredictionHttpServer:
                             request_id=response.request_id,
                             num_blocks=response.num_blocks,
                             seconds=response.seconds,
-                            degraded=getattr(response, "degraded", False),
+                            degraded=response.degraded,
                             predictions=response.predictions,
                         )
                     except ServeError as exc:

@@ -44,6 +44,7 @@ from repro.serve.resilience import CircuitBreaker
 from repro.serve.ring import HotKeyRouter
 from repro.serve.stats import CacheStats, ModelStats, WorkerStats
 from repro.serve.types import (
+    InvalidRequestError,
     PredictionRequest,
     PredictionResponse,
     ServiceClosedError,
@@ -53,7 +54,7 @@ from repro.serve.workers import (
     PoolAutoscaler,
     ShardedWorkerPool,
     build_model,
-    predict_texts,
+    parse_texts,
 )
 from repro.utils.cache import LRUCache
 
@@ -68,8 +69,6 @@ class ServiceStats:
     blocks: int = 0
     batches: int = 0
     seconds: float = 0.0
-    #: Worker processes respawned after a crash (sharded mode only).
-    respawns: int = 0
     #: Pool resizes applied (manual ``scale_workers`` and autoscaler both).
     resizes: int = 0
 
@@ -114,9 +113,13 @@ class PredictionService:
         )
         # Routes every block of a sharded submission; built with the pool.
         self._router: Optional[HotKeyRouter] = None  # guarded-by: _submit_lock
-        self._parse_cache: LRUCache = LRUCache(PARSE_CACHE_SIZE)
-        # Serializes submissions: the model caches, stats, parse cache and
-        # worker pipes are all single-submission state, so a service shared
+        # The one text -> BasicBlock cache: filled at admission
+        # (:meth:`admit`, on producer threads) and read by in-process
+        # flushes, so it has its own lock.
+        self._parse_lock = threading.Lock()
+        self._parse_cache: LRUCache = LRUCache(PARSE_CACHE_SIZE)  # guarded-by: _parse_lock
+        # Serializes submissions: the model caches, stats and worker pipes
+        # are all single-submission state, so a service shared
         # by several threads (e.g. two async front ends) flushes one
         # submission at a time.
         self._submit_lock = threading.Lock()
@@ -289,8 +292,9 @@ class PredictionService:
         cache: Optional[CacheStats] = None
         if self._model is not None and self.config.num_workers == 0:
             raw = dict(self._model.cache_stats())
-            raw["parse_hits"] = self._parse_cache.hits
-            raw["parse_misses"] = self._parse_cache.misses
+            with self._parse_lock:
+                raw["parse_hits"] = self._parse_cache.hits
+                raw["parse_misses"] = self._parse_cache.misses
             cache = CacheStats.from_model_stats(raw)
         with self._submit_lock:
             stats = self.stats
@@ -310,7 +314,7 @@ class PredictionService:
                 batches=stats.batches,
                 seconds=stats.seconds,
                 blocks_per_second=stats.blocks_per_second,
-                respawns=stats.respawns,
+                respawns=pool.respawns if pool is not None else 0,
                 resizes=stats.resizes,
                 num_workers=self.num_workers,
                 hot_key_replicas=self.config.hot_key_replicas,
@@ -371,10 +375,7 @@ class PredictionService:
         """
         if self.config.num_workers == 0 or self._pool is None:
             return 0
-        respawned = self._pool.ensure_healthy()
-        with self._submit_lock:
-            self.stats.respawns = self._pool.respawns
-        return respawned
+        return self._pool.ensure_healthy()
 
     def _validate_worker_config(self) -> None:
         """Catches configs that would crash the worker initializer.
@@ -422,17 +423,49 @@ class PredictionService:
     def _served_tasks(self) -> Tuple[str, ...]:
         """The microarchitecture heads the served model exposes.
 
-        Used to validate task filters when a submission contains no blocks
-        (so nothing came back from the model).  In worker mode the parent
-        process holds no model, but every replica is built from the config,
-        whose ``tasks=None`` resolves to the model families' shared default
-        heads.
+        Used to validate task filters without building a model: every
+        replica the service builds comes from the config, whose
+        ``tasks=None`` resolves to the model families' shared default heads.
         """
-        if self._model is not None or self.config.num_workers == 0:
-            return tuple(self.model.tasks)
+        if self._model is not None:
+            return tuple(self._model.tasks)
         if self.config.tasks is not None:
             return tuple(self.config.tasks)
         return tuple(TARGET_MICROARCHITECTURES)
+
+    def _unknown_tasks(self, request: PredictionRequest) -> List[str]:
+        if request.tasks is None:
+            return []
+        return sorted(set(request.tasks) - set(self._served_tasks()))
+
+    def _parse_blocks(self, block_texts: Sequence[str]) -> List[BasicBlock]:
+        with self._parse_lock:
+            return parse_texts(block_texts, self._parse_cache)
+
+    def admit(self, request: PredictionRequest) -> None:
+        """Rejects a malformed request before it can share a batch.
+
+        Checks the task filter and parses every block through the service's
+        parse cache, so the in-process flush never parses it again.  The
+        async front end calls this before queueing: one client's bad block
+        then fails that client's request alone, not every request it would
+        have been batched with.
+
+        Raises:
+            InvalidRequestError: The task filter names a head the model
+                does not serve, or a block does not parse.
+        """
+        unknown = self._unknown_tasks(request)
+        if unknown:
+            raise InvalidRequestError(
+                f"request {request.request_id!r} asked for unknown tasks: {unknown}"
+            )
+        try:
+            self._parse_blocks(request.block_texts)
+        except ValueError as error:
+            raise InvalidRequestError(
+                f"request {request.request_id!r} has a malformed block: {error}"
+            ) from error
 
     def submit(self, requests: Sequence[PredictionRequest]) -> List[PredictionResponse]:
         """Serves a list of heterogeneous requests.
@@ -456,15 +489,13 @@ class PredictionService:
         start = time.perf_counter()
         # Fail fast on unknown task filters, before any prediction work (and
         # before spawning workers) is spent on the submission.
-        served_tasks = self._served_tasks()
         for request in requests:
-            if request.tasks is not None:
-                unknown = sorted(set(request.tasks) - set(served_tasks))
-                if unknown:
-                    raise KeyError(
-                        f"request {request.request_id!r} asked for unknown "
-                        f"tasks: {unknown}"
-                    )
+            unknown = self._unknown_tasks(request)
+            if unknown:
+                raise KeyError(
+                    f"request {request.request_id!r} asked for unknown "
+                    f"tasks: {unknown}"
+                )
 
         if self.config.num_workers > 0 and any(
             request.num_blocks for request in requests
@@ -479,7 +510,6 @@ class PredictionService:
             batch_results = pool.run_batches(
                 [(worker, batch.block_texts) for worker, batch in assignments]
             )
-            self.stats.respawns = pool.respawns
         else:
             assignments = coalesce_requests(
                 requests, self.config.max_batch_size, lambda text: 0
@@ -487,10 +517,10 @@ class PredictionService:
             batches = [batch for _, batch in assignments]
             model = self.model if batches else None
             batch_results = [
-                predict_texts(model, batch.block_texts, self._parse_cache)
+                model.predict(self._parse_blocks(batch.block_texts))
                 for batch in batches
             ]
-        tasks = tuple(batch_results[0].keys()) if batch_results else served_tasks
+        tasks = tuple(batch_results[0].keys()) if batch_results else self._served_tasks()
 
         # Reassemble per-request arrays from the (request, position)
         # origins: scatter every batch into one flat per-task array indexed

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -232,7 +232,8 @@ class ModelStats(StatsStruct):
     breaker_open_workers: int = 0
     #: Worker jobs killed by the per-job watchdog (hung replicas).
     job_timeouts: int = 0
-    #: Worker replies discarded as corrupt (non-finite predictions).
+    #: Predict replies with a non-finite value (each one takes the crash
+    #: path: the worker is replaced and its jobs resent).
     corrupt_replies: int = 0
     #: Respawn attempts refused by the respawn governor (backoff active).
     respawns_suppressed: int = 0
@@ -304,8 +305,3 @@ def worker_stats_from_raw(
         respawn_backoff_active=respawn_backoff_active,
         breaker_state=breaker_state,
     )
-
-
-def worker_stats_list(entries: List[WorkerStats]) -> List[Dict[str, Any]]:
-    """Plain-dict view of a ``worker_stats()`` result (JSON-ready)."""
-    return [entry.to_dict() for entry in entries]

@@ -12,9 +12,6 @@ Every serving error carries a machine-readable :class:`ReasonCode` in its
 to their own status space (the HTTP front end maps ``QUEUE_FULL`` to 429,
 ``DEADLINE_EXPIRED`` to 408, ``SERVICE_CLOSED`` to 503, and so on), so
 rewording an error message can never change protocol behaviour.
-
-The envelope types were originally defined in :mod:`repro.serve.batching`;
-that module re-exports them, so old import paths keep working.
 """
 
 from __future__ import annotations

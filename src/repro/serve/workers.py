@@ -14,10 +14,15 @@ workers:
 * each worker owns a warm model replica plus parse cache, and can report
   its cache counters (the per-worker shard-affinity stats used by the
   serving benchmarks);
-* the parent detects crashed workers (dead process, broken pipe) both via
-  explicit health checks and mid-submission, respawns them from the service
-  config, and transparently resubmits the work that was in flight —
-  predictions are pure, so resubmission is always safe;
+* every way a worker can fail a job — EOF or broken pipe, a silent death,
+  the per-job watchdog, a predict reply carrying a non-finite value — takes
+  one crash path: the worker is terminated, the circuit breaker is fed, a
+  replacement is spawned if the :class:`RespawnGovernor` admits it, and the
+  work that was in flight is resubmitted (predictions are pure, so
+  resubmission is always safe).  The governor is the one bound on
+  replacing a worker: a replica that keeps dying sits in exponential
+  backoff, and calls routed to it fail fast with :class:`WorkerCrashError`
+  instead of forking again;
 * the pool is *elastic*: :meth:`ShardedWorkerPool.scale_to` grows and
   shrinks the worker count at runtime, keeping a consistent
   :class:`~repro.serve.ring.HashRing` over the live worker ids in sync so
@@ -74,17 +79,13 @@ PARSE_CACHE_SIZE = 8192
 #: poll only bounds how quickly a *crash* is noticed, not the job itself.
 _POLL_INTERVAL_S = 0.05
 
-#: Respawn budget per ``run_batches`` call.  A worker that dies
-#: deterministically on some input would otherwise crash-loop forever.
-_MAX_RESPAWNS_PER_CALL = 3
-
 #: Exit code of a worker killed by an injected crash fault (visible in the
 #: parent's process table; any nonzero code is handled the same way).
 _CRASH_EXIT_CODE = 17
 
 
 class WorkerCrashError(RuntimeError):
-    """A worker crashed repeatedly and its work could not be completed."""
+    """A worker died and the respawn governor refused to replace it."""
 
 
 def _worker_context():
@@ -113,12 +114,9 @@ def build_model(config) -> ThroughputModel:
     the service says so — replicas respawned after a crash come through this
     same path, so the dtype survives respawns too.
     """
-    kwargs = {}
+    kwargs = {"inference_dtype": config.inference_dtype}
     if config.tasks is not None:
         kwargs["tasks"] = config.tasks
-    dtype = getattr(config, "inference_dtype", None)
-    if dtype is not None:
-        kwargs["inference_dtype"] = dtype
     return create_model(
         config.model_name,
         small=config.small_model,
@@ -128,12 +126,8 @@ def build_model(config) -> ThroughputModel:
     )
 
 
-def predict_texts(
-    model: ThroughputModel,
-    block_texts: Sequence[str],
-    parse_cache: Optional[LRUCache] = None,
-) -> Dict[str, np.ndarray]:
-    """Parses block texts (through ``parse_cache`` when given) and predicts.
+def parse_texts(block_texts: Sequence[str], parse_cache: LRUCache) -> List[BasicBlock]:
+    """Parses block texts through ``parse_cache``.
 
     Caching the parsed blocks keeps steady-state serving of repeated texts
     from paying parse + render cost before the model's prediction cache can
@@ -141,21 +135,20 @@ def predict_texts(
     """
     blocks = []
     for text in block_texts:
-        block = parse_cache.get(text) if parse_cache is not None else None
+        block = parse_cache.get(text)
         if block is None:
             block = BasicBlock.from_text(text)
-            if parse_cache is not None:
-                parse_cache.put(text, block)
+            parse_cache.put(text, block)
         blocks.append(block)
-    return model.predict(blocks)
+    return blocks
 
 
 def _predictions_corrupt(payload: object) -> bool:
     """True when a predict reply carries any non-finite prediction.
 
-    Only consulted while a fault plan is armed — the parent's defence
-    against the ``corrupt_reply`` fault (and, under chaos, against any
-    real bit-flip the transport might ever produce).
+    Checked on every predict reply (at most ``max_batch_size x tasks``
+    floats): the parent's defence against the ``corrupt_reply`` fault and
+    against any real bit-flip the transport might ever produce.
     """
     if not isinstance(payload, dict):
         return False
@@ -196,7 +189,7 @@ def _worker_main(config, connection, incarnation: int = 1) -> None:
     """
     model = build_model(config)
     parse_cache = LRUCache(PARSE_CACHE_SIZE)
-    fault_plan = getattr(config, "fault_plan", None)
+    fault_plan = config.fault_plan
     injector = None if fault_plan is None else FaultInjector(fault_plan, incarnation)
     job_errors = 0
     while True:
@@ -209,7 +202,7 @@ def _worker_main(config, connection, incarnation: int = 1) -> None:
         try:
             if kind == "predict":
                 corrupt = _apply_worker_fault(injector, payload)
-                result = predict_texts(model, payload, parse_cache)
+                result = model.predict(parse_texts(payload, parse_cache))
                 if corrupt:
                     result = injector.corrupt(result)
             elif kind == "stats":
@@ -307,20 +300,12 @@ class ShardedWorkerPool:
         #: crashes / timeouts / corrupt replies feed failures in, ok
         #: predict replies feed successes.
         self._breaker = breaker
-        #: Respawn rate limiter — bounds health-check respawns per window
-        #: so a crash-storming worker cannot spin the pool.
-        self._governor = RespawnGovernor(
-            getattr(config, "respawn_policy", None) or RespawnPolicy()
-        )
-        #: Per-job watchdog: an in-flight job older than this is treated as
-        #: a crash (hung replica).  None = wait forever (historical).
-        self._job_timeout_s = getattr(config, "worker_job_timeout_s", None)
-        #: Validate predict replies for finiteness only when a fault plan
-        #: is armed — normal serving never pays the scan.
-        self._validate_replies = getattr(config, "fault_plan", None) is not None
+        #: The one bound on replacing a worker (see :meth:`_respawn_locked`):
+        #: at most 3 respawns per worker per 5 s, then exponential backoff.
+        self._governor = RespawnGovernor(RespawnPolicy())
         #: Jobs killed by the per-job watchdog.
         self.job_timeouts = 0
-        #: Predict replies discarded as corrupt (non-finite values).
+        #: Predict replies with a non-finite value (handled as crashes).
         self.corrupt_replies = 0
         count = config.num_workers if num_workers is None else num_workers
         if count < 1:
@@ -418,23 +403,27 @@ class ShardedWorkerPool:
 
         Taken under the jobs lock so an out-of-band monitoring thread can
         never replace a connection a concurrent submission is waiting on.
-        A worker that has exhausted its respawn window stays dead until
-        its backoff expires (``respawns_suppressed`` counts the refusals),
-        so a crash-storming replica cannot spin the pool through an
-        endless fork/build/crash cycle.
         """
         with self._jobs_lock:
             self._check_open_locked()
-            respawned = 0
-            for worker in self._workers:
-                if not worker.alive():
-                    if not self._governor.may_respawn(worker.worker_id):
-                        continue
-                    worker.spawn()
-                    self._governor.record_respawn(worker.worker_id)
-                    respawned += 1
-            self.respawns += respawned
-            return respawned
+            dead = [worker for worker in self._workers if not worker.alive()]
+            return sum(self._respawn_locked(worker) for worker in dead)
+
+    def _respawn_locked(self, worker: _WorkerHandle) -> bool:
+        """Replaces ``worker`` if the respawn governor admits it.
+
+        The only place a worker is spawned after construction.  A worker
+        that has exhausted its respawn window stays dead until its backoff
+        expires (``respawns_suppressed`` counts the refusals), so a
+        crash-storming replica cannot spin the pool through an endless
+        fork/build/crash cycle.
+        """
+        if not self._governor.may_respawn(worker.worker_id):
+            return False
+        worker.spawn()
+        self._governor.record_respawn(worker.worker_id)
+        self.respawns += 1
+        return True
 
     @property
     def respawns_suppressed(self) -> int:
@@ -444,10 +433,6 @@ class ShardedWorkerPool:
     def respawn_backoff_workers(self) -> List[int]:
         """Worker ids currently held in respawn backoff."""
         return self._governor.backoff_workers()
-
-    def respawn_backoff_active(self) -> bool:
-        """True while any worker is held in respawn backoff."""
-        return bool(self._governor.backoff_workers())
 
     def ping(self) -> List[int]:
         """Round-trips every worker, returning their PIDs.
@@ -519,9 +504,10 @@ class ShardedWorkerPool:
         """Predicts every ``(worker_index, block_texts)`` assignment.
 
         Workers run their assignments concurrently (each worker serially, in
-        order).  Results are returned aligned with ``assignments``.  Crashed
+        order).  Results are returned aligned with ``assignments``.  Failed
         workers are respawned and their outstanding assignments resubmitted;
-        a worker that keeps crashing raises :class:`WorkerCrashError`.
+        a worker the respawn governor refuses to replace raises
+        :class:`WorkerCrashError`.
         """
         return self._run_jobs(
             [(worker_index, "predict", texts) for worker_index, texts in assignments]
@@ -555,27 +541,22 @@ class ShardedWorkerPool:
                 (job_id, job_index, kind, payload)
             )
             in_flight.setdefault(worker_index, [])
-        respawn_budget = _MAX_RESPAWNS_PER_CALL * self.num_workers
-        # Corrupt replies are re-queued for recomputation; bound that the
-        # same way respawns are so a deterministically-corrupting worker
-        # cannot loop forever.
-        requeue_budget = _MAX_RESPAWNS_PER_CALL * self.num_workers
         first_error: Optional[str] = None
 
         def handle_crash(worker_index: int) -> None:
-            nonlocal respawn_budget
+            # The one failure path: EOF / broken pipe, silent death, the
+            # watchdog and corrupt replies all land here.
             worker = self._workers[worker_index]
+            if worker.alive():
+                worker.process.terminate()
             if self._breaker is not None:
                 self._breaker.record_failure(worker.worker_id)
-            if respawn_budget <= 0:
+            if not self._respawn_locked(worker):
                 raise WorkerCrashError(
-                    f"worker {worker_index} crashed repeatedly; giving up "
-                    f"after {self.respawns} respawns"
+                    f"worker {worker_index} keeps failing; the respawn "
+                    f"governor refused to replace it after {self.respawns} "
+                    f"respawns"
                 )
-            respawn_budget -= 1
-            worker.spawn()
-            self.respawns += 1
-            self._governor.record_respawn(worker.worker_id)
             # Everything sent but unanswered died with the process; put it
             # back at the front so the replacement recomputes it first.
             waiting[worker_index][:0] = [
@@ -584,56 +565,38 @@ class ShardedWorkerPool:
             in_flight[worker_index].clear()
 
         def handle_reply(worker_index: int, reply) -> None:
-            nonlocal first_error, requeue_budget
+            nonlocal first_error
             status, job_id, payload = reply
-            if job_id != in_flight[worker_index][0][0]:
+            flight = in_flight[worker_index]
+            if job_id != flight[0][0]:
                 return  # stale reply from before a respawn; discard
-            entry = in_flight[worker_index].pop(0)
-            _, job_index, kind, job_payload, _ = entry
-            worker_id = self._workers[worker_index].worker_id
+            kind = flight[0][2]
+            if status == "ok" and kind == "predict" and _predictions_corrupt(payload):
+                # No healthy replica sends non-finite predictions.
+                self.corrupt_replies += 1
+                handle_crash(worker_index)
+                return
+            _, job_index, _, _, _ = flight.pop(0)
             if status == "ok":
-                if (
-                    kind == "predict"
-                    and self._validate_replies
-                    and _predictions_corrupt(payload)
-                ):
-                    self.corrupt_replies += 1
-                    if self._breaker is not None:
-                        self._breaker.record_failure(worker_id)
-                    if requeue_budget > 0:
-                        requeue_budget -= 1
-                        waiting[worker_index].insert(0, entry[:4])
-                    else:
-                        self.job_errors += 1
-                        if first_error is None:
-                            first_error = (
-                                f"worker {worker_id} kept returning corrupt "
-                                f"(non-finite) predictions"
-                            )
-                    return
                 results[job_index] = payload
                 if kind == "predict" and self._breaker is not None:
-                    self._breaker.record_success(worker_id)
+                    self._breaker.record_success(self._workers[worker_index].worker_id)
             else:
                 self.job_errors += 1
                 if first_error is None:
                     first_error = payload
 
         def sweep_job_timeouts() -> None:
-            if self._job_timeout_s is None:
+            timeout_s = self._config.worker_job_timeout_s
+            if timeout_s is None:
                 return
             now = time.monotonic()
             for worker_index, flight in in_flight.items():
-                if not flight or now - flight[0][4] <= self._job_timeout_s:
-                    continue
-                # The head job has been in flight too long: the replica is
-                # hung (or injected to hang).  Kill it and let the crash
-                # path respawn and resubmit.
-                self.job_timeouts += 1
-                worker = self._workers[worker_index]
-                if worker.process is not None and worker.process.is_alive():
-                    worker.process.terminate()
-                handle_crash(worker_index)
+                if flight and now - flight[0][4] > timeout_s:
+                    # The head job has been in flight too long: the replica
+                    # is hung (or injected to hang).
+                    self.job_timeouts += 1
+                    handle_crash(worker_index)
 
         while any(waiting.values()) or any(in_flight.values()):
             for worker_index in waiting:

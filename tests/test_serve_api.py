@@ -185,11 +185,62 @@ class TestPublicImports:
         assert not hasattr(async_service, "AsyncServiceConfig")
 
     def test_package_all_resolves(self):
+        from repro.serve import (
+            async_service,
+            batching,
+            faults,
+            queue,
+            registry,
+            replay,
+            resilience,
+            service,
+            stats,
+            workers,
+        )
+
         names = repro.serve.__all__
-        assert len(names) == len(set(names))
+        assert len(names) == len(set(names)) == 51
         for name in names:
             assert getattr(repro.serve, name) is not None
-        for removed in (
+        # Importable from their defining modules, not from the package.
+        moved = (
+            "MicroBatch",
+            "ServiceStats",
+            "AsyncServiceStats",
+            "QueuedRequest",
+            "ShardedWorkerPool",
+            "WorkerCrashError",
+            "FAULT_KINDS",
+            "FaultInjector",
+            "load_fault_plan_from_env",
+            "RetryBudget",
+            "run_with_retries",
+            "CircuitBreaker",
+            "RespawnPolicy",
+            "RespawnGovernor",
+            "StalePredictionCache",
+            "WorkerStats",
+            "HedgeStats",
+            "ResilienceStats",
+            "SloVerdict",
+            "ModelInfo",
+            "ModelReport",
+        )
+        homes = (
+            async_service,
+            batching,
+            faults,
+            queue,
+            registry,
+            replay,
+            resilience,
+            service,
+            stats,
+            workers,
+        )
+        for name in moved:
+            assert any(hasattr(home, name) for home in homes), name
+        for removed in moved + (
             "AsyncServiceConfig",
             "SHARDING_MODES",
             "coalesce_requests_by_shard",

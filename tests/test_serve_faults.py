@@ -145,14 +145,6 @@ class TestFaultInjector:
         assert fired == [False, False, True, True, True, False, False, False]
         assert injector.counters()["queue_saturation"] == 3
 
-    def test_checkpoint_write_window(self):
-        plan = FaultPlan(
-            specs=(FaultSpec("checkpoint_write_failure", duration_events=1),)
-        )
-        injector = FaultInjector(plan)
-        assert injector.on_checkpoint_write() is True
-        assert injector.on_checkpoint_write() is False
-
     def test_corrupt_preserves_shape_and_dtype(self):
         payload = {"haswell": np.array([1.0, 2.0], dtype=np.float32)}
         corrupted = FaultInjector(crash_plan()).corrupt(payload)

@@ -324,6 +324,53 @@ class TestPredict:
         assert body["error"]["code"] == "deadline_expired"
 
 
+class TestAdmission:
+    def test_malformed_block_fails_only_its_own_request(self):
+        """Two predicts that share one flush: the bad block is refused at
+        admission (400) and never fails the well-formed request (200)."""
+        registry = ModelRegistry(
+            (
+                ModelVariant(
+                    "batched",
+                    ServiceConfig(
+                        tasks=("haswell",),
+                        max_batch_size=8,
+                        async_options=AsyncOptions(max_latency_ms=300.0),
+                    ),
+                ),
+            )
+        )
+        with PredictionHttpServer(
+            registry, HttpServerConfig(), own_registry=True
+        ) as running:
+            results = {}
+
+            def post(name, block):
+                results[name] = http(
+                    running.port,
+                    "POST",
+                    "/v1/models/batched/predict",
+                    payload={"blocks": [block]},
+                )
+
+            threads = [
+                threading.Thread(target=post, args=("good", "add rax, rbx")),
+                threading.Thread(target=post, args=("bad", "mov rax, [rbx+")),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            _, health = http(running.port, "GET", "/healthz")
+        good_status, good_body = results["good"]
+        bad_status, bad_body = results["bad"]
+        assert good_status == 200
+        assert len(good_body["predictions"]["haswell"]) == 1
+        assert bad_status == 400
+        assert bad_body["error"]["code"] == "invalid_request"
+        assert health["internal_errors"] == 0
+
+
 class TestBackpressure:
     def test_forced_saturation_is_429(self, server):
         """Fill tiny-queue's 2-block reject queue, then get turned away."""

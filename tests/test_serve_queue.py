@@ -10,6 +10,7 @@ from repro.data.synthetic import BlockGenerator, GeneratorConfig
 from repro.serve import (
     AsyncOptions,
     AsyncPredictionService,
+    InvalidRequestError,
     PredictionRequest,
     PredictionService,
     Priority,
@@ -222,11 +223,32 @@ class TestAsyncPredictionService:
         with AsyncPredictionService(
             service_config=ServiceConfig(model_name="granite")
         ) as service:
-            future = service.submit(
-                PredictionRequest.of(blocks[:1], tasks=("not-a-task",))
-            )
-            with pytest.raises(KeyError):
+
+            def failing(requests):
+                raise RuntimeError("backend down")
+
+            service.service.submit = failing
+            future = service.submit(PredictionRequest.of(blocks[:1]))
+            with pytest.raises(RuntimeError, match="backend down"):
                 future.result(timeout=30.0)
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            PredictionRequest.of(["mov rax, [rbx+"]),
+            PredictionRequest.of(["add rax, rbx"], tasks=("not-a-task",)),
+        ],
+        ids=["malformed-block", "unknown-task"],
+    )
+    def test_malformed_request_is_refused_at_admission(self, blocks, request_):
+        with AsyncPredictionService(
+            service_config=ServiceConfig(model_name="granite")
+        ) as service:
+            with pytest.raises(InvalidRequestError):
+                service.submit(request_)
+            assert service.stats.requests == 0
+            # The refusal costs nobody else their answer.
+            assert service.predict_blocks(blocks[:2])
 
     def test_shared_service_left_open(self, blocks):
         shared = PredictionService(ServiceConfig(model_name="granite"))

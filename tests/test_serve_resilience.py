@@ -11,6 +11,7 @@ from repro.serve import (
     AsyncOptions,
     AsyncPredictionService,
     PredictionRequest,
+    PredictionService,
     ServiceConfig,
 )
 from repro.serve.faults import FaultPlan, FaultSpec
@@ -27,6 +28,8 @@ from repro.serve.resilience import (
     run_with_retries,
 )
 from repro.serve.types import ServiceClosedError
+from repro.serve.workers import WorkerCrashError
+from repro.testing.equivalence import assert_allclose_for_dtype
 
 
 class FakeClock:
@@ -519,3 +522,54 @@ class TestRespawnUnderLiveTraffic:
                 assert np.isfinite(np.asarray(values)).all()
         assert snapshot.flush.requests_completed == len(chaos_blocks)
         assert snapshot.model.respawns >= 1
+
+
+class TestOneFailurePath:
+    """Every worker failure takes the crash path; the governor bounds respawns."""
+
+    def test_crash_loop_is_bounded_by_the_respawn_governor(self, chaos_blocks):
+        plan = FaultPlan(
+            specs=(FaultSpec("crash", probability=1.0, max_incarnation=10_000),)
+        )
+        with PredictionService(ServiceConfig(num_workers=1, fault_plan=plan)) as service:
+            # A frozen clock keeps the 5 s window (and the backoff it
+            # starts) open however long each replica takes to spawn.
+            service._pool._governor = RespawnGovernor(RespawnPolicy(), clock=FakeClock())
+            for suppressed in (1, 2, 3):
+                with pytest.raises(WorkerCrashError):
+                    service.predict_blocks(chaos_blocks[:1])
+                snapshot = service.snapshot()
+                assert snapshot.respawns == 3
+                assert snapshot.respawns_suppressed == suppressed
+                assert service.resilience_report()["status"] == "unready"
+
+    def test_corrupt_reply_replaces_the_worker(self, chaos_blocks):
+        plan = FaultPlan(specs=(FaultSpec("corrupt_reply", probability=1.0),))
+        expected = PredictionService(ServiceConfig()).predict_blocks(chaos_blocks[:4])
+        config = ServiceConfig(num_workers=1, fault_plan=plan)
+        with PredictionService(config) as service:
+            served = service.predict_blocks(chaos_blocks[:4])
+            snapshot = service.snapshot()
+        assert snapshot.corrupt_replies == 1
+        assert snapshot.respawns == 1
+        for task, values in expected.items():
+            assert_allclose_for_dtype(served[task], values, service.inference_dtype)
+
+    def test_watchdog_replaces_a_hung_worker(self, chaos_blocks):
+        plan = FaultPlan(
+            specs=(FaultSpec("hang", probability=1.0, delay_ms=5000.0),)
+        )
+        expected = PredictionService(ServiceConfig()).predict_blocks(chaos_blocks[:4])
+        # The watchdog also times a fresh replica's start-up, which takes
+        # ~1 s when the forkserver cannot preload this package; 2.5 s keeps
+        # the replacement from being killed too.
+        config = ServiceConfig(
+            num_workers=1, worker_job_timeout_s=2.5, fault_plan=plan
+        )
+        with PredictionService(config) as service:
+            served = service.predict_blocks(chaos_blocks[:4])
+            snapshot = service.snapshot()
+        assert snapshot.job_timeouts == 1
+        assert snapshot.respawns == 1
+        for task, values in expected.items():
+            assert_allclose_for_dtype(served[task], values, service.inference_dtype)

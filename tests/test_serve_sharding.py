@@ -142,7 +142,7 @@ class TestShardedWorkerPool:
             victim.process.join()
             assert not victim.alive()
             second = service.predict_blocks(blocks)
-            assert service.stats.respawns >= 1
+            assert service.snapshot().respawns >= 1
             assert service._pool._workers[0].alive()
         for task in first:
             _assert_served_close(service, second[task], first[task])
