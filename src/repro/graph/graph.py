@@ -23,7 +23,15 @@ import numpy as np
 from repro.graph.types import EDGE_TYPE_INDEX, EdgeType, NodeType
 from repro.graph.vocabulary import Vocabulary
 
-__all__ = ["GraphNode", "GraphEdge", "BlockGraph", "GraphsTuple", "pack_graphs"]
+__all__ = [
+    "GraphNode",
+    "GraphEdge",
+    "BlockGraph",
+    "GraphsTuple",
+    "concatenate_graphs",
+    "encode_graph",
+    "pack_graphs",
+]
 
 
 @dataclass(frozen=True)
@@ -198,6 +206,71 @@ def _global_features(
     return np.concatenate([token_histogram, edge_histogram])
 
 
+def encode_graph(graph: BlockGraph, vocabulary: Vocabulary) -> GraphsTuple:
+    """The numeric arrays of one graph, as a one-graph :class:`GraphsTuple`.
+
+    This is where tokens are looked up, edges turned into index arrays and
+    the global feature computed; :func:`concatenate_graphs` only offsets
+    and joins the results.  A model encodes each block's graph once, when
+    it enters its graph cache, and packs every batch from the cached
+    arrays.
+    """
+    token_ids = np.array(vocabulary.encode(graph.tokens()), dtype=np.int64)
+    edges = np.array(
+        [(edge.sender, edge.receiver, EDGE_TYPE_INDEX[edge.edge_type]) for edge in graph.edges],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    instructions = np.array(graph.instruction_node_indices, dtype=np.int64)
+    return GraphsTuple(
+        node_token_ids=token_ids,
+        node_graph_ids=np.zeros(len(token_ids), dtype=np.int64),
+        edge_type_ids=edges[:, 2],
+        senders=edges[:, 0],
+        receivers=edges[:, 1],
+        edge_graph_ids=np.zeros(len(edges), dtype=np.int64),
+        globals_features=_global_features(graph, vocabulary, token_ids)[None, :],
+        instruction_node_indices=instructions,
+        instruction_graph_ids=np.zeros(len(instructions), dtype=np.int64),
+        num_graphs=1,
+    )
+
+
+def concatenate_graphs(batches: Sequence[GraphsTuple]) -> GraphsTuple:
+    """Packs encoded graphs (or batches) into one :class:`GraphsTuple`.
+
+    Each batch's node indices are offset by the nodes before it and its
+    graph ids by the graphs before it; every array is one concatenation.
+    """
+    if not batches:
+        raise ValueError("cannot pack an empty list of graphs")
+    num_nodes = np.array([batch.num_nodes for batch in batches], dtype=np.int64)
+    num_graphs = np.array([batch.num_graphs for batch in batches], dtype=np.int64)
+    node_offsets = np.cumsum(num_nodes) - num_nodes
+    graph_offsets = np.cumsum(num_graphs) - num_graphs
+
+    def joined(name: str, offsets: Optional[np.ndarray] = None) -> np.ndarray:
+        arrays = [getattr(batch, name) for batch in batches]
+        values = np.concatenate(arrays)
+        if offsets is None:
+            return values
+        return values + np.repeat(offsets, [len(array) for array in arrays])
+
+    packed = GraphsTuple(
+        node_token_ids=joined("node_token_ids"),
+        node_graph_ids=joined("node_graph_ids", graph_offsets),
+        edge_type_ids=joined("edge_type_ids"),
+        senders=joined("senders", node_offsets),
+        receivers=joined("receivers", node_offsets),
+        edge_graph_ids=joined("edge_graph_ids", graph_offsets),
+        globals_features=joined("globals_features"),
+        instruction_node_indices=joined("instruction_node_indices", node_offsets),
+        instruction_graph_ids=joined("instruction_graph_ids", graph_offsets),
+        num_graphs=int(num_graphs.sum()),
+    )
+    packed.validate()
+    return packed
+
+
 def pack_graphs(graphs: Sequence[BlockGraph], vocabulary: Vocabulary) -> GraphsTuple:
     """Packs a list of :class:`BlockGraph` into one :class:`GraphsTuple`.
 
@@ -206,48 +279,7 @@ def pack_graphs(graphs: Sequence[BlockGraph], vocabulary: Vocabulary) -> GraphsT
         vocabulary: Token vocabulary used to encode node tokens.
 
     Returns:
-        The packed batch, ready to be fed to the graph neural network.
+        The packed batch, ready to be fed to the graph neural network:
+        :func:`concatenate_graphs` of each graph's :func:`encode_graph`.
     """
-    if not graphs:
-        raise ValueError("cannot pack an empty list of graphs")
-
-    node_token_ids: List[int] = []
-    node_graph_ids: List[int] = []
-    edge_type_ids: List[int] = []
-    senders: List[int] = []
-    receivers: List[int] = []
-    edge_graph_ids: List[int] = []
-    globals_rows: List[np.ndarray] = []
-    instruction_node_indices: List[int] = []
-    instruction_graph_ids: List[int] = []
-
-    node_offset = 0
-    for graph_index, graph in enumerate(graphs):
-        token_ids = np.array(vocabulary.encode(graph.tokens()), dtype=np.int64)
-        node_token_ids.extend(token_ids.tolist())
-        node_graph_ids.extend([graph_index] * graph.num_nodes)
-        for edge in graph.edges:
-            edge_type_ids.append(EDGE_TYPE_INDEX[edge.edge_type])
-            senders.append(edge.sender + node_offset)
-            receivers.append(edge.receiver + node_offset)
-            edge_graph_ids.append(graph_index)
-        globals_rows.append(_global_features(graph, vocabulary, token_ids))
-        for node_index in graph.instruction_node_indices:
-            instruction_node_indices.append(node_index + node_offset)
-            instruction_graph_ids.append(graph_index)
-        node_offset += graph.num_nodes
-
-    packed = GraphsTuple(
-        node_token_ids=np.array(node_token_ids, dtype=np.int64),
-        node_graph_ids=np.array(node_graph_ids, dtype=np.int64),
-        edge_type_ids=np.array(edge_type_ids, dtype=np.int64),
-        senders=np.array(senders, dtype=np.int64),
-        receivers=np.array(receivers, dtype=np.int64),
-        edge_graph_ids=np.array(edge_graph_ids, dtype=np.int64),
-        globals_features=np.stack(globals_rows, axis=0),
-        instruction_node_indices=np.array(instruction_node_indices, dtype=np.int64),
-        instruction_graph_ids=np.array(instruction_graph_ids, dtype=np.int64),
-        num_graphs=len(graphs),
-    )
-    packed.validate()
-    return packed
+    return concatenate_graphs([encode_graph(graph, vocabulary) for graph in graphs])

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.builder import GraphBuilder, GraphBuilderConfig
-from repro.graph.graph import BlockGraph, GraphsTuple, pack_graphs
+from repro.graph.graph import GraphsTuple, concatenate_graphs, encode_graph
 from repro.graph.types import EdgeType
 from repro.graph.vocabulary import Vocabulary, build_default_vocabulary
 from repro.gnn.blocks import GraphNetwork, GraphState, GraphTopology
@@ -78,10 +78,10 @@ class GraniteModel(ThroughputModel):
 
         # Encode caches: graph construction dominates single-block inference
         # cost, and evaluation sweeps predict the same blocks over and over.
-        # Graphs depend only on the block text and the (fixed) builder
-        # configuration, never on the weights, so the caches survive
-        # retraining without invalidation.
-        self._graph_cache: LRUCache[str, BlockGraph] = LRUCache(
+        # Encoded graphs depend only on the block text, the (fixed) builder
+        # configuration and the vocabulary, never on the weights, so the
+        # caches survive retraining without invalidation.
+        self._graph_cache: LRUCache[str, GraphsTuple] = LRUCache(
             self.config.encode_cache_size
         )
         self._batch_cache: LRUCache[Tuple[str, ...], GraniteBatch] = LRUCache(
@@ -141,10 +141,12 @@ class GraniteModel(ThroughputModel):
     def encode_blocks(self, blocks: Sequence[BasicBlock]) -> GraniteBatch:
         """Builds and packs the GRANITE graphs of ``blocks``.
 
-        Per-block graphs are cached in an LRU keyed by the canonical block
-        text, and whole packed batches are cached by their key tuple, so
-        evaluation sweeps that predict the same blocks repeatedly skip graph
-        construction entirely.
+        Each block's graph is built and encoded into arrays
+        (:func:`repro.graph.graph.encode_graph`) once, and cached in an LRU
+        keyed by the canonical block text; a batch is the concatenation of
+        its cached arrays.  Whole packed batches are cached by their key
+        tuple too, so evaluation sweeps that predict the same blocks
+        repeatedly skip graph construction entirely.
         """
         if not blocks:
             raise ValueError("cannot encode an empty list of blocks")
@@ -156,10 +158,10 @@ class GraniteModel(ThroughputModel):
         for key, block in zip(keys, blocks):
             graph = self._graph_cache.get(key)
             if graph is None:
-                graph = self.graph_builder.build(block)
+                graph = encode_graph(self.graph_builder.build(block), self.vocabulary)
                 self._graph_cache.put(key, graph)
             graphs.append(graph)
-        packed = pack_graphs(graphs, self.vocabulary)
+        packed = concatenate_graphs(graphs)
         topology = GraphTopology(
             senders=packed.senders,
             receivers=packed.receivers,

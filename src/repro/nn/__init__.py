@@ -6,7 +6,12 @@ GRANITE implementation with a small numpy reverse-mode autodiff engine
 models need.
 """
 
-from repro.nn.fused import fused_dense, fused_layer_norm, fused_lstm_step, fused_piece_update
+from repro.nn.fused import (
+    fused_dense,
+    fused_layer_norm,
+    fused_lstm_sequence,
+    fused_piece_update,
+)
 from repro.nn.layers import Dense, Embedding, LayerNorm, MLP, ResidualMLP, Sequential
 from repro.nn.losses import (
     LOSS_FUNCTIONS,
@@ -98,7 +103,7 @@ __all__ = [
     "fast_path_active",
     "fused_dense",
     "fused_layer_norm",
-    "fused_lstm_step",
+    "fused_lstm_sequence",
     "fused_piece_update",
     "resolve_dtype",
     "gather_rows",

@@ -14,19 +14,20 @@ written by hand against the stashed forward intermediates:
 
 * :func:`fused_dense` — ``activation(x @ W + b)``;
 * :func:`fused_layer_norm` — LayerNorm over the last axis;
-* :func:`fused_lstm_step` — a full LSTM cell step (optionally
-  length-masked), returning the ``[batch, 2 * hidden]`` concatenation of
-  the new hidden and cell states (slice it with basic indexing, whose
-  backward is a cheap in-place region add);
-* :func:`fused_piece_update` — LayerNorm → first Dense → residual
-  projection of :class:`repro.nn.layers.ResidualMLP` over row-gathered
-  input pieces, by transform-then-gather: each piece is multiplied on its
+* :func:`fused_lstm_sequence` — a whole LSTM over a padded batch of
+  sequences, run on length-packed rows: step ``t`` computes only the rows
+  still live at ``t``, and the input projection, ``dW_ih``, ``dW_hh`` and
+  ``dX`` are one GEMM each over every live (row, step) pair.  The no-grad
+  path of :class:`repro.nn.lstm.LSTM` runs the same packed recurrence
+  (:func:`_pack_lengths`, :func:`_lstm_recurrence`) without stashing;
+* :func:`fused_piece_update` — a whole :class:`repro.nn.layers.ResidualMLP`
+  (LayerNorm → first Dense → the remaining Dense layers → + residual
+  projection) over row-gathered input pieces.  The first layer and the
+  projection run by transform-then-gather: each piece is multiplied on its
   source rows and only the products are gathered, forward and backward, so
-  the tape never holds the wide concatenated input.  Returns
-  ``[activation(first Dense) | projection]`` (slice it like the LSTM step).
-  The no-grad path of ``forward_pieces`` runs the same weight fold and
-  per-source GEMM loop (:func:`_fold_piece_weights`,
-  :func:`_transform_then_gather`).
+  the tape never holds the wide concatenated input.  The no-grad path of
+  ``forward_pieces`` runs the same weight fold and per-source GEMM loop
+  (:func:`_fold_piece_weights`, :func:`_transform_then_gather`).
 
 Every backward is covered by the numeric gradient checks in
 ``tests/test_nn_gradcheck.py`` via :mod:`repro.testing.gradcheck`, and the
@@ -36,13 +37,13 @@ whole training tape by a checked-in same-seed loss-trajectory golden
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.tensor import ArrayLike, Tensor, _row_scatter_add, _unbroadcast, as_tensor
 
-__all__ = ["fused_dense", "fused_layer_norm", "fused_lstm_step", "fused_piece_update"]
+__all__ = ["fused_dense", "fused_layer_norm", "fused_lstm_sequence", "fused_piece_update"]
 
 _ACTIVATIONS = (None, "relu", "tanh", "sigmoid")
 
@@ -155,88 +156,198 @@ def fused_layer_norm(
     return Tensor._make(out, (inputs, gain, offset), backward)
 
 
-def fused_lstm_step(
+# ---------------------------------------------------------------------- #
+# Length-packed LSTM sequences.  Rows are sorted by decreasing length once,
+# so the rows still live at step ``t`` are a prefix of the sorted batch and
+# every (row, step) pair past a row's length is simply never computed.
+# Live pairs are stored time-major: step ``t`` owns the next ``counts[t]``
+# packed rows.
+# ---------------------------------------------------------------------- #
+class _Packing(NamedTuple):
+    """Where the live (row, step) pairs of a padded batch are."""
+
+    order: np.ndarray  # batch rows by decreasing length (stable)
+    inverse: np.ndarray  # position of each batch row in ``order``
+    lengths: np.ndarray  # sequence lengths, in ``order``
+    counts: np.ndarray  # live rows per step
+    rows: np.ndarray  # batch row of each packed pair
+    steps: np.ndarray  # step of each packed pair
+
+
+def _pack_lengths(lengths: Optional[np.ndarray], batch_size: int, max_time: int) -> _Packing:
+    """The packing of a ``[batch_size, max_time, ...]`` batch; ``None``: all full."""
+    if lengths is None:
+        lengths = np.full(batch_size, max_time, dtype=np.int64)
+    lengths = np.clip(np.asarray(lengths, dtype=np.int64).reshape(batch_size), 0, max_time)
+    order = np.argsort(-lengths, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(batch_size, dtype=np.int64)
+    sorted_lengths = lengths[order]
+    live = np.arange(sorted_lengths.max(initial=0), dtype=np.int64)[:, None] < sorted_lengths
+    steps, ranks = np.nonzero(live)
+    return _Packing(order, inverse, sorted_lengths, live.sum(axis=1), order[ranks], steps)
+
+
+def _lstm_recurrence(
+    gates: np.ndarray,
+    counts: np.ndarray,
+    weight_hidden: np.ndarray,
+    bias: np.ndarray,
+    hidden: np.ndarray,
+    cell: np.ndarray,
+    outputs: Optional[np.ndarray] = None,
+    stash: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> None:
+    """Runs the packed recurrence in place.
+
+    ``gates`` holds ``x @ weight_input`` of the packed pairs and is
+    overwritten with their gate activations (input/forget/candidate/output,
+    the gate order of :class:`repro.nn.lstm.LSTMCell`).  ``hidden`` and
+    ``cell`` are the length-sorted ``[batch, hidden]`` states; a row stops
+    changing after its last step, so they end as the final states.
+    ``outputs`` (sorted rows, ``[batch, time, hidden]``) receives the hidden
+    state of every live pair.  ``stash`` — ``(hidden in, cell in,
+    tanh(cell out))`` per packed pair — is filled for the backward.
+    """
+    size = hidden.shape[1]
+    start = 0
+    for step, count in enumerate(counts):
+        rows = slice(start, start + count)
+        start += count
+        state_hidden, state_cell = hidden[:count], cell[:count]
+        active = gates[rows]
+        active += state_hidden @ weight_hidden
+        active += bias
+        _activate(active[:, : 2 * size], "sigmoid")
+        np.tanh(active[:, 2 * size : 3 * size], out=active[:, 2 * size : 3 * size])
+        _activate(active[:, 3 * size :], "sigmoid")
+        if stash is not None:
+            stash[0][rows] = state_hidden
+            stash[1][rows] = state_cell
+        # c' = f∘c + i∘g and h' = o∘tanh(c'), written over the live prefix.
+        state_cell *= active[:, size : 2 * size]
+        state_cell += active[:, :size] * active[:, 2 * size : 3 * size]
+        cell_tanh = np.tanh(state_cell, out=None if stash is None else stash[2][rows])
+        np.multiply(active[:, 3 * size :], cell_tanh, out=state_hidden)
+        if outputs is not None:
+            outputs[:count, step] = state_hidden
+
+
+def _freeze_outputs(outputs: np.ndarray, hidden: np.ndarray, lengths: np.ndarray) -> None:
+    """Fills each sorted row's outputs past its length with its final state."""
+    frozen = np.arange(outputs.shape[1], dtype=np.int64) >= lengths[:, None]
+    outputs[frozen] = np.repeat(hidden, outputs.shape[1] - lengths, axis=0)
+
+
+def fused_lstm_sequence(
     inputs: ArrayLike,
-    hidden: ArrayLike,
-    cell: ArrayLike,
+    lengths: Optional[np.ndarray],
     weight_input: ArrayLike,
     weight_hidden: ArrayLike,
     bias: ArrayLike,
-    mask: Optional[np.ndarray] = None,
+    initial_state: Optional[Tuple[ArrayLike, ArrayLike]] = None,
+    need_outputs: bool = False,
 ) -> Tensor:
-    """One LSTM cell step as a single tape node.
+    """An LSTM over a padded batch of sequences as a single tape node.
 
-    Computes the standard gate formulation (input/forget/candidate/output,
-    gate order matching :class:`repro.nn.lstm.LSTMCell`) and returns the
-    concatenation ``[new_hidden | new_cell]`` of shape
-    ``[batch, 2 * hidden_size]`` — callers slice it with basic indexing,
-    which costs one cheap region-add node per slice.  When ``mask`` (a
-    ``[batch]`` or ``[batch, 1]`` boolean array) is given, masked-out rows
-    keep their previous state and receive no gradient through this step's
-    gates — the length masking of :class:`repro.nn.lstm.LSTM`.
+    ``inputs`` is ``[batch, time, input]``; ``lengths`` the true length of
+    each sequence (``None``: all ``time``).  The recurrence runs on
+    length-packed rows: the input projection of every live (row, step) pair
+    is one GEMM, step ``t`` multiplies only the rows still live at ``t``,
+    and padded steps are never computed.  The state starts at zero or at
+    ``initial_state = (hidden, cell)``.
+
+    Returns the final hidden state ``[batch, hidden]``; with
+    ``need_outputs`` the hidden state after every step ``[batch, time,
+    hidden]``, where the steps past a sequence's length hold its final
+    state (so ``outputs[:, -1]`` is the final state).  A caller that passes
+    an ``initial_state`` continues a recurrence, and without
+    ``need_outputs`` gets the final ``[hidden | cell]`` ``[batch, 2 *
+    hidden]`` back.
+
+    The node stashes the packed inputs, the gate activations and, per
+    packed pair, the incoming hidden and cell state and ``tanh`` of the new
+    cell.  Its backward walks the steps in reverse on the same live
+    prefixes and stores every pair's gate gradient ``dZ``; then
+    ``dW_ih = Xᵀ dZ``, ``dW_hh = Hᵀ dZ`` and ``dX = dZ W_ihᵀ`` are one GEMM
+    each.
     """
     inputs = as_tensor(inputs)
-    hidden = as_tensor(hidden)
-    cell = as_tensor(cell)
     weight_input = as_tensor(weight_input)
     weight_hidden = as_tensor(weight_hidden)
     bias = as_tensor(bias)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool).reshape(inputs.data.shape[0], 1)
-
-    size = hidden.data.shape[-1]
-    pre = inputs.data @ weight_input.data
-    pre += hidden.data @ weight_hidden.data
-    pre += bias.data
-    input_gate = 1.0 / (1.0 + np.exp(-pre[:, 0 * size : 1 * size]))
-    forget_gate = 1.0 / (1.0 + np.exp(-pre[:, 1 * size : 2 * size]))
-    candidate = np.tanh(pre[:, 2 * size : 3 * size])
-    output_gate = 1.0 / (1.0 + np.exp(-pre[:, 3 * size : 4 * size]))
-    new_cell = forget_gate * cell.data + input_gate * candidate
-    cell_tanh = np.tanh(new_cell)
-    new_hidden = output_gate * cell_tanh
-    if mask is not None:
-        new_hidden = np.where(mask, new_hidden, hidden.data)
-        new_cell_out = np.where(mask, new_cell, cell.data)
+    batch_size, max_time, _ = inputs.shape
+    size = weight_hidden.shape[0]
+    packing = _pack_lengths(lengths, batch_size, max_time)
+    if initial_state is None:
+        states = ()
+        hidden = np.zeros((batch_size, size), dtype=np.float64)
+        cell = np.zeros((batch_size, size), dtype=np.float64)
     else:
-        new_cell_out = new_cell
-    out = np.concatenate([new_hidden, new_cell_out], axis=1)
+        states = tuple(as_tensor(state) for state in initial_state)
+        hidden, cell = (state.data[packing.order] for state in states)
+
+    packed_inputs = inputs.data[packing.rows, packing.steps]
+    gates = packed_inputs @ weight_input.data
+    stash = tuple(np.empty((len(gates), size), dtype=np.float64) for _ in range(3))
+    outputs = np.empty((batch_size, max_time, size), dtype=np.float64) if need_outputs else None
+    _lstm_recurrence(
+        gates, packing.counts, weight_hidden.data, bias.data, hidden, cell, outputs, stash
+    )
+    if need_outputs:
+        _freeze_outputs(outputs, hidden, packing.lengths)
+        out = outputs[packing.inverse]
+    elif states:
+        out = np.concatenate([hidden, cell], axis=1)[packing.inverse]
+    else:
+        out = hidden[packing.inverse]
+    hidden_in, cell_in, cell_tanh = stash
 
     def backward(gradient: np.ndarray) -> None:
-        d_hidden = gradient[:, :size]
-        d_cell = gradient[:, size:]
-        if mask is not None:
-            # Masked rows pass their gradient straight to the previous state.
-            d_hidden_passthrough = np.where(mask, 0.0, d_hidden)
-            d_cell_passthrough = np.where(mask, 0.0, d_cell)
-            d_hidden = np.where(mask, d_hidden, 0.0)
-            d_cell = np.where(mask, d_cell, 0.0)
-        d_output_gate = d_hidden * cell_tanh
-        d_new_cell = d_cell + d_hidden * output_gate * (1.0 - cell_tanh**2)
-        d_pre = np.empty_like(pre)
-        d_pre[:, 0 * size : 1 * size] = (
-            d_new_cell * candidate * input_gate * (1.0 - input_gate)
-        )
-        d_pre[:, 1 * size : 2 * size] = (
-            d_new_cell * cell.data * forget_gate * (1.0 - forget_gate)
-        )
-        d_pre[:, 2 * size : 3 * size] = d_new_cell * input_gate * (1.0 - candidate**2)
-        d_pre[:, 3 * size : 4 * size] = (
-            d_output_gate * output_gate * (1.0 - output_gate)
-        )
-        inputs._accumulate(d_pre @ weight_input.data.T)
-        d_hidden_previous = d_pre @ weight_hidden.data.T
-        d_cell_previous = d_new_cell * forget_gate
-        if mask is not None:
-            d_hidden_previous += d_hidden_passthrough
-            d_cell_previous += d_cell_passthrough
-        hidden._accumulate(d_hidden_previous)
-        cell._accumulate(d_cell_previous)
-        weight_input._accumulate(inputs.data.T @ d_pre)
-        weight_hidden._accumulate(hidden.data.T @ d_pre)
-        bias._accumulate(d_pre.sum(axis=0))
+        gradient = gradient[packing.order]
+        if need_outputs:
+            frozen = np.arange(max_time, dtype=np.int64) >= packing.lengths[:, None]
+            d_hidden = np.einsum("bt,bth->bh", frozen.astype(np.float64), gradient)
+            d_cell = np.zeros_like(d_hidden)
+        elif states:
+            d_hidden, d_cell = gradient[:, :size], gradient[:, size:]
+        else:
+            d_hidden, d_cell = gradient, np.zeros_like(gradient)
+        d_gates = np.empty_like(gates)
+        end = len(gates)
+        for step in range(len(packing.counts) - 1, -1, -1):
+            count = packing.counts[step]
+            rows = slice(end - count, end)
+            end -= count
+            step_hidden, step_cell = d_hidden[:count], d_cell[:count]
+            if need_outputs:
+                step_hidden += gradient[:count, step]
+            active = gates[rows]
+            input_gate = active[:, :size]
+            forget_gate = active[:, size : 2 * size]
+            candidate = active[:, 2 * size : 3 * size]
+            output_gate = active[:, 3 * size :]
+            tanh = cell_tanh[rows]
+            step_cell += step_hidden * output_gate * (1.0 - tanh**2)
+            d_active = d_gates[rows]
+            d_active[:, :size] = step_cell * candidate * input_gate * (1.0 - input_gate)
+            d_active[:, size : 2 * size] = (
+                step_cell * cell_in[rows] * forget_gate * (1.0 - forget_gate)
+            )
+            d_active[:, 2 * size : 3 * size] = step_cell * input_gate * (1.0 - candidate**2)
+            d_active[:, 3 * size :] = step_hidden * tanh * output_gate * (1.0 - output_gate)
+            # The gradients at the state entering this step.
+            step_cell *= forget_gate
+            np.matmul(d_active, weight_hidden.data.T, out=step_hidden)
+        if inputs.requires_grad:
+            inputs._ensure_grad()[packing.rows, packing.steps] += d_gates @ weight_input.data.T
+        weight_input._accumulate(packed_inputs.T @ d_gates)
+        weight_hidden._accumulate(hidden_in.T @ d_gates)
+        bias._accumulate(d_gates.sum(axis=0))
+        for state, d_state in zip(states, (d_hidden, d_cell)):
+            state._accumulate(d_state[packing.inverse])
 
-    parents = (inputs, hidden, cell, weight_input, weight_hidden, bias)
+    parents = (inputs, weight_input, weight_hidden, bias) + states
     return Tensor._make(out, parents, backward)
 
 
@@ -249,6 +360,8 @@ def fused_lstm_step(
 # ---------------------------------------------------------------------- #
 Pieces = Sequence[Tuple[ArrayLike, Optional[np.ndarray]]]
 Layout = Tuple[Tuple[int, ...], ...]
+#: A Dense layer after the first: ``(weight, bias or None, activation)``.
+DenseLayer = Tuple[ArrayLike, Optional[ArrayLike], Optional[str]]
 
 
 def _group_pieces(pieces: Pieces) -> Layout:
@@ -372,19 +485,24 @@ def fused_piece_update(
     projection: Optional[ArrayLike] = None,
     activation: Optional[str] = "relu",
     epsilon: float = 1e-5,
+    layers: Sequence[DenseLayer] = (),
 ) -> Tensor:
-    """LayerNorm → first Dense → residual projection over gathered pieces.
+    """A :class:`repro.nn.layers.ResidualMLP` over gathered pieces, as one node.
 
     With ``x`` the concatenation of ``source[index]`` (``source`` for an
     ``index`` of ``None``) over ``pieces``, returns the single tape node
-    ``[activation(LayerNorm(x) @ weight + bias) | x @ projection]`` — the
-    first half of :class:`repro.nn.layers.ResidualMLP` — without ever
-    building ``x``.  LayerNorm is skipped when ``gain``/``offset`` are
-    ``None``, the second block when ``projection`` is.
+    ``mlp(activation(LayerNorm(x) @ weight + bias)) + x @ projection``
+    without ever building ``x``; ``mlp`` applies the remaining Dense
+    ``layers``, ``(weight, bias or None, activation)`` each, in order.
+    LayerNorm is skipped when ``gain``/``offset`` are ``None``, the
+    residual when ``projection`` is.  The node stashes only each layer's
+    activations (and the LayerNorm row statistics).
 
-    The forward is :func:`_transform_then_gather`.  The backward works on
-    source rows too.  With ``G = [s∘dA | dR]``, ``S_k`` the scatter-add onto
-    piece ``k``'s source rows, ``q = colsum(dA)`` and
+    The first layer and the projection are :func:`_transform_then_gather`.
+    The backward runs the remaining layers' backward inline, then works on
+    source rows.  With ``G = [s∘dA | dR]`` (``dA`` the first layer's
+    pre-activation gradient, ``dR`` the output gradient), ``S_k`` the
+    scatter-add onto piece ``k``'s source rows, ``q = colsum(dA)`` and
     ``t = s²∘rowdot(dA, A - b')/D``::
 
         dX_k = S_k(G) [W''_k | P_k]ᵀ - S_k(t)∘X_k + S_k(t∘μ)·1ᵀ
@@ -394,8 +512,9 @@ def fused_piece_update(
     (summed over the pieces of one source); without LayerNorm ``s = 1``,
     ``μ = 0``, ``W'' = W`` and the ``t``, gain and offset terms drop.
     """
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unsupported activation {activation!r}")
+    names = [activation] + [name for _, _, name in layers]
+    if any(name not in _ACTIVATIONS for name in names):
+        raise ValueError(f"unsupported activation in {names}")
     if (gain is None) != (offset is None):
         raise ValueError("LayerNorm needs both gain and offset")
     layout = _group_pieces(pieces)
@@ -406,6 +525,10 @@ def fused_piece_update(
         None if value is None else as_tensor(value)
         for value in (weight, bias, gain, offset, projection)
     )
+    dense = [
+        (as_tensor(layer_weight), None if layer_bias is None else as_tensor(layer_bias), name)
+        for layer_weight, layer_bias, name in layers
+    ]
     input_size, hidden_size = weight.shape
     if sum(widths) != input_size:
         raise ValueError(f"pieces have {sum(widths)} features in total, expected {input_size}")
@@ -417,7 +540,7 @@ def fused_piece_update(
     weights, folded_bias = _fold_piece_weights(
         weight.data, data(bias), data(gain), data(offset), data(projection), widths, layout
     )
-    out, mean, scale = _transform_then_gather(
+    update, mean, scale = _transform_then_gather(
         [source.data for source in sources],
         indices,
         layout,
@@ -426,17 +549,34 @@ def fused_piece_update(
         hidden_size,
         epsilon if normalized else None,
     )
-    hidden = out[:, :hidden_size]
+    hidden = update[:, :hidden_size]
     # rowdot(dA, A) needs A only where dA can be nonzero: there A equals
     # the ReLU (or identity) output, so only tanh/sigmoid keep a copy.
     pre = hidden.copy() if normalized and activation in ("tanh", "sigmoid") else hidden
     _activate(hidden, activation)
+    activations = [hidden]
+    for layer_weight, layer_bias, name in dense:
+        outputs = activations[-1] @ layer_weight.data
+        if layer_bias is not None:
+            outputs += layer_bias.data
+        activations.append(_activate(outputs, name))
+    out = activations[-1] if projection is None else activations[-1] + update[:, hidden_size:]
     starts = np.cumsum((0,) + widths)
-    width = out.shape[1]
+    width = update.shape[1]
     parameters = tuple(p for p in (weight, bias, gain, offset, projection) if p is not None)
+    layer_parameters = tuple(p for layer in dense for p in layer[:2] if p is not None)
 
     def backward(gradient: np.ndarray) -> None:
-        delta = _activation_delta(gradient[:, :hidden_size], hidden, activation)
+        d_hidden = gradient
+        for (layer_weight, layer_bias, name), inputs, outputs in zip(
+            reversed(dense), reversed(activations[:-1]), reversed(activations[1:])
+        ):
+            layer_delta = _activation_delta(d_hidden, outputs, name)
+            layer_weight._accumulate(inputs.T @ layer_delta)
+            if layer_bias is not None:
+                layer_bias._accumulate(layer_delta.sum(axis=0))
+            d_hidden = layer_delta @ layer_weight.data.T
+        delta = _activation_delta(d_hidden, hidden, activation)
         if normalized:
             shift = np.einsum("ij,ij->i", delta, pre)
             if folded_bias is not None:
@@ -449,7 +589,7 @@ def fused_piece_update(
         if projection is None:
             spread = spread_delta
         else:
-            spread = np.concatenate([spread_delta, gradient[:, hidden_size:]], axis=1)
+            spread = np.concatenate([spread_delta, gradient], axis=1)
         wants_parameters = any(p.requires_grad for p in parameters)
         # [M | dP] in the row space of the concatenated input.
         moments = np.empty((input_size, width), dtype=np.float64)
@@ -496,4 +636,4 @@ def fused_piece_update(
         if projection is not None:
             projection._accumulate(moments[:, hidden_size:])
 
-    return Tensor._make(out, tuple(sources) + parameters, backward)
+    return Tensor._make(out, tuple(sources) + parameters + layer_parameters, backward)

@@ -274,6 +274,12 @@ class ResidualMLP(Module):
     backward of the tape node (:func:`repro.nn.fused.fused_piece_update`)
     likewise scatters each gradient onto source rows before multiplying.
 
+    On the tape every evaluation is that one node, which covers LayerNorm,
+    all Dense layers and the residual: :meth:`forward` is
+    ``forward_pieces([(x, None)])``, so the decoders record one node each
+    too.  The no-grad :meth:`forward` runs LayerNorm → MLP → + residual on
+    numpy arrays.
+
     Args:
         input_size: Number of input features.
         hidden_sizes: Hidden layer sizes of the MLP.
@@ -306,17 +312,14 @@ class ResidualMLP(Module):
         self._folded = _FoldCache()
 
     def forward(self, inputs: Tensor) -> Tensor:
-        fast = fast_path_active()
-        inputs = raw(inputs) if fast else as_tensor(inputs)
+        if not fast_path_active():
+            return self.forward_pieces([(inputs, None)])
+        inputs = raw(inputs)
         hidden = self.layer_norm(inputs) if self.layer_norm is not None else inputs
         outputs = self.mlp(hidden)
         if self.use_residual:
-            residual = self.projection(inputs) if self.projection is not None else inputs
-            if fast:
-                # The last Dense returned a fresh array.
-                outputs += residual
-            else:
-                outputs = outputs + residual
+            # The last Dense returned a fresh array.
+            outputs += self.projection(inputs) if self.projection is not None else inputs
         return outputs
 
     def forward_pieces(self, pieces: Pieces) -> Tensor:
@@ -326,45 +329,34 @@ class ResidualMLP(Module):
         else f for f, i in pieces]))``, but evaluated by the identity in the
         class docstring, which is what both paths run: pieces that share a
         source array share one GEMM, and the wide concatenated input is
-        never built.  The tape records the LayerNorm, first Dense and
-        projection as one :func:`repro.nn.fused.fused_piece_update` node,
-        whose backward also works on source rows.  An identity residual
-        (input size equals output size) needs that input and falls back to
-        the concatenation.
+        never built.  The tape records the whole update as one
+        :func:`repro.nn.fused.fused_piece_update` node, whose backward also
+        works on source rows.  An identity residual (input size equals
+        output size) needs that input and falls back to the concatenation;
+        on the tape it is added to the node's output.
         """
-        if self.use_residual and self.projection is None:
-            inputs = [f if i is None else gather_rows(f, i) for f, i in pieces]
-            return self(concatenate(inputs, axis=-1))
+        fast = fast_path_active()
+        identity = self.use_residual and self.projection is None
+        if identity:
+            inputs = concatenate([f if i is None else gather_rows(f, i) for f, i in pieces])
+            if fast:
+                return self(inputs)
+            pieces = [(inputs, None)]
         widths = tuple(features.shape[-1] for features, _ in pieces)
         if sum(widths) != self.input_size:
             raise ValueError(
                 f"pieces have {sum(widths)} features in total, expected {self.input_size}"
             )
 
-        first = self.mlp.layers[0]
+        first, *rest = self.mlp.layers
         layer_norm, projection = self.layer_norm, self.projection
-        fast = fast_path_active()
-        if fast:
-            dtype = active_dtype()
-            layout = _group_pieces(pieces)
-            weights, bias = self._folded_weights(dtype, layout, widths)
-            update, _, _ = _transform_then_gather(
-                [raw(pieces[group[0]][0]) for group in layout],
-                [index for _, index in pieces],
-                layout,
-                weights,
-                bias,
-                first.output_size,
-                None if layer_norm is None else layer_norm.epsilon_for(dtype),
-            )
-            _activate(update[:, : first.output_size], first.activation)
-        else:
+        if not fast:
             gain, offset, epsilon = (
                 (None, None, 0.0)
                 if layer_norm is None
                 else (layer_norm.gain, layer_norm.offset, layer_norm.epsilon)
             )
-            update = fused_piece_update(
+            outputs = fused_piece_update(
                 pieces,
                 first.weight,
                 first.bias,
@@ -373,16 +365,27 @@ class ResidualMLP(Module):
                 None if projection is None else projection.weight,
                 first.activation,
                 epsilon,
+                [(layer.weight, layer.bias, layer.activation) for layer in rest],
             )
-        outputs = update[:, : first.output_size]
-        for layer in self.mlp.layers[1:]:
+            return outputs + inputs if identity else outputs
+
+        dtype = active_dtype()
+        layout = _group_pieces(pieces)
+        weights, bias = self._folded_weights(dtype, layout, widths)
+        update, _, _ = _transform_then_gather(
+            [raw(pieces[group[0]][0]) for group in layout],
+            [index for _, index in pieces],
+            layout,
+            weights,
+            bias,
+            first.output_size,
+            None if layer_norm is None else layer_norm.epsilon_for(dtype),
+        )
+        outputs = _activate(update[:, : first.output_size], first.activation)
+        for layer in rest:
             outputs = layer(outputs)
         if projection is not None:
-            residual = update[:, first.output_size :]
-            if fast:
-                outputs += residual
-            else:
-                outputs = outputs + residual
+            outputs += update[:, first.output_size :]
         return outputs
 
     def _folded_weights(self, dtype: np.dtype, layout: Layout, widths: Tuple[int, ...]) -> tuple:

@@ -4,28 +4,27 @@ Ithemal (Mendis et al. 2019) is a two-level LSTM: the first level consumes
 the tokens of each instruction and produces an instruction embedding, the
 second level consumes the instruction embeddings and produces a basic-block
 embedding.  This module provides the :class:`LSTMCell` and a convenience
-:class:`LSTM` that runs a cell over a padded batch of sequences with an
-explicit length mask, which is what the re-implemented baseline uses.
+:class:`LSTM` that runs a cell over a padded batch of sequences with
+explicit sequence lengths, which is what the re-implemented baseline uses.
+
+Both paths run the recurrence on length-packed rows (see
+:func:`repro.nn.fused.fused_lstm_sequence`): the batch is sorted by length
+once, each step computes only the sequences still running, and the steps
+past a sequence's end are never computed.  On the tape a whole sequence is
+one node; the no-grad path runs the same packed recurrence without
+stashing anything for a backward.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.nn import init
-from repro.nn.fused import fused_lstm_step
+from repro.nn.fused import _freeze_outputs, _lstm_recurrence, _pack_lengths, fused_lstm_sequence
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import (
-    Tensor,
-    active_dtype,
-    as_tensor,
-    concatenate,
-    fast_path_active,
-    raw,
-    sigmoid,
-)
+from repro.nn.tensor import Tensor, active_dtype, as_tensor, fast_path_active, raw
 
 #: States are tape tensors while gradients are recorded and raw arrays on
 #: the no-grad fast path (see :meth:`LSTMCell.initial_state`).
@@ -63,7 +62,7 @@ class LSTMCell(Module):
     def forward(
         self, inputs: Tensor, state: Tuple[Tensor, Tensor]
     ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        """Runs one step.
+        """Runs one step, as a one-step sequence from ``state``.
 
         Args:
             inputs: ``[batch, input_size]`` input at this time step.
@@ -72,34 +71,63 @@ class LSTMCell(Module):
         Returns:
             ``(hidden, (hidden, cell))`` for the next step.
         """
-        hidden_state, cell_state = state
+        batch_size = inputs.shape[0]
         if fast_path_active():
-            dtype = active_dtype()
-            gates = raw(inputs) @ self.weight_input.data_as(dtype)
-            gates += raw(hidden_state) @ self.weight_hidden.data_as(dtype)
-            gates += self.bias.data_as(dtype)
-            size = self.hidden_size
-            input_gate = sigmoid(gates[:, 0 * size : 1 * size])
-            forget_gate = sigmoid(gates[:, 1 * size : 2 * size])
-            candidate = np.tanh(gates[:, 2 * size : 3 * size])
-            output_gate = sigmoid(gates[:, 3 * size : 4 * size])
-            new_cell = forget_gate * raw(cell_state) + input_gate * candidate
-            new_hidden = output_gate * np.tanh(new_cell)
-            return new_hidden, (new_hidden, new_cell)
-        # Tape: one fused node for the whole step plus two cheap
-        # basic-index slices.
-        state = fused_lstm_step(
-            inputs,
-            hidden_state,
-            cell_state,
+            _, hidden, cell = self._run_no_grad(
+                raw(inputs).reshape(batch_size, 1, self.input_size), None, state, False
+            )
+            return hidden, (hidden, cell)
+        state = fused_lstm_sequence(
+            as_tensor(inputs).reshape(batch_size, 1, self.input_size),
+            None,
             self.weight_input,
             self.weight_hidden,
             self.bias,
+            initial_state=state,
         )
         size = self.hidden_size
         new_hidden = state[:, :size]
-        new_cell = state[:, size:]
-        return new_hidden, (new_hidden, new_cell)
+        return new_hidden, (new_hidden, state[:, size:])
+
+    def _run_no_grad(
+        self,
+        inputs: np.ndarray,
+        lengths: Optional[np.ndarray],
+        initial_state: Optional[Tuple[State, State]],
+        need_outputs: bool,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+        """The no-grad recurrence over a padded ``[batch, time, input]`` batch.
+
+        The packed recurrence of :func:`repro.nn.fused.fused_lstm_sequence`
+        on raw arrays of ``inputs``' dtype, with nothing stashed.  Returns
+        ``(outputs or None, final hidden, final cell)``; outputs past a
+        sequence's length hold its final hidden state, as on the tape.
+        """
+        batch_size, max_time, _ = inputs.shape
+        dtype = inputs.dtype
+        packing = _pack_lengths(lengths, batch_size, max_time)
+        if initial_state is None:
+            hidden = np.zeros((batch_size, self.hidden_size), dtype=dtype)
+            cell = np.zeros((batch_size, self.hidden_size), dtype=dtype)
+        else:
+            hidden, cell = (raw(state)[packing.order] for state in initial_state)
+        gates = inputs[packing.rows, packing.steps] @ self.weight_input.data_as(dtype)
+        outputs = None
+        if need_outputs:
+            outputs = np.empty((batch_size, max_time, self.hidden_size), dtype=dtype)
+        _lstm_recurrence(
+            gates,
+            packing.counts,
+            self.weight_hidden.data_as(dtype),
+            self.bias.data_as(dtype),
+            hidden,
+            cell,
+            outputs,
+        )
+        if outputs is not None:
+            _freeze_outputs(outputs, hidden, packing.lengths)
+            outputs = outputs[packing.inverse]
+        return outputs, hidden[packing.inverse], cell[packing.inverse]
 
     def initial_state(self, batch_size: int) -> Tuple[State, State]:
         """Returns an all-zeros ``(hidden, cell)`` state.
@@ -147,85 +175,34 @@ class LSTM(Module):
             lengths: Optional ``[batch]`` integer array of true sequence
                 lengths.  When given, the returned final state for each
                 sequence is the state at its own last element, and padded
-                steps do not modify the state.
-            need_outputs: When False, the tape path skips recording the
-                per-step output stack (the hierarchical models only consume
-                the final state); ``outputs`` is then ``None``.
+                steps are never computed.
+            need_outputs: When False, ``outputs`` is ``None`` and neither
+                path builds it (the hierarchical models only consume the
+                final state).
 
         Returns:
             A tuple ``(outputs, final_hidden)`` where ``outputs`` is
             ``[batch, time, hidden_size]`` (or ``None``, see
             ``need_outputs``) and ``final_hidden`` is
-            ``[batch, hidden_size]``.  On the tape path, output rows past a
-            sequence's length hold its frozen final state rather than the
-            padded-step activations — they carry no information either way.
+            ``[batch, hidden_size]``.  Output rows past a sequence's length
+            hold its final state on both paths.
 
-        The tape path records one :func:`repro.nn.fused.fused_lstm_step`
-        node per time step (the length mask folded in) plus two basic-index
-        slices whose backwards accumulate in place.
+        The tape records one :func:`repro.nn.fused.fused_lstm_sequence`
+        node (plus, with ``need_outputs``, the basic-index slice that reads
+        the final state off the last step).
         """
+        cell = self.cell
         if fast_path_active():
-            return self._forward_inference(raw(inputs), lengths)
-        inputs = as_tensor(inputs)
-        batch_size, max_time = inputs.shape[0], inputs.shape[1]
-        if lengths is None:
-            lengths = np.full((batch_size,), max_time, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        size = self.hidden_size
-        cell_module = self.cell
-        hidden, cell = cell_module.initial_state(batch_size)
-        step_outputs: List[Tensor] = []
-        for time in range(max_time):
-            frame = inputs[:, time, :]
-            active = lengths > time
-            mask = None if active.all() else active
-            state = fused_lstm_step(
-                frame,
-                hidden,
-                cell,
-                cell_module.weight_input,
-                cell_module.weight_hidden,
-                cell_module.bias,
-                mask=mask,
-            )
-            hidden = state[:, :size]
-            cell = state[:, size:]
-            if need_outputs:
-                step_outputs.append(hidden.reshape(batch_size, 1, size))
+            outputs, hidden, _ = cell._run_no_grad(raw(inputs), lengths, None, need_outputs)
+            return outputs, hidden
+        result = fused_lstm_sequence(
+            inputs,
+            lengths,
+            cell.weight_input,
+            cell.weight_hidden,
+            cell.bias,
+            need_outputs=need_outputs,
+        )
         if not need_outputs:
-            return None, hidden
-        outputs = concatenate(step_outputs, axis=1) if step_outputs else inputs
-        return outputs, hidden
-
-    def _forward_inference(
-        self, inputs: np.ndarray, lengths: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """No-grad fast path: the same recurrence on raw numpy arrays."""
-        batch_size, max_time = inputs.shape[0], inputs.shape[1]
-        if lengths is None:
-            lengths = np.full((batch_size,), max_time, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-
-        size = self.hidden_size
-        dtype = inputs.dtype
-        weight_input = self.cell.weight_input.data_as(dtype)
-        weight_hidden = self.cell.weight_hidden.data_as(dtype)
-        bias = self.cell.bias.data_as(dtype)
-        hidden = np.zeros((batch_size, size), dtype=dtype)
-        cell = np.zeros((batch_size, size), dtype=dtype)
-        outputs = np.empty((batch_size, max_time, size), dtype=dtype)
-        for time in range(max_time):
-            gates = inputs[:, time, :] @ weight_input
-            gates += hidden @ weight_hidden
-            gates += bias
-            input_gate = sigmoid(gates[:, 0 * size : 1 * size])
-            forget_gate = sigmoid(gates[:, 1 * size : 2 * size])
-            candidate = np.tanh(gates[:, 2 * size : 3 * size])
-            output_gate = sigmoid(gates[:, 3 * size : 4 * size])
-            new_cell = forget_gate * cell + input_gate * candidate
-            new_hidden = output_gate * np.tanh(new_cell)
-            active = (lengths > time).reshape(batch_size, 1)
-            hidden = np.where(active, new_hidden, hidden)
-            cell = np.where(active, new_cell, cell)
-            outputs[:, time, :] = new_hidden
-        return outputs, hidden
+            return None, result
+        return result, result[:, -1, :]

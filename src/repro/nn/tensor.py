@@ -65,10 +65,11 @@ Every layer has two paths:
   (:func:`fast_path_active`, the inference default): raw arrays, no tape;
 * **tape** — otherwise.  The hot composites are **fused** tape ops with
   hand-written backwards (:mod:`repro.nn.fused`): one node per Dense layer
-  (matmul + bias + activation), one per LayerNorm and one per LSTM time
-  step.  Under ``no_grad`` the tape path computes the same values without
-  recording (``use_fast_path(False)``, the reference the fast path is
-  checked against).
+  (matmul + bias + activation), one per LayerNorm, one per residual MLP
+  (every GN update and decoder) and one per LSTM sequence.  Under
+  ``no_grad`` the tape path computes the same values without recording
+  (``use_fast_path(False)``, the reference the fast path is checked
+  against).
 
 The tape's scatters are vectorized too:
 
@@ -591,7 +592,7 @@ class Tensor:
             if basic:
                 # Region accumulate: basic indexing cannot alias, so add the
                 # gradient straight into the parent's gradient slice instead
-                # of materialising a full-size zeros array per time step.
+                # of materialising a full-size zeros array per slice.
                 self._ensure_grad()[key] += gradient
                 return
             if isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu":

@@ -221,8 +221,19 @@ def assert_matches_tape(fast, tape, dtype):
 
 
 def concatenated_update(network, pieces):
-    """The definition of ``ResidualMLP.forward_pieces``, run literally."""
-    return network(concatenate([f if i is None else gather_rows(f, i) for f, i in pieces]))
+    """The definition of ``ResidualMLP.forward_pieces``, run literally.
+
+    Concatenation → LayerNorm → each Dense layer → + residual, one layer at
+    a time, so on the tape it records a node per layer and checks the fused
+    update node against an independent computation.
+    """
+    inputs = concatenate([f if i is None else gather_rows(f, i) for f, i in pieces])
+    hidden = inputs if network.layer_norm is None else network.layer_norm(inputs)
+    outputs = network.mlp(hidden)
+    if network.use_residual:
+        residual = inputs if network.projection is None else network.projection(inputs)
+        outputs = outputs + residual
+    return outputs
 
 
 def no_grad_run(dtype, function, *args):
@@ -250,9 +261,7 @@ class TestForwardPiecesEquivalence:
             (state.nodes, topology.receivers),
             (state.globals_, topology.edge_graph_ids),
         ]
-        tape = network(
-            concatenate([Tensor(f if i is None else f[i]) for f, i in pieces], axis=-1)
-        ).data
+        tape = concatenated_update(network, [(Tensor(f), i) for f, i in pieces]).data
         assert_matches_tape(no_grad_run(dtype, network.forward_pieces, pieces), tape, dtype)
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -260,7 +269,7 @@ class TestForwardPiecesEquivalence:
         network = ResidualMLP(2 * NODE, [8], 2 * NODE, rng)
         nodes, index = rng.normal(size=(3, NODE)), np.array([2, 0, 2, 1])
         pieces = [(nodes, index), (nodes, index[::-1])]
-        tape = network(concatenate([Tensor(nodes[index]), Tensor(nodes[index[::-1]])])).data
+        tape = concatenated_update(network, [(Tensor(f), i) for f, i in pieces]).data
         assert_matches_tape(no_grad_run(dtype, network.forward_pieces, pieces), tape, dtype)
 
     @pytest.mark.parametrize("use_layer_norm,use_residual", NORM_RESIDUAL)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.graph.builder import build_block_graph
-from repro.graph.graph import BlockGraph, GraphsTuple, pack_graphs
+from repro.graph.graph import (
+    BlockGraph,
+    GraphsTuple,
+    concatenate_graphs,
+    encode_graph,
+    pack_graphs,
+)
+from repro.isa.basic_block import BasicBlock
 from repro.graph.types import EDGE_TYPE_INDEX, EdgeType, NodeType
 from repro.graph.vocabulary import build_default_vocabulary
 
@@ -126,3 +133,86 @@ class TestPackGraphs:
         assert np.array_equal(first.node_token_ids, second.node_token_ids)
         assert np.array_equal(first.senders, second.senders)
         assert np.array_equal(first.globals_features, second.globals_features)
+
+
+def _pack_graph_by_graph(graphs, vocabulary):
+    """The packer as one loop over graphs, nodes and edges: the reference
+    that encode-then-concatenate must reproduce field for field."""
+    token_ids, node_graph_ids, edge_type_ids, senders, receivers = [], [], [], [], []
+    edge_graph_ids, globals_rows, instruction_nodes, instruction_graph_ids = [], [], [], []
+    offset = 0
+    for graph_index, graph in enumerate(graphs):
+        ids = vocabulary.encode(graph.tokens())
+        token_ids += ids
+        node_graph_ids += [graph_index] * graph.num_nodes
+        for edge in graph.edges:
+            edge_type_ids.append(EDGE_TYPE_INDEX[edge.edge_type])
+            senders.append(edge.sender + offset)
+            receivers.append(edge.receiver + offset)
+            edge_graph_ids.append(graph_index)
+        tokens = np.bincount(ids, minlength=len(vocabulary)).astype(np.float64)
+        edge_types = graph.edge_type_histogram()
+        globals_rows.append(
+            np.concatenate([tokens / max(tokens.sum(), 1.0), edge_types / max(edge_types.sum(), 1.0)])
+        )
+        instruction_nodes += [index + offset for index in graph.instruction_node_indices]
+        instruction_graph_ids += [graph_index] * graph.num_instructions
+        offset += graph.num_nodes
+    arrays = (
+        token_ids, node_graph_ids, edge_type_ids, senders, receivers, edge_graph_ids
+    )
+    return GraphsTuple(
+        *(np.array(values, dtype=np.int64) for values in arrays),
+        globals_features=np.stack(globals_rows),
+        instruction_node_indices=np.array(instruction_nodes, dtype=np.int64),
+        instruction_graph_ids=np.array(instruction_graph_ids, dtype=np.int64),
+        num_graphs=len(graphs),
+    )
+
+
+class TestEncodeThenConcatenate:
+    FIELDS = (
+        "node_token_ids", "node_graph_ids", "edge_type_ids", "senders", "receivers",
+        "edge_graph_ids", "globals_features", "instruction_node_indices",
+        "instruction_graph_ids",
+    )
+
+    def assert_same(self, packed, expected):
+        assert packed.num_graphs == expected.num_graphs
+        for name in self.FIELDS:
+            actual, wanted = getattr(packed, name), getattr(expected, name)
+            assert actual.dtype == wanted.dtype and actual.shape == wanted.shape, name
+            np.testing.assert_array_equal(actual, wanted, err_msg=name)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batches_match_the_graph_by_graph_packer(
+        self, seed, sample_blocks, figure1_block, vocabulary
+    ):
+        one_instruction = BasicBlock.from_text("NOP")
+        pool = [build_block_graph(block) for block in sample_blocks[:20]]
+        pool += [build_block_graph(one_instruction), build_block_graph(figure1_block)]
+        rng = np.random.default_rng(seed)
+        picks = rng.integers(0, len(pool), size=12).tolist()
+        # A repeated block and the one-instruction block in every batch.
+        graphs = [pool[index] for index in picks + [picks[0], len(pool) - 2]]
+        expected = _pack_graph_by_graph(graphs, vocabulary)
+        self.assert_same(pack_graphs(graphs, vocabulary), expected)
+        encoded = [encode_graph(graph, vocabulary) for graph in graphs]
+        self.assert_same(concatenate_graphs(encoded), expected)
+
+    def test_batches_of_batches(self, sample_blocks, vocabulary):
+        graphs = [build_block_graph(block) for block in sample_blocks[:7]]
+        halves = [pack_graphs(graphs[:3], vocabulary), pack_graphs(graphs[3:], vocabulary)]
+        self.assert_same(concatenate_graphs(halves), _pack_graph_by_graph(graphs, vocabulary))
+
+    def test_granite_batches_come_from_cached_arrays(self, sample_blocks, vocabulary):
+        from repro.models import create_model
+
+        model = create_model("granite", small=True, seed=0)
+        blocks = sample_blocks[:5]
+        batch = model.encode_blocks(blocks + blocks[:1])
+        expected = _pack_graph_by_graph(
+            [build_block_graph(block) for block in blocks + blocks[:1]], model.vocabulary
+        )
+        self.assert_same(batch.graphs, expected)
+        assert len(model._graph_cache) == 5

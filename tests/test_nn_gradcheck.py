@@ -11,10 +11,11 @@ import pytest
 from repro.nn.fused import (
     fused_dense,
     fused_layer_norm,
-    fused_lstm_step,
+    fused_lstm_sequence,
     fused_piece_update,
 )
-from repro.nn.layers import Dense, LayerNorm
+from repro.gnn.blocks import EdgeBlock, GraphState, GraphTopology
+from repro.nn.layers import Dense, LayerNorm, ResidualMLP
 from repro.nn.lstm import LSTM, LSTMCell
 from repro.nn.tensor import (
     Tensor,
@@ -90,37 +91,99 @@ class TestFusedLayerNorm:
         )
 
 
-class TestFusedLSTMStep:
-    def _operands(self, rng, batch=3, input_size=4, hidden_size=5):
-        return {
-            "inputs": _tensor(rng, (batch, input_size)),
-            "hidden": _tensor(rng, (batch, hidden_size), scale=0.5),
-            "cell": _tensor(rng, (batch, hidden_size), scale=0.5),
-            "weight_input": _tensor(rng, (input_size, 4 * hidden_size), scale=0.3),
-            "weight_hidden": _tensor(rng, (hidden_size, 4 * hidden_size), scale=0.3),
-            "bias": _tensor(rng, (4 * hidden_size,), scale=0.1),
+class TestFusedLSTMSequence:
+    """Length-packed sequences: unsorted and tied lengths, length-1 and empty
+    rows, all rows full; from zero or from an initial state; with and
+    without the per-step outputs."""
+
+    BATCH, TIME, INPUT, HIDDEN = 4, 5, 3, 4
+    LENGTHS = {
+        "unsorted_tied": np.array([3, 5, 3, 1]),
+        "length_one": np.array([1, 2, 1, 1]),
+        "empty_row": np.array([2, 0, 5, 4]),
+        "all_full": None,
+    }
+
+    def _operands(self, rng, initial_state=False):
+        gates = 4 * self.HIDDEN
+        operands = {
+            "inputs": _tensor(rng, (self.BATCH, self.TIME, self.INPUT)),
+            "weight_input": _tensor(rng, (self.INPUT, gates), scale=0.3),
+            "weight_hidden": _tensor(rng, (self.HIDDEN, gates), scale=0.3),
+            "bias": _tensor(rng, (gates,), scale=0.1),
         }
+        if initial_state:
+            operands["hidden"] = _tensor(rng, (self.BATCH, self.HIDDEN), scale=0.5)
+            operands["cell"] = _tensor(rng, (self.BATCH, self.HIDDEN), scale=0.5)
+        return operands
 
-    def test_against_numeric(self, rng):
-        operands = self._operands(rng)
-        gradcheck(lambda: fused_lstm_step(**operands), operands, atol=1e-5)
-
-    def test_against_numeric_with_mask(self, rng):
-        operands = self._operands(rng)
-        mask = np.array([True, False, True])
-        gradcheck(lambda: fused_lstm_step(**operands, mask=mask), operands, atol=1e-5)
-
-    def test_masked_rows_keep_previous_state(self, rng):
-        operands = self._operands(rng)
-        mask = np.array([True, False, True])
-        state = fused_lstm_step(**operands, mask=mask)
-        hidden_size = operands["hidden"].shape[1]
-        np.testing.assert_allclose(
-            state.data[1, :hidden_size], operands["hidden"].data[1]
+    @staticmethod
+    def _sequence(operands, lengths, need_outputs):
+        state = (operands["hidden"], operands["cell"]) if "hidden" in operands else None
+        return fused_lstm_sequence(
+            operands["inputs"],
+            lengths,
+            operands["weight_input"],
+            operands["weight_hidden"],
+            operands["bias"],
+            initial_state=state,
+            need_outputs=need_outputs,
         )
+
+    @staticmethod
+    def _step_by_step(operands, lengths):
+        """An independent reference: the full padded batch, one masked step at a time."""
+        data = {name: tensor.data for name, tensor in operands.items()}
+        batch, time, _ = data["inputs"].shape
+        size = data["weight_hidden"].shape[0]
+        hidden = data.get("hidden", np.zeros((batch, size)))
+        cell = data.get("cell", np.zeros((batch, size)))
+        lengths = np.full(batch, time) if lengths is None else lengths
+        outputs = np.empty((batch, time, size))
+        for step in range(time):
+            pre = data["inputs"][:, step] @ data["weight_input"]
+            pre = pre + hidden @ data["weight_hidden"] + data["bias"]
+            gate = 1.0 / (1.0 + np.exp(-pre))
+            new_cell = gate[:, size : 2 * size] * cell + gate[:, :size] * np.tanh(
+                pre[:, 2 * size : 3 * size]
+            )
+            new_hidden = gate[:, 3 * size :] * np.tanh(new_cell)
+            live = (lengths > step)[:, None]
+            hidden = np.where(live, new_hidden, hidden)
+            cell = np.where(live, new_cell, cell)
+            outputs[:, step] = hidden
+        return outputs, hidden, cell
+
+    @pytest.mark.parametrize("lengths", sorted(LENGTHS))
+    @pytest.mark.parametrize("initial_state", [False, True])
+    @pytest.mark.parametrize("need_outputs", [False, True])
+    def test_against_numeric(self, rng, lengths, initial_state, need_outputs):
+        operands = self._operands(rng, initial_state)
+        lengths = self.LENGTHS[lengths]
+        gradcheck(lambda: self._sequence(operands, lengths, need_outputs), operands, atol=1e-5)
+
+    @pytest.mark.parametrize("lengths", sorted(LENGTHS))
+    @pytest.mark.parametrize("initial_state", [False, True])
+    def test_forward_matches_the_padded_recurrence(self, rng, lengths, initial_state):
+        operands = self._operands(rng, initial_state)
+        lengths = self.LENGTHS[lengths]
+        outputs, hidden, cell = self._step_by_step(operands, lengths)
         np.testing.assert_allclose(
-            state.data[1, hidden_size:], operands["cell"].data[1]
+            self._sequence(operands, lengths, True).data, outputs, rtol=1e-12, atol=1e-15
         )
+        final = self._sequence(operands, lengths, False).data
+        if initial_state:
+            np.testing.assert_allclose(final, np.concatenate([hidden, cell], 1), atol=1e-15)
+        else:
+            np.testing.assert_allclose(final, hidden, rtol=1e-12, atol=1e-15)
+
+    def test_padded_steps_get_no_gradient(self, rng):
+        operands = self._operands(rng)
+        lengths = self.LENGTHS["unsorted_tied"]
+        self._sequence(operands, lengths, True).sum().backward()
+        padded = np.arange(self.TIME) >= lengths[:, None]
+        np.testing.assert_array_equal(operands["inputs"].grad[padded], 0.0)
+        assert np.all(np.abs(operands["inputs"].grad[~padded]).sum(axis=-1) > 0.0)
 
     def test_cell_against_numeric(self, rng):
         cell = LSTMCell(4, 5, rng)
@@ -144,21 +207,24 @@ class TestFusedLSTMStep:
 
 class TestFusedPieceUpdate:
     """An edge update's pieces: the un-indexed edges, sender and receiver
-    rows of one node source, and per-graph globals with repeated indices."""
+    rows of one node source, and per-graph globals with repeated indices,
+    through LayerNorm, ``depth`` Dense layers and the residual projection."""
 
     EDGE, NODE, GLOBAL, HIDDEN, OUTPUT = 3, 4, 2, 5, 3
     TOPOLOGY = (np.array([0, 0, 1, 2, 3]), np.array([1, 2, 3, 3, 0]), np.array([0, 0, 0, 1, 1]))
     NO_EDGES = (np.zeros(0, dtype=np.int64),) * 3
 
-    def _operands(self, rng, num_edges=5, layer_norm=True, projection=True):
+    def _operands(self, rng, num_edges=5, layer_norm=True, projection=True, depth=3):
         input_size = self.EDGE + 2 * self.NODE + self.GLOBAL
+        sizes = [input_size] + [self.HIDDEN] * (depth - 1) + [self.OUTPUT]
         operands = {
             "edges": _tensor(rng, (num_edges, self.EDGE)),
             "nodes": _tensor(rng, (4, self.NODE)),
             "globals": _tensor(rng, (2, self.GLOBAL)),
-            "weight": _tensor(rng, (input_size, self.HIDDEN), scale=0.5),
-            "bias": _tensor(rng, (self.HIDDEN,), scale=0.5),
         }
+        for layer in range(depth):
+            operands[f"weight{layer}"] = _tensor(rng, sizes[layer : layer + 2], scale=0.5)
+            operands[f"bias{layer}"] = _tensor(rng, (sizes[layer + 1],), scale=0.5)
         if layer_norm:
             gain = np.ones(input_size) + 0.3 * rng.normal(size=input_size)
             operands["gain"] = Tensor(gain, requires_grad=True)
@@ -177,27 +243,44 @@ class TestFusedPieceUpdate:
             (operands["globals"], graph_ids),
         ]
 
-    def _update(self, operands, topology=TOPOLOGY, activation="relu"):
+    @staticmethod
+    def _layers(operands, activations):
+        """The Dense layers after the first: ReLU, and a linear last one."""
+        depth = sum(name.startswith("weight") for name in operands)
+        activations = activations or ["relu"] * (depth - 2) + [None]
+        return [
+            (operands[f"weight{layer}"], operands.get(f"bias{layer}"), activations[layer - 1])
+            for layer in range(1, depth)
+        ]
+
+    def _update(self, operands, topology=TOPOLOGY, activation="relu", activations=None):
         return fused_piece_update(
             self._pieces(operands, topology),
-            operands["weight"],
-            operands["bias"],
+            operands["weight0"],
+            operands["bias0"],
             operands.get("gain"),
             operands.get("offset"),
             operands.get("projection"),
             activation,
+            layers=self._layers(operands, activations),
         )
 
+    @pytest.mark.parametrize("depth", [1, 3])
     @pytest.mark.parametrize("layer_norm", [True, False])
     @pytest.mark.parametrize("projection", [True, False])
-    def test_against_numeric(self, rng, layer_norm, projection):
-        operands = self._operands(rng, layer_norm=layer_norm, projection=projection)
+    def test_against_numeric(self, rng, layer_norm, projection, depth):
+        operands = self._operands(rng, layer_norm=layer_norm, projection=projection, depth=depth)
         gradcheck(lambda: self._update(operands), operands, atol=1e-5)
 
     @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid"])
     def test_other_activations_against_numeric(self, rng, activation):
         operands = self._operands(rng)
-        gradcheck(lambda: self._update(operands, activation=activation), operands, atol=1e-5)
+        del operands["bias2"]
+        gradcheck(
+            lambda: self._update(operands, activation=activation, activations=[activation] * 2),
+            operands,
+            atol=1e-5,
+        )
 
     def test_source_without_gradient(self, rng):
         operands = self._operands(rng)
@@ -210,37 +293,83 @@ class TestFusedPieceUpdate:
     def test_zero_edges(self, rng):
         operands = self._operands(rng, num_edges=0)
         output = self._update(operands, self.NO_EDGES)
-        assert output.shape == (0, self.HIDDEN + self.OUTPUT)
+        assert output.shape == (0, self.OUTPUT)
         gradcheck(lambda: self._update(operands, self.NO_EDGES), operands)
-        for name in ("nodes", "globals", "weight", "gain", "projection"):
+        for name in ("nodes", "globals", "weight0", "weight2", "gain", "projection"):
             np.testing.assert_array_equal(operands[name].grad, 0.0)
 
+    @pytest.mark.parametrize("depth", [1, 3])
     @pytest.mark.parametrize("layer_norm", [True, False])
     @pytest.mark.parametrize("projection", [True, False])
-    def test_forward_is_the_concatenated_definition(self, rng, layer_norm, projection):
-        operands = self._operands(rng, layer_norm=layer_norm, projection=projection)
+    def test_forward_is_the_concatenated_definition(self, rng, layer_norm, projection, depth):
+        operands = self._operands(rng, layer_norm=layer_norm, projection=projection, depth=depth)
         pieces = self._pieces(operands, self.TOPOLOGY)
         inputs = concatenate([f if i is None else gather_rows(f, i) for f, i in pieces])
-        normalized = (
+        hidden = (
             fused_layer_norm(inputs, operands["gain"], operands["offset"])
             if layer_norm
             else inputs
         )
-        expected = fused_dense(normalized, operands["weight"], operands["bias"], "relu").data
+        hidden = fused_dense(hidden, operands["weight0"], operands["bias0"], "relu")
+        for weight, bias, activation in self._layers(operands, None):
+            hidden = fused_dense(hidden, weight, bias, activation)
+        expected = hidden.data
         if projection:
-            expected = np.concatenate([expected, inputs.data @ operands["projection"].data], 1)
+            expected = expected + inputs.data @ operands["projection"].data
         np.testing.assert_allclose(self._update(operands).data, expected, rtol=1e-12, atol=1e-13)
 
     def test_rejects_bad_arguments(self, rng):
         operands = self._operands(rng)
         with pytest.raises(ValueError, match="activation"):
             self._update(operands, activation="gelu")
+        with pytest.raises(ValueError, match="activation"):
+            self._update(operands, activations=["relu", "gelu"])
         with pytest.raises(ValueError, match="features"):
-            fused_piece_update([(operands["nodes"], None)], operands["weight"])
+            fused_piece_update([(operands["nodes"], None)], operands["weight0"])
         with pytest.raises(ValueError, match="gain and offset"):
             fused_piece_update(
-                self._pieces(operands, self.TOPOLOGY), operands["weight"], gain=operands["gain"]
+                self._pieces(operands, self.TOPOLOGY), operands["weight0"], gain=operands["gain"]
             )
+
+
+class TestOneNodePerLayer:
+    """A GN update, a decoder and an LSTM layer each record one tape node."""
+
+    @staticmethod
+    def _recorded_nodes(output):
+        """The tape nodes (tensors with a backward) that ``output`` depends on."""
+        visited, stack, count = set(), [output], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in visited:
+                visited.add(id(node))
+                count += node._backward is not None
+                stack.extend(node._parents)
+        return count
+
+    def test_gn_update(self, rng):
+        state = GraphState(
+            nodes=_tensor(rng, (4, 6)), edges=_tensor(rng, (5, 5)), globals_=_tensor(rng, (2, 4))
+        )
+        topology = GraphTopology(
+            senders=np.array([0, 0, 1, 2, 3]),
+            receivers=np.array([1, 2, 3, 3, 0]),
+            node_graph_ids=np.array([0, 0, 1, 1]),
+            edge_graph_ids=np.array([0, 0, 1, 1, 1]),
+            num_graphs=2,
+        )
+        block = EdgeBlock(5, 6, 4, [8, 8], 5, rng)
+        assert self._recorded_nodes(block(state, topology)) == 1
+
+    @pytest.mark.parametrize("use_layer_norm", [True, False])
+    def test_decoder(self, rng, use_layer_norm):
+        decoder = ResidualMLP(6, [8, 8], 1, rng, use_layer_norm=use_layer_norm)
+        assert self._recorded_nodes(decoder(_tensor(rng, (3, 6)))) == 1
+
+    def test_lstm_layer(self, rng):
+        lstm = LSTM(3, 4, rng)
+        _, final = lstm(_tensor(rng, (3, 5, 3)), np.array([5, 2, 4]), need_outputs=False)
+        assert self._recorded_nodes(final) == 1
 
 
 class TestLSTMLayer:

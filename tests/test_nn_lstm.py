@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.lstm import LSTM, LSTMCell
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 class TestLSTMCell:
@@ -86,3 +86,24 @@ class TestLSTM:
         # Gradient of the padded steps of the shorter sequence must be zero.
         np.testing.assert_allclose(inputs.grad[1, 2:, :], 0.0)
         assert np.abs(inputs.grad[1, :2, :]).sum() > 0.0
+
+    def test_outputs_past_the_end_hold_the_final_state_on_both_paths(self, rng):
+        lstm = LSTM(3, 4, rng)
+        sequences = rng.normal(size=(3, 6, 3))
+        lengths = np.array([6, 2, 4])
+        tape_outputs, tape_final = lstm(Tensor(sequences, requires_grad=True), lengths)
+        with no_grad():
+            outputs, final = lstm(sequences, lengths)
+        np.testing.assert_allclose(outputs, tape_outputs.data, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(final, tape_final.data, rtol=1e-12, atol=1e-15)
+        for row, length in enumerate(lengths):
+            np.testing.assert_array_equal(outputs[row, length:], np.tile(final[row], (6 - length, 1)))
+
+    def test_no_grad_path_skips_outputs_when_not_needed(self, rng):
+        lstm = LSTM(3, 4, rng)
+        sequences = rng.normal(size=(2, 4, 3))
+        with no_grad():
+            outputs, final = lstm(sequences, np.array([4, 1]), need_outputs=False)
+            _, expected = lstm(sequences, np.array([4, 1]))
+        assert outputs is None
+        np.testing.assert_array_equal(final, expected)
