@@ -24,10 +24,11 @@ The serving stack has two front ends over one execution core:
 
 * **Asynchronous** (:class:`repro.serve.AsyncPredictionService`):
   producers ``submit()`` single requests and immediately get futures; a
-  dispatcher thread drains the shared bounded queue and flushes a
-  micro-batch when ``max_batch_size`` blocks are pending OR the oldest
-  request has waited ``max_latency_ms`` — whichever fires first.  Those two
-  knobs *are* the latency/throughput trade-off.  Requests carry priorities
+  dispatcher thread drains the shared bounded queue work-conservingly: as
+  soon as it is free it flushes whatever is queued, up to
+  ``max_batch_size`` blocks.  No timer holds a request back — requests
+  that arrive while a flush runs pile up and form the next, larger batch,
+  so batching grows with load on its own.  Requests carry priorities
   (:class:`repro.serve.Priority`): interactive traffic jumps queued bulk
   work.  The queue is bounded in blocks; the ``backpressure`` policy either
   blocks producers or rejects with :class:`repro.serve.QueueFullError`.
@@ -47,17 +48,13 @@ whole sharded pool — run its no-grad forward in single precision, roughly
 store float64 master weights, and ``tests/equivalence`` pins float32
 predictions to the float64 path within an explicit tolerance/MAPE budget.
 
-Load-adaptive serving
----------------------
+Elastic serving
+---------------
 
-``--min-latency-ms`` below ``--max-latency-ms`` turns the fixed flush
-deadline into a load-adaptive one: when the queue is idle a lone request
-flushes after ~``--min-latency-ms`` instead of sitting out the whole
-deadline, and under saturation the deadline stretches back to
-``--max-latency-ms`` so flushes stay dense (by default the floor equals
-the ceiling: a fixed deadline).  With ``--workers N --min-workers LO --max-workers HI`` the
-sharded pool also becomes *elastic*: an autoscale monitor grows it when
-the queue backs up and shrinks it after sustained idleness, with a
+With ``--workers N --min-workers LO --max-workers HI`` the sharded pool
+becomes *elastic*: an autoscale monitor grows it when the queue backs up
+(or the flush-wait p99 exceeds twice ``--max-latency-ms``) and shrinks it
+after sustained idleness, with a
 consistent hash ring keeping ~(N-1)/N of every worker's cache partition
 in place across each resize.  Requests carry optional per-request
 deadlines and their futures can be ``cancel()``-ed while queued — both
@@ -78,16 +75,15 @@ ephemeral port).
 
 Usage::
 
-    # a fixed flush deadline, in-process serving
+    # in-process serving
     python examples/serve_blocks.py --steps 100 --workers 0
 
-    # load-adaptive flushing over an elastic 1..3-worker hash-sharded pool
+    # an elastic 1..3-worker hash-sharded pool
     python examples/serve_blocks.py --workers 1 --min-workers 1 \
-        --max-workers 3 --min-latency-ms 1 --max-latency-ms 25
+        --max-workers 3 --max-latency-ms 25
 
     # mixed precision on top: float32 replicas behind the same queue
-    python examples/serve_blocks.py --workers 2 --dtype float32 \
-        --min-latency-ms 1
+    python examples/serve_blocks.py --workers 2 --dtype float32
 
     # multi-model HTTP serving on an ephemeral port
     python examples/serve_blocks.py --steps 50 --http 0
@@ -99,7 +95,6 @@ import argparse
 import os
 import sys
 import tempfile
-from typing import Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -154,18 +149,12 @@ def demo_synchronous(service: PredictionService, test_blocks, tasks) -> None:
 def demo_asynchronous(
     service: PredictionService,
     test_blocks,
-    max_latency_ms: float,
-    min_latency_ms: Optional[float],
+    options: AsyncOptions,
 ) -> None:
     """Streams prioritised requests through the queued async front end.
 
     The front end flushes at the service's own ``max_batch_size``.
     """
-    options = AsyncOptions(
-        max_latency_ms=max_latency_ms,
-        min_latency_ms=min_latency_ms,
-        max_queue_blocks=1024,
-    )
     with AsyncPredictionService(options, service=service) as front_end:
         futures = {}
         # Bulk traffic first, then an interactive request that jumps it.
@@ -187,17 +176,16 @@ def demo_asynchronous(
         stats = front_end.stats
         print(
             f"  async: {stats.requests} requests -> {stats.flushes} flushes "
-            f"(size={stats.size_flushes}, deadline={stats.deadline_flushes}), "
+            f"({stats.size_flushes} full), "
             f"mean {stats.mean_flush_blocks:.1f} blocks/flush"
         )
         snapshot = front_end.snapshot()
         flush, queue = snapshot.flush, snapshot.queue
         print(
             f"  flush wait p50={flush.wait_p50_ms:.2f} ms "
-            f"p99={flush.wait_p99_ms:.2f} ms "
-            f"(deadline {snapshot.controller['min_deadline_ms']:g}.."
-            f"{max_latency_ms:g} ms, "
-            f"realized p50 {flush.deadline_p50_ms:.2f} ms)"
+            f"p99={flush.wait_p99_ms:.2f} ms, "
+            f"request p50={flush.request_p50_ms:.2f} ms "
+            f"p99={flush.request_p99_ms:.2f} ms"
         )
         if queue.cancelled_drops or queue.expired_drops:
             print(
@@ -303,14 +291,9 @@ def main() -> None:
         "--max-latency-ms",
         type=float,
         default=10.0,
-        help="flush deadline of the async front end under saturating load",
-    )
-    parser.add_argument(
-        "--min-latency-ms",
-        type=float,
-        default=None,
-        help="flush deadline of an idle queue; the deadline scales with load "
-        "between the two (default: --max-latency-ms, a fixed deadline)",
+        help="queue-wait budget of the elastic pool's autoscaler (used only with "
+        "--min-workers/--max-workers); a flush-wait p99 above twice this grows "
+        "the pool (it never delays a flush)",
     )
     parser.add_argument(
         "--min-workers",
@@ -364,10 +347,17 @@ def main() -> None:
             max_workers=arguments.max_workers,
             inference_dtype=arguments.dtype,
         )
+        is_elastic = (
+            arguments.min_workers is not None or arguments.max_workers is not None
+        )
         elastic = (
-            f"elastic {config.min_workers}..{config.max_workers}, "
-            if arguments.min_workers is not None or arguments.max_workers is not None
-            else ""
+            f"elastic {config.min_workers}..{config.max_workers}, " if is_elastic else ""
+        )
+        # The latency budget only steers the elastic pool's autoscaler.
+        options = (
+            AsyncOptions(max_latency_ms=arguments.max_latency_ms, max_queue_blocks=1024)
+            if is_elastic
+            else AsyncOptions(max_queue_blocks=1024)
         )
         print(
             f"warm-starting service (workers={config.num_workers}, {elastic}"
@@ -379,12 +369,7 @@ def main() -> None:
             print("synchronous front end:")
             demo_synchronous(service, test_blocks, model.tasks)
             print("async front end:")
-            demo_asynchronous(
-                service,
-                test_blocks,
-                arguments.max_latency_ms,
-                arguments.min_latency_ms,
-            )
+            demo_asynchronous(service, test_blocks, options)
         if arguments.http is not None:
             print("http front end:")
             demo_http(checkpoint, test_blocks, arguments)

@@ -12,10 +12,10 @@ three layers:
 * the async :class:`AsyncPredictionService` front end: producers enqueue
   requests into a bounded priority queue with back-pressure and get
   futures (cancellable while queued, with optional per-request deadlines);
-  dispatcher threads flush micro-batches on ``max_batch_size`` OR a
-  latency deadline set by the load-adaptive :class:`FlushController`
-  (fixed when its floor equals its ceiling, the default), and an
-  autoscale monitor feeds queue depth into the pool's elasticity bounds;
+  dispatch is work-conserving — a free dispatcher thread flushes whatever
+  is queued at once, up to ``max_batch_size`` blocks, so batches grow with
+  load and an idle service never holds a request back — and an autoscale
+  monitor feeds queue depth into the pool's elasticity bounds;
 * the network layer: a :class:`ModelRegistry` hosts many named model
   variants (family × uarch × dtype) with lazy load/unload, checkpoint
   warm-start and per-tenant request accounting, and
@@ -52,18 +52,19 @@ the in-process one:
 
 * ``PredictionService.snapshot()`` -> :class:`ModelStats` — aggregate
   request/block/batch/latency counters of one service, its worker-pool
-  respawn/resize counters, and (in-process mode) a :class:`CacheStats`
-  section with encode/prediction/parse cache hit rates;
+  respawn/resize counters, and (in-process mode) a
+  :class:`~repro.serve.stats.CacheStats` section with
+  encode/prediction/parse cache hit rates;
 * ``PredictionService.worker_stats()`` -> list of
   :class:`~repro.serve.stats.WorkerStats` —
   per-replica identity (``worker_id``, ``spawn_count``), hash-ring share,
-  dtype, job errors and a nested :class:`CacheStats`;
+  dtype, job errors and a nested ``CacheStats``;
 * ``AsyncPredictionService.snapshot()`` -> :class:`ServiceSnapshot` with
-  sections ``queue`` (:class:`QueueStats`: depth, capacity, back-pressure
-  policy, admission/drop counters), ``flush`` (:class:`FlushStats`:
-  flush-trigger counters plus realized wait/deadline percentiles),
-  ``model`` (the :class:`ModelStats` above), the flush controller's raw
-  ``controller`` state dict, and ``autoscale_errors``;
+  sections ``queue`` (:class:`~repro.serve.stats.QueueStats`: depth,
+  capacity, back-pressure policy, admission/drop counters), ``flush``
+  (:class:`~repro.serve.stats.FlushStats`: flush counters plus realized
+  wait and request-latency percentiles), ``model`` (the
+  :class:`ModelStats` above), and ``autoscale_errors``;
 * ``GET /v1/models/{model}/stats`` -> a serialized
   :class:`~repro.serve.registry.ModelReport`: ``info`` (a
   :class:`~repro.serve.registry.ModelInfo` with the per-tenant request
@@ -120,7 +121,6 @@ from repro.serve.auth import ANONYMOUS, Tenant, TenantDirectory
 from repro.serve.batching import coalesce_requests, shard_key
 from repro.serve.config import AsyncOptions, ServiceConfig
 from repro.serve.faults import FaultPlan, FaultSpec
-from repro.serve.flush import FlushController, HedgeController
 from repro.serve.http import (
     STATUS_BY_REASON,
     HttpServerConfig,
@@ -128,7 +128,7 @@ from repro.serve.http import (
 )
 from repro.serve.queue import Priority, RequestQueue
 from repro.serve.registry import ModelRegistry, ModelVariant
-from repro.serve.resilience import BreakerPolicy, RetryPolicy
+from repro.serve.resilience import BreakerPolicy, HedgeController, RetryPolicy
 from repro.serve.replay import (
     ReplayReport,
     SloPolicy,
@@ -140,15 +140,7 @@ from repro.serve.replay import (
 )
 from repro.serve.ring import HashRing, HotKeyRouter, HotKeyTracker
 from repro.serve.service import PredictionService
-from repro.serve.stats import (
-    CacheStats,
-    FlushStats,
-    ModelStats,
-    QueueStats,
-    ServiceSnapshot,
-    StatsStruct,
-    latency_percentile,
-)
+from repro.serve.stats import ModelStats, ServiceSnapshot, latency_percentile
 from repro.serve.types import (
     AuthenticationError,
     AuthorizationError,
@@ -175,8 +167,7 @@ __all__ = [
     "ServiceConfig",
     "AsyncPredictionService",
     "AsyncOptions",
-    # Flush and hedge controllers.
-    "FlushController",
+    # Hedging.
     "HedgeController",
     # Queueing and routing.
     "HashRing",
@@ -202,10 +193,6 @@ __all__ = [
     "AuthorizationError",
     "InvalidRequestError",
     # Typed stats schema.
-    "StatsStruct",
-    "CacheStats",
-    "QueueStats",
-    "FlushStats",
     "ModelStats",
     "ServiceSnapshot",
     "latency_percentile",

@@ -1,4 +1,4 @@
-"""The async serving front end: queued, latency-bounded micro-batching.
+"""The async serving front end: queued, work-conserving micro-batching.
 
 :class:`~repro.serve.service.PredictionService` is synchronous — every
 ``submit`` call coalesces and flushes on its own, so concurrent clients
@@ -9,23 +9,18 @@ front of it:
 * producers :meth:`~AsyncPredictionService.submit` individual requests and
   immediately receive a :class:`concurrent.futures.Future`;
 * ``max_concurrent_flushes`` dispatcher threads (one by default) drain the
-  shared :class:`~repro.serve.queue.RequestQueue` into micro-batch flushes,
-  each flush triggered by ``max_batch_size`` pending blocks OR a latency
-  deadline on the oldest request — whichever fires first.  A dispatcher
-  takes a batch only when it is free to flush it, so a request arriving
-  while every dispatcher is busy stays queued: still cancellable, still
-  able to expire, still able to join a denser batch;
+  shared :class:`~repro.serve.queue.RequestQueue` into micro-batch flushes.
+  Dispatch is work-conserving: a free dispatcher flushes whatever is
+  queued at once, up to ``max_batch_size`` blocks, and waits only while
+  the queue is empty.  A request arriving while every dispatcher is busy
+  stays queued — still cancellable, still able to expire — and joins the
+  next batch, so batches grow with load and an idle service never holds a
+  lone request back;
 * every flush is one synchronous ``PredictionService.submit`` call, so the
   async front end composes unchanged with the in-process model or the
   hash-sharded worker pool behind it — including that service's
   ``inference_dtype``: put the queue in front of a float32 service config
   and every flush runs mixed-precision across the whole sharded pool.
-
-The flush deadline itself comes from the
-:class:`~repro.serve.flush.FlushController`, which scales it with the
-observed load between ``min_latency_ms`` (idle — flush a lone request
-fast, nobody else is coming) and ``max_latency_ms`` (busy — let batches
-pack densely).  By default the two are equal: a fixed deadline.
 
 Requests can leave the queue without being served: clients may ``cancel()``
 their future while it is queued (the entry is discarded eagerly, before it
@@ -33,7 +28,7 @@ can occupy a micro-batch) and requests submitted with a ``deadline_ms``
 budget resolve with :class:`~repro.serve.queue.RequestExpiredError` when
 the budget runs out.  The queue alone drops and counts both; the counts
 are reported by :meth:`AsyncPredictionService.snapshot`, alongside the
-controller state, queue depth and realized flush-wait percentiles.
+queue depth and realized flush-wait percentiles.
 
 When the underlying service declares elastic worker bounds
 (``ServiceConfig(min_workers=..., max_workers=...)``), the front end also
@@ -59,14 +54,17 @@ import numpy as np
 from repro.isa.basic_block import BasicBlock
 from repro.serve.config import AsyncOptions, ServiceConfig
 from repro.serve.faults import FaultInjector
-from repro.serve.flush import FlushController, HedgeController
 from repro.serve.queue import (
     Priority,
     QueuedRequest,
     QueueFullError,
     RequestQueue,
 )
-from repro.serve.resilience import StalePredictionCache, run_with_retries
+from repro.serve.resilience import (
+    HedgeController,
+    StalePredictionCache,
+    run_with_retries,
+)
 from repro.serve.service import PredictionService
 from repro.serve.stats import (
     FlushStats,
@@ -92,9 +90,9 @@ class AsyncServiceStats:
     requests: int = 0
     blocks: int = 0
     flushes: int = 0
+    #: Flushes that held a full ``max_batch_size`` batch: the saturation
+    #: signal (a dispatcher that keeps up flushes smaller batches).
     size_flushes: int = 0
-    deadline_flushes: int = 0
-    close_flushes: int = 0
     flushed_blocks: int = 0
     #: Wait of each flush's *oldest* request, enqueue -> dispatch, seconds.
     #: Bounded so a long-lived service cannot grow without limit.  A biased
@@ -102,11 +100,6 @@ class AsyncServiceStats:
     #: worst-waiting request only) — per-request latency lives in
     #: ``request_latencies``.
     flush_waits: Deque[float] = field(default_factory=lambda: deque(maxlen=8192))
-    #: Flush deadline (ms) in effect at each flush — how benchmarks watch
-    #: the adaptive controller act.  Bounded like ``flush_waits``.
-    flush_deadlines_ms: Deque[float] = field(
-        default_factory=lambda: deque(maxlen=8192)
-    )
     #: Per-request enqueue -> completion latency, seconds (bounded
     #: reservoir).  Every served queue entry contributes one sample — the
     #: whole distribution, not just each flush's oldest request — so these
@@ -152,13 +145,6 @@ class AsyncServiceStats:
         samples yet" for "zero latency".
         """
         return latency_percentile(self.flush_waits, quantile)
-
-    def flush_deadline_percentile(self, quantile: float) -> float:
-        """The ``quantile`` (0..1) of realized flush deadlines, in ms.
-
-        NaN for an empty window, like :meth:`flush_wait_percentile`.
-        """
-        return latency_percentile(self.flush_deadlines_ms, quantile)
 
     def request_latency_percentile(self, quantile: float) -> float:
         """The ``quantile`` (0..1) of per-request latencies, in seconds.
@@ -218,7 +204,7 @@ class _HedgedCall:
 
 
 class AsyncPredictionService:
-    """Queued prediction front end with latency-bounded micro-batching.
+    """Queued prediction front end with work-conserving micro-batching.
 
     Args:
         options: Flush/queue knobs; ``None`` inherits the service config's
@@ -251,17 +237,6 @@ class AsyncPredictionService:
         self.queue = RequestQueue(
             max_blocks=options.max_queue_blocks,
             policy=options.backpressure,
-        )
-        min_latency_ms = (
-            options.max_latency_ms
-            if options.min_latency_ms is None
-            else options.min_latency_ms
-        )
-        self.controller = FlushController(
-            options.max_latency_ms / 1e3,
-            min_latency_ms / 1e3,
-            self.max_batch_size,
-            options.controller_window_ms / 1e3,
         )
         self.stats = AsyncServiceStats()
         # Guards the producer-side counters: submit() runs from many client
@@ -330,13 +305,9 @@ class AsyncPredictionService:
                 raise ServiceClosedError("service is closed")
             if not self._dispatchers:
                 self.service.warm_start()
-                # The controller runs inside the queue's flush-wait loop
-                # (under the queue lock), which is why it receives the
-                # pending-block count as an argument.
                 self._dispatchers = [
                     threading.Thread(
                         target=self._dispatch_loop,
-                        args=(self.controller.deadline_s,),
                         name=f"repro-serve-dispatcher-{index}",
                         daemon=True,
                     )
@@ -385,7 +356,7 @@ class AsyncPredictionService:
         self.queue.close()
         if not dispatchers:
             # Never started: resolve whatever was queued ourselves.
-            self._dispatch_loop(max_wait_s=0.0)
+            self._dispatch_loop()
         for dispatcher in dispatchers:
             dispatcher.join()
         if self._owns_service:
@@ -457,7 +428,6 @@ class AsyncPredictionService:
                 functools.partial(self._on_client_done, call)
             )
             client = call.client
-        self.controller.observe_arrival(request.num_blocks)
         with self._stats_lock:
             self.stats.requests += 1
             self.stats.blocks += request.num_blocks
@@ -621,7 +591,6 @@ class AsyncPredictionService:
             with call.lock:
                 call.hedged = False  # no capacity now; re-candidate next poll
             return
-        self.controller.observe_arrival(call.request.num_blocks)
         with self._stats_lock:
             self.stats.hedges_issued += 1
         self._attach_attempt(call, entry, is_hedge=True)
@@ -634,19 +603,9 @@ class AsyncPredictionService:
 
         Returns a :class:`~repro.serve.stats.ServiceSnapshot` combining the
         queue section (admission state and the queue's drop counters), the
-        flush section (counters, realized wait/deadline percentiles, the
-        controller's current deadline), the underlying service's
-        :class:`~repro.serve.stats.ModelStats`, and the flush controller's
-        raw state dict.
+        flush section (counters and realized wait/request percentiles) and
+        the underlying service's :class:`~repro.serve.stats.ModelStats`.
         """
-        # Controller and queue take their own locks; read them before
-        # entering the stats critical section to keep it a leaf lock.
-        # (peek, not deadline_s: observers must not overwrite the
-        # controller's last dispatcher decision, which the per-flush
-        # deadline history records.)
-        current_deadline_ms = (
-            self.controller.peek_deadline_s(self.queue.pending_blocks) * 1e3
-        )
         # Counters are mutated by client threads (submit), the dispatchers
         # (_flush) and the autoscale monitor — read them under the same
         # lock so the snapshot is internally consistent.
@@ -655,17 +614,12 @@ class AsyncPredictionService:
             submitted_requests = stats.requests
             submitted_blocks = stats.blocks
             flush = FlushStats(
-                current_deadline_ms=current_deadline_ms,
                 flushes=stats.flushes,
                 size_flushes=stats.size_flushes,
-                deadline_flushes=stats.deadline_flushes,
-                close_flushes=stats.close_flushes,
                 flushed_blocks=stats.flushed_blocks,
                 mean_flush_blocks=stats.mean_flush_blocks,
                 wait_p50_ms=stats.flush_wait_percentile(0.50) * 1e3,
                 wait_p99_ms=stats.flush_wait_percentile(0.99) * 1e3,
-                deadline_p50_ms=stats.flush_deadline_percentile(0.50),
-                deadline_p99_ms=stats.flush_deadline_percentile(0.99),
                 request_p50_ms=stats.request_latency_percentile(0.50) * 1e3,
                 request_p99_ms=stats.request_latency_percentile(0.99) * 1e3,
                 request_p999_ms=stats.request_latency_percentile(0.999) * 1e3,
@@ -719,7 +673,6 @@ class AsyncPredictionService:
             flush=flush,
             model=self.service.snapshot(),
             hedge=hedge,
-            controller=self.controller.state(),
             autoscale_errors=autoscale_errors,
             resilience=resilience,
         )
@@ -727,27 +680,25 @@ class AsyncPredictionService:
     # ------------------------------------------------------------------ #
     # Dispatcher.
     # ------------------------------------------------------------------ #
-    def _dispatch_loop(self, max_wait_s) -> None:
+    def _dispatch_loop(self) -> None:
         """Flushes batches until the queue reports closed-and-empty.
 
-        ``max_wait_s`` is a float or a ``pending_blocks -> seconds``
-        callable, passed straight through to ``RequestQueue.take_batch``.
-        Each dispatcher thread is one flush slot: it takes a batch only
-        once its previous flush is done, so a request arriving while every
-        slot is busy waits in the queue rather than in a parked batch.
+        Each dispatcher thread is one flush slot: it takes whatever is
+        queued as soon as its previous flush is done, so a request arriving
+        while every slot is busy waits in the queue rather than in a parked
+        batch, and joins the next one.
         """
         while True:
-            entries, reason = self.queue.take_batch(self.max_batch_size, max_wait_s)
+            entries = self.queue.take_batch(self.max_batch_size)
             if not entries:
                 return  # closed and fully drained
-            self._flush(entries, reason)
+            self._flush(entries)
 
     def _autoscale_loop(self) -> None:
         interval = self.options.autoscale_poll_ms / 1e3
         # The wait budget the realized-latency signals are judged against:
-        # twice the flush-deadline ceiling.  Waits below it are the
-        # batching policy working as configured; sustained p99 beyond it
-        # means the pool drains slower than the deadline assumes.
+        # twice ``max_latency_ms``.  Sustained flush-wait p99 beyond it
+        # means the pool drains slower than the operator's budget.
         wait_budget_s = 2.0 * self.options.max_latency_ms / 1e3
         flushes_seen = 0
         while not self._monitor_stop.wait(interval):
@@ -791,24 +742,16 @@ class AsyncPredictionService:
                 with self._stats_lock:
                     self.autoscale_errors += 1
 
-    def _flush(self, entries, reason: str) -> None:
+    def _flush(self, entries) -> None:
         # Every entry is claimed (running) by RequestQueue.take_batch, which
         # already dropped the cancelled and expired ones.
         now = time.monotonic()
-        # The controller takes its own lock; read it before entering the
-        # stats critical section to keep that a leaf lock.
-        deadline_ms = float(self.controller.state()["deadline_ms"])
+        blocks = sum(e.request.num_blocks for e in entries)
         with self._stats_lock:
             self.stats.flushes += 1
-            self.stats.flushed_blocks += sum(e.request.num_blocks for e in entries)
+            self.stats.flushed_blocks += blocks
             self.stats.flush_waits.append(now - min(e.enqueued_at for e in entries))
-            self.stats.flush_deadlines_ms.append(deadline_ms)
-            if reason == "size":
-                self.stats.size_flushes += 1
-            elif reason == "deadline":
-                self.stats.deadline_flushes += 1
-            else:
-                self.stats.close_flushes += 1
+            self.stats.size_flushes += int(blocks >= self.max_batch_size)
         service_started = time.monotonic()
         try:
             responses = self._submit_with_retries(entries)

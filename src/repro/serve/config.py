@@ -31,17 +31,15 @@ class AsyncOptions:
     the owning :class:`ServiceConfig`'s ``max_batch_size`` (one batch-size
     knob for the whole stack).
 
+    Dispatch itself has no timing knob: it is work-conserving, flushing
+    whatever is queued as soon as a flush slot is free.
+
     Attributes:
-        max_latency_ms: Flush the oldest pending request after at most this
-            long, however few blocks have accumulated (the latency bound of
-            the latency/throughput trade-off, and the flush controller's
-            deadline ceiling, applied under saturating load).
-        min_latency_ms: The flush controller's deadline floor, applied to
-            an idle queue; the deadline scales with the observed load
-            between the two.  ``None`` (default) means "equal to
-            ``max_latency_ms``": a fixed deadline.
-        controller_window_ms: Sliding arrival window of the flush
-            controller's load estimate.
+        max_latency_ms: The queue-wait budget of the elasticity monitor.
+            When the service has elastic worker bounds, a recent flush-wait
+            p99 (or an estimated backlog drain time) above twice this value
+            is latency pressure that grows the worker pool.  It never
+            delays a flush.
         autoscale_poll_ms: How often the elasticity monitor feeds queue
             depth into the service's autoscaler (only runs when the
             service has elastic worker bounds).
@@ -88,8 +86,6 @@ class AsyncOptions:
     """
 
     max_latency_ms: float = 10.0
-    min_latency_ms: Optional[float] = None
-    controller_window_ms: float = 250.0
     autoscale_poll_ms: float = 50.0
     max_queue_blocks: int = 4096
     backpressure: str = "block"
@@ -107,12 +103,6 @@ class AsyncOptions:
     def __post_init__(self) -> None:
         if self.max_latency_ms < 0:
             raise ValueError("max_latency_ms must be >= 0")
-        if self.min_latency_ms is not None and not (
-            0 <= self.min_latency_ms <= self.max_latency_ms
-        ):
-            raise ValueError("need 0 <= min_latency_ms <= max_latency_ms")
-        if self.controller_window_ms <= 0:
-            raise ValueError("controller_window_ms must be positive")
         if self.autoscale_poll_ms <= 0:
             raise ValueError("autoscale_poll_ms must be positive")
         if self.max_queue_blocks < 1:

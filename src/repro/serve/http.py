@@ -5,8 +5,8 @@
 be consumed from any language with a socket.  The event loop runs on a
 daemon thread; request admission goes through the registry's async
 services, so all the existing machinery — bounded priority queues,
-micro-batch coalescing, load-adaptive flush deadlines, sharded worker
-pools — sits unchanged behind the socket.
+micro-batch coalescing, work-conserving dispatch, sharded worker pools —
+sits unchanged behind the socket.
 
 Routes
 ------
@@ -526,6 +526,8 @@ class PredictionHttpServer:
             payload = json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidRequestError(f"body is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise InvalidRequestError("body nests JSON too deeply") from None
         if not isinstance(payload, dict):
             raise InvalidRequestError("body must be a JSON object")
         if "block" in payload and "blocks" in payload:

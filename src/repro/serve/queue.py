@@ -1,19 +1,15 @@
-"""Bounded priority request queue with latency-deadline flushing.
+"""Bounded priority request queue with work-conserving takes.
 
 This is the producer/consumer core of the async serving front end
 (:class:`repro.serve.async_service.AsyncPredictionService`).  Producers
 :meth:`~RequestQueue.put` requests and immediately get a
 :class:`concurrent.futures.Future`; each dispatcher thread calls
-:meth:`~RequestQueue.take_batch`, which blocks until a flush is due and
-returns the batch to predict.  The flush rule is the classic
-latency/throughput trade-off knob:
-
-* **size** — enough blocks are pending to fill ``max_batch_size``; flush
-  now, the batch is as dense as it gets;
-* **deadline** — the *oldest* pending request has waited ``max_wait_s``;
-  flush whatever is there, a straggler must not wait forever for company;
-* **close** — the queue is shutting down; flush the remainder so every
-  accepted request still gets an answer.
+:meth:`~RequestQueue.take_batch` whenever its flush slot is free.  The take
+is work-conserving: it blocks only while the queue is empty and otherwise
+drains whatever is queued, up to ``max_batch_size`` blocks, at once.  No
+timer holds a request back to wait for company — batching comes from load
+alone, because requests arriving while every flush slot is busy pile up
+and leave together in the next, larger batch.
 
 Requests carry a :class:`Priority`: the flush drains strictly in priority
 order (ties broken by arrival), so an interactive autotuner request jumps
@@ -56,7 +52,7 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.serve.types import (
     PredictionRequest,
@@ -103,8 +99,8 @@ class QueuedRequest:
         request: The client's prediction request.
         priority: Scheduling class (lower drains first).
         sequence: Admission order, the tie-breaker within a priority.
-        enqueued_at: ``time.monotonic()`` of admission; deadline flushing
-            and the wait-latency stats are measured from here.
+        enqueued_at: ``time.monotonic()`` of admission; the wait-latency
+            stats and the per-request deadline are measured from here.
         deadline_at: Optional ``time.monotonic()`` instant after which the
             request is dropped with :class:`RequestExpiredError` instead of
             being dispatched (``None`` = never expires).
@@ -313,28 +309,16 @@ class RequestQueue:
     # ------------------------------------------------------------------ #
     # Consumer (dispatcher) side.
     # ------------------------------------------------------------------ #
-    def take_batch(
-        self,
-        max_blocks: int,
-        max_wait_s: Union[float, Callable[[int], float]],
-    ) -> Tuple[List[QueuedRequest], str]:
-        """Blocks until a flush is due, then drains and returns one batch.
+    def take_batch(self, max_blocks: int) -> List[QueuedRequest]:
+        """Drains and returns one batch, blocking only while the queue is empty.
 
-        ``max_wait_s`` is either a fixed flush deadline in seconds or a
-        callable ``pending_blocks -> seconds`` that is re-evaluated on
-        every wake-up (how the adaptive flush controller drives the
-        dispatcher).  The callable runs under the queue lock, so it must
-        not call back into the queue.
-
-        Returns ``(entries, reason)`` with ``reason`` one of ``"size"``,
-        ``"deadline"`` or ``"close"``.  Entries come out in priority order
-        (ties by arrival) and cover at most ``max_blocks`` blocks, with two
-        deliberate exceptions: the arrival-oldest entry is always included
-        (sustained high-priority traffic must not starve it past its
-        deadline), and an over-sized request rides along uncut (the
-        prediction service splits it into micro-batches anyway).  An empty
-        list (reason ``"close"``) means the queue was closed and fully
-        drained: the dispatcher should exit.
+        Entries come out in priority order (ties by arrival) and cover at
+        most ``max_blocks`` blocks, with two deliberate exceptions: the
+        arrival-oldest entry is always included (sustained high-priority
+        traffic must not starve it), and an over-sized request rides along
+        uncut (the prediction service splits it into micro-batches anyway).
+        An empty list means the queue was closed and fully drained: the
+        dispatcher should exit.
 
         Every returned entry's future is already running (claimed with
         ``set_running_or_notify_cancel``), so the caller resolves it with a
@@ -346,57 +330,32 @@ class RequestQueue:
         """
         if max_blocks < 1:
             raise ValueError("max_blocks must be positive")
-        if not callable(max_wait_s) and max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
         while True:
             expired: List[QueuedRequest] = []
             batch: Optional[List[QueuedRequest]] = None
-            reason = ""
             with self._lock:
                 while True:
-                    now = time.monotonic()
-                    expired.extend(self._pop_expired_locked(now))
-                    if not self._by_arrival:
-                        if self._closed:
-                            batch, reason = [], "close"
+                    expired.extend(self._pop_expired_locked(time.monotonic()))
+                    if self._by_arrival:
+                        batch = self._drain_locked(max_blocks) or None
+                        if batch:
                             break
-                        if expired:
-                            break  # resolve them before blocking again
-                        self._work.wait()
+                        # Everything drained had been cancelled (its discard
+                        # callback not yet run): look again, so a queue
+                        # closed meanwhile still returns [] below.
                         continue
-                    wait_s = (
-                        max(max_wait_s(self._pending_blocks), 0.0)
-                        if callable(max_wait_s)
-                        else max_wait_s
-                    )
-                    oldest = next(iter(self._by_arrival.values()))
-                    age = now - oldest.enqueued_at
-                    if self._pending_blocks >= max_blocks:
-                        reason = "size"
-                    elif self._closed:
-                        reason = "close"
-                    elif age >= wait_s:
-                        reason = "deadline"
-                    else:
-                        if expired:
-                            break  # resolve outside the lock, then re-enter
-                        timeout = wait_s - age
-                        next_expiry = self._next_expiry_locked()
-                        if next_expiry is not None:
-                            timeout = min(timeout, max(next_expiry - now, 0.0))
-                        self._work.wait(timeout=timeout)
-                        continue
-                    # Everything drained may have been cancelled: then batch
-                    # stays None, so only a closed, empty queue returns [].
-                    batch = self._drain_locked(max_blocks) or None
-                    if batch:
+                    if self._closed:
+                        batch = []
                         break
+                    if expired:
+                        break  # resolve them before blocking again
+                    self._work.wait()
             # Futures are resolved outside the lock: done callbacks run in
             # the resolving thread and may call back into the queue.
             for entry in expired:
                 self._resolve_expired(entry)
             if batch is not None:
-                return batch, reason
+                return batch
 
     def _pop_expired_locked(self, now: float) -> List[QueuedRequest]:
         """Removes (without resolving) every entry past its deadline.
@@ -422,15 +381,6 @@ class RequestQueue:
             self._not_full.notify_all()
         return expired
 
-    def _next_expiry_locked(self) -> Optional[float]:
-        """The soonest pending per-request deadline, if any."""
-        while self._deadline_heap:
-            deadline_at, sequence = self._deadline_heap[0]
-            if sequence in self._by_arrival:
-                return deadline_at
-            heapq.heappop(self._deadline_heap)  # stale: left some other way
-        return None
-
     def _resolve_expired(self, entry: QueuedRequest) -> None:
         # set_running first: if the client cancelled concurrently, the
         # future is already resolved and set_exception would raise
@@ -452,11 +402,10 @@ class RequestQueue:
                 self.cancelled += 1
 
     def _drain_locked(self, max_blocks: int) -> List[QueuedRequest]:
-        # Anti-starvation: the arrival-oldest entry — whose age is what
-        # drives the deadline trigger — is always part of the flush,
-        # whatever its priority.  Otherwise sustained high-priority traffic
-        # filling every batch would leave an old bulk request (and every
-        # flush's "deadline" attribution) stuck behind it forever.
+        # Anti-starvation: the arrival-oldest entry is always part of the
+        # flush, whatever its priority.  Otherwise sustained high-priority
+        # traffic filling every batch would leave an old bulk request stuck
+        # behind it forever.
         oldest_entry = next(iter(self._by_arrival.values()))
         taken = [oldest_entry] if self._claim_locked(oldest_entry) else []
         total = sum(entry.request.num_blocks for entry in taken)
@@ -502,8 +451,8 @@ class RequestQueue:
         """Stops admissions; pending entries remain drainable (idempotent).
 
         Producers blocked in ``put`` are woken and fail; the dispatcher
-        keeps receiving batches (reason ``"close"``) until the queue is
-        empty, so nothing already admitted is dropped.
+        keeps receiving batches until the queue is empty, so nothing
+        already admitted is dropped.
         """
         with self._lock:
             self._closed = True

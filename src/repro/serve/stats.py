@@ -151,10 +151,13 @@ class QueueStats(StatsStruct):
 class FlushStats(StatsStruct):
     """Dispatcher-side flush counters and realized latency percentiles.
 
-    Two latency families with deliberately distinct names:
+    ``size_flushes`` counts flushes that held a full ``max_batch_size``
+    batch — the saturation signal, since a work-conserving dispatcher
+    flushes smaller batches whenever it keeps up.  Two latency families with
+    deliberately distinct names:
 
     * ``wait_*`` — per *flush*, the wait of that flush's oldest request
-      (the dispatcher's deadline-keeping signal; biased low as a request
+      (the queueing delay the autoscaler watches; biased low as a request
       latency, since only one request per flush is sampled);
     * ``request_*`` — per *request*, enqueue -> completion (what a client
       actually experienced, including the service call itself).
@@ -163,17 +166,12 @@ class FlushStats(StatsStruct):
     0.0 — "no data" must not read as "zero latency").
     """
 
-    current_deadline_ms: float
     flushes: int
     size_flushes: int
-    deadline_flushes: int
-    close_flushes: int
     flushed_blocks: int
     mean_flush_blocks: float
     wait_p50_ms: float
     wait_p99_ms: float
-    deadline_p50_ms: float
-    deadline_p99_ms: float
     request_p50_ms: float = float("nan")
     request_p99_ms: float = float("nan")
     request_p999_ms: float = float("nan")
@@ -270,16 +268,14 @@ class ServiceSnapshot(StatsStruct):
 
     Sections: :attr:`queue` (admission), :attr:`flush` (dispatcher),
     :attr:`model` (the underlying sync service), :attr:`hedge` (the hedged
-    duplicate machinery), plus the flush controller's own
-    :attr:`controller` state dict, the autoscale monitor's error counter
-    and the :attr:`resilience` section.
+    duplicate machinery), plus the autoscale monitor's error counter and
+    the :attr:`resilience` section.
     """
 
     queue: QueueStats
     flush: FlushStats
     model: ModelStats
     hedge: HedgeStats
-    controller: Dict[str, Any]
     autoscale_errors: int
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
 

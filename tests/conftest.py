@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,54 @@ def default_execution_mode():
     _assert_default_execution_mode("before")
     yield
     _assert_default_execution_mode("after")
+
+
+class FlushGate:
+    """Parks every flush of one ``PredictionService`` until released.
+
+    Wraps the service's ``submit`` (the call each async flush makes), so a
+    test can hold a front end's flush slots busy without any timer:
+    :attr:`entered` is set once a flush is parked, :attr:`release` lets
+    every parked and later flush through.
+    """
+
+    def __init__(self, service) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._flushes = 0
+        self._flushes_changed = threading.Condition()
+        submit = service.submit
+
+        def gated(requests):
+            with self._flushes_changed:
+                self._flushes += 1
+                self._flushes_changed.notify_all()
+            self.entered.set()
+            assert self.release.wait(timeout=60.0), "flush gate never released"
+            return submit(requests)
+
+        service.submit = gated
+
+    def wait_entered(self, count: int, timeout: float = 30.0) -> bool:
+        """Waits until ``count`` flushes have reached the gate."""
+        with self._flushes_changed:
+            return self._flushes_changed.wait_for(
+                lambda: self._flushes >= count, timeout
+            )
+
+
+@pytest.fixture()
+def flush_gate():
+    """``flush_gate(service) -> FlushGate``; every gate opens at teardown."""
+    gates = []
+
+    def gate(service) -> FlushGate:
+        gates.append(FlushGate(service))
+        return gates[-1]
+
+    yield gate
+    for opened in gates:
+        opened.release.set()
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ from repro.serve import (
     AsyncPredictionService,
     AuthenticationError,
     AuthorizationError,
-    CacheStats,
     InvalidRequestError,
     ModelRegistry,
     ModelVariant,
@@ -27,11 +26,11 @@ from repro.serve import (
     ServiceClosedError,
     ServiceConfig,
     ServiceSnapshot,
-    StatsStruct,
     Tenant,
     TenantDirectory,
     UnknownModelError,
 )
+from repro.serve.stats import CacheStats, StatsStruct
 
 
 class TestLayeredConfig:
@@ -56,8 +55,6 @@ class TestLayeredConfig:
             AsyncOptions(max_queue_blocks=0)
         with pytest.raises(ValueError):
             AsyncOptions(backpressure="drop")
-        with pytest.raises(ValueError):
-            AsyncOptions(min_latency_ms=20.0, max_latency_ms=10.0)
 
     def test_service_config_validates_batch_size(self):
         with pytest.raises(ValueError):
@@ -116,20 +113,24 @@ class TestLayeredConfig:
             ServiceConfig(sharding="hash")
         with pytest.raises(TypeError):
             AsyncOptions(max_batch_size=8)
+        # Dispatch is work-conserving: no flush-deadline knobs remain.
+        for removed in ("min_latency_ms", "controller_window_ms"):
+            with pytest.raises(TypeError):
+                AsyncOptions(**{removed: 1.0})
 
     def test_service_batch_size_drives_flushes(self, sample_blocks):
-        config = ServiceConfig(
-            max_batch_size=4,
-            async_options=AsyncOptions(max_latency_ms=60_000.0),
-        )
+        config = ServiceConfig(max_batch_size=4)
         with AsyncPredictionService(service_config=config) as front_end:
             future = front_end.submit(PredictionRequest.of(sample_blocks[:4]))
             response = future.result(timeout=120.0)
+            front_end.submit(PredictionRequest.of(sample_blocks[:3])).result(
+                timeout=120.0
+            )
         assert response.num_blocks == 4
         snapshot = front_end.snapshot()
-        # With a one-minute deadline, only the size trigger can have fired.
-        assert snapshot.flush.size_flushes >= 1
-        assert snapshot.flush.deadline_flushes == 0
+        # Only the batch that filled the service's max_batch_size is full.
+        assert snapshot.flush.flushes == 2
+        assert snapshot.flush.size_flushes == 1
 
 
 class TestReasonCodes:
@@ -199,7 +200,7 @@ class TestPublicImports:
         )
 
         names = repro.serve.__all__
-        assert len(names) == len(set(names)) == 51
+        assert len(names) == len(set(names)) == 46
         for name in names:
             assert getattr(repro.serve, name) is not None
         # Importable from their defining modules, not from the package.
@@ -225,6 +226,10 @@ class TestPublicImports:
             "SloVerdict",
             "ModelInfo",
             "ModelReport",
+            "StatsStruct",
+            "CacheStats",
+            "FlushStats",
+            "QueueStats",
         )
         homes = (
             async_service,
@@ -252,10 +257,12 @@ class TestPublicImports:
             "StaticFlushController",
             "create_flush_controller",
             "default_flush_policy",
+            "FlushController",
         ):
             assert removed not in names
             assert not hasattr(repro.serve, removed)
-        # One flush controller: the floor/ceiling pair replaced the policy.
+        # No flush controller at all: dispatch is work-conserving.
+        assert not hasattr(repro.serve, "flush")
         assert not hasattr(AsyncOptions(), "flush_policy")
 
 
@@ -276,7 +283,7 @@ class TestTypedStats:
         assert document["flush"]["flushes"] == snapshot.flush.flushes >= 1
         assert document["model"]["num_workers"] == snapshot.model.num_workers
         assert "policy" not in document["flush"]
-        assert "policy" not in document["controller"]
+        assert "controller" not in document
         assert (
             document["model"]["cache"]["prediction_misses"]
             == snapshot.model.cache.prediction_misses

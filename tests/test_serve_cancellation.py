@@ -88,7 +88,7 @@ class TestQueueCancellation:
         doomed = queue.put(_request(blocks, 0, 2, request_id="doomed"))
         queue.put(_request(blocks, 2, 2, request_id="kept"))
         doomed.future.cancel()
-        entries, _ = queue.take_batch(max_blocks=64, max_wait_s=0.0)
+        entries = queue.take_batch(max_blocks=64)
         assert [e.request.request_id for e in entries] == ["kept"]
 
     def test_take_batch_claims_every_future(self, blocks):
@@ -105,7 +105,7 @@ class TestQueueCancellation:
         queue._on_future_done = lambda entry: None
         for index in (0, 3):  # r0 is the arrival-oldest entry
             assert entries[index].future.cancel()
-        taken, _ = queue.take_batch(max_blocks=64, max_wait_s=0.0)
+        taken = queue.take_batch(max_blocks=64)
         assert [e.request.request_id for e in taken] == ["r1", "r2", "r4", "r5"]
         assert all(entry.future.running() for entry in taken)
         assert not any(entry.future.cancel() for entry in taken)
@@ -120,32 +120,30 @@ class TestQueueCancellation:
         queue.put(_request(blocks, 6, 2, request_id="b"))
         queue._on_future_done = lambda entry: None
         assert doomed.future.cancel()
-        taken, reason = queue.take_batch(max_blocks=4, max_wait_s=0.0)
-        assert reason == "size"
+        taken = queue.take_batch(max_blocks=4)
         assert [e.request.request_id for e in taken] == ["a", "b"]
         assert queue.cancelled == 1
 
     def test_all_cancelled_drain_is_not_a_close(self, blocks):
         """A drain whose every entry was cancelled returns nothing and waits
-        on; only a closed, empty queue yields the empty ``close`` batch."""
+        on; only a closed, empty queue yields the empty batch."""
         queue = RequestQueue(max_blocks=64)
         doomed = queue.put(_request(blocks, 0, 2, request_id="doomed"))
         queue._on_future_done = lambda entry: None
         assert doomed.future.cancel()
         result = []
         thread = threading.Thread(
-            target=lambda: result.append(queue.take_batch(64, max_wait_s=0.0)),
+            target=lambda: result.append(queue.take_batch(64)),
             daemon=True,
         )
         thread.start()
         time.sleep(0.05)
         queue.put(_request(blocks, 2, 2, request_id="kept"))
         thread.join(timeout=5.0)
-        entries, _ = result[0]
-        assert [e.request.request_id for e in entries] == ["kept"]
+        assert [e.request.request_id for e in result[0]] == ["kept"]
         assert queue.cancelled == 1
         queue.close()
-        assert queue.take_batch(64, max_wait_s=0.0) == ([], "close")
+        assert queue.take_batch(64) == []
 
     def test_all_cancelled_drain_beside_an_expiry_is_not_a_close(self, blocks):
         """An expired entry resolving in the same pass as an all-cancelled
@@ -158,7 +156,7 @@ class TestQueueCancellation:
         assert doomed.future.cancel()
         result = []
         thread = threading.Thread(
-            target=lambda: result.append(queue.take_batch(64, max_wait_s=0.0)),
+            target=lambda: result.append(queue.take_batch(64)),
             daemon=True,
         )
         thread.start()
@@ -168,12 +166,29 @@ class TestQueueCancellation:
         assert thread.is_alive() and not result
         queue.put(_request(blocks, 4, 2, request_id="kept"))
         thread.join(timeout=5.0)
-        entries, reason = result[0]
-        assert [e.request.request_id for e in entries] == ["kept"]
-        assert reason == "deadline"
+        assert [e.request.request_id for e in result[0]] == ["kept"]
         assert (queue.expired, queue.cancelled) == (1, 1)
         queue.close()
-        assert queue.take_batch(64, max_wait_s=0.0) == ([], "close")
+        assert queue.take_batch(64) == []
+
+    def test_all_cancelled_drain_of_a_closed_queue_is_the_close(self, blocks):
+        """A closed queue whose last entry is found cancelled at the claim
+        returns the empty batch instead of waiting for a notify that no
+        producer or discard callback will send."""
+        queue = RequestQueue(max_blocks=64)
+        doomed = queue.put(_request(blocks, 0, 2, request_id="doomed"))
+        queue._on_future_done = lambda entry: None
+        assert doomed.future.cancel()
+        queue.close()
+        result = []
+        thread = threading.Thread(
+            target=lambda: result.append(queue.take_batch(64)), daemon=True
+        )
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), "take_batch hung on a closed queue"
+        assert result == [[]]
+        assert queue.cancelled == 1
 
 
 class TestQueueExpiry:
@@ -181,27 +196,12 @@ class TestQueueExpiry:
         queue = RequestQueue(max_blocks=64)
         doomed = queue.put(_request(blocks, 0, 2, request_id="late"), deadline_s=0.0)
         queue.put(_request(blocks, 2, 2, request_id="kept"))
-        entries, _ = queue.take_batch(max_blocks=64, max_wait_s=0.0)
+        entries = queue.take_batch(max_blocks=64)
         assert [e.request.request_id for e in entries] == ["kept"]
         with pytest.raises(RequestExpiredError):
             doomed.future.result(timeout=1.0)
         assert queue.expired == 1
         assert queue.pending_blocks == 0
-
-    def test_expiry_fires_during_the_flush_wait(self, blocks):
-        """A deadline sooner than the flush deadline resolves on time —
-        the dispatcher wait must wake for it, not sleep through it."""
-        queue = RequestQueue(max_blocks=64)
-        doomed = queue.put(_request(blocks, 0, 2), deadline_s=0.05)
-        queue.put(_request(blocks, 2, 2, request_id="kept"))
-        start = time.monotonic()
-        entries, reason = queue.take_batch(max_blocks=64, max_wait_s=0.3)
-        elapsed = time.monotonic() - start
-        assert reason == "deadline"
-        assert [e.request.request_id for e in entries] == ["kept"]
-        assert elapsed >= 0.25  # the surviving entry still waited its flush
-        with pytest.raises(RequestExpiredError):
-            doomed.future.result(timeout=1.0)
 
     @pytest.mark.parametrize("deadline_s", [-1.0, float("nan"), float("inf")])
     def test_negative_deadline_rejected(self, blocks, deadline_s):
@@ -302,7 +302,7 @@ class TestServiceCancellation:
         late = service.submit(_request(blocks, 0, 1, request_id="late"), deadline_ms=0.0)
         doomed = service.submit(_request(blocks, 1, 1, request_id="doomed"))
         assert doomed.cancel()
-        time.sleep(0.05)  # past the flush deadline: the first pass drains
+        time.sleep(0.05)  # past the late request's deadline
         with service:
             with pytest.raises(RequestExpiredError):
                 late.result(timeout=5.0)
@@ -313,6 +313,21 @@ class TestServiceCancellation:
         assert inner.served == ["later"]
         assert snapshot.queue.cancelled_drops == 1
         assert snapshot.queue.expired_drops == 1
+
+    def test_unstarted_front_end_closes_after_an_all_cancelled_drain(self, blocks):
+        """close() on a never-started front end drains inline; a queued entry
+        found cancelled at the claim must not leave that drain waiting."""
+        inner = _EchoService(ServiceConfig(async_options=AsyncOptions()))
+        service = AsyncPredictionService(service=inner)
+        service.queue._on_future_done = lambda entry: None
+        doomed = service.submit(_request(blocks, 0, 1, request_id="doomed"))
+        assert doomed.cancel()
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5.0)
+        assert not closer.is_alive(), "close() hung on an all-cancelled drain"
+        assert inner.served == []
+        assert service.queue.cancelled == 1
 
     def test_cancel_after_completion_is_a_noop(self, blocks):
         with AsyncPredictionService(
@@ -371,7 +386,7 @@ class TestBusyFlushSlots:
             second = service.submit(_request(blocks, 1, 1, request_id="second"))
             assert inner.stalled.acquire(timeout=10.0)
             # Both slots are inside the service.  The next requests arrive
-            # well past the 1 ms deadline of each other.
+            # 50 ms apart and wait in the queue for a free slot.
             late_a = service.submit(_request(blocks, 2, 1, request_id="late-a"))
             time.sleep(0.05)
             late_b = service.submit(_request(blocks, 3, 1, request_id="late-b"))

@@ -1,4 +1,4 @@
-"""Hedged-request semantics (repro.serve.async_service + flush.HedgeController).
+"""Hedged-request semantics (repro.serve.async_service + resilience.HedgeController).
 
 The contract under test: a hedge is a *duplicate* of a still-pending
 request; whichever attempt finishes first resolves the client future,

@@ -11,17 +11,17 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.models.config import default_inference_dtype
 from repro.serve import (
     AsyncOptions,
-    FlushStats,
     HttpServerConfig,
     ModelRegistry,
     ModelStats,
     ModelVariant,
     PredictionHttpServer,
-    QueueStats,
+    PredictionRequest,
     ReasonCode,
     STATUS_BY_REASON,
     ServiceConfig,
@@ -29,16 +29,31 @@ from repro.serve import (
     Tenant,
     TenantDirectory,
 )
+from repro.serve.stats import FlushStats, QueueStats
 
 ACME_KEY = "test-key-acme"
 BLUE_KEY = "test-key-blue"
 
 
 def http(
-    port, method, path, payload=None, api_key=None, bearer=False, timeout=120.0
+    port,
+    method,
+    path,
+    payload=None,
+    api_key=None,
+    bearer=False,
+    timeout=120.0,
+    raw=None,
 ):
-    """One raw HTTP/1.1 exchange; returns (status, parsed-or-raw body)."""
-    body = b"" if payload is None else json.dumps(payload).encode()
+    """One raw HTTP/1.1 exchange; returns (status, parsed-or-raw body).
+
+    ``raw`` sends those exact body bytes instead of JSON-encoding
+    ``payload``.
+    """
+    if raw is not None:
+        body = raw
+    else:
+        body = b"" if payload is None else json.dumps(payload).encode()
     head = (
         f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
         f"Content-Length: {len(body)}\r\n"
@@ -93,15 +108,14 @@ def server():
                 ),
                 description="mixed-precision skylake head",
             ),
-            # Saturation target: a 2-block queue behind a one-minute static
-            # flush deadline, rejecting instead of blocking.
+            # Saturation target: a 2-block queue rejecting instead of
+            # blocking.
             ModelVariant(
                 "tiny-queue",
                 ServiceConfig(
                     tasks=("haswell",),
                     max_batch_size=4,
                     async_options=AsyncOptions(
-                        max_latency_ms=60_000.0,
                         max_queue_blocks=2,
                         backpressure="reject",
                     ),
@@ -206,6 +220,68 @@ class TestRoutingAndAuth:
 
     def test_status_map_covers_every_reason_code(self):
         assert set(STATUS_BY_REASON) == set(ReasonCode)
+
+
+_BLOCK_TEXTS = st.sampled_from(["mov rax, 1", "add rax, rbx", "imul rcx, rdx"])
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=16),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+_PREDICT_PAYLOADS = st.fixed_dictionaries(
+    {},
+    optional={
+        "blocks": st.lists(_BLOCK_TEXTS, min_size=1, max_size=3) | _JSON_VALUES,
+        "block": _BLOCK_TEXTS | _JSON_VALUES,
+        "priority": st.sampled_from(["interactive", "bulk", "urgent"]) | _JSON_VALUES,
+        "deadline_ms": _JSON_VALUES,
+        "stream": st.booleans() | _JSON_VALUES,
+    },
+)
+
+
+@st.composite
+def _predict_bodies(draw):
+    """Raw predict bodies: wrong JSON types, NaN, huge numbers, deep
+    nesting, truncated documents and bytes that are not UTF-8."""
+    encoded = json.dumps(draw(_PREDICT_PAYLOADS | _JSON_VALUES)).encode()
+    kind = draw(st.sampled_from(["json", "truncated", "nested", "not-utf8", "bytes"]))
+    if kind == "truncated":
+        return encoded[: draw(st.integers(0, max(len(encoded) - 1, 0)))]
+    if kind == "nested":
+        # Around and far past the JSON decoder's recursion limit.
+        depth = draw(st.sampled_from([1, 100, 999, 1001, 5000, 100_000]))
+        return ('{"blocks": ' + "[" * depth + "]" * depth + "}").encode()
+    if kind == "not-utf8":
+        position = draw(st.integers(0, len(encoded)))
+        return encoded[:position] + b"\xff\xfe\xc3" + encoded[position:]
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    return encoded
+
+
+class TestPredictBodyFuzz:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(body=_predict_bodies())
+    def test_every_body_gets_a_typed_reply(self, server, body):
+        status, reply = http(
+            server.port,
+            "POST",
+            "/v1/models/granite-haswell/predict",
+            api_key=ACME_KEY,
+            timeout=30.0,
+            raw=body,
+        )
+        if status != 200:
+            assert 400 <= status < 500, (status, reply)
+            assert reply["error"]["code"] in {code.value for code in ReasonCode}
+        _, health = http(server.port, "GET", "/healthz", timeout=30.0)
+        assert health["internal_errors"] == 0
 
 
 class TestPredict:
@@ -326,17 +402,14 @@ class TestPredict:
 
 class TestAdmission:
     def test_malformed_block_fails_only_its_own_request(self):
-        """Two predicts that share one flush: the bad block is refused at
-        admission (400) and never fails the well-formed request (200)."""
+        """Two concurrent predicts: the bad block is refused at admission
+        (400), so it never shares a flush with, or fails, the well-formed
+        request (200)."""
         registry = ModelRegistry(
             (
                 ModelVariant(
                     "batched",
-                    ServiceConfig(
-                        tasks=("haswell",),
-                        max_batch_size=8,
-                        async_options=AsyncOptions(max_latency_ms=300.0),
-                    ),
+                    ServiceConfig(tasks=("haswell",), max_batch_size=8),
                 ),
             )
         )
@@ -371,9 +444,22 @@ class TestAdmission:
         assert health["internal_errors"] == 0
 
 
+def _loaded_service(registry, name):
+    """The sync ``PredictionService`` behind loaded variant ``name``."""
+    registry.load(name)
+    return registry._services[name].service
+
+
 class TestBackpressure:
-    def test_forced_saturation_is_429(self, server):
+    def test_forced_saturation_is_429(self, server, flush_gate):
         """Fill tiny-queue's 2-block reject queue, then get turned away."""
+        # Hold the variant's single flush slot: the holder's flush parks in
+        # the gate, so whatever is submitted next stays queued.
+        gate = flush_gate(_loaded_service(server.registry, "tiny-queue"))
+        holder = server.registry.submit(
+            "tiny-queue", PredictionRequest.of(["mov rdx, 4"])
+        )
+        assert gate.entered.wait(30.0), "the holder never reached the slot"
         results = {}
 
         def filler():
@@ -391,7 +477,7 @@ class TestBackpressure:
         thread = threading.Thread(target=filler)
         thread.start()
         # Wait until the filler's two blocks are actually queued (the
-        # static one-minute deadline keeps them there).
+        # gated flush slot keeps them there).
         deadline = time.monotonic() + 30.0
         depth = 0
         while time.monotonic() < deadline:
@@ -416,12 +502,13 @@ class TestBackpressure:
         )
         assert status == 429
         assert body["error"]["code"] == "queue_full"
-        # An interactive request still jumps in once capacity frees: the
-        # filler is answered when its deadline flush fires on close/unload.
-        server.registry.unload("tiny-queue")
+        # Once the slot frees, the queued filler is flushed and answered.
+        gate.release.set()
+        assert holder.result(timeout=120.0).num_blocks == 1
         thread.join(timeout=120.0)
         assert not thread.is_alive()
         assert results["fill"][0] == 200, "queued work must still be answered"
+        server.registry.unload("tiny-queue")
 
 
 class TestRegistryLifecycleOverHttp:
@@ -533,17 +620,12 @@ class TestStatsSchema:
 class TestStreamDisconnect:
     @pytest.fixture()
     def slow_server(self):
-        """A server whose queue holds blocks for a minute: streamed chunks
-        stay pending long enough for the client to walk away."""
+        """A server with one single-slot variant for the tests to gate."""
         registry = ModelRegistry(
             (
                 ModelVariant(
                     "slow",
-                    ServiceConfig(
-                        tasks=("haswell",),
-                        max_batch_size=8,
-                        async_options=AsyncOptions(max_latency_ms=60_000.0),
-                    ),
+                    ServiceConfig(tasks=("haswell",), max_batch_size=8),
                 ),
             )
         )
@@ -552,8 +634,14 @@ class TestStreamDisconnect:
         ) as running:
             yield running
 
-    def test_disconnect_cancels_pending_chunks(self, slow_server):
+    def test_disconnect_cancels_pending_chunks(self, slow_server, flush_gate):
         port = slow_server.port
+        # Park a holder's flush in the variant's single slot, so the
+        # streamed chunks stay queued until the client walks away.
+        registry = slow_server.registry
+        gate = flush_gate(_loaded_service(registry, "slow"))
+        registry.submit("slow", PredictionRequest.of(["mov rdx, 4"]))
+        assert gate.entered.wait(30.0), "the holder never reached the slot"
         payload = json.dumps(
             {"blocks": [f"mov rax, {i}" for i in range(6)], "stream": True}
         ).encode()
@@ -564,7 +652,7 @@ class TestStreamDisconnect:
         with socket.create_connection(("127.0.0.1", port), timeout=30.0) as sock:
             sock.sendall(head + payload)
             # Wait for the response headers: the stream is now live and
-            # its chunk futures are queued behind the one-minute deadline.
+            # its chunk futures are queued behind the gated flush.
             raw = b""
             while b"\r\n\r\n" not in raw:
                 raw += sock.recv(4096)

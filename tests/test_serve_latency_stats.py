@@ -59,13 +59,10 @@ class TestEmptyWindowSurfaces:
     def test_idle_service_percentiles_are_nan_everywhere(self):
         with AsyncPredictionService(AsyncOptions(max_latency_ms=5.0)) as service:
             assert math.isnan(service.stats.flush_wait_percentile(0.99))
-            assert math.isnan(service.stats.flush_deadline_percentile(0.5))
             assert math.isnan(service.stats.request_latency_percentile(0.999))
             snapshot = service.snapshot()
         assert math.isnan(snapshot.flush.wait_p50_ms)
         assert math.isnan(snapshot.flush.wait_p99_ms)
-        assert math.isnan(snapshot.flush.deadline_p50_ms)
-        assert math.isnan(snapshot.flush.deadline_p99_ms)
         assert math.isnan(snapshot.flush.request_p50_ms)
         assert math.isnan(snapshot.flush.request_p99_ms)
         assert math.isnan(snapshot.flush.request_p999_ms)
@@ -107,8 +104,6 @@ class TestNanWireRoundTrip:
         for key in (
             "wait_p50_ms",
             "wait_p99_ms",
-            "deadline_p50_ms",
-            "deadline_p99_ms",
             "request_p50_ms",
             "request_p99_ms",
             "request_p999_ms",
@@ -182,18 +177,22 @@ class TestAutoscalerLatencySignals:
 
 
 class TestPerRequestVsPerFlushBias:
-    def test_flush_waits_sample_only_the_oldest(self):
+    def test_flush_waits_sample_only_the_oldest(self, flush_gate):
         """The reason request_* exists: wait_* under-samples the tail."""
-        with AsyncPredictionService(AsyncOptions(max_latency_ms=20.0)) as service:
-            futures = [
+        with AsyncPredictionService(AsyncOptions()) as service:
+            gate = flush_gate(service.service)
+            futures = [service.submit(PredictionRequest.of(["ADD RAX, 0"]))]
+            assert gate.entered.wait(30.0)
+            # Seven more queue behind the parked flush and share the next.
+            futures += [
                 service.submit(PredictionRequest.of([f"ADD RAX, {index}"]))
-                for index in range(8)
+                for index in range(1, 8)
             ]
+            gate.release.set()
             for future in futures:
                 future.result(timeout=30.0)
             stats = service.stats
-            # One coalesced deadline flush: one wait sample, eight request
-            # samples — the per-flush family cannot see seven of the eight
-            # individual waits.
-            assert len(stats.flush_waits) < len(stats.request_latencies)
+            # Two flushes: two wait samples, eight request samples — the
+            # per-flush family cannot see six of the eight individual waits.
+            assert len(stats.flush_waits) == 2
             assert len(stats.request_latencies) == 8
