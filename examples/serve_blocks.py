@@ -66,12 +66,12 @@ Network serving
 ``--http PORT`` adds the third layer: a :class:`repro.serve.ModelRegistry`
 hosting two named variants warm-started from the same checkpoint — the
 ``--dtype`` haswell head and a mixed-precision skylake head — behind a
-:class:`repro.serve.PredictionHttpServer` (stdlib asyncio, HTTP/1.1 +
-JSON).  The demo drives both variants through the socket with per-tenant
-API keys, prints the per-model stats, and leaves ``curl`` transcripts to
-reproduce each call by hand (``examples/http_client.py`` is a standalone
-raw-socket client for the same endpoints; pass ``--http 0`` for an
-ephemeral port).
+:class:`repro.serve.PredictionHttpServer` (the standard library's threaded
+HTTP server, HTTP/1.1 + JSON).  The demo drives both variants through the
+socket with per-tenant API keys, prints the per-model stats, and leaves
+``curl`` transcripts to reproduce each call by hand
+(``examples/http_client.py`` is a standalone raw-socket client for the
+same endpoints; pass ``--http 0`` for an ephemeral port).
 
 Usage::
 

@@ -19,8 +19,9 @@ three layers:
 * the network layer: a :class:`ModelRegistry` hosts many named model
   variants (family × uarch × dtype) with lazy load/unload, checkpoint
   warm-start and per-tenant request accounting, and
-  :class:`PredictionHttpServer` exposes it over HTTP/1.1 + JSON (stdlib
-  asyncio only) with API-key tenancy via :class:`TenantDirectory`.
+  :class:`PredictionHttpServer` exposes it over HTTP/1.1 + JSON (the
+  standard library's threaded HTTP server, one thread per connection) with
+  API-key tenancy via :class:`TenantDirectory`.
 
 All of it builds on the no-grad inference fast path in
 :mod:`repro.nn.tensor` and the batched ``ThroughputModel.predict`` API.

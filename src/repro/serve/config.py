@@ -49,10 +49,13 @@ class AsyncOptions:
             :class:`~repro.serve.types.QueueFullError`).
         max_concurrent_flushes: Micro-batch flushes allowed in flight at
             once, i.e. the number of dispatcher threads.  1 (default) is a
-            serial dispatcher; >1 lets the next batch flush while a
-            straggling one is still in the service, so it cannot
-            head-of-line-block every batch behind it (a prerequisite for
-            hedging to beat a straggler at all).
+            serial dispatcher; >1 lets a second dispatcher take the next
+            batch while a straggling flush is still running.  The flushes
+            do not overlap inside the service: ``PredictionService.submit``
+            serializes whole submissions under one lock, so the second
+            flush waits behind the first one's service call.  A hedge can
+            therefore only overtake a stall that happens before that lock
+            is taken.
         hedge_enabled: Re-submit requests that outlive the observed
             request-latency hedge deadline as a duplicate queue entry;
             first result wins, the loser is cancelled (or its result
@@ -180,9 +183,11 @@ class ServiceConfig:
             in-flight worker job older than this is treated as a crash
             (the worker is killed and, if the respawn governor admits it,
             respawned, the job re-queued), so a hung replica cannot stall
-            the batch forever.  Respawns are not configurable: at most 3
-            per worker per 5 s, then exponential backoff.  ``None``
-            (default) keeps the historical wait-forever behaviour.
+            the batch forever.  A job is timed from the later of its send
+            and its replica's readiness, so a replica's start-up (building
+            its model) is never job time.  Respawns are not configurable:
+            at most 3 per worker per 5 s, then exponential backoff.
+            ``None`` (default) keeps the historical wait-forever behaviour.
         breaker_policy: Optional per-worker circuit-breaker tuning.
             ``None`` disables circuit breaking; a
             :class:`~repro.serve.resilience.BreakerPolicy` makes hash

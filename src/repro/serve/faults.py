@@ -39,11 +39,14 @@ from __future__ import annotations
 import json
 import os
 import threading
+import typing
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.serve.types import InvalidRequestError, json_field, load_json
 
 __all__ = [
     "FAULT_KINDS",
@@ -173,33 +176,70 @@ class FaultPlan:
         }
 
     @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "FaultPlan":
+    def from_dict(payload: object) -> "FaultPlan":
+        """The plan of a :meth:`to_dict` form; a malformed one raises
+        :class:`~repro.serve.types.InvalidRequestError` naming the field."""
+        json_field(payload, dict, "plan")
+        seed = json_field(payload.get("seed", 0), int, "plan.seed")
+        raw_specs = json_field(payload.get("specs", []), list, "plan.specs")
         specs = tuple(
-            FaultSpec(**dict(raw)) for raw in payload.get("specs", ())  # type: ignore[arg-type]
+            _spec_from_dict(raw, f"plan.specs[{index}]")
+            for index, raw in enumerate(raw_specs)
         )
-        return FaultPlan(seed=int(payload.get("seed", 0)), specs=specs)
+        try:
+            return FaultPlan(seed=seed, specs=specs)
+        except ValueError as exc:
+            raise InvalidRequestError(f"plan: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "FaultPlan":
-        return FaultPlan.from_dict(json.loads(text))
+        return FaultPlan.from_dict(load_json(text, "fault plan"))
+
+
+#: The type of every :class:`FaultSpec` field.
+_SPEC_FIELDS = typing.get_type_hints(FaultSpec)
+
+
+def _spec_from_dict(raw: object, where: str) -> FaultSpec:
+    json_field(raw, dict, where)
+    unknown = sorted(set(raw) - set(_SPEC_FIELDS))
+    if unknown:
+        raise InvalidRequestError(f"{where} has unknown keys {unknown}")
+    if "kind" not in raw:
+        raise InvalidRequestError(f"{where}.kind is missing")
+    fields = {
+        key: json_field(value, _SPEC_FIELDS[key], f"{where}.{key}")
+        for key, value in raw.items()
+    }
+    try:
+        return FaultSpec(**fields)
+    except ValueError as exc:
+        raise InvalidRequestError(f"{where}: {exc}") from None
 
 
 def load_fault_plan_from_env(variable: str = FAULT_PLAN_ENV_VAR) -> Optional[FaultPlan]:
     """Loads a plan from ``$REPRO_FAULT_PLAN`` (file path or inline JSON).
 
     Returns None when the variable is unset or empty, so the default
-    configuration carries no fault plane at all.
+    configuration carries no fault plane at all.  An unreadable file or a
+    malformed plan raises :class:`~repro.serve.types.InvalidRequestError`.
     """
     raw = os.environ.get(variable, "").strip()
     if not raw:
         return None
-    if raw.lstrip().startswith("{"):
+    if raw.startswith("{"):
         return FaultPlan.from_json(raw)
-    with open(raw, "r", encoding="utf-8") as handle:
-        return FaultPlan.from_json(handle.read())
+    try:
+        with open(raw, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, ValueError) as exc:
+        raise InvalidRequestError(
+            f"${variable} names no readable fault plan file: {exc}"
+        ) from None
+    return FaultPlan.from_json(text)
 
 
 def default_fault_plan() -> Optional[FaultPlan]:

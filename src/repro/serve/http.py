@@ -1,12 +1,14 @@
 """A network front end for the serving stack: HTTP/1.1 + JSON, stdlib only.
 
-:class:`PredictionHttpServer` puts a small asyncio server in front of a
-:class:`~repro.serve.registry.ModelRegistry`, so throughput predictions can
-be consumed from any language with a socket.  The event loop runs on a
-daemon thread; request admission goes through the registry's async
-services, so all the existing machinery — bounded priority queues,
-micro-batch coalescing, work-conserving dispatch, sharded worker pools —
-sits unchanged behind the socket.
+:class:`PredictionHttpServer` serves a
+:class:`~repro.serve.registry.ModelRegistry` from the standard library's
+:class:`http.server.ThreadingHTTPServer`, so throughput predictions can be
+consumed from any language with a socket.  An acceptor thread hands every
+connection to a handler thread of its own, which parses each request with
+:mod:`http.server`, admits it through the registry's async services and
+blocks on the returned future.  All the existing machinery — bounded
+priority queues, micro-batch coalescing, work-conserving dispatch, sharded
+worker pools — sits unchanged behind the socket.
 
 Routes
 ------
@@ -47,20 +49,26 @@ map to status codes purely via the reason codes of
 :mod:`repro.serve.types` (:data:`STATUS_BY_REASON`): queue full -> 429,
 deadline expired -> 408, closed -> 503, unknown model -> 404, missing or
 bad key -> 401, model not on the tenant's allow-list -> 403, malformed
-request -> 400.
+request -> 400.  A request the transport itself refuses — a malformed or
+HTTP/0.9 request line, a head over 64 KiB, an unknown method, a bad
+``Content-Length`` or a body over ``max_body_bytes`` — is a protocol
+error: it is answered 400 ``invalid_request`` and the connection closes.
 """
 
 from __future__ import annotations
 
-import asyncio
+import concurrent.futures
 import functools
+import http.client
 import json
 import math
 import re
-import sys
+import socket
 import threading
 import time
 from dataclasses import dataclass
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -74,6 +82,8 @@ from repro.serve.types import (
     ReasonCode,
     ServeError,
     ServiceClosedError,
+    json_field,
+    load_json,
 )
 
 __all__ = ["HttpServerConfig", "PredictionHttpServer", "STATUS_BY_REASON"]
@@ -91,17 +101,24 @@ STATUS_BY_REASON: Dict[ReasonCode, int] = {
     ReasonCode.INTERNAL: 500,
 }
 
-_REASON_PHRASES = {
-    200: "OK",
-    400: "Bad Request",
-    401: "Unauthorized",
-    403: "Forbidden",
-    404: "Not Found",
-    408: "Request Timeout",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+#: Bound on a request head (request line plus headers), in bytes.
+_MAX_HEAD_BYTES = 64 << 10
+
+#: How often the acceptor checks for ``close()``, which waits for it.
+_ACCEPT_POLL_S = 0.05
+
+#: How often a streaming response checks whether its client went away.
+_STREAM_POLL_S = 0.05
+
+#: The ``/healthz`` counters.
+_COUNTERS = (
+    "requests_handled",
+    "protocol_errors",
+    "internal_errors",
+    "requests_recorded",
+    "stream_disconnects",
+    "stream_cancelled_chunks",
+)
 
 _PRIORITY_NAMES = {
     "interactive": Priority.INTERACTIVE,
@@ -128,6 +145,58 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def _parse_predict(body: bytes) -> Tuple[List[str], int, Optional[float], bool]:
+    """A predict body as ``(blocks, priority, deadline_ms, stream)``."""
+    payload = json_field(load_json(body, "body"), dict, "body")
+    if "block" in payload and "blocks" in payload:
+        raise InvalidRequestError("pass either 'block' or 'blocks', not both")
+    blocks = [payload["block"]] if "block" in payload else payload.get("blocks")
+    if (
+        not isinstance(blocks, list)
+        or not blocks
+        or not all(isinstance(block, str) and block.strip() for block in blocks)
+    ):
+        raise InvalidRequestError(
+            "'blocks' must be a non-empty list of non-empty strings "
+            "(or pass a single 'block')"
+        )
+    priority = payload.get("priority", "normal")
+    if not isinstance(priority, str):
+        priority = json_field(priority, int, "'priority'")
+    elif priority.lower() in _PRIORITY_NAMES:
+        priority = _PRIORITY_NAMES[priority.lower()]
+    else:
+        names = sorted(_PRIORITY_NAMES)
+        raise InvalidRequestError(f"unknown priority {priority!r}; use {names} or an integer")
+    deadline_ms = payload.get("deadline_ms")
+    if deadline_ms is not None:
+        deadline_ms = float(json_field(deadline_ms, float, "'deadline_ms'"))
+        if deadline_ms < 0:
+            raise InvalidRequestError("'deadline_ms' must be >= 0")
+    stream = json_field(payload.get("stream", False), bool, "'stream'")
+    return list(blocks), priority, deadline_ms, stream
+
+
+def _response_fields(response) -> Dict[str, Any]:
+    """The wire fields of one served request (a unary reply, a stream line)."""
+    return {
+        "request_id": response.request_id,
+        "num_blocks": response.num_blocks,
+        "seconds": response.seconds,
+        "degraded": response.degraded,
+        "predictions": response.predictions,
+    }
+
+
+def _shut_read(connection: socket.socket) -> None:
+    """Ends reading on ``connection``: a blocked read returns EOF, while a
+    response still being written goes out."""
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # the peer already closed it
+
+
 @dataclass(frozen=True)
 class HttpServerConfig:
     """Transport knobs of :class:`PredictionHttpServer`.
@@ -138,29 +207,17 @@ class HttpServerConfig:
             :attr:`PredictionHttpServer.port` after ``start()``).
         max_body_bytes: Reject request bodies larger than this (the block
             list of a predict call is the only large payload).
-        max_header_bytes: Stream buffer limit while reading the head.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     max_body_bytes: int = 8 << 20
-    max_header_bytes: int = 64 << 10
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in [0, 65535]")
-        if self.max_body_bytes < 1 or self.max_header_bytes < 1:
-            raise ValueError("body/header limits must be positive")
-
-
-@dataclass(frozen=True)
-class _HttpRequest:
-    """One parsed request (head + body) off a client connection."""
-
-    method: str
-    path: str
-    headers: Dict[str, str]
-    body: bytes
+        if self.max_body_bytes < 1:
+            raise ValueError("max_body_bytes must be positive")
 
 
 class PredictionHttpServer:
@@ -175,16 +232,17 @@ class PredictionHttpServer:
         recorder: Optional record hook (anything with the
             ``record(block_texts, priority=..., deadline_ms=..., model=...,
             stream=...)`` signature of
-            :class:`repro.serve.replay.TraceRecorder`).  Called on the loop
-            thread for every predict call that passes authentication and
-            parsing, so captured traces contain exactly the traffic the
-            queue saw.  Must be cheap and non-blocking.
+            :class:`repro.serve.replay.TraceRecorder`).  Called on the
+            connection's handler thread for every predict call that passes
+            authentication and parsing, so captured traces contain exactly
+            the traffic the queue saw.  Must be cheap and thread-safe.
 
-    The event loop lives on a daemon thread; ``start()`` returns once the
-    socket is bound (or raises what the bind raised).  Blocking work —
-    queue admission under the ``block`` back-pressure policy — runs on the
-    loop's default executor so slow admission on one model never stalls
-    the accept loop.  Usable as a context manager.
+    ``start()`` binds the socket (raising what the bind raised) and starts
+    the acceptor thread.  Each connection is served by a thread of its
+    own, so a predict blocked on admission or on its result — a lazy model
+    load, a full queue under the ``block`` policy, a long flush — stalls
+    only its own connection.  Connection threads are not daemons: close
+    the server (it is a context manager) before the interpreter exits.
     """
 
     def __init__(
@@ -200,73 +258,59 @@ class PredictionHttpServer:
         self.auth = auth or TenantDirectory()
         self.recorder = recorder
         self._own_registry = own_registry
-        self._lifecycle_lock = threading.Lock()
-        self._closed = False  # guarded-by: _lifecycle_lock
-        self._thread: Optional[threading.Thread] = None  # guarded-by: _lifecycle_lock
-        # Written by the loop thread only (no lock): the ready handshake
-        # orders them before any reader in start()/close().
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._bound_port: Optional[int] = None
-        self._startup_error: Optional[BaseException] = None
-        self._ready = threading.Event()
-        self._started_at = time.monotonic()
-        # Loop-thread-only state: live connection handlers and counters.
-        self._client_tasks: set = set()
-        self._requests_handled = 0
-        self._protocol_errors = 0
-        self._internal_errors = 0
-        self._requests_recorded = 0
-        self._stream_disconnects = 0
-        self._stream_cancelled_chunks = 0
+        self._lock = threading.Lock()
+        self._closed = False  # guarded-by: _lock
+        self._httpd: Optional[ThreadingHTTPServer] = None  # guarded-by: _lock
+        self._acceptor: Optional[threading.Thread] = None  # guarded-by: _lock
+        self._started_at = time.monotonic()  # guarded-by: _lock
+        # Connections waiting for their next request; close() ends them.
+        self._idle: set = set()  # guarded-by: _lock
+        self._counters = dict.fromkeys(_COUNTERS, 0)  # guarded-by: _lock
 
     # ------------------------------------------------------------------ #
     # Lifecycle.
     # ------------------------------------------------------------------ #
     def start(self) -> "PredictionHttpServer":
         """Binds the socket and starts serving; idempotent while running."""
-        with self._lifecycle_lock:
+        with self._lock:
             if self._closed:
                 raise ServiceClosedError("http server is closed")
-            if self._thread is not None:
-                return self
-            thread = threading.Thread(
-                target=self._run_loop, name="repro-http-server", daemon=True
-            )
-            self._thread = thread
-        self._started_at = time.monotonic()
-        thread.start()
-        self._ready.wait()
-        error = self._startup_error
-        if error is not None:
-            thread.join()
-            with self._lifecycle_lock:
-                self._closed = True
-                self._thread = None
-            raise error
+            if self._httpd is None:
+                address = (self.config.host, self.config.port)
+                handler = functools.partial(_Handler, front=self)
+                self._httpd = ThreadingHTTPServer(address, handler)
+                # Only non-daemon connection threads are joined by close().
+                self._httpd.daemon_threads = False
+                self._started_at = time.monotonic()
+                self._acceptor = threading.Thread(
+                    target=self._httpd.serve_forever,
+                    args=(_ACCEPT_POLL_S,),
+                    name="repro-http-acceptor",
+                    daemon=True,
+                )
+                self._acceptor.start()
         return self
 
     def close(self) -> None:
-        """Stops the server and joins its thread (idempotent).
+        """Stops the server (idempotent).
 
-        In-flight responses finish; the listening socket closes first, so
-        no new connections are admitted while draining.
+        Stops accepting, ends every idle keep-alive connection, lets every
+        request whose head has arrived finish its response (its connection
+        then closes), joins the acceptor and connection threads, and only
+        then closes an owned registry.
         """
-        with self._lifecycle_lock:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            thread, self._thread = self._thread, None
-        loop, stop = self._loop, self._stop_event
-        if loop is not None and stop is not None and thread is not None:
-            try:
-                loop.call_soon_threadsafe(stop.set)
-            except RuntimeError:
-                # The loop already finished (e.g. startup failed after
-                # binding); there is nothing left to signal.
-                pass
-        if thread is not None:
-            thread.join()
+            for connection in self._idle:
+                _shut_read(connection)
+            httpd, acceptor = self._httpd, self._acceptor
+        if httpd is not None and acceptor is not None:
+            httpd.shutdown()
+            # Closes the listening socket, then joins every connection thread.
+            httpd.server_close()
+            acceptor.join()
         if self._own_registry:
             self.registry.close()
 
@@ -279,363 +323,222 @@ class PredictionHttpServer:
     @property
     def port(self) -> int:
         """The bound port (useful with the ephemeral ``port=0`` default)."""
-        port = self._bound_port
-        if port is None:
+        with self._lock:
+            httpd = self._httpd
+        if httpd is None:
             raise RuntimeError("server is not running; call start() first")
-        return port
+        return httpd.server_address[1]
 
     @property
     def address(self) -> str:
         return f"http://{self.config.host}:{self.port}"
 
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._serve_forever())
-        except BaseException as exc:  # noqa: B036 - reported to start()
-            self._startup_error = exc
-            self._internal_errors += 1
-        finally:
-            self._ready.set()
-
-    async def _serve_forever(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_client,
-            host=self.config.host,
-            port=self.config.port,
-            limit=self.config.max_header_bytes,
-        )
-        self._bound_port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        try:
-            async with server:
-                await self._stop_event.wait()
-        finally:
-            # Retire idle keep-alive connections ourselves: cancelling and
-            # gathering here lets every handler run its close path before
-            # asyncio.run tears the loop down.
-            for task in list(self._client_tasks):
-                task.cancel()
-            if self._client_tasks:
-                await asyncio.gather(*self._client_tasks, return_exceptions=True)
-
     # ------------------------------------------------------------------ #
-    # Connection handling.
+    # Connection bookkeeping and counters (called from connection threads).
     # ------------------------------------------------------------------ #
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._client_tasks.add(task)
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, reader, writer)
-                if not keep_alive:
-                    break
-        except asyncio.CancelledError:
-            # Server shutdown retired this (typically idle keep-alive)
-            # connection mid-read; fall through and close it quietly.
-            pass
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionError,
-            ValueError,
-        ):
-            # Malformed head, oversized head, or a peer that vanished:
-            # count it and drop the connection — there is no usable
-            # request to answer.
-            self._protocol_errors += 1
-        finally:
-            if task is not None:
-                self._client_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                # A cancelled task re-raises at the next await; the socket
-                # is already closing either way.
-                pass
+    def _set_idle(self, connection: socket.socket, idle: bool) -> bool:
+        """Marks ``connection`` as waiting for a request or not (busy, or
+        gone); returns False once ``close()`` has begun."""
+        with self._lock:
+            if idle:
+                self._idle.add(connection)
+            else:
+                self._idle.discard(connection)
+            return not self._closed
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[_HttpRequest]:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None  # clean EOF between requests
-            raise
-        request_line, *header_lines = head.decode("latin-1").split("\r\n")
-        method, _, rest = request_line.partition(" ")
-        path, _, version = rest.rpartition(" ")
-        if not method or not path.startswith("/") or not version.startswith("HTTP/"):
-            raise ValueError(f"malformed request line: {request_line!r}")
-        headers: Dict[str, str] = {}
-        for line in header_lines:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > self.config.max_body_bytes:
-            raise ValueError(f"content-length {length} out of bounds")
-        body = await reader.readexactly(length) if length else b""
-        return _HttpRequest(method=method, path=path, headers=headers, body=body)
+    def _count(self, counter: str, amount: int = 1) -> None:
+        with self._lock:
+            self._counters[counter] += amount
 
-    async def _dispatch(
-        self,
-        request: _HttpRequest,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        self._requests_handled += 1
-        keep_alive = request.headers.get("connection", "").lower() != "close"
+    def health(self) -> Dict[str, Any]:
+        """The ``/healthz`` body: status, uptime and the request counters."""
+        with self._lock:
+            return {
+                "status": "ok",
+                "uptime_s": time.monotonic() - self._started_at,
+                **self._counters,
+            }
+
+
+class _HeadReader:
+    """The connection's ``rfile`` while the stdlib parses the headers:
+    refuses a head that grows past its byte budget."""
+
+    def __init__(self, rfile, budget: int) -> None:
+        self._rfile = rfile
+        self._budget = budget
+
+    def readline(self, limit: int = -1) -> bytes:
+        size = self._budget + 1 if limit < 0 else min(limit, self._budget + 1)
+        line = self._rfile.readline(size)
+        self._budget -= len(line)
+        if self._budget < 0:
+            raise http.client.LineTooLong(f"request head over {_MAX_HEAD_BYTES} bytes")
+        return line
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: parse, route, answer — until it closes."""
+
+    protocol_version = "HTTP/1.1"
+    # Each reply leaves in one write; without TCP_NODELAY a small reply can
+    # still wait ~40 ms on Nagle's algorithm and the client's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def __init__(self, *args: Any, front: PredictionHttpServer) -> None:
+        self.front = front
+        super().__init__(*args)  # serves the connection
+
+    def setup(self) -> None:
+        super().setup()
+        threading.current_thread().name = "repro-http-connection"
+        if not self.front._set_idle(self.connection, True):
+            _shut_read(self.connection)  # accepted while close() ran
+
+    def finish(self) -> None:
+        self.front._set_idle(self.connection, False)
+        super().finish()
+
+    def handle(self) -> None:
         try:
-            return await self._route(request, reader, writer, keep_alive)
-        except ServeError as exc:
-            status = STATUS_BY_REASON.get(exc.code, 500)
-            await self._write_json(
-                writer,
-                status,
-                {"error": {"code": exc.code.value, "message": str(exc)}},
-                keep_alive,
-                extra_headers={"Retry-After": "1"} if status == 503 else None,
-            )
-            return keep_alive
-        except Exception as exc:  # noqa: BLE001 - counted and answered as 500
-            self._internal_errors += 1
-            await self._write_json(
-                writer,
-                500,
-                {
-                    "error": {
-                        "code": ReasonCode.INTERNAL.value,
-                        "message": f"{type(exc).__name__}: {exc}",
-                    }
-                },
-                keep_alive=False,
-            )
+            super().handle()
+        except OSError:
+            # The peer vanished mid-exchange: nothing left to answer.
+            self.front._count("protocol_errors")
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """No access log: ``/healthz`` counts requests instead."""
+
+    def parse_request(self) -> bool:
+        if len(self.raw_requestline.split()) != 3:
+            # Also catches an HTTP/0.9 line, which the stdlib would accept.
+            line = self.raw_requestline[:80]
+            self.send_error(HTTPStatus.BAD_REQUEST, f"malformed request line: {line!r}")
             return False
+        rfile = self.rfile
+        self.rfile = _HeadReader(rfile, _MAX_HEAD_BYTES - len(self.raw_requestline))
+        try:
+            parsed = super().parse_request()
+        finally:
+            self.rfile = rfile
+        if parsed:
+            self.front._set_idle(self.connection, False)
+        return parsed
 
-    async def _route(
-        self,
-        request: _HttpRequest,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-    ) -> bool:
-        if request.method == "GET" and request.path == "/healthz":
-            await self._write_json(
-                writer,
-                200,
-                {
-                    "status": "ok",
-                    "uptime_s": time.monotonic() - self._started_at,
-                    "requests_handled": self._requests_handled,
-                    "protocol_errors": self._protocol_errors,
-                    "internal_errors": self._internal_errors,
-                    "requests_recorded": self._requests_recorded,
-                    "stream_disconnects": self._stream_disconnects,
-                    "stream_cancelled_chunks": self._stream_cancelled_chunks,
-                },
-                keep_alive,
-            )
-            return keep_alive
-        if request.method == "GET" and request.path == "/readyz":
-            # Keyless like /healthz (probes rarely carry credentials), but
-            # off-loop: the report takes per-service locks.
-            loop = asyncio.get_running_loop()
-            report = await loop.run_in_executor(None, self.registry.readiness)
-            unready = report.get("status") == "unready"
-            await self._write_json(
-                writer,
-                503 if unready else 200,
-                report,
-                keep_alive,
-                extra_headers={"Retry-After": "1"} if unready else None,
-            )
-            return keep_alive
-        if request.method == "GET" and request.path == "/v1/models":
-            tenant = self._authenticate(request)
-            infos = [
-                info.to_dict()
-                for info in self.registry.describe()
-                if tenant.may_use(info.name)
-            ]
-            await self._write_json(writer, 200, {"models": infos}, keep_alive)
-            return keep_alive
-        match = _STATS_PATH.match(request.path)
-        if request.method == "GET" and match:
-            tenant = self._authenticate(request)
+    def send_error(self, code: int, message: Optional[str] = None, explain: Optional[str] = None):
+        """Every protocol error ends here: a typed 400, then the connection
+        closes (its unread bytes cannot be trusted to start a request)."""
+        self.front._count("protocol_errors")
+        if code == HTTPStatus.NOT_IMPLEMENTED:
+            message, explain = f"no route for {self.command} {self.path}", None
+        text = ": ".join(part for part in (message, explain) if part)
+        self.close_connection = True
+        self._reply_error(InvalidRequestError(text or HTTPStatus(code).phrase))
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or None after answering a protocol error."""
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= self.front.config.max_body_bytes:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"content-length {raw!r} out of bounds")
+            return None
+        body = self.rfile.read(length) if length else b""
+        if len(body) < length:
+            self.send_error(HTTPStatus.BAD_REQUEST, "body shorter than its content-length")
+            return None
+        return body
+
+    def _serve(self) -> None:
+        try:
+            body = self._read_body()
+            if body is None:
+                return
+            self.front._count("requests_handled")
+            self._route(body)
+        except ServeError as exc:
+            self._reply_error(exc)
+        except ConnectionError:
+            raise  # the client left; handle() counts it
+        except Exception as exc:  # noqa: BLE001 - counted and answered as 500
+            self.front._count("internal_errors")
+            self.close_connection = True
+            self._reply_error(ServeError(f"{type(exc).__name__}: {exc}"))
+        finally:
+            if not self.front._set_idle(self.connection, True):
+                self.close_connection = True  # close() has begun
+
+    do_GET = do_POST = _serve
+
+    def _route(self, body: bytes) -> None:
+        method, path, front = self.command, self.path, self.front
+        if method == "GET" and path == "/healthz":
+            self._reply_json(200, front.health())
+            return
+        if method == "GET" and path == "/readyz":
+            # Keyless like /healthz: probes rarely carry credentials.
+            report = front.registry.readiness()
+            if report.get("status") == "unready":
+                self._reply_json(503, report, {"Retry-After": "1"})
+            else:
+                self._reply_json(200, report)
+            return
+        if method == "GET" and path == "/v1/models":
+            tenant = self._authenticate()
+            infos = front.registry.describe()
+            models = [info.to_dict() for info in infos if tenant.may_use(info.name)]
+            self._reply_json(200, {"models": models})
+            return
+        match = _STATS_PATH.match(path)
+        if method == "GET" and match:
+            tenant = self._authenticate()
             name = match.group(1)
-            self.auth.authorize(tenant, name)
-            report = self.registry.stats(name)
-            await self._write_json(writer, 200, report.to_dict(), keep_alive)
-            return keep_alive
-        match = _PREDICT_PATH.match(request.path)
-        if request.method == "POST" and match:
-            tenant = self._authenticate(request)
+            front.auth.authorize(tenant, name)
+            self._reply_json(200, front.registry.stats(name).to_dict())
+            return
+        match = _PREDICT_PATH.match(path)
+        if method == "POST" and match:
+            tenant = self._authenticate()
             name = match.group(1)
-            blocks, priority, deadline_ms, stream = self._parse_predict(request)
-            if self.recorder is not None:
+            blocks, priority, deadline_ms, stream = _parse_predict(body)
+            if front.recorder is not None:
                 # After parsing, before admission: the trace captures every
                 # well-formed call the queue is offered, including those the
                 # queue then rejects (a replay must reproduce that load).
-                self.recorder.record(
-                    blocks,
+                front.recorder.record(
+                    blocks, priority=priority, deadline_ms=deadline_ms, model=name, stream=stream
+                )
+                front._count("requests_recorded")
+
+            def submit(texts: List[str]) -> concurrent.futures.Future:
+                # Looked up per call: a tracer may wrap ``registry.submit``.
+                return front.registry.submit(
+                    name,
+                    PredictionRequest.of(texts),
+                    tenant=tenant,
                     priority=priority,
                     deadline_ms=deadline_ms,
-                    model=name,
-                    stream=stream,
                 )
-                self._requests_recorded += 1
-            if stream:
-                return await self._predict_stream(
-                    reader, writer, name, tenant, blocks, priority, deadline_ms,
-                    keep_alive,
-                )
-            await self._predict_unary(
-                writer, name, tenant, blocks, priority, deadline_ms, keep_alive
-            )
-            return keep_alive
-        raise InvalidRequestError(
-            f"no route for {request.method} {request.path}"
-        )
 
-    # ------------------------------------------------------------------ #
-    # Route implementations.
-    # ------------------------------------------------------------------ #
-    def _authenticate(self, request: _HttpRequest):
-        api_key = request.headers.get("x-api-key")
+            if stream:
+                self._predict_stream(name, blocks, submit)
+            else:
+                reply = _response_fields(submit(blocks).result())
+                self._reply_json(200, {"model": name, **reply})
+            return
+        raise InvalidRequestError(f"no route for {method} {path}")
+
+    def _authenticate(self):
+        api_key = self.headers.get("X-API-Key")
         if api_key is None:
-            bearer = request.headers.get("authorization", "")
+            bearer = self.headers.get("Authorization", "")
             if bearer.lower().startswith("bearer "):
                 api_key = bearer[len("bearer ") :].strip()
-        return self.auth.authenticate(api_key)
+        return self.front.auth.authenticate(api_key)
 
-    def _parse_predict(
-        self, request: _HttpRequest
-    ) -> Tuple[List[str], int, Optional[float], bool]:
-        try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InvalidRequestError(f"body is not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise InvalidRequestError("body nests JSON too deeply") from None
-        if not isinstance(payload, dict):
-            raise InvalidRequestError("body must be a JSON object")
-        if "block" in payload and "blocks" in payload:
-            raise InvalidRequestError("pass either 'block' or 'blocks', not both")
-        blocks = [payload["block"]] if "block" in payload else payload.get("blocks")
-        if (
-            not isinstance(blocks, list)
-            or not blocks
-            or not all(isinstance(block, str) and block.strip() for block in blocks)
-        ):
-            raise InvalidRequestError(
-                "'blocks' must be a non-empty list of non-empty strings "
-                "(or pass a single 'block')"
-            )
-        raw_priority = payload.get("priority", "normal")
-        if isinstance(raw_priority, str):
-            try:
-                priority = _PRIORITY_NAMES[raw_priority.lower()]
-            except KeyError:
-                raise InvalidRequestError(
-                    f"unknown priority {raw_priority!r}; "
-                    f"use {sorted(_PRIORITY_NAMES)} or an integer"
-                ) from None
-        elif isinstance(raw_priority, int) and not isinstance(raw_priority, bool):
-            priority = raw_priority
-        else:
-            raise InvalidRequestError("'priority' must be a name or an integer")
-        deadline_ms = payload.get("deadline_ms")
-        if deadline_ms is not None:
-            # json.loads accepts NaN and Infinity, and NaN < 0 is False.
-            if (
-                not isinstance(deadline_ms, (int, float))
-                or isinstance(deadline_ms, bool)
-                or not 0 <= deadline_ms <= sys.float_info.max
-            ):
-                raise InvalidRequestError(
-                    "'deadline_ms' must be a finite number >= 0"
-                )
-            deadline_ms = float(deadline_ms)
-        stream = payload.get("stream", False)
-        if not isinstance(stream, bool):
-            raise InvalidRequestError("'stream' must be a boolean")
-        return list(blocks), priority, deadline_ms, stream
-
-    async def _submit(
-        self,
-        name: str,
-        tenant,
-        blocks: List[str],
-        priority: int,
-        deadline_ms: Optional[float],
-    ) -> "asyncio.Future":
-        """Admits one request off-loop; returns an awaitable of its result.
-
-        Admission may block (lazy model load, or queue space under the
-        ``block`` policy), so it runs on the default executor; admission
-        errors (unknown model, 429-reject, closed) surface right here.
-        """
-        loop = asyncio.get_running_loop()
-        submit = functools.partial(
-            self.registry.submit,
-            name,
-            PredictionRequest.of(blocks),
-            tenant=tenant,
-            priority=priority,
-            deadline_ms=deadline_ms,
-        )
-        future = await loop.run_in_executor(None, submit)
-        return asyncio.wrap_future(future)
-
-    async def _predict_unary(
-        self,
-        writer: asyncio.StreamWriter,
-        name: str,
-        tenant,
-        blocks: List[str],
-        priority: int,
-        deadline_ms: Optional[float],
-        keep_alive: bool,
-    ) -> None:
-        response = await (
-            await self._submit(name, tenant, blocks, priority, deadline_ms)
-        )
-        await self._write_json(
-            writer,
-            200,
-            {
-                "request_id": response.request_id,
-                "model": name,
-                "num_blocks": response.num_blocks,
-                "seconds": response.seconds,
-                "degraded": response.degraded,
-                "predictions": response.predictions,
-            },
-            keep_alive,
-        )
-
-    async def _predict_stream(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        name: str,
-        tenant,
-        blocks: List[str],
-        priority: int,
-        deadline_ms: Optional[float],
-        keep_alive: bool,
-    ) -> bool:
+    def _predict_stream(self, name: str, blocks: List[str], submit) -> None:
         """NDJSON streaming: one line per micro-batch-sized chunk.
 
         Every chunk is its own queue request, so lines appear as the
@@ -647,111 +550,81 @@ class PredictionHttpServer:
         close) become ``"error"`` lines instead of poisoning the stream.
 
         A client that disconnects mid-stream is noticed within one poll
-        interval (``reader.at_eof()`` flips as soon as the transport sees
-        the FIN, whether or not anything is reading): every still-pending
-        chunk future is cancelled, which propagates to the queue's eager
-        cancel-discard and frees the abandoned blocks' capacity instead of
-        predicting for nobody.  Returns whether the connection is reusable
-        (always ``False`` after a disconnect).
+        interval (its socket reads EOF): every still-pending chunk future
+        is cancelled, which propagates to the queue's eager cancel-discard
+        and frees the abandoned blocks' capacity instead of predicting for
+        nobody.  The connection then closes.
         """
-        chunk_size = self.registry.variant(name).config.max_batch_size
-        pending: Dict["asyncio.Future", Tuple[int, int]] = {}
-        for chunk_index, offset in enumerate(range(0, len(blocks), chunk_size)):
-            chunk = blocks[offset : offset + chunk_size]
-            awaitable = await self._submit(
-                name, tenant, chunk, priority, deadline_ms
-            )
-            pending[awaitable] = (chunk_index, offset)
+        size = self.front.registry.variant(name).config.max_batch_size
+        pending = {
+            submit(blocks[offset : offset + size]): (index, offset)
+            for index, offset in enumerate(range(0, len(blocks), size))
+        }
         total_chunks = len(pending)
         disconnected = False
         try:
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/x-ndjson\r\n"
-                "Transfer-Encoding: chunked\r\n"
-                f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-                "\r\n"
-            )
-            writer.write(head.encode("latin-1"))
-            await writer.drain()
-            while pending:
-                if reader.at_eof() or reader.exception() is not None:
-                    disconnected = True
-                    break
-                done, _ = await asyncio.wait(
-                    pending.keys(),
-                    timeout=0.05,
-                    return_when=asyncio.FIRST_COMPLETED,
+            chunked = {"Transfer-Encoding": "chunked"}
+            self.wfile.write(self._head(200, "application/x-ndjson", chunked))
+            while pending and not disconnected:
+                done, _ = concurrent.futures.wait(
+                    pending, _STREAM_POLL_S, concurrent.futures.FIRST_COMPLETED
                 )
                 for finished in done:
-                    chunk_index, offset = pending.pop(finished)
-                    line: Dict[str, Any] = {"chunk": chunk_index, "offset": offset}
+                    index, offset = pending.pop(finished)
+                    line: Dict[str, Any] = {"chunk": index, "offset": offset}
                     try:
-                        response = finished.result()
-                        line.update(
-                            request_id=response.request_id,
-                            num_blocks=response.num_blocks,
-                            seconds=response.seconds,
-                            degraded=response.degraded,
-                            predictions=response.predictions,
-                        )
+                        line.update(_response_fields(finished.result()))
                     except ServeError as exc:
-                        line["error"] = {
-                            "code": exc.code.value,
-                            "message": str(exc),
-                        }
-                    await self._write_ndjson_line(writer, line)
+                        line["error"] = {"code": exc.code.value, "message": str(exc)}
+                    self._write_ndjson_line(line)
+                disconnected = self._peer_gone()
             if not disconnected:
-                await self._write_ndjson_line(
-                    writer, {"done": True, "chunks": total_chunks}
-                )
-                writer.write(b"0\r\n\r\n")
-                await writer.drain()
-        except (ConnectionError, OSError):
-            # The peer vanished between the at_eof poll and a write; same
-            # cleanup as a detected disconnect.
+                self._write_ndjson_line({"done": True, "chunks": total_chunks})
+                self.wfile.write(b"0\r\n\r\n")
+        except OSError:
+            # The peer vanished between the poll and a write; same cleanup
+            # as a detected disconnect.
             disconnected = True
         finally:
-            if pending:
-                # Cancelling the asyncio wrapper chains to the underlying
-                # queue future; chunks still queued are dropped and their
-                # blocks freed, chunks already mid-flush finish unobserved.
-                self._stream_cancelled_chunks += sum(
-                    1 for future in pending if future.cancel()
-                )
+            # Chunks still queued are dropped and their blocks freed; chunks
+            # already mid-flush finish unobserved.
+            cancelled = sum(1 for future in pending if future.cancel())
+            self.front._count("stream_cancelled_chunks", cancelled)
             if disconnected:
-                self._stream_disconnects += 1
-        return keep_alive and not disconnected
+                self.front._count("stream_disconnects")
+                self.close_connection = True
 
-    # ------------------------------------------------------------------ #
-    # Wire helpers.
-    # ------------------------------------------------------------------ #
-    async def _write_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        keep_alive: bool,
-        extra_headers: Optional[Dict[str, str]] = None,
+    def _peer_gone(self) -> bool:
+        """True once the client has closed (or reset) its end."""
+        try:
+            return not self.connection.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return False  # nothing to read: the client is still there
+        except OSError:
+            return True
+
+    def _head(self, status: int, content_type: str, headers: Dict[str, str]) -> bytes:
+        lines = [
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+            f"Content-Type: {content_type}",
+            *(f"{name}: {value}" for name, value in headers.items()),
+            f"Connection: {'close' if self.close_connection else 'keep-alive'}",
+        ]
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+    def _reply_json(
+        self, status: int, payload: Dict[str, Any], headers: Optional[Dict[str, str]] = None
     ) -> None:
         body = json.dumps(_jsonable(payload)).encode("utf-8")
-        extras = "".join(
-            f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_REASON_PHRASES.get(status, 'Unknown')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"{extras}"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
+        headers = {"Content-Length": str(len(body)), **(headers or {})}
+        # Head and body in one write: one segment for a small reply.
+        self.wfile.write(self._head(status, "application/json", headers) + body)
 
-    async def _write_ndjson_line(
-        self, writer: asyncio.StreamWriter, payload: Dict[str, Any]
-    ) -> None:
+    def _reply_error(self, exc: ServeError) -> None:
+        status = STATUS_BY_REASON.get(exc.code, 500)
+        error = {"error": {"code": exc.code.value, "message": str(exc)}}
+        self._reply_json(status, error, {"Retry-After": "1"} if status == 503 else None)
+
+    def _write_ndjson_line(self, payload: Dict[str, Any]) -> None:
         data = json.dumps(_jsonable(payload)).encode("utf-8") + b"\n"
-        writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
-        await writer.drain()
+        self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))

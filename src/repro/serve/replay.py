@@ -43,7 +43,13 @@ import numpy as np
 
 from repro.serve.queue import Priority
 from repro.serve.stats import latency_percentile
-from repro.serve.types import PredictionRequest, ServeError
+from repro.serve.types import (
+    InvalidRequestError,
+    PredictionRequest,
+    ServeError,
+    json_field,
+    load_json,
+)
 
 __all__ = [
     "TraceRequest",
@@ -109,17 +115,37 @@ class TraceRequest:
         return out
 
     @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "TraceRequest":
-        return cls(
-            offset_s=float(raw["offset_s"]),
-            block_texts=tuple(raw["blocks"]),
-            priority=int(raw.get("priority", int(Priority.NORMAL))),
-            deadline_ms=(
-                None if raw.get("deadline_ms") is None else float(raw["deadline_ms"])
+    def from_dict(cls, raw: object, where: str = "request") -> "TraceRequest":
+        """The request of a :meth:`to_dict` form; a malformed one raises
+        :class:`~repro.serve.types.InvalidRequestError` naming the field
+        (``where`` prefixes its name)."""
+        json_field(raw, dict, where)
+        for key in ("offset_s", "blocks"):
+            if key not in raw:
+                raise InvalidRequestError(f"{where}.{key} is missing")
+        blocks = json_field(raw["blocks"], list, f"{where}.blocks")
+        for index, text in enumerate(blocks):
+            json_field(text, str, f"{where}.blocks[{index}]")
+        deadline_ms = raw.get("deadline_ms")
+        model = raw.get("model")
+        fields = dict(
+            offset_s=float(json_field(raw["offset_s"], float, f"{where}.offset_s")),
+            block_texts=tuple(blocks),
+            priority=json_field(
+                raw.get("priority", int(Priority.NORMAL)), int, f"{where}.priority"
             ),
-            model=raw.get("model"),
-            stream=bool(raw.get("stream", False)),
+            deadline_ms=(
+                None
+                if deadline_ms is None
+                else float(json_field(deadline_ms, float, f"{where}.deadline_ms"))
+            ),
+            model=None if model is None else json_field(model, str, f"{where}.model"),
+            stream=json_field(raw.get("stream", False), bool, f"{where}.stream"),
         )
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise InvalidRequestError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -177,19 +203,25 @@ class Trace:
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
-        raw = json.loads(text)
+        """Parses a trace; a malformed one raises
+        :class:`~repro.serve.types.InvalidRequestError` naming the field."""
+        raw = json_field(load_json(text, "trace"), dict, "trace")
         version = raw.get("version", TRACE_VERSION)
         if version != TRACE_VERSION:
-            raise ValueError(
-                f"unsupported trace version {version}; this build reads "
+            raise InvalidRequestError(
+                f"unsupported trace version {version!r}; this build reads "
                 f"version {TRACE_VERSION}"
             )
-        return cls(
-            requests=tuple(
-                TraceRequest.from_dict(entry) for entry in raw.get("requests", ())
-            ),
-            metadata=dict(raw.get("metadata", {})),
+        entries = json_field(raw.get("requests", []), list, "trace.requests")
+        requests = tuple(
+            TraceRequest.from_dict(entry, f"trace.requests[{index}]")
+            for index, entry in enumerate(entries)
         )
+        metadata = json_field(raw.get("metadata", {}), dict, "trace.metadata")
+        try:
+            return cls(requests=requests, metadata=dict(metadata))
+        except ValueError as exc:
+            raise InvalidRequestError(f"trace: {exc}") from None
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -207,8 +239,8 @@ class TraceRecorder:
 
     The first recorded call defines the trace epoch; every later call is
     stamped with its monotonic offset from that epoch.  Thread-safe — the
-    HTTP front end records from its loop thread, but nothing stops several
-    submission paths from sharing one recorder.
+    HTTP front end records from each connection's handler thread, and
+    several submission paths may share one recorder.
 
     Args:
         max_requests: Capture stops (silently, counted in

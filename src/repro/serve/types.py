@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import json
+import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -118,6 +120,35 @@ class InvalidRequestError(ServeError, ValueError):
     """The request payload is malformed."""
 
     code = ReasonCode.INVALID_REQUEST
+
+
+def load_json(text: Union[str, bytes], what: str) -> Any:
+    """Parses one JSON document; a malformed one raises
+    :class:`InvalidRequestError` naming ``what``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise InvalidRequestError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidRequestError(f"{what} nests JSON too deeply") from None
+
+
+def json_field(value: Any, kind: type, where: str) -> Any:
+    """Returns ``value`` when it is a JSON value of type ``kind``, else
+    raises :class:`InvalidRequestError` naming the field ``where``.
+
+    A ``float`` is any finite number (``json`` reads ``NaN`` and
+    ``Infinity``); a ``bool`` is never a number.
+    """
+    number = kind in (int, float)
+    if (
+        not isinstance(value, (int, float) if kind is float else kind)
+        or (number and isinstance(value, bool))
+        or (kind is float and not abs(value) <= sys.float_info.max)
+    ):
+        expected = "a finite number" if kind is float else kind.__name__
+        raise InvalidRequestError(f"{where} must be {expected}, got {type(value).__name__}")
+    return value
 
 
 _REQUEST_COUNTER = itertools.count()

@@ -36,7 +36,9 @@ workers:
 The job protocol is deliberately tiny: ``(kind, job_id, payload)`` requests
 and ``(status, job_id, payload)`` replies, with kinds ``predict``, ``stats``,
 ``ping`` and ``stop``.  Job ids let the parent discard stale replies after a
-respawn instead of mis-assigning them.
+respawn instead of mis-assigning them.  A replica announces itself with one
+``("ready", None, None)`` message once its model is built; the job watchdog
+times nothing before it.
 """
 
 from __future__ import annotations
@@ -192,6 +194,7 @@ def _worker_main(config, connection, incarnation: int = 1) -> None:
     fault_plan = config.fault_plan
     injector = None if fault_plan is None else FaultInjector(fault_plan, incarnation)
     job_errors = 0
+    connection.send(("ready", None, None))  # the job watchdog starts here
     while True:
         try:
             kind, job_id, payload = connection.recv()
@@ -251,6 +254,7 @@ class _WorkerHandle:
         child_end.close()  # the parent keeps only its own end
         self.process = process
         self.connection = parent_end
+        self.ready_at: Optional[float] = None  # None while building its model
         self.spawn_count += 1
 
     def alive(self) -> bool:
@@ -329,10 +333,6 @@ class ShardedWorkerPool:
         #: Total workers respawned over the pool's lifetime (health checks
         #: and mid-submission crash recovery both count).
         self.respawns = 0
-        #: Total error replies received from workers.  ``run_batches`` only
-        #: raises the *first* traceback per call; this counts every one, so
-        #: errors masked by an earlier failure still show up in monitoring.
-        self.job_errors = 0
 
     @property
     def num_workers(self) -> int:
@@ -567,6 +567,9 @@ class ShardedWorkerPool:
         def handle_reply(worker_index: int, reply) -> None:
             nonlocal first_error
             status, job_id, payload = reply
+            if status == "ready":
+                self._workers[worker_index].ready_at = time.monotonic()
+                return
             flight = in_flight[worker_index]
             if job_id != flight[0][0]:
                 return  # stale reply from before a respawn; discard
@@ -581,10 +584,8 @@ class ShardedWorkerPool:
                 results[job_index] = payload
                 if kind == "predict" and self._breaker is not None:
                     self._breaker.record_success(self._workers[worker_index].worker_id)
-            else:
-                self.job_errors += 1
-                if first_error is None:
-                    first_error = payload
+            elif first_error is None:
+                first_error = payload
 
         def sweep_job_timeouts() -> None:
             timeout_s = self._config.worker_job_timeout_s
@@ -592,7 +593,14 @@ class ShardedWorkerPool:
                 return
             now = time.monotonic()
             for worker_index, flight in in_flight.items():
-                if flight and now - flight[0][4] > timeout_s:
+                ready_at = self._workers[worker_index].ready_at
+                # A job is timed from the later of its send and its
+                # replica's readiness, so a slow start-up is never a hang.
+                if (
+                    flight
+                    and ready_at is not None
+                    and now - max(flight[0][4], ready_at) > timeout_s
+                ):
                     # The head job has been in flight too long: the replica
                     # is hung (or injected to hang).
                     self.job_timeouts += 1

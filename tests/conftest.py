@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,35 @@ def default_execution_mode():
     _assert_default_execution_mode("before")
     yield
     _assert_default_execution_mode("after")
+
+
+#: Name prefix of the acceptor and connection threads of ``repro.serve.http``.
+HTTP_THREAD_PREFIX = "repro-http-"
+
+
+def _http_threads() -> set:
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith(HTTP_THREAD_PREFIX)
+    }
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_http_threads():
+    """Fails the test that leaves an HTTP acceptor or connection thread
+    alive: a closed server joins its threads, and a test closes what it
+    opens.  Threads of a server shared by a module-scoped fixture predate
+    the test and are not counted; a connection thread gets a few seconds
+    to wind down after its client hung up."""
+    before = _http_threads()
+    yield
+    deadline = time.monotonic() + 5.0
+    leaked = _http_threads() - before
+    for thread in leaked:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = sorted(thread.name for thread in leaked if thread.is_alive())
+    assert not alive, f"HTTP threads left running: {alive}"
 
 
 class FlushGate:

@@ -2,9 +2,12 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from json_fuzz import JSON_VALUES, json_documents
 
 from repro.nn.layers import Dense
 from repro.nn.serialization import (
@@ -21,6 +24,7 @@ from repro.serve.faults import (
     FaultSpec,
     load_fault_plan_from_env,
 )
+from repro.serve.types import InvalidRequestError
 
 TEXTS = [f"add r{i}, r{(i + 1) % 13}\nsub r{i}, 4" for i in range(64)]
 
@@ -98,6 +102,82 @@ class TestEnvLoading:
         path.write_text(plan.to_json(), encoding="utf-8")
         monkeypatch.setenv("REPRO_FAULT_PLAN", str(path))
         assert load_fault_plan_from_env() == plan
+
+    def test_unreadable_file_is_a_typed_error(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_FAULT_PLAN", str(tmp_path / "missing.json"))
+        with pytest.raises(InvalidRequestError, match="REPRO_FAULT_PLAN"):
+            load_fault_plan_from_env()
+
+
+_SPECS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(FAULT_KINDS) | JSON_VALUES},
+    optional={
+        "probability": st.floats(0.0, 1.0) | JSON_VALUES,
+        "delay_ms": st.floats(0.0, 1e4) | JSON_VALUES,
+        "max_incarnation": st.integers(0, 3) | JSON_VALUES,
+        "start_after_events": st.integers(-1, 5) | JSON_VALUES,
+        "duration_events": st.integers(-1, 5) | JSON_VALUES,
+        "surprise": JSON_VALUES,
+    },
+)
+_PLANS = st.fixed_dictionaries(
+    {},
+    optional={
+        "seed": st.integers() | JSON_VALUES,
+        "specs": st.lists(_SPECS | JSON_VALUES, max_size=3) | JSON_VALUES,
+    },
+)
+#: Set only inside the env-loader fuzz test.
+_FUZZ_VARIABLE = "REPRO_TEST_FUZZ_FAULT_PLAN"
+
+
+class TestFaultPlanJsonFuzz:
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[]", "plan"),
+            ('{"specs": 5}', "plan.specs"),
+            ('{"seed": "7"}', "plan.seed"),
+            ('{"specs": [{"kind": "crash", "odds": 1}]}', "plan.specs[0]"),
+            ('{"specs": [{"kind": "crash", "probability": "high"}]}',
+             "plan.specs[0].probability"),
+            ('{"specs": [{"kind": "crash", "delay_ms": NaN}]}', "plan.specs[0].delay_ms"),
+            ('{"specs": [{"probability": 0.5}]}', "plan.specs[0].kind"),
+            ('{"specs": [{"kind": "meteor_strike"}]}', "plan.specs[0]"),
+            ('{"specs": [{"kind": "crash"}, {"kind": "crash"}]}', "plan"),
+            ('{"specs": [', "fault plan"),
+        ],
+    )
+    def test_malformed_plan_names_the_field(self, text, field):
+        with pytest.raises(InvalidRequestError) as raised:
+            FaultPlan.from_json(text)
+        assert str(raised.value).startswith(field)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=json_documents(_PLANS, "specs"))
+    def test_every_document_loads_or_fails_typed(self, text):
+        try:
+            plan = FaultPlan.from_json(text)
+        except InvalidRequestError:
+            return
+        assert FaultPlan.from_json(plan.to_json()) == plan
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=json_documents(_PLANS, "specs"), inline=st.booleans())
+    def test_env_loader_loads_or_fails_typed(self, text, inline):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "plan.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            # Inline text that is no JSON object is read as a file path.
+            os.environ[_FUZZ_VARIABLE] = text if inline else path
+            try:
+                plan = load_fault_plan_from_env(_FUZZ_VARIABLE)
+            except InvalidRequestError:
+                return
+            finally:
+                del os.environ[_FUZZ_VARIABLE]
+        assert plan is None or isinstance(plan, FaultPlan)
 
 
 class TestFaultInjector:

@@ -7,11 +7,13 @@ dtypes), per-tenant API keys — every test talks to a real socket.
 import dataclasses
 import json
 import socket
+import sys
 import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from json_fuzz import JSON_VALUES
 
 from repro.models.config import default_inference_dtype
 from repro.serve import (
@@ -223,24 +225,14 @@ class TestRoutingAndAuth:
 
 
 _BLOCK_TEXTS = st.sampled_from(["mov rax, 1", "add rax, rbx", "imul rcx, rdx"])
-_JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(10**400), max_value=10**400)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text(max_size=16),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=8), children, max_size=3),
-    max_leaves=8,
-)
 _PREDICT_PAYLOADS = st.fixed_dictionaries(
     {},
     optional={
-        "blocks": st.lists(_BLOCK_TEXTS, min_size=1, max_size=3) | _JSON_VALUES,
-        "block": _BLOCK_TEXTS | _JSON_VALUES,
-        "priority": st.sampled_from(["interactive", "bulk", "urgent"]) | _JSON_VALUES,
-        "deadline_ms": _JSON_VALUES,
-        "stream": st.booleans() | _JSON_VALUES,
+        "blocks": st.lists(_BLOCK_TEXTS, min_size=1, max_size=3) | JSON_VALUES,
+        "block": _BLOCK_TEXTS | JSON_VALUES,
+        "priority": st.sampled_from(["interactive", "bulk", "urgent"]) | JSON_VALUES,
+        "deadline_ms": JSON_VALUES,
+        "stream": st.booleans() | JSON_VALUES,
     },
 )
 
@@ -249,7 +241,7 @@ _PREDICT_PAYLOADS = st.fixed_dictionaries(
 def _predict_bodies(draw):
     """Raw predict bodies: wrong JSON types, NaN, huge numbers, deep
     nesting, truncated documents and bytes that are not UTF-8."""
-    encoded = json.dumps(draw(_PREDICT_PAYLOADS | _JSON_VALUES)).encode()
+    encoded = json.dumps(draw(_PREDICT_PAYLOADS | JSON_VALUES)).encode()
     kind = draw(st.sampled_from(["json", "truncated", "nested", "not-utf8", "bytes"]))
     if kind == "truncated":
         return encoded[: draw(st.integers(0, max(len(encoded) - 1, 0)))]
@@ -758,3 +750,189 @@ class TestServerLifecycle:
                 second.start()
         finally:
             first.close()
+
+
+def raw_exchange(port, data, timeout=30.0):
+    """Sends raw bytes and reads until the server closes; returns the
+    (status, parsed JSON body) of its one reply."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        raw = b""
+        try:
+            while True:
+                part = sock.recv(65536)
+                if not part:
+                    break
+                raw += part
+        except ConnectionResetError:
+            pass  # closed with part of a refused head unread
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), json.loads(body)
+
+
+def read_reply(sock):
+    """One Content-Length framed reply off a kept-alive socket."""
+    raw = b""
+    while b"\r\n\r\n" not in raw:
+        part = sock.recv(65536)
+        assert part, "the server closed before replying"
+        raw += part
+    head, _, body = raw.partition(b"\r\n\r\n")
+    length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+    while len(body) < length:
+        body += sock.recv(65536)
+    return head, json.loads(body)
+
+
+_OVERSIZED_HEAD = (
+    b"GET /healthz HTTP/1.1\r\n"
+    + b"".join(b"X-Pad-%d: %s\r\n" % (index, b"a" * 1000) for index in range(70))
+    + b"\r\n"
+)
+
+
+class TestProtocolErrors:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"GARBAGE\r\n\r\n", "malformed request line"),
+            (b"GET /healthz HTTP/1.1 extra\r\n\r\n", "malformed request line"),
+            (b"GET /healthz\r\n\r\n", "malformed request line"),  # HTTP/0.9
+            (_OVERSIZED_HEAD, "request head over 65536 bytes"),
+            (b"BREW /v1/models HTTP/1.1\r\nHost: t\r\n\r\n", "no route for BREW /v1/models"),
+            (b"GET /healthz HTTP/3.0\r\n\r\n", "HTTP version"),
+            (
+                b"POST /v1/models/granite-haswell/predict HTTP/1.1\r\n"
+                b"Content-Length: 99999999999\r\n\r\n",
+                "content-length",
+            ),
+            (
+                b"POST /v1/models/granite-haswell/predict HTTP/1.1\r\n"
+                b"Content-Length: many\r\n\r\n",
+                "content-length",
+            ),
+        ],
+        ids=[
+            "one-word", "four-words", "http-0.9", "head-over-64k", "unknown-method",
+            "http-3", "body-over-bound", "bad-content-length",
+        ],
+    )
+    def test_refused_request_gets_a_typed_400(self, server, data, message):
+        _, before = http(server.port, "GET", "/healthz")
+        status, body = raw_exchange(server.port, data)
+        _, after = http(server.port, "GET", "/healthz")
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert message in body["error"]["message"]
+        assert after["protocol_errors"] == before["protocol_errors"] + 1
+        assert after["internal_errors"] == 0
+
+    def test_head_just_under_the_bound_is_served(self, server):
+        pad = 64 * 1024 - 200
+        data = b"GET /healthz HTTP/1.1\r\nX-Pad: %s\r\nConnection: close\r\n\r\n" % (
+            b"a" * pad
+        )
+        status, body = raw_exchange(server.port, data)
+        assert status == 200
+        assert body["status"] == "ok"
+
+
+def _wait_refused(port, timeout=30.0):
+    """Waits until ``port`` refuses connections; False on timeout."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+        except (ConnectionRefusedError, ConnectionResetError):
+            # A reset: the listening socket closed under the handshake.
+            return True
+        time.sleep(0.01)
+    return False
+
+
+class TestClose:
+    def test_close_answers_a_predict_parked_in_a_gated_flush(self, flush_gate):
+        registry = ModelRegistry(
+            (ModelVariant("m", ServiceConfig(tasks=("haswell",))),)
+        )
+        running = PredictionHttpServer(
+            registry, HttpServerConfig(), own_registry=True
+        ).start()
+        port = running.port
+        gate = flush_gate(_loaded_service(registry, "m"))
+        replies = []
+
+        def post():
+            try:
+                replies.append(
+                    http(port, "POST", "/v1/models/m/predict",
+                         payload={"block": "mov rax, 1"}, timeout=60.0)
+                )
+            except (OSError, IndexError, ValueError) as exc:
+                replies.append(exc)  # no reply: the connection was dropped
+
+        client = threading.Thread(target=post)
+        client.start()
+        assert gate.entered.wait(30.0), "the predict never reached the flush"
+        closer = threading.Thread(target=running.close)
+        closer.start()
+        # close() stops accepting before it waits for in-flight responses.
+        assert _wait_refused(port), "close() never stopped accepting"
+        gate.release.set()
+        closer.join(60.0)
+        client.join(60.0)
+        assert not closer.is_alive() and not client.is_alive()
+        (reply,) = replies
+        assert not isinstance(reply, Exception), f"no reply: {reply!r}"
+        status, body = reply
+        assert status == 200
+        assert body["num_blocks"] == 1
+
+    def test_close_returns_with_an_idle_keep_alive_client(self):
+        running = PredictionHttpServer(
+            ModelRegistry(), HttpServerConfig(), own_registry=True
+        ).start()
+        with socket.create_connection(("127.0.0.1", running.port), timeout=30.0) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            head, body = read_reply(sock)
+            assert b"Connection: keep-alive" in head
+            assert body["status"] == "ok"
+            closer = threading.Thread(target=running.close)
+            closer.start()
+            closer.join(5.0)
+            assert not closer.is_alive(), "close() waited on an idle connection"
+            # The server ended the idle connection.
+            assert sock.recv(1) == b""
+
+
+class TestCounters:
+    def test_concurrent_requests_lose_no_count(self):
+        """Connection threads share the /healthz counters: none is lost."""
+        clients, requests_each = 8, 20
+        running = PredictionHttpServer(
+            ModelRegistry(), HttpServerConfig(), own_registry=True
+        ).start()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            statuses = []
+
+            def client():
+                for _ in range(requests_each):
+                    statuses.append(http(running.port, "GET", "/healthz")[0])
+
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            _, body = http(running.port, "GET", "/healthz")
+            running.close()
+        assert statuses == [200] * clients * requests_each
+        # The final read counts itself.
+        assert body["requests_handled"] == clients * requests_each + 1
+        assert running.health()["requests_handled"] == clients * requests_each + 1
+

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from json_fuzz import JSON_VALUES, json_documents
 
 from repro.serve import (
     AsyncOptions,
@@ -17,6 +19,8 @@ from repro.serve import (
     TraceRequest,
     synthesize_trace,
 )
+from repro.serve.replay import TRACE_VERSION
+from repro.serve.types import InvalidRequestError
 
 
 class TestTraceRequest:
@@ -80,6 +84,72 @@ class TestTrace:
         ]
         with pytest.raises(ValueError):
             trace.scaled(0.0)
+
+
+_REQUESTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "offset_s": st.floats(0.0, 10.0) | JSON_VALUES,
+        "blocks": st.lists(
+            st.sampled_from(["MOV RAX, RBX", "ADD RAX, 1"]), min_size=1, max_size=3
+        )
+        | JSON_VALUES,
+        "priority": st.integers(0, 2) | JSON_VALUES,
+        "deadline_ms": st.floats(0.0, 100.0) | JSON_VALUES,
+        "model": st.text(max_size=8) | JSON_VALUES,
+        "stream": st.booleans() | JSON_VALUES,
+    },
+)
+_TRACES = st.fixed_dictionaries(
+    {},
+    optional={
+        "version": st.just(TRACE_VERSION) | JSON_VALUES,
+        "metadata": JSON_VALUES,
+        "requests": st.lists(_REQUESTS | JSON_VALUES, max_size=3) | JSON_VALUES,
+    },
+)
+
+
+class TestTraceJsonFuzz:
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[]", "trace"),
+            ('{"requests": {}}', "trace.requests"),
+            ('{"metadata": []}', "trace.metadata"),
+            ('{"requests": [{"blocks": ["A"]}]}', "trace.requests[0].offset_s"),
+            ('{"requests": [{"offset_s": 0}]}', "trace.requests[0].blocks"),
+            ('{"requests": [{"offset_s": 0, "blocks": "abc"}]}',
+             "trace.requests[0].blocks"),
+            ('{"requests": [{"offset_s": 0, "blocks": [7]}]}',
+             "trace.requests[0].blocks[0]"),
+            ('{"requests": [{"offset_s": "soon", "blocks": ["A"]}]}',
+             "trace.requests[0].offset_s"),
+            ('{"requests": [{"offset_s": 0, "blocks": ["A"], "priority": 1.5}]}',
+             "trace.requests[0].priority"),
+            ('{"requests": [{"offset_s": 0, "blocks": ["A"], "deadline_ms": Infinity}]}',
+             "trace.requests[0].deadline_ms"),
+            ('{"requests": [{"offset_s": 0, "blocks": ["A"], "stream": 1}]}',
+             "trace.requests[0].stream"),
+            ('{"requests": [{"offset_s": -1, "blocks": ["A"]}]}', "trace.requests[0]"),
+            ('{"requests": [{"offset_s": 1, "blocks": ["A"]}, '
+             '{"offset_s": 0, "blocks": ["B"]}]}', "trace"),
+            ('{"requests": [', "trace"),
+        ],
+    )
+    def test_malformed_trace_names_the_field(self, text, field):
+        with pytest.raises(InvalidRequestError) as raised:
+            Trace.from_json(text)
+        assert str(raised.value).startswith(field)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=json_documents(_TRACES, "requests"))
+    def test_every_document_loads_or_fails_typed(self, text):
+        try:
+            trace = Trace.from_json(text)
+        except InvalidRequestError:
+            return
+        assert Trace.from_json(trace.to_json()).requests == trace.requests
 
 
 class TestSynthesizeTrace:

@@ -1,7 +1,9 @@
 """Tests of the self-healing machinery: retries, breakers, backoff, degradation."""
 
+import multiprocessing
 import random
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from repro.serve.resilience import (
     run_with_retries,
 )
 from repro.serve.types import ServiceClosedError
-from repro.serve.workers import WorkerCrashError
+from repro.serve import workers
+from repro.serve.workers import ShardedWorkerPool, WorkerCrashError
 from repro.testing.equivalence import assert_allclose_for_dtype
 
 
@@ -560,9 +563,6 @@ class TestOneFailurePath:
             specs=(FaultSpec("hang", probability=1.0, delay_ms=5000.0),)
         )
         expected = PredictionService(ServiceConfig()).predict_blocks(chaos_blocks[:4])
-        # The watchdog also times a fresh replica's start-up, which takes
-        # ~1 s when the forkserver cannot preload this package; 2.5 s keeps
-        # the replacement from being killed too.
         config = ServiceConfig(
             num_workers=1, worker_job_timeout_s=2.5, fault_plan=plan
         )
@@ -573,3 +573,50 @@ class TestOneFailurePath:
         assert snapshot.respawns == 1
         for task, values in expected.items():
             assert_allclose_for_dtype(served[task], values, service.inference_dtype)
+
+
+@pytest.fixture()
+def slow_start(monkeypatch):
+    """Replicas spawn without the forkserver preload, so each re-imports
+    the package before building its model: a start-up of about a second."""
+    monkeypatch.setattr(
+        workers, "_worker_context", lambda: multiprocessing.get_context("spawn")
+    )
+
+
+class TestWatchdogSkipsStartUp:
+    """The job watchdog times jobs from their replica's readiness."""
+
+    TIMEOUT_S = 0.2
+
+    def test_slow_start_up_is_not_job_time(self, slow_start, chaos_blocks):
+        texts = tuple(block.render() for block in chaos_blocks[:4])
+        config = ServiceConfig(num_workers=1, worker_job_timeout_s=self.TIMEOUT_S)
+        pool = ShardedWorkerPool(config)
+        try:
+            begin = time.monotonic()
+            pool.ping()
+            start_up_s = time.monotonic() - begin
+            (predictions,) = pool.run_batches([(0, texts)])
+        finally:
+            pool.close()
+        assert start_up_s > self.TIMEOUT_S, "start-up was too fast to test"
+        assert pool.job_timeouts == 0
+        assert pool.respawns == 0
+        assert all(len(values) == len(texts) for values in predictions.values())
+
+    def test_hang_is_caught_and_the_slow_replacement_kept(
+        self, slow_start, chaos_blocks
+    ):
+        plan = FaultPlan(
+            specs=(FaultSpec("hang", probability=1.0, delay_ms=5000.0),)
+        )
+        config = ServiceConfig(
+            num_workers=1, worker_job_timeout_s=self.TIMEOUT_S, fault_plan=plan
+        )
+        with PredictionService(config) as service:
+            served = service.predict_blocks(chaos_blocks[:4])
+            snapshot = service.snapshot()
+        assert snapshot.job_timeouts == 1
+        assert snapshot.respawns == 1
+        assert all(len(values) == 4 for values in served.values())
