@@ -25,8 +25,9 @@ Rules
     inside a ``with self._<lock>:`` block (or annotated with a
     ``# guarded-by: _<lock>`` comment in ``__init__``) is considered
     *guarded*: every read or write of it in methods reachable from a thread
-    entry point (``threading.Thread(target=...)`` targets and the public
-    API, which arbitrary client threads call) must hold that lock.  Methods
+    entry point (``threading.Thread(target=...)`` targets, the public
+    API, which arbitrary client threads call, and any method the same file
+    calls on a receiver other than ``self``) must hold that lock.  Methods
     whose names end in ``_locked`` are assumed to be called with the lock
     already held — the repo's existing naming convention — and are exempt.
 

@@ -13,10 +13,13 @@ written rather than attempting whole-program alias analysis:
   syntactic ``with self.<lock>:`` block, or when its ``__init__`` assignment
   carries a ``# guarded-by: _<lock>`` comment.
 * Entry points are thread targets (``threading.Thread(target=self.m)``),
-  public methods (callers on arbitrary threads), and context-manager /
-  container dunders.  Methods reachable from an entry point through
-  ``self.m()`` calls are checked; any access to a guarded unit outside
-  every one of its guarding locks is flagged.
+  public methods (callers on arbitrary threads), context-manager /
+  container dunders, and any method the same file calls on a receiver
+  other than ``self`` (``self.front._count()`` from a request handler
+  that a standard-library server runs on its own threads).  Methods
+  reachable from an entry point through ``self.m()`` calls are checked;
+  any access to a guarded unit outside every one of its guarding locks is
+  flagged.
 * Methods named ``*_locked`` follow the repo convention "caller holds the
   lock" and are exempt (and cannot establish guards); ``__init__`` /
   ``__post_init__`` / ``__del__`` / ``__repr__`` run before publication or
@@ -103,13 +106,20 @@ class _MethodFacts:
 class _ClassModel:
     """Everything RC001 needs to know about one class."""
 
-    def __init__(self, class_node: ast.ClassDef, context: FileContext):
+    def __init__(
+        self,
+        class_node: ast.ClassDef,
+        context: FileContext,
+        foreign_calls: FrozenSet[str],
+    ):
         self.node = class_node
         self.context = context
         self.methods: Dict[str, ast.FunctionDef] = {}
         self.locks: Set[str] = set()
         self.aliases: Dict[str, Set[str]] = {}
         self.thread_roots: Set[str] = set()
+        #: Method names the file calls on a receiver other than ``self``.
+        self.foreign_calls = foreign_calls
         self.facts: Dict[str, _MethodFacts] = {}
         self.guards: Dict[str, Set[str]] = {}
 
@@ -257,7 +267,7 @@ class _ClassModel:
     # -- reachability and reporting --------------------------------------
 
     def checked_methods(self) -> Set[str]:
-        roots = set(self.thread_roots)
+        roots = self.thread_roots | self.foreign_calls
         for name in self.methods:
             if not name.startswith("_") or name in _ENTRY_DUNDERS:
                 roots.add(name)
@@ -308,6 +318,13 @@ class LockDisciplineChecker:
         return "repro/serve/" in path
 
     def check(self, context: FileContext) -> Iterable[Finding]:
+        foreign_calls = frozenset(
+            node.func.attr
+            for node in ast.walk(context.tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "self")
+        )
         for node in ast.walk(context.tree):
             if isinstance(node, ast.ClassDef):
-                yield from _ClassModel(node, context).findings()
+                yield from _ClassModel(node, context, foreign_calls).findings()

@@ -12,9 +12,10 @@ three layers:
 * the async :class:`AsyncPredictionService` front end: producers enqueue
   requests into a bounded priority queue with back-pressure and get
   futures (cancellable while queued, with optional per-request deadlines);
-  dispatch is work-conserving — a free dispatcher thread flushes whatever
-  is queued at once, up to ``max_batch_size`` blocks, so batches grow with
-  load and an idle service never holds a request back — and an autoscale
+  dispatch is work-conserving — one dispatcher thread flushes whatever is
+  queued as soon as its previous flush is done, up to ``max_batch_size``
+  blocks, so batches grow with load and an idle service never holds a
+  request back — and an autoscale
   monitor feeds queue depth into the pool's elasticity bounds;
 * the network layer: a :class:`ModelRegistry` hosts many named model
   variants (family × uarch × dtype) with lazy load/unload, checkpoint
@@ -65,7 +66,9 @@ the in-process one:
   capacity, back-pressure policy, admission/drop counters), ``flush``
   (:class:`~repro.serve.stats.FlushStats`: flush counters plus realized
   wait and request-latency percentiles), ``model`` (the
-  :class:`ModelStats` above), and ``autoscale_errors``;
+  :class:`ModelStats` above), ``resilience``
+  (:class:`~repro.serve.stats.ResilienceStats`: retry, degraded-reply and
+  injected-rejection counters) and ``autoscale_errors``;
 * ``GET /v1/models/{model}/stats`` -> a serialized
   :class:`~repro.serve.registry.ModelReport`: ``info`` (a
   :class:`~repro.serve.registry.ModelInfo` with the per-tenant request
@@ -84,13 +87,11 @@ Tail-latency harness
 :class:`TraceRecorder` (the HTTP server's ``recorder`` hook) or
 synthesize Zipf-skewed bursty traces with :func:`synthesize_trace`, drive
 them through :class:`TraceReplayer` at recorded or time-scaled pacing,
-and judge the realized p50/p99/p99.9 against an :class:`SloPolicy`.  The
-tail-attacking machinery lives alongside: hedged requests
-(``AsyncOptions.hedge_enabled`` — duplicate a request once it outlives
-the observed latency quantile, first result wins, the loser is
-cancelled), hot-key replication (``ServiceConfig.hot_key_replicas`` —
-:class:`HotKeyRouter` spreads Zipf-head keys read-any across their ring
-replica sets), and a latency-fed autoscaler.
+and judge the realized p50/p99/p99.9 against an :class:`SloPolicy`.  Two
+tail-attacking mechanisms live alongside: hot-key replication
+(``ServiceConfig.hot_key_replicas`` — :class:`HotKeyRouter` spreads
+Zipf-head keys read-any across their ring replica sets) and a
+latency-fed autoscaler.
 
 Fault injection and self-healing
 --------------------------------
@@ -129,7 +130,7 @@ from repro.serve.http import (
 )
 from repro.serve.queue import Priority, RequestQueue
 from repro.serve.registry import ModelRegistry, ModelVariant
-from repro.serve.resilience import BreakerPolicy, HedgeController, RetryPolicy
+from repro.serve.resilience import BreakerPolicy, RetryPolicy
 from repro.serve.replay import (
     ReplayReport,
     SloPolicy,
@@ -168,8 +169,6 @@ __all__ = [
     "ServiceConfig",
     "AsyncPredictionService",
     "AsyncOptions",
-    # Hedging.
-    "HedgeController",
     # Queueing and routing.
     "HashRing",
     "HotKeyRouter",

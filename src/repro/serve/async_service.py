@@ -8,14 +8,16 @@ front of it:
 
 * producers :meth:`~AsyncPredictionService.submit` individual requests and
   immediately receive a :class:`concurrent.futures.Future`;
-* ``max_concurrent_flushes`` dispatcher threads (one by default) drain the
-  shared :class:`~repro.serve.queue.RequestQueue` into micro-batch flushes.
-  Dispatch is work-conserving: a free dispatcher flushes whatever is
-  queued at once, up to ``max_batch_size`` blocks, and waits only while
-  the queue is empty.  A request arriving while every dispatcher is busy
-  stays queued — still cancellable, still able to expire — and joins the
-  next batch, so batches grow with load and an idle service never holds a
-  lone request back;
+* one dispatcher thread drains the shared
+  :class:`~repro.serve.queue.RequestQueue` into micro-batch flushes.
+  Dispatch is work-conserving: once its previous flush is done, the
+  dispatcher flushes whatever is queued at once, up to ``max_batch_size``
+  blocks, and waits only while the queue is empty.  A request arriving
+  during a flush stays queued — still cancellable, still able to expire —
+  and joins the next batch, so batches grow with load and an idle service
+  never holds a lone request back.  One dispatcher is all the service
+  behind it can use: ``PredictionService.submit`` serializes whole
+  submissions under one lock;
 * every flush is one synchronous ``PredictionService.submit`` call, so the
   async front end composes unchanged with the in-process model or the
   hash-sharded worker pool behind it — including that service's
@@ -40,35 +42,23 @@ movement to ~1/N per resize.
 
 from __future__ import annotations
 
-import functools
-import math
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.isa.basic_block import BasicBlock
 from repro.serve.config import AsyncOptions, ServiceConfig
 from repro.serve.faults import FaultInjector
-from repro.serve.queue import (
-    Priority,
-    QueuedRequest,
-    QueueFullError,
-    RequestQueue,
-)
-from repro.serve.resilience import (
-    HedgeController,
-    StalePredictionCache,
-    run_with_retries,
-)
+from repro.serve.queue import Priority, QueueFullError, RequestQueue
+from repro.serve.resilience import StalePredictionCache, run_with_retries
 from repro.serve.service import PredictionService
 from repro.serve.stats import (
     FlushStats,
-    HedgeStats,
     QueueStats,
     ResilienceStats,
     ServiceSnapshot,
@@ -104,9 +94,7 @@ class AsyncServiceStats:
     #: reservoir).  Every served queue entry contributes one sample — the
     #: whole distribution, not just each flush's oldest request — so these
     #: percentiles are what clients actually experienced, including the
-    #: model call itself.  Under hedging, winning and losing attempts both
-    #: contribute (the straggling loser keeps the tail honest, which also
-    #: keeps the hedge deadline from chasing its own improvement).
+    #: model call itself.
     request_latencies: Deque[float] = field(
         default_factory=lambda: deque(maxlen=8192)
     )
@@ -119,11 +107,6 @@ class AsyncServiceStats:
     #: Queue entries resolved with a response / with a service error.
     requests_completed: int = 0
     request_errors: int = 0
-    #: Hedge duplicates submitted / that answered the client first / that
-    #: were cancelled while still queued.
-    hedges_issued: int = 0
-    hedges_won: int = 0
-    hedges_cancelled: int = 0
     #: Backoff retries the dispatcher actually took / submissions that
     #: still failed after the last attempt.
     retries: int = 0
@@ -152,55 +135,6 @@ class AsyncServiceStats:
         NaN for an empty window, like :meth:`flush_wait_percentile`.
         """
         return latency_percentile(self.request_latencies, quantile)
-
-
-class _HedgedCall:
-    """Mutable race state of one client request (primary vs. hedge attempt).
-
-    Plain data plus a leaf lock: every transition happens inside
-    ``AsyncPredictionService`` methods under :attr:`lock`, which is never
-    held while resolving or cancelling a future (done callbacks run
-    synchronously and re-enter these methods).
-    """
-
-    __slots__ = (
-        "request",
-        "priority",
-        "deadline_s",
-        "enqueued_at",
-        "client",
-        "lock",
-        "attempts",
-        "outstanding",
-        "hedged",
-        "finished",
-        "first_error",
-    )
-
-    def __init__(
-        self,
-        request: PredictionRequest,
-        priority: int,
-        deadline_s: Optional[float],
-        enqueued_at: float,
-    ) -> None:
-        self.request = request
-        self.priority = priority
-        self.deadline_s = deadline_s
-        self.enqueued_at = enqueued_at
-        #: The future handed to the client; resolved exactly once by the
-        #: first attempt to finish (set_running_or_notify_cancel guards the
-        #: client-cancelled race).
-        self.client: Future = Future()
-        self.lock = threading.Lock()
-        #: Queue entries issued for this call (primary first).
-        self.attempts: List[QueuedRequest] = []
-        self.outstanding = 0
-        self.hedged = False
-        self.finished = False
-        #: First attempt error, so a later loser's cancellation/expiry
-        #: cannot shadow the informative failure.
-        self.first_error: Optional[BaseException] = None
 
 
 class AsyncPredictionService:
@@ -245,24 +179,12 @@ class AsyncPredictionService:
         # Serializes start/close transitions against each other (close is
         # documented idempotent, which includes concurrent callers).
         self._lifecycle_lock = threading.Lock()
-        #: One thread per concurrent flush slot (``max_concurrent_flushes``).
-        self._dispatchers: List[threading.Thread] = []
+        self._dispatcher: Optional[threading.Thread] = None
         self._autoscale_monitor: Optional[threading.Thread] = None
-        self._hedge_monitor: Optional[threading.Thread] = None
         self._monitor_stop = threading.Event()
         #: Autoscale attempts that raised (e.g. a worker spawn failing
         #: under resource pressure); the monitor retries on the next poll.
         self.autoscale_errors = 0
-        # Hedging: the monitor re-submits calls that outlive the deadline
-        # derived from observed request latencies.
-        self._hedge_controller = HedgeController(
-            quantile=options.hedge_quantile,
-            min_samples=options.hedge_min_samples,
-            min_s=options.hedge_min_ms / 1e3,
-            max_s=None if options.hedge_max_ms is None else options.hedge_max_ms / 1e3,
-        )
-        self._hedge_lock = threading.Lock()
-        self._hedge_calls: set = set()
         # Self-healing: the sanctioned retry loop around failed flush
         # submissions, the stale cache backing graceful degradation, and
         # the event-scoped fault injector (queue saturation), all optional.
@@ -292,10 +214,10 @@ class AsyncPredictionService:
     # Lifecycle.
     # ------------------------------------------------------------------ #
     def start(self) -> "AsyncPredictionService":
-        """Warm-starts the underlying service and the dispatcher threads.
+        """Warm-starts the underlying service and the dispatcher thread.
 
         The service is warmed in the caller's thread (worker processes must
-        not be forked from a dispatcher), then the dispatchers start
+        not be forked from the dispatcher), then the dispatcher starts
         draining.  Requests submitted before ``start`` simply wait in the
         queue.  When the service has elastic worker bounds, an autoscale
         monitor thread starts too.  Idempotent while running.
@@ -303,18 +225,14 @@ class AsyncPredictionService:
         with self._lifecycle_lock:
             if self._closed:
                 raise ServiceClosedError("service is closed")
-            if not self._dispatchers:
+            if self._dispatcher is None:
                 self.service.warm_start()
-                self._dispatchers = [
-                    threading.Thread(
-                        target=self._dispatch_loop,
-                        name=f"repro-serve-dispatcher-{index}",
-                        daemon=True,
-                    )
-                    for index in range(self.options.max_concurrent_flushes)
-                ]
-                for dispatcher in self._dispatchers:
-                    dispatcher.start()
+                self._dispatcher = threading.Thread(
+                    target=self._dispatch_loop,
+                    name="repro-serve-dispatcher",
+                    daemon=True,
+                )
+                self._dispatcher.start()
             if (
                 self._autoscale_monitor is None
                 and self.service.autoscaling_enabled
@@ -325,13 +243,6 @@ class AsyncPredictionService:
                     daemon=True,
                 )
                 self._autoscale_monitor.start()
-            if self._hedge_monitor is None and self.options.hedge_enabled:
-                self._hedge_monitor = threading.Thread(
-                    target=self._hedge_loop,
-                    name="repro-serve-hedger",
-                    daemon=True,
-                )
-                self._hedge_monitor.start()
         return self
 
     def close(self) -> None:
@@ -345,19 +256,16 @@ class AsyncPredictionService:
             if self._closed:
                 return
             self._closed = True
-            dispatchers, self._dispatchers = self._dispatchers, []
+            dispatcher, self._dispatcher = self._dispatcher, None
             monitor, self._autoscale_monitor = self._autoscale_monitor, None
-            hedger, self._hedge_monitor = self._hedge_monitor, None
         self._monitor_stop.set()
         if monitor is not None:
             monitor.join()
-        if hedger is not None:
-            hedger.join()
         self.queue.close()
-        if not dispatchers:
+        if dispatcher is None:
             # Never started: resolve whatever was queued ourselves.
             self._dispatch_loop()
-        for dispatcher in dispatchers:
+        else:
             dispatcher.join()
         if self._owns_service:
             self.service.close()
@@ -394,10 +302,7 @@ class AsyncPredictionService:
 
         The returned future supports ``cancel()`` while the request is
         queued: a cancelled entry is discarded eagerly (its blocks free up
-        queue capacity immediately) and never reaches a worker.  With
-        ``hedge_enabled`` the future is a wrapper racing the primary queue
-        entry against a possible hedge duplicate — first result wins,
-        cancelling it cancels every attempt.
+        queue capacity immediately) and never reaches a worker.
 
         Raises:
             InvalidRequestError: A block does not parse or the task filter
@@ -418,20 +323,10 @@ class AsyncPredictionService:
             timeout=timeout,
             deadline_s=deadline_s,
         )
-        client: Future = entry.future
-        if self.options.hedge_enabled:
-            call = _HedgedCall(request, int(priority), deadline_s, entry.enqueued_at)
-            with self._hedge_lock:
-                self._hedge_calls.add(call)
-            self._attach_attempt(call, entry, is_hedge=False)
-            call.client.add_done_callback(
-                functools.partial(self._on_client_done, call)
-            )
-            client = call.client
         with self._stats_lock:
             self.stats.requests += 1
             self.stats.blocks += request.num_blocks
-        return client
+        return entry.future
 
     def predict_blocks(
         self,
@@ -456,146 +351,6 @@ class AsyncPredictionService:
         return future.result(timeout).predictions
 
     # ------------------------------------------------------------------ #
-    # Hedging.
-    # ------------------------------------------------------------------ #
-    def _attach_attempt(
-        self, call: _HedgedCall, entry: QueuedRequest, is_hedge: bool
-    ) -> None:
-        with call.lock:
-            call.attempts.append(entry)
-            call.outstanding += 1
-        # Outside call.lock: an already-resolved entry runs the callback
-        # synchronously, and the callback re-acquires call.lock.
-        entry.future.add_done_callback(
-            functools.partial(self._on_attempt_done, call, is_hedge)
-        )
-
-    def _on_client_done(self, call: _HedgedCall, future: Future) -> None:
-        if not future.cancelled():
-            return
-        with call.lock:
-            attempts = list(call.attempts)
-        for entry in attempts:
-            entry.future.cancel()
-
-    def _on_attempt_done(
-        self, call: _HedgedCall, is_hedge: bool, future: Future
-    ) -> None:
-        """Settles the race when an attempt resolves (first result wins).
-
-        Runs as a done callback — synchronously inside whatever resolved
-        the attempt (flush thread, queue expiry, a cancel) — so it must
-        not block and must release ``call.lock`` before touching any
-        future.
-        """
-        deliver = None  # ("result", response) | ("error", exc) | ("cancelled",)
-        with call.lock:
-            call.outstanding -= 1
-            last = call.outstanding == 0
-            if not call.finished:
-                if future.cancelled():
-                    if last:
-                        call.finished = True
-                        deliver = (
-                            ("error", call.first_error)
-                            if call.first_error is not None
-                            else ("cancelled",)
-                        )
-                else:
-                    error = future.exception()
-                    if error is None:
-                        call.finished = True
-                        deliver = ("result", future.result())
-                    else:
-                        if call.first_error is None:
-                            call.first_error = error
-                        if last:
-                            call.finished = True
-                            deliver = ("error", call.first_error)
-            losers = (
-                [e for e in call.attempts if e.future is not future]
-                if deliver is not None and deliver[0] == "result"
-                else []
-            )
-        if deliver is not None:
-            if deliver[0] == "result":
-                # set_running_or_notify_cancel returns False iff the client
-                # cancelled the wrapper — then the result is discarded (the
-                # loser entries were already cancelled by _on_client_done).
-                delivered = call.client.set_running_or_notify_cancel()
-                if delivered:
-                    call.client.set_result(deliver[1])
-                losers_cancelled = sum(
-                    1 for entry in losers if entry.future.cancel()
-                )
-                with self._stats_lock:
-                    if delivered and is_hedge:
-                        self.stats.hedges_won += 1
-                    self.stats.hedges_cancelled += losers_cancelled
-            elif deliver[0] == "error":
-                if call.client.set_running_or_notify_cancel():
-                    call.client.set_exception(deliver[1])
-            else:
-                # Every attempt was cancelled without a result or error —
-                # normally because the client cancelled the wrapper first,
-                # in which case this is a no-op.
-                call.client.cancel()
-        if last:
-            with self._hedge_lock:
-                self._hedge_calls.discard(call)
-
-    def _hedge_loop(self) -> None:
-        interval = self.options.hedge_poll_ms / 1e3
-        while not self._monitor_stop.wait(interval):
-            deadline_s = self._hedge_deadline_s()
-            if math.isnan(deadline_s):
-                continue  # under-sampled: hedging stays dormant
-            now = time.monotonic()
-            with self._hedge_lock:
-                calls = list(self._hedge_calls)
-            for call in calls:
-                with call.lock:
-                    due = (
-                        not call.hedged
-                        and not call.finished
-                        and now - call.enqueued_at >= deadline_s
-                    )
-                    if due:
-                        call.hedged = True
-                if due:
-                    self._issue_hedge(call)
-
-    def _hedge_deadline_s(self) -> float:
-        """The age (seconds) past which an in-flight call gets hedged."""
-        with self._stats_lock:
-            samples = list(self.stats.request_latencies)
-        return self._hedge_controller.deadline_s(samples)
-
-    def _issue_hedge(self, call: _HedgedCall) -> None:
-        deadline_s = None
-        if call.deadline_s is not None:
-            deadline_s = call.deadline_s - (time.monotonic() - call.enqueued_at)
-            if deadline_s <= 0:
-                return  # the primary is about to expire; don't pile on
-        try:
-            # timeout=0: the hedge monitor must never park on a full queue
-            # (a hedge that has to wait for capacity would arrive too late
-            # to beat anything anyway).
-            entry = self.queue.put(
-                call.request,
-                priority=call.priority,
-                timeout=0.0,
-                deadline_s=deadline_s,
-            )
-        except (QueueFullError, ServiceClosedError):
-            with call.lock:
-                call.hedged = False  # no capacity now; re-candidate next poll
-            return
-        with self._stats_lock:
-            self.stats.hedges_issued += 1
-        self._attach_attempt(call, entry, is_hedge=True)
-
-    # ------------------------------------------------------------------ #
     # Introspection.
     # ------------------------------------------------------------------ #
     def snapshot(self) -> ServiceSnapshot:
@@ -606,7 +361,7 @@ class AsyncPredictionService:
         flush section (counters and realized wait/request percentiles) and
         the underlying service's :class:`~repro.serve.stats.ModelStats`.
         """
-        # Counters are mutated by client threads (submit), the dispatchers
+        # Counters are mutated by client threads (submit), the dispatcher
         # (_flush) and the autoscale monitor — read them under the same
         # lock so the snapshot is internally consistent.
         with self._stats_lock:
@@ -627,24 +382,10 @@ class AsyncPredictionService:
                 request_errors=stats.request_errors,
             )
             autoscale_errors = self.autoscale_errors
-            hedge_samples = list(stats.request_latencies)
-            hedges_issued = stats.hedges_issued
-            hedges_won = stats.hedges_won
-            hedges_cancelled = stats.hedges_cancelled
             retries = stats.retries
             retries_exhausted = stats.retries_exhausted
             degraded_responses = stats.degraded_responses
             injected_queue_rejections = stats.injected_queue_rejections
-        with self._hedge_lock:
-            hedge_inflight = len(self._hedge_calls)
-        hedge = HedgeStats(
-            enabled=self.options.hedge_enabled,
-            issued=hedges_issued,
-            won=hedges_won,
-            losers_cancelled=hedges_cancelled,
-            deadline_ms=self._hedge_controller.deadline_s(hedge_samples) * 1e3,
-            inflight=hedge_inflight,
-        )
         queue = QueueStats(
             depth_blocks=self.queue.pending_blocks,
             depth_requests=len(self.queue),
@@ -672,7 +413,6 @@ class AsyncPredictionService:
             queue=queue,
             flush=flush,
             model=self.service.snapshot(),
-            hedge=hedge,
             autoscale_errors=autoscale_errors,
             resilience=resilience,
         )
@@ -683,10 +423,9 @@ class AsyncPredictionService:
     def _dispatch_loop(self) -> None:
         """Flushes batches until the queue reports closed-and-empty.
 
-        Each dispatcher thread is one flush slot: it takes whatever is
-        queued as soon as its previous flush is done, so a request arriving
-        while every slot is busy waits in the queue rather than in a parked
-        batch, and joins the next one.
+        The dispatcher takes whatever is queued as soon as its previous
+        flush is done, so a request arriving during a flush waits in the
+        queue rather than in a parked batch, and joins the next one.
         """
         while True:
             entries = self.queue.take_batch(self.max_batch_size)
@@ -775,9 +514,8 @@ class AsyncPredictionService:
                 self._stale_cache.record(
                     entry.request.block_texts, response.predictions
                 )
-        # Record latencies *before* resolving the futures: a client (or the
-        # hedge monitor) reacting to a result must never observe stats that
-        # don't include it yet.
+        # Record latencies *before* resolving the futures: a client reacting
+        # to a result must never observe stats that don't include it yet.
         done_at = time.monotonic()
         with self._stats_lock:
             self.stats.flush_service_s.append(service_s)

@@ -31,8 +31,10 @@ class AsyncOptions:
     the owning :class:`ServiceConfig`'s ``max_batch_size`` (one batch-size
     knob for the whole stack).
 
-    Dispatch itself has no timing knob: it is work-conserving, flushing
-    whatever is queued as soon as a flush slot is free.
+    Dispatch itself has no timing or concurrency knob: one dispatcher
+    thread flushes whatever is queued as soon as its previous flush is
+    done.  ``PredictionService.submit`` serializes whole submissions under
+    one lock, so a second dispatcher could not overlap flushes anyway.
 
     Attributes:
         max_latency_ms: The queue-wait budget of the elasticity monitor.
@@ -47,33 +49,6 @@ class AsyncOptions:
         backpressure: ``"block"`` (producers wait for space) or
             ``"reject"`` (producers get
             :class:`~repro.serve.types.QueueFullError`).
-        max_concurrent_flushes: Micro-batch flushes allowed in flight at
-            once, i.e. the number of dispatcher threads.  1 (default) is a
-            serial dispatcher; >1 lets a second dispatcher take the next
-            batch while a straggling flush is still running.  The flushes
-            do not overlap inside the service: ``PredictionService.submit``
-            serializes whole submissions under one lock, so the second
-            flush waits behind the first one's service call.  A hedge can
-            therefore only overtake a stall that happens before that lock
-            is taken.
-        hedge_enabled: Re-submit requests that outlive the observed
-            request-latency hedge deadline as a duplicate queue entry;
-            first result wins, the loser is cancelled (or its result
-            discarded).  Requires no cooperation from the service behind
-            the queue.
-        hedge_quantile: The request-latency quantile used as the hedge
-            deadline (a request older than this is duplicated).
-        hedge_min_ms: Deadline floor — never hedge faster than this, so
-            cache-warm microsecond traffic cannot trigger hedge storms.
-        hedge_max_ms: Optional deadline cap.  Under a straggler regime the
-            observed p99 itself inflates toward the straggler latency;
-            capping keeps hedges firing within the latency budget the
-            operator actually cares about.  ``None`` = uncapped.
-        hedge_min_samples: Observed request latencies required before any
-            hedge fires (the deadline is NaN — and hedging dormant —
-            until then).
-        hedge_poll_ms: How often the hedge monitor scans in-flight
-            requests for deadline overruns.
         retry_policy: Optional :class:`~repro.serve.resilience.RetryPolicy`
             applied to failed flush submissions.  ``None`` (default) keeps
             the historical fail-fast behaviour; a policy makes the
@@ -92,13 +67,6 @@ class AsyncOptions:
     autoscale_poll_ms: float = 50.0
     max_queue_blocks: int = 4096
     backpressure: str = "block"
-    max_concurrent_flushes: int = 1
-    hedge_enabled: bool = False
-    hedge_quantile: float = 0.99
-    hedge_min_ms: float = 1.0
-    hedge_max_ms: Optional[float] = None
-    hedge_min_samples: int = 32
-    hedge_poll_ms: float = 2.0
     retry_policy: Optional[RetryPolicy] = None
     degraded_mode: bool = False
     stale_cache_size: int = 4096
@@ -115,18 +83,6 @@ class AsyncOptions:
                 f"unknown back-pressure policy {self.backpressure!r}; "
                 f"expected one of {BACKPRESSURE_POLICIES}"
             )
-        if self.max_concurrent_flushes < 1:
-            raise ValueError("max_concurrent_flushes must be >= 1")
-        if not 0.0 < self.hedge_quantile <= 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1]")
-        if self.hedge_min_ms < 0:
-            raise ValueError("hedge_min_ms must be >= 0")
-        if self.hedge_max_ms is not None and self.hedge_max_ms < self.hedge_min_ms:
-            raise ValueError("need hedge_min_ms <= hedge_max_ms")
-        if self.hedge_min_samples < 1:
-            raise ValueError("hedge_min_samples must be >= 1")
-        if self.hedge_poll_ms <= 0:
-            raise ValueError("hedge_poll_ms must be positive")
         if self.retry_policy is not None and not isinstance(self.retry_policy, RetryPolicy):
             raise ValueError("retry_policy must be a RetryPolicy (or None)")
         if self.stale_cache_size < 0:

@@ -545,7 +545,9 @@ class _Handler(BaseHTTPRequestHandler):
         dispatcher flushes each micro-batch — the client consumes early
         results while later chunks still queue.  All chunks are admitted
         *before* the response head is written: admission-time failures
-        (unknown model, full queue) still map to proper status codes.
+        (unknown model, full queue) still map to proper status codes, and
+        a chunk refused admission cancels the chunks admitted before it,
+        so a refused stream leaves nothing queued.
         Per-chunk failures after that (an expired deadline, a drained
         close) become ``"error"`` lines instead of poisoning the stream.
 
@@ -556,10 +558,14 @@ class _Handler(BaseHTTPRequestHandler):
         nobody.  The connection then closes.
         """
         size = self.front.registry.variant(name).config.max_batch_size
-        pending = {
-            submit(blocks[offset : offset + size]): (index, offset)
-            for index, offset in enumerate(range(0, len(blocks), size))
-        }
+        pending: Dict[concurrent.futures.Future, Tuple[int, int]] = {}
+        try:
+            for index, offset in enumerate(range(0, len(blocks), size)):
+                pending[submit(blocks[offset : offset + size])] = (index, offset)
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
         total_chunks = len(pending)
         disconnected = False
         try:

@@ -3,13 +3,13 @@
 This is the producer/consumer core of the async serving front end
 (:class:`repro.serve.async_service.AsyncPredictionService`).  Producers
 :meth:`~RequestQueue.put` requests and immediately get a
-:class:`concurrent.futures.Future`; each dispatcher thread calls
-:meth:`~RequestQueue.take_batch` whenever its flush slot is free.  The take
-is work-conserving: it blocks only while the queue is empty and otherwise
-drains whatever is queued, up to ``max_batch_size`` blocks, at once.  No
-timer holds a request back to wait for company — batching comes from load
-alone, because requests arriving while every flush slot is busy pile up
-and leave together in the next, larger batch.
+:class:`concurrent.futures.Future`; the dispatcher thread calls
+:meth:`~RequestQueue.take_batch` as soon as its previous flush is done.
+The take is work-conserving: it blocks only while the queue is empty and
+otherwise drains whatever is queued, up to ``max_batch_size`` blocks, at
+once.  No timer holds a request back to wait for company — batching comes
+from load alone, because requests arriving during a flush pile up and
+leave together in the next, larger batch.
 
 Requests carry a :class:`Priority`: the flush drains strictly in priority
 order (ties broken by arrival), so an interactive autotuner request jumps

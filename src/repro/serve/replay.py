@@ -23,7 +23,7 @@ This module provides that loop:
   :class:`~repro.serve.async_service.AsyncPredictionService` at recorded
   (or time-scaled) pacing and reports what actually happened:
   per-request p50/p99/p99.9 latency, jitter, error/reject counts,
-  scheduling lag, and the hedging counters' delta over the run.
+  and scheduling lag.
 * :class:`SloPolicy` / :class:`SloVerdict` — budget checks over a report.
   An empty latency window yields NaN percentiles, and NaN fails every
   budget comparison — a replay that measured nothing can never *pass* an
@@ -37,7 +37,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -522,8 +522,6 @@ class ReplayReport:
     max_ms: float
     jitter_ms: float
     schedule_lag_p99_ms: float
-    hedges_issued: int = 0
-    hedges_won: int = 0
     latencies_ms: Tuple[float, ...] = ()
     slo: Optional[SloVerdict] = None
 
@@ -576,8 +574,6 @@ class ReplayReport:
             "max_ms": self.max_ms,
             "jitter_ms": self.jitter_ms,
             "schedule_lag_p99_ms": self.schedule_lag_p99_ms,
-            "hedges_issued": self.hedges_issued,
-            "hedges_won": self.hedges_won,
         }
         if include_latencies:
             out["latencies_ms"] = list(self.latencies_ms)
@@ -597,8 +593,7 @@ class TraceReplayer:
     Args:
         service: An :class:`~repro.serve.async_service.AsyncPredictionService`
             (or anything with its ``submit(request, priority=...,
-            deadline_ms=...)`` -> future signature; the ``hedge`` section of
-            its ``snapshot()`` supplies hedge counters when present).
+            deadline_ms=...)`` -> future signature).
         speedup: Timeline compression (see :meth:`Trace.scaled`); applied
             at replay time, the trace itself is not modified.
         slo: Optional policy checked into the report's ``slo`` field.
@@ -623,20 +618,8 @@ class TraceReplayer:
         self.slo = slo
         self.result_timeout_s = float(result_timeout_s)
 
-    def _hedge_counters(self) -> Tuple[int, int]:
-        snapshot: Optional[Callable[[], Any]] = getattr(
-            self.service, "snapshot", None
-        )
-        if snapshot is None:
-            return 0, 0
-        hedge = getattr(snapshot(), "hedge", None)
-        if hedge is None:
-            return 0, 0
-        return hedge.issued, hedge.won
-
     def run(self, trace: Trace) -> ReplayReport:
         """Replays ``trace`` once and reports the realized latencies."""
-        issued_before, won_before = self._hedge_counters()
         completions: List[Tuple[int, float]] = []
         completion_lock = threading.Lock()
 
@@ -692,7 +675,6 @@ class TraceReplayer:
                 and future.exception() is None
             )
         )
-        issued_after, won_after = self._hedge_counters()
         values = np.asarray(latencies_ms, dtype=np.float64)
         report = ReplayReport(
             num_requests=trace.num_requests,
@@ -711,8 +693,6 @@ class TraceReplayer:
             max_ms=float(values.max()) if values.size else float("nan"),
             jitter_ms=float(values.std()) if values.size else float("nan"),
             schedule_lag_p99_ms=latency_percentile(lags, 0.99) * 1e3,
-            hedges_issued=issued_after - issued_before,
-            hedges_won=won_after - won_before,
             latencies_ms=latencies_ms,
         )
         if self.slo is not None:

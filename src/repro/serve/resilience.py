@@ -27,8 +27,6 @@ loops elsewhere in the package):
   predictions keyed by block text, backing graceful degradation: when the
   pool is unhealthy and the deadline allows, the async front end serves
   stale values flagged ``degraded=True`` instead of failing.
-- :class:`HedgeController` — turns observed request latencies into the
-  deadline past which the async front end duplicates a straggling request.
 
 Timing uses ``time.monotonic`` exclusively (never the wall clock), and the
 clock is injectable everywhere so the state machines are unit-testable
@@ -46,7 +44,6 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.serve.stats import latency_percentile
 from repro.utils.cache import LRUCache
 
 __all__ = [
@@ -58,7 +55,6 @@ __all__ = [
     "RespawnPolicy",
     "RespawnGovernor",
     "StalePredictionCache",
-    "HedgeController",
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
@@ -559,56 +555,3 @@ class StalePredictionCache:
             self.served += 1
             return payload
 
-
-# ---------------------------------------------------------------------------
-# Hedging
-# ---------------------------------------------------------------------------
-
-
-class HedgeController:
-    """Turns observed request latencies into a hedge deadline.
-
-    The async front end re-submits a request once it has outlived this
-    deadline (see ``AsyncOptions.hedge_*``).  The deadline is the
-    ``quantile`` of the request-latency reservoir, clamped to
-    ``[min_s, max_s]`` — the floor prevents hedge storms when the service
-    is microsecond-fast, the cap keeps hedges firing within the
-    operator's latency budget even when stragglers inflate the observed
-    quantile itself.  Until ``min_samples`` latencies exist the deadline
-    is NaN and callers must not hedge: a deadline guessed from nothing
-    would either never fire or fire for everything.
-
-    Stateless between calls, so it needs no lock; the caller passes a
-    stable copy of the sample window.
-    """
-
-    def __init__(
-        self,
-        quantile: float = 0.99,
-        min_samples: int = 32,
-        min_s: float = 1e-3,
-        max_s: Optional[float] = None,
-    ) -> None:
-        if not 0.0 < quantile <= 1.0:
-            raise ValueError("quantile must be in (0, 1]")
-        if min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        if min_s < 0:
-            raise ValueError("min_s must be >= 0")
-        if max_s is not None and max_s < min_s:
-            raise ValueError("need min_s <= max_s")
-        self.quantile = float(quantile)
-        self.min_samples = int(min_samples)
-        self.min_s = float(min_s)
-        self.max_s = None if max_s is None else float(max_s)
-
-    def deadline_s(self, latency_samples_s) -> float:
-        """The hedge deadline (seconds), NaN while under-sampled."""
-        samples = list(latency_samples_s)
-        if len(samples) < self.min_samples:
-            return float("nan")
-        deadline = latency_percentile(samples, self.quantile)
-        deadline = max(deadline, self.min_s)
-        if self.max_s is not None:
-            deadline = min(deadline, self.max_s)
-        return deadline

@@ -31,7 +31,6 @@ __all__ = [
     "WorkerStats",
     "QueueStats",
     "FlushStats",
-    "HedgeStats",
     "ModelStats",
     "ResilienceStats",
     "ServiceSnapshot",
@@ -180,27 +179,6 @@ class FlushStats(StatsStruct):
 
 
 @dataclass(frozen=True)
-class HedgeStats(StatsStruct):
-    """Hedged-request counters of the async front end.
-
-    ``issued`` counts duplicate submissions (a request outlived the hedge
-    deadline while queued or in flight); ``won`` counts client responses
-    that came from the hedge rather than the primary; ``losers_cancelled``
-    counts losing attempts cancelled while still queued (their blocks were
-    freed without reaching a worker).  ``deadline_ms`` is the hedge
-    deadline currently in effect — NaN until ``hedge_min_samples`` request
-    latencies have been observed.
-    """
-
-    enabled: bool = False
-    issued: int = 0
-    won: int = 0
-    losers_cancelled: int = 0
-    deadline_ms: float = float("nan")
-    inflight: int = 0
-
-
-@dataclass(frozen=True)
 class ModelStats(StatsStruct):
     """Aggregate serving counters of one (sync) prediction service."""
 
@@ -267,15 +245,13 @@ class ServiceSnapshot(StatsStruct):
     """Point-in-time view of one async serving stack.
 
     Sections: :attr:`queue` (admission), :attr:`flush` (dispatcher),
-    :attr:`model` (the underlying sync service), :attr:`hedge` (the hedged
-    duplicate machinery), plus the autoscale monitor's error counter and
-    the :attr:`resilience` section.
+    :attr:`model` (the underlying sync service), plus the autoscale
+    monitor's error counter and the :attr:`resilience` section.
     """
 
     queue: QueueStats
     flush: FlushStats
     model: ModelStats
-    hedge: HedgeStats
     autoscale_errors: int
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
 

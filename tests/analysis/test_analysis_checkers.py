@@ -58,6 +58,71 @@ class TestLockDiscipline:
         findings = run_rule("RC001", context)
         assert [(f.rule, f.line) for f in findings] == [("RC001", 9)]
 
+    COUNTER_SOURCE = (
+        "import threading\n"
+        "\n"
+        "class Server:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self._hits = 0  # guarded-by: _lock\n"
+        "\n"
+        "    def _count(self):\n"
+        "        self._hits += 1\n"
+    )
+
+    def test_private_method_called_from_another_class_is_an_entry_point(self):
+        # A handler that a library server runs on its own threads reaches
+        # the private method through another receiver, not through self.
+        source = self.COUNTER_SOURCE + (
+            "\n"
+            "class Handler:\n"
+            "    def handle(self):\n"
+            "        self.server._count()\n"
+        )
+        context = FileContext(Path("src/repro/serve/thing.py"), source)
+        findings = run_rule("RC001", context)
+        assert [(f.rule, f.line) for f in findings] == [("RC001", 9)]
+        assert "Server._count" in findings[0].message
+
+    def test_private_method_nobody_calls_is_not_checked(self):
+        context = FileContext(Path("src/repro/serve/thing.py"), self.COUNTER_SOURCE)
+        assert run_rule("RC001", context) == []
+
+    @pytest.mark.parametrize(
+        "method, locked, unlocked",
+        [
+            pytest.param(
+                "_count",
+                "        with self._lock:\n"
+                "            self._counters[counter] += amount\n",
+                "        self._counters[counter] += amount\n",
+                id="count",
+            ),
+            pytest.param(
+                "_set_idle",
+                "        with self._lock:\n"
+                "            if idle:\n"
+                "                self._idle.add(connection)\n",
+                "        if True:\n"
+                "            if idle:\n"
+                "                self._idle.add(connection)\n",
+                id="set-idle",
+            ),
+        ],
+    )
+    def test_unlocked_http_server_state_is_flagged(self, method, locked, unlocked):
+        """The HTTP server's connection threads only reach these methods
+        from the request handler; dropping their lock must be a finding."""
+        path = Path(__file__).resolve().parents[2] / "src/repro/serve/http.py"
+        source = path.read_text(encoding="utf-8")
+        assert source.count(locked) == 1
+        virtual = "src/repro/serve/http.py"
+        assert run_rule("RC001", FileContext(Path(virtual), source)) == []
+        mutated = FileContext(Path(virtual), source.replace(locked, unlocked))
+        findings = run_rule("RC001", mutated)
+        assert findings
+        assert all(f"PredictionHttpServer.{method}" in f.message for f in findings)
+
 
 class TestDtypeDiscipline:
     def test_bad_fixture_flags_all_three_spellings(self):

@@ -63,7 +63,7 @@ class FlushGate:
     """Parks every flush of one ``PredictionService`` until released.
 
     Wraps the service's ``submit`` (the call each async flush makes), so a
-    test can hold a front end's flush slots busy without any timer:
+    test can hold a front end's dispatcher busy without any timer:
     :attr:`entered` is set once a flush is parked, :attr:`release` lets
     every parked and later flush through.
     """
@@ -71,26 +71,14 @@ class FlushGate:
     def __init__(self, service) -> None:
         self.entered = threading.Event()
         self.release = threading.Event()
-        self._flushes = 0
-        self._flushes_changed = threading.Condition()
         submit = service.submit
 
         def gated(requests):
-            with self._flushes_changed:
-                self._flushes += 1
-                self._flushes_changed.notify_all()
             self.entered.set()
             assert self.release.wait(timeout=60.0), "flush gate never released"
             return submit(requests)
 
         service.submit = gated
-
-    def wait_entered(self, count: int, timeout: float = 30.0) -> bool:
-        """Waits until ``count`` flushes have reached the gate."""
-        with self._flushes_changed:
-            return self._flushes_changed.wait_for(
-                lambda: self._flushes >= count, timeout
-            )
 
 
 @pytest.fixture()

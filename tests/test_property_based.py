@@ -2,7 +2,9 @@
 
 These cover the substrate pieces whose correctness everything else depends
 on: the autodiff engine, the parser/renderer round trip, the graph encoding
-invariants, the throughput oracle's bounds, and the metric definitions.
+invariants, the throughput oracle's bounds, and the metric definitions, plus
+the typed failure contracts of untrusted inputs (block texts and checkpoint
+files).
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ from hypothesis import given, settings, strategies as st
 from repro.data.synthetic import BlockGenerator
 from repro.graph.builder import build_block_graph
 from repro.models import create_model
-from repro.nn.serialization import load_checkpoint, save_checkpoint
+from repro.nn.serialization import (
+    CheckpointCorruptError,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.testing.equivalence import relative_errors
 from repro.graph.graph import pack_graphs
 from repro.graph.types import EdgeType, NodeType
@@ -26,7 +32,7 @@ from repro.graph.vocabulary import build_default_vocabulary
 from repro.isa.basic_block import BasicBlock
 from repro.isa.operands import MemoryReference, Operand
 from repro.isa.instructions import Instruction
-from repro.isa.parser import parse_block_text
+from repro.isa.parser import AssemblyParseError, parse_block_text
 from repro.nn.losses import mean_absolute_percentage_error, relative_mean_squared_error
 from repro.nn.tensor import Tensor
 from repro.training.metrics import mape, pearson_correlation, spearman_correlation
@@ -350,3 +356,113 @@ class TestDtypeEquivalenceProperties:
         actual = restored.predict(blocks)
         for task in donor.tasks:
             np.testing.assert_array_equal(actual[task], expected[task])
+
+
+# --------------------------------------------------------------------- #
+# Untrusted inputs fail typed.
+# --------------------------------------------------------------------- #
+_ASM_CHARS = st.sampled_from(list("[]+-*:,;#.$ \t\nxX019abdhlmoqrsAZ\x00\u00e9"))
+
+
+@st.composite
+def mutated_block_texts(draw):
+    """A rendered valid block with a few single-character edits or a cut."""
+    text = draw(basic_blocks(max_size=4)).render()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        position = draw(st.integers(min_value=0, max_value=len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+        if edit == "insert":
+            text = text[:position] + draw(_ASM_CHARS) + text[position:]
+        elif edit == "delete":
+            text = text[:position] + text[position + 1 :]
+        elif edit == "replace":
+            text = text[:position] + draw(_ASM_CHARS) + text[position + 1 :]
+        else:
+            text = text[:position]
+    return text
+
+
+def _parse_and_predict(text):
+    """Parses and predicts ``text``; a refusal must be AssemblyParseError."""
+    try:
+        block = BasicBlock.from_text(text)
+    except AssemblyParseError:
+        return
+    for values in _dtype_model_pair("granite")[0].predict([block]).values():
+        assert values.shape == (1,)
+        assert np.isfinite(values).all()
+
+
+class TestBlockTextFuzz:
+    @given(st.text(max_size=120))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_arbitrary_text_predicts_or_fails_to_parse(self, text):
+        _parse_and_predict(text)
+
+    @given(mutated_block_texts())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_mutated_block_text_predicts_or_fails_to_parse(self, text):
+        _parse_and_predict(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_bytes():
+    """A small GRANITE checkpoint's bytes and the state they hold."""
+    donor = create_model("granite", small=True, seed=11)
+    with tempfile.TemporaryDirectory() as directory:
+        path = save_checkpoint(donor, os.path.join(directory, "model.npz"))
+        with open(path, "rb") as handle:
+            return handle.read(), donor.state_dict()
+
+
+def _load_damaged(data):
+    """Loads ``data`` as a checkpoint without fallback.
+
+    A refusal must be CheckpointCorruptError; a load must restore the
+    donor's parameters bit for bit.
+    """
+    _, expected = _checkpoint_bytes()
+    restored = create_model("granite", small=True, seed=12)
+    before = restored.state_dict()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "model.npz")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        try:
+            load_checkpoint(restored, path, fallback=False)
+        except CheckpointCorruptError:
+            state = restored.state_dict()
+            assert all(np.array_equal(state[n], before[n]) for n in before)
+            return
+    state = restored.state_dict()
+    assert set(state) == set(expected)
+    for name, values in expected.items():
+        assert state[name].dtype == values.dtype
+        assert state[name].tobytes() == values.tobytes(), name
+
+
+class TestCheckpointFuzz:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_truncated_checkpoint_fails_typed(self, data):
+        payload, _ = _checkpoint_bytes()
+        length = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+        _load_damaged(payload[:length])
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_byte_flipped_checkpoint_fails_typed_or_loads_intact(self, data):
+        damaged = bytearray(_checkpoint_bytes()[0])
+        flips = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=len(damaged) - 1),
+                    st.integers(min_value=1, max_value=255),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        for position, mask in flips:
+            damaged[position] ^= mask
+        _load_damaged(bytes(damaged))

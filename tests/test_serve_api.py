@@ -117,6 +117,19 @@ class TestLayeredConfig:
         for removed in ("min_latency_ms", "controller_window_ms"):
             with pytest.raises(TypeError):
                 AsyncOptions(**{removed: 1.0})
+        # One dispatcher thread and no hedging: their knobs are gone too.
+        for removed in (
+            "max_concurrent_flushes",
+            "hedge_enabled",
+            "hedge_quantile",
+            "hedge_min_ms",
+            "hedge_max_ms",
+            "hedge_min_samples",
+            "hedge_poll_ms",
+        ):
+            with pytest.raises(TypeError):
+                AsyncOptions(**{removed: 1})
+        assert len(dataclasses.fields(AsyncOptions)) == 7
 
     def test_service_batch_size_drives_flushes(self, sample_blocks):
         config = ServiceConfig(max_batch_size=4)
@@ -200,7 +213,7 @@ class TestPublicImports:
         )
 
         names = repro.serve.__all__
-        assert len(names) == len(set(names)) == 46
+        assert len(names) == len(set(names)) == 45
         for name in names:
             assert getattr(repro.serve, name) is not None
         # Importable from their defining modules, not from the package.
@@ -221,7 +234,6 @@ class TestPublicImports:
             "RespawnGovernor",
             "StalePredictionCache",
             "WorkerStats",
-            "HedgeStats",
             "ResilienceStats",
             "SloVerdict",
             "ModelInfo",
@@ -258,6 +270,8 @@ class TestPublicImports:
             "create_flush_controller",
             "default_flush_policy",
             "FlushController",
+            "HedgeController",
+            "HedgeStats",
         ):
             assert removed not in names
             assert not hasattr(repro.serve, removed)
@@ -288,6 +302,16 @@ class TestTypedStats:
             document["model"]["cache"]["prediction_misses"]
             == snapshot.model.cache.prediction_misses
         )
+
+    def test_snapshot_sections_are_the_documented_ones(self):
+        # The /stats wire body carries exactly these sections.
+        assert [spec.name for spec in dataclasses.fields(ServiceSnapshot)] == [
+            "queue",
+            "flush",
+            "model",
+            "autoscale_errors",
+            "resilience",
+        ]
 
     def test_stats_structs_are_not_mappings(self, sample_blocks):
         # Attributes are the one read path; to_dict() is the wire view.

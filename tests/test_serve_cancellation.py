@@ -366,27 +366,25 @@ class _StallingService(PredictionService):
         return super().submit(requests)
 
 
-class TestBusyFlushSlots:
-    """While every flush slot is busy, new requests stay in the queue."""
+class TestBusyDispatcher:
+    """While the one dispatcher is busy, new requests stay in the queue."""
 
     def test_requests_arriving_during_a_stall_share_one_batch(self, blocks):
         inner = _StallingService(
             ServiceConfig(
                 model_name="granite",
                 max_batch_size=16,
-                async_options=AsyncOptions(
-                    max_latency_ms=1.0, max_concurrent_flushes=2
-                ),
+                async_options=AsyncOptions(max_latency_ms=1.0),
             ),
-            stalls=2,
+            stalls=1,
         )
         with AsyncPredictionService(service=inner) as service:
             first = service.submit(_request(blocks, 0, 1, request_id="first"))
             assert inner.stalled.acquire(timeout=10.0)
+            # The dispatcher is inside the service.  The next requests
+            # arrive 50 ms apart and wait in the queue until it is free.
             second = service.submit(_request(blocks, 1, 1, request_id="second"))
-            assert inner.stalled.acquire(timeout=10.0)
-            # Both slots are inside the service.  The next requests arrive
-            # 50 ms apart and wait in the queue for a free slot.
+            time.sleep(0.05)
             late_a = service.submit(_request(blocks, 2, 1, request_id="late-a"))
             time.sleep(0.05)
             late_b = service.submit(_request(blocks, 3, 1, request_id="late-b"))
@@ -397,11 +395,12 @@ class TestBusyFlushSlots:
             for future in (first, second, late_a, late_b):
                 assert future.result(timeout=30.0).num_blocks == 1
             snapshot = service.snapshot()
-        assert ["late-a", "late-b"] in inner.calls
-        assert not any("victim" in call for call in inner.calls)
+        # Everything that queued behind the stall went out in one flush.
+        assert inner.calls == [["first"], ["second", "late-a", "late-b"]]
         assert victim.cancelled()
         assert snapshot.queue.cancelled_drops == 1
         assert snapshot.flush.requests_completed == 4
+        assert snapshot.flush.flushes == 2
 
 
 class _EchoService(PredictionService):
@@ -424,17 +423,15 @@ class _EchoService(PredictionService):
         ]
 
 
-class TestConcurrentDispatchers:
+class TestProducersRaceOneDispatcher:
     def test_every_request_is_served_or_dropped_exactly_once(self, blocks):
-        """Four dispatchers (more than the cores) race four producers that
-        cancel and expire some of their requests: nothing is lost, nothing
-        is served twice, and every drop is counted once."""
+        """Four producers that cancel and expire some of their requests race
+        the one dispatcher: nothing is lost, nothing is served twice, and
+        every drop is counted once."""
         inner = _EchoService(
             ServiceConfig(
                 max_batch_size=4,
-                async_options=AsyncOptions(
-                    max_latency_ms=0.5, max_concurrent_flushes=4
-                ),
+                async_options=AsyncOptions(max_latency_ms=0.5),
             )
         )
         futures = {}

@@ -1,11 +1,12 @@
 """Work-conserving dispatch of the async front end (repro.serve.queue).
 
-A free flush slot takes whatever is queued at once, up to
-``max_batch_size`` blocks; it blocks only while the queue is empty.
-Batching comes from load alone: requests that arrive while the slot is
-busy pile up and leave together in the next flush.  Every test here holds
-the slot with a gated flush (the ``flush_gate`` fixture) or queues work
-before the dispatcher starts, so none depends on timing.
+The one dispatcher thread takes whatever is queued as soon as its
+previous flush is done, up to ``max_batch_size`` blocks; it blocks only
+while the queue is empty.  Batching comes from load alone: requests that
+arrive while a flush runs pile up and leave together in the next one.
+Every test here holds the dispatcher with a gated flush (the
+``flush_gate`` fixture) or queues work before it starts, so none depends
+on timing.
 """
 
 import threading
@@ -411,23 +412,41 @@ class TestWorkConservingFrontEnd:
         assert front_end.stats.flushes == 3
         assert front_end.stats.size_flushes == 0
 
-    def test_two_flush_slots_flush_two_requests_at_once_and_pile_the_rest(
+    def test_start_runs_one_dispatcher_thread_until_close(self):
+        def dispatchers():
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread.name == "repro-serve-dispatcher"
+            }
+
+        _, front_end = _front_end(64)
+        before = dispatchers()
+        front_end.start()
+        front_end.start()  # idempotent while running
+        started = dispatchers() - before
+        assert len(started) == 1
+        front_end.close()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_a_parked_flush_holds_every_later_request_in_the_queue(
         self, flush_gate
     ):
-        inner, front_end = _front_end(64, max_concurrent_flushes=2)
+        inner, front_end = _front_end(64)
         with front_end:
             gate = flush_gate(inner)
             futures = [front_end.submit(_request("a"))]
-            assert gate.wait_entered(1)
-            futures.append(front_end.submit(_request("b")))
-            # Both slots are parked: neither request waited for the other.
-            assert gate.wait_entered(2)
-            futures += [front_end.submit(_request(name)) for name in ("c", "d")]
+            assert gate.entered.wait(30.0)
+            futures += [front_end.submit(_request(name)) for name in ("b", "c", "d")]
+            # No second flush slot: with the dispatcher parked, nothing
+            # takes the late requests out of the queue.
+            assert len(front_end.queue) == 3
+            assert front_end.queue.pending_blocks == 3
             gate.release.set()
             for future in futures:
                 future.result(timeout=60.0)
-        assert sorted(inner.batches) == [["a"], ["b"], ["c", "d"]]
-        assert front_end.stats.flushes == 3
+        assert inner.batches == [["a"], ["b", "c", "d"]]
+        assert front_end.stats.flushes == 2
 
     @pytest.mark.parametrize(
         "max_batch_size, submitted, batches",

@@ -445,7 +445,7 @@ def _loaded_service(registry, name):
 class TestBackpressure:
     def test_forced_saturation_is_429(self, server, flush_gate):
         """Fill tiny-queue's 2-block reject queue, then get turned away."""
-        # Hold the variant's single flush slot: the holder's flush parks in
+        # Hold the variant's dispatcher: the holder's flush parks in
         # the gate, so whatever is submitted next stays queued.
         gate = flush_gate(_loaded_service(server.registry, "tiny-queue"))
         holder = server.registry.submit(
@@ -469,7 +469,7 @@ class TestBackpressure:
         thread = threading.Thread(target=filler)
         thread.start()
         # Wait until the filler's two blocks are actually queued (the
-        # gated flush slot keeps them there).
+        # gated flush keeps them there).
         deadline = time.monotonic() + 30.0
         depth = 0
         while time.monotonic() < deadline:
@@ -660,6 +660,63 @@ class TestStreamDisconnect:
             time.sleep(0.05)
         assert body["stream_disconnects"] == 1
         assert body["stream_cancelled_chunks"] >= 1
+
+    def test_refused_chunk_cancels_the_chunks_admitted_before_it(self, flush_gate):
+        """A 6-block stream into a 4-block reject queue, 2 blocks a chunk:
+        the third chunk is refused, so the stream answers 429 and the two
+        admitted chunks leave the queue without ever being computed."""
+        registry = ModelRegistry(
+            (
+                ModelVariant(
+                    "small",
+                    ServiceConfig(
+                        tasks=("haswell",),
+                        max_batch_size=2,
+                        async_options=AsyncOptions(
+                            max_queue_blocks=4, backpressure="reject"
+                        ),
+                    ),
+                ),
+            )
+        )
+        with PredictionHttpServer(
+            registry, HttpServerConfig(), own_registry=True
+        ) as running:
+            service = _loaded_service(registry, "small")
+            seen = []
+            submit = service.submit
+
+            def recording(requests):
+                seen.extend(
+                    text for request in requests for text in request.block_texts
+                )
+                return submit(requests)
+
+            service.submit = recording
+            gate = flush_gate(service)
+            holder = registry.submit("small", PredictionRequest.of(["mov rdx, 4"]))
+            assert gate.entered.wait(30.0), "the holder never reached the slot"
+            try:
+                status, body = http(
+                    running.port,
+                    "POST",
+                    "/v1/models/small/predict",
+                    payload={
+                        "blocks": [f"mov rax, {i}" for i in range(6)],
+                        "stream": True,
+                    },
+                )
+                # Read while the gate still holds the dispatcher, so only
+                # the cancellation can have emptied the queue.
+                queue = registry.stats("small").snapshot.queue
+            finally:
+                gate.release.set()
+            holder.result(timeout=60.0)
+        assert status == 429
+        assert body["error"]["code"] == "queue_full"
+        assert queue.depth_blocks == 0
+        # Closing drained the queue: anything left in it was flushed.
+        assert seen == ["mov rdx, 4"]
 
     def test_completed_stream_counts_no_disconnect(self, server):
         blocks = [f"add rax, {i}" for i in range(4)]

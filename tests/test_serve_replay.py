@@ -2,6 +2,7 @@
 
 import json
 import math
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from json_fuzz import JSON_VALUES, json_documents
 from repro.serve import (
     AsyncOptions,
     AsyncPredictionService,
+    PredictionResponse,
     Priority,
     ReplayReport,
     SloPolicy,
@@ -314,6 +316,30 @@ class TestTraceReplayer:
         assert "latencies_ms" not in wire
         assert wire["slo"]["met"] is True
         assert len(report.to_dict(include_latencies=True)["latencies_ms"]) == 30
+
+    def test_replays_against_anything_with_a_submit_method(self):
+        """The replayer needs only ``submit(...) -> future``; no snapshot."""
+
+        class _Answering:
+            def __init__(self):
+                self.priorities = []
+
+            def submit(self, request, priority, deadline_ms):
+                self.priorities.append(priority)
+                future = Future()
+                future.set_result(
+                    PredictionResponse(request.request_id, {}, request.num_blocks)
+                )
+                return future
+
+        trace = synthesize_trace(
+            num_requests=12, seed=3, num_keys=4, mean_rate_rps=2_000.0
+        )
+        service = _Answering()
+        report = TraceReplayer(service, speedup=4.0).run(trace)
+        assert report.completed == 12 and report.lost == 0
+        assert service.priorities == [r.priority for r in trace.requests]
+        assert report.errors == 0 and report.rejected == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
