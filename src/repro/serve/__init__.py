@@ -87,11 +87,10 @@ Tail-latency harness
 :class:`TraceRecorder` (the HTTP server's ``recorder`` hook) or
 synthesize Zipf-skewed bursty traces with :func:`synthesize_trace`, drive
 them through :class:`TraceReplayer` at recorded or time-scaled pacing,
-and judge the realized p50/p99/p99.9 against an :class:`SloPolicy`.  Two
-tail-attacking mechanisms live alongside: hot-key replication
-(``ServiceConfig.hot_key_replicas`` — :class:`HotKeyRouter` spreads
-Zipf-head keys read-any across their ring replica sets) and a
-latency-fed autoscaler.
+and judge the realized p50/p99/p99.9 against an :class:`SloPolicy`.  The
+tail-attacking mechanism alongside is a latency-fed autoscaler; every
+block, hot or cold, has one :class:`HashRing` owner, since a repeated
+block is a prediction-cache hit there.
 
 Fault injection and self-healing
 --------------------------------
@@ -140,7 +139,7 @@ from repro.serve.replay import (
     TraceRequest,
     synthesize_trace,
 )
-from repro.serve.ring import HashRing, HotKeyRouter, HotKeyTracker
+from repro.serve.ring import HashRing
 from repro.serve.service import PredictionService
 from repro.serve.stats import ModelStats, ServiceSnapshot, latency_percentile
 from repro.serve.types import (
@@ -171,8 +170,6 @@ __all__ = [
     "AsyncOptions",
     # Queueing and routing.
     "HashRing",
-    "HotKeyRouter",
-    "HotKeyTracker",
     "Priority",
     "RequestQueue",
     # Worker pool.

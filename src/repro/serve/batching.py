@@ -57,8 +57,9 @@ def coalesce_requests(
     """Merges the blocks of ``requests`` into per-owner micro-batches.
 
     Every block goes to ``owner_of(text)``: a constant for the in-process
-    path, or the service's :meth:`repro.serve.ring.HotKeyRouter.route_text`
-    for the worker pool.  Blocks keep their submission order (request
+    path, or the block's ring owner
+    (:meth:`repro.serve.ring.HashRing.owner` of its :func:`shard_key`) for
+    the worker pool.  Blocks keep their submission order (request
     order, then block order) within each owner, so small requests arriving
     together share batches and large requests are split.  Empty requests
     contribute nothing.

@@ -116,15 +116,6 @@ class ServiceConfig:
             a size other than ``num_workers``; manual
             ``PredictionService.scale_workers`` calls work regardless.
         scale_cooldown_s: Minimum seconds between autoscaler resizes.
-        hot_key_replicas: Replication factor for Zipf-head block keys on
-            the consistent hash ring that routes every block to a worker.
-            1 (default) keeps the pure ring (every key has exactly one
-            owner, stable cache affinity, ~1/N of the key space moving per
-            resize); >= 2 routes the hottest keys read-any across that
-            many distinct ring successors, so a single scorching key no
-            longer serializes on one worker.  Only meaningful with
-            ``num_workers >= 2``.
-        hot_key_count: How many keys may be classified hot at once.
         inference_dtype: Compute dtype of every replica's no-grad inference
             fast path (``"float64"`` default, ``"float32"`` for
             mixed-precision serving).  Propagated to all worker processes —
@@ -165,8 +156,6 @@ class ServiceConfig:
     min_workers: Optional[int] = None
     max_workers: Optional[int] = None
     scale_cooldown_s: float = 2.0
-    hot_key_replicas: int = 1
-    hot_key_count: int = 8
     inference_dtype: str = field(default_factory=default_inference_dtype)
     async_options: AsyncOptions = field(default_factory=AsyncOptions)
     worker_job_timeout_s: Optional[float] = None
@@ -195,10 +184,6 @@ class ServiceConfig:
                 )
         if self.scale_cooldown_s < 0:
             raise ValueError("scale_cooldown_s must be >= 0")
-        if self.hot_key_replicas < 1:
-            raise ValueError("hot_key_replicas must be >= 1")
-        if self.hot_key_count < 1:
-            raise ValueError("hot_key_count must be >= 1")
         if self.inference_dtype not in SUPPORTED_DTYPES:
             raise ValueError(
                 f"inference_dtype must be one of {SUPPORTED_DTYPES}, "

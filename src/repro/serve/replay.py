@@ -316,7 +316,7 @@ def synthesize_trace(
 
     Block texts are drawn from a ``num_keys``-entry universe with
     probability proportional to ``1 / rank^zipf_alpha`` — rank 1 is the
-    hot head key that :class:`repro.serve.ring.HotKeyRouter` exists for.
+    hot head key, which after its first prediction is a cache hit.
     Arrival gaps come from a two-phase process: a calm phase at the base
     rate and a burst phase at ``burstiness`` times that rate, with
     ``burst_fraction`` of requests arriving in bursts — the clumped

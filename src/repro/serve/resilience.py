@@ -15,8 +15,8 @@ loops elsewhere in the package):
   Failures (crashes, job timeouts, corrupted replies) trip a worker open;
   after ``reset_timeout_s`` the breaker admits exactly ``probe_quota``
   probes (half-open); probe successes close it again.  The breaker never
-  sleeps — the service's :class:`~repro.serve.ring.HotKeyRouter` passes
-  :meth:`CircuitBreaker.allow` to the hash ring as its admit predicate, so
+  sleeps — the service passes :meth:`CircuitBreaker.allow` to
+  :meth:`~repro.serve.ring.HashRing.owner` as its admit predicate, so
   a key's owner is the first clockwise worker whose breaker admits traffic
   (the true owner when everything is open, so the pool still heals via
   respawn).
@@ -507,7 +507,6 @@ class StalePredictionCache:
         self._lock = threading.Lock()
         self._cache: LRUCache[str, Dict[str, float]] = LRUCache(maxsize)  # guarded-by: _lock
         self._dtype = "float64"  # dtype of the last recorded predictions  # guarded-by: _lock
-        self.served = 0  # guarded-by: _lock
 
     def __len__(self) -> int:
         with self._lock:
@@ -548,10 +547,8 @@ class StalePredictionCache:
             wanted = tuple(tasks) if tasks is not None else tuple(sorted(entries[0]))
             if any(task not in entry for entry in entries for task in wanted):
                 return None
-            payload = {
+            return {
                 task: np.array([entry[task] for entry in entries], dtype=self._dtype)
                 for task in wanted
             }
-            self.served += 1
-            return payload
 

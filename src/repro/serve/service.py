@@ -11,11 +11,11 @@
   kernels dense regardless of how clients slice their traffic.
 * **Worker sharding** — with ``num_workers > 0`` the work is sharded
   across a pool of addressable worker processes, each holding its own warm
-  model replica.  One :class:`~repro.serve.ring.HotKeyRouter` routes every
-  block through a consistent hash ring over a stable hash of its canonical
-  text, so each worker's encode and prediction caches own a fixed
-  partition of the key space; it spreads hot keys over replicas and, with
-  circuit breaking on, walks past workers whose breaker refuses traffic.
+  model replica.  Every block goes to its one owner on a consistent hash
+  ring over a stable hash of its canonical text
+  (:meth:`~repro.serve.ring.HashRing.owner`), so each worker's encode and
+  prediction caches own a fixed partition of the key space; with circuit
+  breaking on, the ring walks past workers whose breaker refuses traffic.
   Crashed workers are detected and respawned transparently.  With
   ``num_workers = 0`` everything runs in-process, which is the right
   choice for unit tests and for callers that already manage their own
@@ -38,10 +38,9 @@ import numpy as np
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.isa.basic_block import BasicBlock
 from repro.models.base import ThroughputModel
-from repro.serve.batching import coalesce_requests
+from repro.serve.batching import coalesce_requests, shard_key
 from repro.serve.config import ServiceConfig
 from repro.serve.resilience import CircuitBreaker
-from repro.serve.ring import HotKeyRouter
 from repro.serve.stats import CacheStats, ModelStats, WorkerStats
 from repro.serve.types import (
     InvalidRequestError,
@@ -104,15 +103,13 @@ class PredictionService:
         self._pool: Optional[ShardedWorkerPool] = None
         self._autoscaler: Optional[PoolAutoscaler] = None
         # Per-worker circuit breaker (None unless the config enables one).
-        # Shared with the pool, which feeds outcomes in; the router admits
+        # Shared with the pool, which feeds outcomes in; routing admits
         # traffic through it to walk past open workers.
         self._breaker: Optional[CircuitBreaker] = (
             CircuitBreaker(self.config.breaker_policy)
             if self.config.breaker_policy is not None
             else None
         )
-        # Routes every block of a sharded submission; built with the pool.
-        self._router: Optional[HotKeyRouter] = None  # guarded-by: _submit_lock
         # The one text -> BasicBlock cache: filled at admission
         # (:meth:`admit`, on producer threads) and read by in-process
         # flushes, so it has its own lock.
@@ -163,7 +160,7 @@ class PredictionService:
         return self
 
     def _ensure_pool_locked(self) -> ShardedWorkerPool:
-        """The worker pool and its router, built on first use.
+        """The worker pool, built on first use.
 
         Caller holds ``_submit_lock``.
         """
@@ -176,12 +173,6 @@ class PredictionService:
         if self._pool is None:
             self._validate_worker_config()
             self._pool = ShardedWorkerPool(self.config, breaker=self._breaker)
-            self._router = HotKeyRouter(
-                self._pool.ring,
-                replicas=self.config.hot_key_replicas,
-                hot_count=self.config.hot_key_count,
-                admit=self._breaker.allow if self._breaker is not None else None,
-            )
         return self._pool
 
     # ------------------------------------------------------------------ #
@@ -298,7 +289,6 @@ class PredictionService:
             cache = CacheStats.from_model_stats(raw)
         with self._submit_lock:
             stats = self.stats
-            router = self._router
             pool = self._pool
             breaker = self._breaker
             breaker_counts = (
@@ -317,11 +307,6 @@ class PredictionService:
                 respawns=pool.respawns if pool is not None else 0,
                 resizes=stats.resizes,
                 num_workers=self.num_workers,
-                hot_key_replicas=self.config.hot_key_replicas,
-                hot_keys=len(router.hot_keys) if router is not None else 0,
-                replicated_routes=(
-                    router.replicated_routes if router is not None else 0
-                ),
                 breaker_trips=breaker_counts["trips"],
                 breaker_probes=breaker_counts["probes"],
                 breaker_recoveries=breaker_counts["recoveries"],
@@ -503,8 +488,11 @@ class PredictionService:
             # No liveness pre-check needed: run_batches detects dead workers
             # on send/recv, respawns them and resubmits the lost work.
             pool = self._ensure_pool_locked()
+            admit = self._breaker.allow if self._breaker is not None else None
             assignments = coalesce_requests(
-                requests, self.config.max_batch_size, self._router.route_text
+                requests,
+                self.config.max_batch_size,
+                lambda text: pool.ring.owner(shard_key(text), admit),
             )
             batches = [batch for _, batch in assignments]
             batch_results = pool.run_batches(

@@ -192,12 +192,6 @@ class ModelStats(StatsStruct):
     respawns: int
     resizes: int
     num_workers: int
-    #: Replication factor applied to Zipf-head keys (1 = replication off).
-    hot_key_replicas: int = 1
-    #: Keys currently classified hot (and routed read-any over replicas).
-    hot_keys: int = 0
-    #: Blocks routed through a replica set instead of the single ring owner.
-    replicated_routes: int = 0
     #: Circuit-breaker trips (closed/half-open -> open transitions).
     breaker_trips: int = 0
     #: Probe requests admitted by half-open breakers.

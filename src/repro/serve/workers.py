@@ -10,7 +10,7 @@ workers:
 * each worker is a dedicated process with its own duplex pipe, so the
   parent can route a micro-batch to a specific worker — which is what makes
   stable block-text-hash routing (see
-  :class:`repro.serve.ring.HotKeyRouter`) possible;
+  :meth:`repro.serve.ring.HashRing.owner`) possible;
 * each worker owns a warm model replica plus parse cache, and can report
   its cache counters (the per-worker shard-affinity stats used by the
   serving benchmarks);

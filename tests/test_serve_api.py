@@ -130,6 +130,10 @@ class TestLayeredConfig:
             with pytest.raises(TypeError):
                 AsyncOptions(**{removed: 1})
         assert len(dataclasses.fields(AsyncOptions)) == 7
+        # Every block has one ring owner: no hot-key replication knobs.
+        for removed in ("hot_key_replicas", "hot_key_count"):
+            with pytest.raises(TypeError):
+                ServiceConfig(**{removed: 1})
 
     def test_service_batch_size_drives_flushes(self, sample_blocks):
         config = ServiceConfig(max_batch_size=4)
@@ -213,7 +217,7 @@ class TestPublicImports:
         )
 
         names = repro.serve.__all__
-        assert len(names) == len(set(names)) == 45
+        assert len(names) == len(set(names)) == 43
         for name in names:
             assert getattr(repro.serve, name) is not None
         # Importable from their defining modules, not from the package.
@@ -272,6 +276,8 @@ class TestPublicImports:
             "FlushController",
             "HedgeController",
             "HedgeStats",
+            "HotKeyRouter",
+            "HotKeyTracker",
         ):
             assert removed not in names
             assert not hasattr(repro.serve, removed)

@@ -324,7 +324,14 @@ class TestPredict:
                 api_key=BLUE_KEY,
             )
             assert status == 200
-            assert report["snapshot"]["model"]["inference_dtype"] == dtype
+            model_section = report["snapshot"]["model"]
+            assert model_section["inference_dtype"] == dtype
+            # Every block has one ring owner: no replication counters.
+            assert not [
+                key
+                for key in model_section
+                if key.startswith("hot_") or key == "replicated_routes"
+            ]
 
     def test_concurrent_multi_model_traffic(self, server):
         """Parallel clients on both variants: isolated caches and answers."""

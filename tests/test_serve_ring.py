@@ -1,26 +1,43 @@
 """Tests of the consistent hash ring (repro.serve.ring) and ring coalescing."""
 
+import json
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro
+
 from repro.data.synthetic import BlockGenerator, GeneratorConfig
-from repro.serve import (
-    HashRing,
-    HotKeyRouter,
-    HotKeyTracker,
-    PredictionRequest,
-    coalesce_requests,
-    shard_key,
-)
+from repro.serve import HashRing, PredictionRequest, coalesce_requests, shard_key
 from repro.serve.resilience import (
+    BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BreakerPolicy,
     CircuitBreaker,
 )
+from repro.serve.ring import DEFAULT_VNODES, RING_SPACE, _vnode_point
 
 
 def _ring_owner(ring):
-    """The plain ring routing function the service's router reduces to."""
-    return HotKeyRouter(ring, replicas=1).route_text
+    """The service's routing function over ``ring`` without a breaker."""
+    return lambda text: ring.owner(shard_key(text))
+
+
+def _walk_order(ring, key):
+    """Every node once, in the clockwise order ``owner`` asks ``admit``."""
+    asked = []
+
+    def refuse(node):
+        asked.append(node)
+        return False
+
+    assert ring.owner(key, refuse) == ring.owner(key)
+    return asked
 
 
 class FakeClock:
@@ -62,7 +79,7 @@ class TestHashRing:
         assert {ring.owner(key) for key in keys} <= {0, 1, 2}
 
     def test_every_node_owns_something(self, keys):
-        # 128 vnodes per node keep even a small ring balanced enough that
+        # 1024 vnodes per node keep even a small ring balanced enough that
         # 400 random keys touch every node.
         ring = HashRing(nodes=range(8))
         assert {ring.owner(key) for key in keys} == set(range(8))
@@ -89,7 +106,7 @@ class TestHashRing:
                     assert new == count  # moved keys land on the new node only
             fraction = moved / len(keys)
             # Expectation is 1/(count+1); allow generous slack for a small
-            # sample over a 128-vnode ring.
+            # sample of keys.
             assert 0.0 < fraction < 2.0 / (count + 1)
 
     def test_remove_node_is_inverse_of_add(self, keys):
@@ -109,8 +126,6 @@ class TestHashRing:
             assert grown.owner(key) == fresh.owner(key)
 
     def test_invalid_operations(self):
-        with pytest.raises(ValueError):
-            HashRing(num_vnodes=0)
         ring = HashRing(nodes=(0, 1))
         with pytest.raises(ValueError):
             ring.add_node(0)
@@ -120,6 +135,158 @@ class TestHashRing:
         with pytest.raises(LookupError):
             empty.owner(123)
         assert empty.shares() == {}
+
+
+    def test_remove_node_moves_only_the_removed_nodes_keys(self, keys):
+        """The mirror of growth: survivors keep every key they owned, and
+        the removed node's keys fall to the survivors."""
+        for removed in (0, 2, 3):
+            ring = HashRing(nodes=range(4))
+            before = {key: ring.owner(key) for key in keys}
+            ring.remove_node(removed)
+            for key in keys:
+                if before[key] == removed:
+                    assert ring.owner(key) != removed
+                else:
+                    assert ring.owner(key) == before[key]
+
+    def test_removed_nodes_keys_spread_over_the_survivors(self, keys):
+        """Virtual nodes scatter a removed node's arcs: its keys do not all
+        fall onto a single neighbour."""
+        ring = HashRing(nodes=range(4))
+        orphans = [key for key in keys if ring.owner(key) == 0]
+        ring.remove_node(0)
+        assert len({ring.owner(key) for key in orphans}) == 3
+
+    def test_single_node_owns_everything(self, keys):
+        ring = HashRing(nodes=(5,))
+        assert {ring.owner(key) for key in keys} == {5}
+        assert ring.shares() == {5: pytest.approx(1.0)}
+        assert _walk_order(ring, keys[0]) == [5]
+
+    def test_sparse_node_ids(self, keys):
+        ring = HashRing(nodes=(3, 10, 42))
+        assert ring.nodes == (3, 10, 42)
+        assert {ring.owner(key) for key in keys} == {3, 10, 42}
+        ring.remove_node(10)
+        assert ring.nodes == (3, 42)
+        assert {ring.owner(key) for key in keys} == {3, 42}
+
+    def test_node_ids_are_normalised_to_int(self):
+        ring = HashRing(nodes=[np.int64(1), 2.0])
+        assert ring.nodes == (1, 2)
+        assert all(type(node) is int for node in ring.nodes)
+        with pytest.raises(ValueError):
+            ring.add_node(1.0)
+        ring.remove_node(2.0)
+        assert ring.nodes == (1,)
+
+    def test_failed_membership_change_leaves_routing_unchanged(self, keys):
+        ring = HashRing(nodes=range(3))
+        before = {key: ring.owner(key) for key in keys}
+        shares = ring.shares()
+        with pytest.raises(ValueError):
+            ring.add_node(1)
+        with pytest.raises(ValueError):
+            ring.remove_node(7)
+        assert ring.nodes == (0, 1, 2)
+        assert ring.shares() == shares
+        assert {key: ring.owner(key) for key in keys} == before
+
+    def test_membership_tracks_add_and_remove(self):
+        ring = HashRing()
+        assert len(ring) == 0 and ring.nodes == ()
+        ring.add_node(4)
+        ring.add_node(1)
+        assert ring.nodes == (1, 4) and len(ring) == 2 and 4 in ring
+        ring.remove_node(4)
+        assert ring.nodes == (1,) and 4 not in ring
+
+    @pytest.mark.parametrize("offset", [RING_SPACE, -RING_SPACE, 5 * RING_SPACE])
+    def test_keys_are_taken_modulo_the_ring(self, keys, offset):
+        ring = HashRing(nodes=range(3))
+        for key in keys[:50]:
+            assert ring.owner(key + offset) == ring.owner(key)
+
+    def test_key_on_a_vnode_point_belongs_to_that_vnode(self):
+        """A key at a point is owned by that point's worker; one past it
+        belongs to the next point clockwise."""
+        ring = HashRing(nodes=range(3))
+        for node in range(3):
+            for replica in (0, 1, DEFAULT_VNODES - 1):
+                point = _vnode_point(node, replica)
+                assert ring.owner(point) == node
+        points = sorted(
+            (_vnode_point(node, replica), node)
+            for node in range(3)
+            for replica in range(DEFAULT_VNODES)
+        )
+        for (point, _), (_, successor) in zip(points[:50], points[1:51]):
+            assert ring.owner(point + 1) == successor
+
+    def test_vnode_points_are_crc32_of_their_label(self):
+        assert _vnode_point(3, 17) == zlib.crc32(b"worker-3#vnode-17")
+        assert 0 <= _vnode_point(0, 0) < RING_SPACE
+
+    def test_every_node_places_default_vnodes(self):
+        ring = HashRing(nodes=range(3))
+        assert len(ring._points) == 3 * DEFAULT_VNODES
+        assert ring._points == sorted(ring._points)
+        for node in range(3):
+            assert ring._owners.count(node) == DEFAULT_VNODES
+
+    def test_two_node_ring_splits_within_two_percent(self):
+        """The vnode count is chosen so a two-worker ring is close to an
+        even split (an uneven split makes one worker the bottleneck)."""
+        shares = HashRing(nodes=range(2)).shares()
+        assert shares[0] == pytest.approx(0.5, abs=0.02)
+        assert shares[1] == pytest.approx(0.5, abs=0.02)
+
+    def test_shares_match_the_owned_fraction_of_the_key_space(self):
+        ring = HashRing(nodes=range(3))
+        samples = 30000
+        owned = {node: 0 for node in range(3)}
+        for index in range(samples):
+            owned[ring.owner(index * RING_SPACE // samples)] += 1
+        for node, share in ring.shares().items():
+            assert owned[node] / samples == pytest.approx(share, abs=0.01)
+
+    def test_shares_follow_membership_changes(self):
+        ring = HashRing(nodes=range(2))
+        ring.add_node(2)
+        assert ring.shares() == HashRing(nodes=range(3)).shares()
+        ring.remove_node(0)
+        shares = ring.shares()
+        assert set(shares) == {1, 2}
+        assert sum(shares.values()) == pytest.approx(1.0)
+
+    def test_owners_agree_across_processes(self, keys):
+        """Workers and the parent must agree on the ring without sharing
+        state: routing cannot depend on the interpreter's hash seed."""
+        ring = HashRing(nodes=range(4))
+        script = (
+            "import json, sys\n"
+            "from repro.serve import HashRing\n"
+            "keys = json.loads(sys.stdin.read())\n"
+            "ring = HashRing(nodes=range(4))\n"
+            "print(json.dumps([ring.owner(key) for key in keys]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = "12345"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1])]
+            + [entry for entry in [env.get("PYTHONPATH")] if entry]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(keys),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            check=True,
+        )
+        assert json.loads(result.stdout) == [ring.owner(key) for key in keys]
 
 
 class TestRingCoalescing:
@@ -171,61 +338,80 @@ class TestRingCoalescing:
         for text, owner in after.items():
             assert owner == before[text] or owner == 2
 
+    def test_a_repeated_block_has_one_owner_across_requests(self, blocks):
+        """Every key has exactly one owner: a hot block repeated in every
+        request of a submission is never spread over workers."""
+        ring = HashRing(nodes=range(4))
+        hot = blocks[0]
+        requests = [
+            PredictionRequest.of([hot] * 7 + list(blocks[index : index + 3]))
+            for index in range(1, 30, 3)
+        ]
+        assignments = coalesce_requests(requests, 4, _ring_owner(ring))
+        hot_text = hot.canonical_text()
+        hot_workers = {
+            worker_id
+            for worker_id, batch in assignments
+            if hot_text in batch.block_texts
+        }
+        assert hot_workers == {ring.owner(shard_key(hot_text))}
+        placed = sum(batch.block_texts.count(hot_text) for _, batch in assignments)
+        assert placed == 7 * len(requests)
+
+    def test_owners_ascend_and_keep_submission_order(self, blocks):
+        ring = HashRing(nodes=range(3))
+        requests = [
+            PredictionRequest.of(blocks[:13]),
+            PredictionRequest.of([]),
+            PredictionRequest.of(blocks[13:]),
+        ]
+        assignments = coalesce_requests(requests, 3, _ring_owner(ring))
+        owners = [worker_id for worker_id, _ in assignments]
+        assert owners == sorted(owners)
+        for worker_id in set(owners):
+            origins = [
+                origin
+                for owner, batch in assignments
+                if owner == worker_id
+                for origin in batch.origins
+            ]
+            assert origins == sorted(origins)
+            assert all(index != 1 for index, _ in origins)
+
+    def test_refused_worker_gets_no_batches(self, blocks):
+        ring = HashRing(nodes=range(3))
+        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1))
+        breaker.record_failure(1)
+        assignments = coalesce_requests(
+            [PredictionRequest.of(blocks)],
+            8,
+            lambda text: ring.owner(shard_key(text), breaker.allow),
+        )
+        assert {worker_id for worker_id, _ in assignments} == {0, 2}
+        assert sum(batch.num_blocks for _, batch in assignments) == len(blocks)
+
     def test_invalid_arguments(self, blocks):
         request = PredictionRequest.of(blocks[:2])
         with pytest.raises(ValueError):
             coalesce_requests([request], 0, _ring_owner(HashRing(nodes=(0,))))
-        with pytest.raises(ValueError):
+        with pytest.raises(LookupError):
             coalesce_requests([request], 4, _ring_owner(HashRing()))
 
 
-class TestReplicaSets:
-    """Invariants of HashRing.owners — the basis of hot-key replication."""
+class TestAdmitWalk:
+    """``HashRing.owner(key, admit)``: the serving stack's routing decision."""
 
-    def test_single_replica_matches_owner(self, keys):
-        ring = HashRing(nodes=range(4))
-        for key in keys:
-            assert ring.owners(key, 1) == [ring.owner(key)]
-
-    def test_replica_sets_are_distinct_and_prefix_closed(self, keys):
+    def test_walk_visits_every_node_once_from_the_owner(self, keys):
         ring = HashRing(nodes=range(5))
-        for key in keys:
-            three = ring.owners(key, 3)
-            assert len(three) == len(set(three)) == 3
-            # Growing count only appends: owners(k, n) is a prefix of
-            # owners(k, n+1).  This is what bounds replica-set movement.
-            assert ring.owners(key, 2) == three[:2]
-            assert ring.owners(key, 1) == three[:1]
-
-    def test_count_clamped_to_ring_size(self, keys):
-        ring = HashRing(nodes=(0, 1))
         for key in keys[:50]:
-            owners = ring.owners(key, 5)
-            assert sorted(owners) == [0, 1]
+            order = _walk_order(ring, key)
+            assert order[0] == ring.owner(key)
+            assert sorted(order) == list(range(5))
 
-    def test_add_node_displaces_at_most_one_replica(self, keys):
-        """Adding a worker may insert itself into a key's replica set; it
-        never reshuffles the set beyond that single displacement."""
-        before = HashRing(nodes=range(4))
-        after = HashRing(nodes=range(5))
-        for key in keys:
-            old = before.owners(key, 2)
-            new = after.owners(key, 2)
-            # Every new replica is either an old one or the added node.
-            assert set(new) <= set(old) | {4}
-            assert len(set(old) - set(new)) <= 1
-
-    def test_remove_node_replaces_only_the_removed_replica(self, keys):
-        before = HashRing(nodes=range(5))
-        after = HashRing(nodes=range(4))  # node 4 removed
-        for key in keys:
-            old = before.owners(key, 2)
-            new = after.owners(key, 2)
-            if 4 not in old:
-                assert new == old  # untouched sets do not move at all
-            else:
-                # The survivor keeps its slot; one successor fills in.
-                assert set(old) - {4} <= set(new)
+    def test_key_past_the_last_point_wraps_to_the_first(self):
+        ring = HashRing(nodes=range(3))
+        assert ring.owner(RING_SPACE - 1) == ring.owner(0)
+        assert _walk_order(ring, RING_SPACE - 1) == _walk_order(ring, 0)
 
     def test_admit_routes_around_refused_workers(self):
         ring = HashRing(nodes=(0, 1, 2))
@@ -234,9 +420,7 @@ class TestReplicaSets:
         true_owner = ring.owner(key)
         assert ring.owner(key, breaker.allow) == true_owner
         breaker.record_failure(true_owner)
-        rerouted = ring.owner(key, breaker.allow)
-        assert rerouted != true_owner
-        assert rerouted == ring.owners(key, 2)[1]
+        assert ring.owner(key, breaker.allow) == _walk_order(ring, key)[1]
 
     def test_all_refused_falls_back_to_true_owner(self):
         ring = HashRing(nodes=(0, 1, 2))
@@ -245,12 +429,11 @@ class TestReplicaSets:
             breaker.record_failure(node)
         key = 98765
         assert ring.owner(key, breaker.allow) == ring.owner(key)
-        assert ring.owners(key, 2, breaker.allow) == ring.owners(key, 2)
 
     def test_admit_not_called_past_first_accepted(self, keys):
         ring = HashRing(nodes=range(4))
         for key in keys[:50]:
-            walk = ring.owners(key, 4)
+            walk = _walk_order(ring, key)
             asked = []
 
             def admit(node, refused=walk[0]):
@@ -259,9 +442,6 @@ class TestReplicaSets:
 
             assert ring.owner(key, admit) == walk[1]
             assert asked == walk[:2]
-            asked.clear()
-            assert ring.owners(key, 2, admit) == walk[1:3]
-            assert asked == walk[:3]
 
     def test_owner_walk_leaves_a_later_half_open_probe_unconsumed(self, keys):
         """An admission is only asked of workers up to the one returned: a
@@ -272,182 +452,63 @@ class TestReplicaSets:
         )
         ring = HashRing(nodes=range(4))
         _half_open(breaker, clock, 2)
-        key = next(key for key in keys if ring.owners(key, 4)[0] != 2)
-        assert ring.owners(key, 1, breaker.allow) == ring.owners(key, 1)
+        key = next(key for key in keys if ring.owner(key) != 2)
+        assert ring.owner(key, breaker.allow) == ring.owner(key)
         assert breaker.state(2) == BREAKER_HALF_OPEN
+        assert breaker.counters()["probes"] == 0
         assert breaker.allow(2) is True
 
-    def test_owners_validation(self):
-        ring = HashRing(nodes=(0,))
-        with pytest.raises(ValueError):
-            ring.owners(1, 0)
-        with pytest.raises(LookupError):
-            HashRing().owners(1, 1)
-
-
-class TestHotKeyTracker:
-    def test_head_surfaces_after_refresh_interval(self):
-        tracker = HotKeyTracker(hot_count=2, min_hits=8, refresh_interval=16)
-        for _ in range(40):
-            tracker.observe(7)
-        for key in range(100, 110):
-            tracker.observe(key)
-        assert 7 in tracker.hot_keys()
-        assert not any(key in tracker.hot_keys() for key in range(100, 110))
-
-    def test_cold_keys_below_min_hits_never_hot(self):
-        tracker = HotKeyTracker(hot_count=4, min_hits=16, refresh_interval=8)
-        for key in range(64):
-            tracker.observe(key)  # one hit each — all below min_hits
-        assert tracker.hot_keys() == frozenset()
-
-    def test_capacity_eviction_keeps_tracker_bounded(self):
-        tracker = HotKeyTracker(capacity=8, min_hits=1, refresh_interval=4)
-        for key in range(1000):
-            tracker.observe(key)
-        assert len(tracker) <= 8
-
-    def test_decay_cools_formerly_hot_keys(self):
-        tracker = HotKeyTracker(
-            hot_count=2, min_hits=16, decay_interval=64, refresh_interval=8
-        )
-        for _ in range(30):
-            tracker.observe(1)
-        assert 1 in tracker.hot_keys()
-        # Drive other traffic across enough decay cycles that key 1's
-        # count halves below min_hits (30 -> 15 after one decay).
-        for index in range(40):
-            tracker.observe(200 + index % 5)
-        assert 1 not in tracker.hot_keys()
-
-    def test_watermark_refresh_is_not_starved_by_early_reads(self):
-        # The historical bug: an early hot_keys() read right after
-        # construction consumed the refresh and pushed the next one a full
-        # interval out, hiding the head for ~4x longer than configured.
-        tracker = HotKeyTracker(hot_count=1, min_hits=8, refresh_interval=16)
-        assert tracker.hot_keys() == frozenset()  # the early read
-        for _ in range(20):
-            tracker.observe(3)
-        assert 3 in tracker.hot_keys()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HotKeyTracker(capacity=0)
-        with pytest.raises(ValueError):
-            HotKeyTracker(hot_count=0)
-        with pytest.raises(ValueError):
-            HotKeyTracker(min_hits=0)
-        with pytest.raises(ValueError):
-            HotKeyTracker(decay_interval=0)
-
-
-class TestHotKeyRouter:
-    @pytest.fixture()
-    def router(self):
-        ring = HashRing(nodes=range(4))
-        tracker = HotKeyTracker(hot_count=2, min_hits=8, refresh_interval=8)
-        return HotKeyRouter(ring, replicas=2, tracker=tracker)
-
-    def test_cold_keys_route_to_single_owner(self, router, keys):
-        for key in keys[:50]:
-            assert router.route(key) == router.ring.owner(key)
-        assert router.replicated_routes == 0
-        assert router.total_routes == 50
-
-    def test_hot_key_alternates_over_its_replica_set(self, router):
-        hot = 12345
-        for _ in range(20):
-            router.tracker.observe(hot)
-        expected = router.ring.owners(hot, 2)
-        routed = [router.route(hot) for _ in range(8)]
-        # Strict alternation over the two replicas, starting at cursor 0.
-        assert routed == [expected[index % 2] for index in range(8)]
-        assert router.replicated_routes == 8
-
-    def test_hot_routes_stay_inside_the_replica_set(self, router):
-        hot = 999
-        for _ in range(20):
-            router.tracker.observe(hot)
-        allowed = set(router.ring.owners(hot, 2))
-        assert {router.route(hot) for _ in range(16)} <= allowed
-
-    def test_route_text_observes_and_routes(self):
-        ring = HashRing(nodes=range(3))
-        tracker = HotKeyTracker(hot_count=1, min_hits=8, refresh_interval=8)
-        router = HotKeyRouter(ring, replicas=2, tracker=tracker)
-        text = "MOV RAX, RBX"
-        workers = {router.route_text(text) for _ in range(32)}
-        key = shard_key(text)
-        assert key in router.hot_keys
-        assert workers == set(ring.owners(key, 2))
-        assert router.replicated_routes > 0
-
-    def test_single_replica_router_never_replicates(self, keys):
-        router = HotKeyRouter(HashRing(nodes=range(3)), replicas=1)
-        for key in keys[:100]:
-            router.tracker.observe(key)
-            assert router.route(key) == router.ring.owner(key)
-        assert router.replicated_routes == 0
-
-    def test_follows_live_ring_resizes(self):
-        ring = HashRing(nodes=range(2))
-        tracker = HotKeyTracker(hot_count=1, min_hits=4, refresh_interval=4)
-        router = HotKeyRouter(ring, replicas=2, tracker=tracker)
-        hot = 777
-        for _ in range(10):
-            tracker.observe(hot)
-        assert set(ring.owners(hot, 2)) == {0, 1}
-        ring.add_node(2)  # in-place mutation, no router rewiring
-        allowed = set(ring.owners(hot, 2))
-        assert {router.route(hot) for _ in range(8)} <= allowed
-
-    def test_single_replica_router_does_not_observe(self, keys):
-        router = HotKeyRouter(HashRing(nodes=range(3)), replicas=1)
-        for key in keys[:20]:
-            router.route_text(str(key))
-        assert len(router.tracker) == 0
-
-    def test_empty_ring_is_a_value_error(self):
-        with pytest.raises(ValueError):
-            HotKeyRouter(HashRing(), replicas=1).route(7)
-
-    def test_refused_replica_falls_back_to_admit_walk(self):
-        ring = HashRing(nodes=range(3))
-        tracker = HotKeyTracker(hot_count=1, min_hits=4, refresh_interval=4)
-        hot = 4242
-        first, second = ring.owners(hot, 2)
-        router = HotKeyRouter(
-            ring, replicas=2, tracker=tracker, admit=lambda node: node != second
-        )
-        for _ in range(8):
-            tracker.observe(hot)
-        # The rotation alternates first/second; second is refused and the
-        # walk from the true owner lands on first instead.
-        assert [router.route(hot) for _ in range(6)] == [first] * 6
-        assert router.replicated_routes == 3
-
-    def test_hot_rotation_leaves_a_half_open_replica_probe_unconsumed(self, keys):
-        """The probe leak: a hot key whose rotation picks a closed replica
-        must not spend the probe of a half-open worker elsewhere on the
-        ring, or that worker gets no traffic and never records an outcome."""
+    def test_half_open_owner_takes_its_probe_then_is_walked_past(self, keys):
         clock = FakeClock()
         breaker = CircuitBreaker(
             BreakerPolicy(failure_threshold=1, reset_timeout_s=1.0), clock=clock
         )
         ring = HashRing(nodes=range(4))
         _half_open(breaker, clock, 2)
-        tracker = HotKeyTracker(hot_count=1, min_hits=4, refresh_interval=4)
-        router = HotKeyRouter(ring, replicas=2, tracker=tracker, admit=breaker.allow)
-        hot = next(key for key in keys if 2 not in ring.owners(key, 3))
-        for _ in range(8):
-            tracker.observe(hot)
-        closed = ring.owners(hot, 2)
-        assert router.route(hot) == closed[0]
-        assert router.replicated_routes == 1
-        assert breaker.state(2) == BREAKER_HALF_OPEN
-        assert breaker.counters()["probes"] == 0
-        assert breaker.allow(2) is True
+        key = next(key for key in keys if ring.owner(key) == 2)
+        assert ring.owner(key, breaker.allow) == 2
+        assert breaker.counters()["probes"] == 1
+        # The one probe is in flight: the next block goes to the successor.
+        assert ring.owner(key, breaker.allow) == _walk_order(ring, key)[1]
+        breaker.record_success(2)
+        assert breaker.state(2) == BREAKER_CLOSED
+        assert ring.owner(key, breaker.allow) == 2
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HotKeyRouter(HashRing(nodes=(0,)), replicas=0)
+    def test_accepting_admit_equals_the_plain_owner(self, keys):
+        ring = HashRing(nodes=range(4))
+        for key in keys:
+            assert ring.owner(key, lambda node: True) == ring.owner(key)
+
+    @pytest.mark.parametrize("refused", [(0,), (3,), (1, 2), (0, 1, 3)])
+    def test_refusing_workers_routes_like_the_ring_without_them(
+        self, keys, refused
+    ):
+        """Walking past refused workers lands where their removal would:
+        the first surviving point clockwise from the key."""
+        ring = HashRing(nodes=range(4))
+        survivors = HashRing(nodes=[node for node in range(4) if node not in refused])
+        for key in keys:
+            assert ring.owner(key, lambda node: node not in refused) == (
+                survivors.owner(key)
+            )
+
+    def test_refused_workers_keys_spread_over_the_survivors(self, keys):
+        ring = HashRing(nodes=range(4))
+        orphans = [key for key in keys if ring.owner(key) == 0]
+        assert len({ring.owner(key, lambda node: node != 0) for key in orphans}) == 3
+
+    def test_empty_ring_raises_without_asking_admit(self):
+        asked = []
+        with pytest.raises(LookupError):
+            HashRing().owner(7, asked.append)
+        assert asked == []
+
+    def test_routing_follows_an_in_place_add_node(self, keys):
+        ring = HashRing(nodes=range(2))
+        before = {key: ring.owner(key, lambda node: node != 0) for key in keys}
+        ring.add_node(2)
+        fresh = HashRing(nodes=range(3))
+        for key in keys:
+            routed = ring.owner(key, lambda node: node != 0)
+            assert routed == fresh.owner(key, lambda node: node != 0)
+            assert routed in (before[key], 2)

@@ -70,32 +70,12 @@ class TestShardedWorkerPool:
         for task in in_process.model.tasks:
             _assert_served_close(in_process, served[task], expected[task])
 
-    def test_hot_key_replicas_match_in_process(self, blocks):
-        """Hot keys served read-any over replicas answer as in-process."""
-        traffic = [blocks[0]] * 32 + list(blocks)
-        in_process = PredictionService(
-            ServiceConfig(model_name="granite", max_batch_size=5)
-        )
-        expected = in_process.predict_blocks(traffic)
-        config = ServiceConfig(
-            model_name="granite", max_batch_size=5, num_workers=2, hot_key_replicas=2
-        )
-        with PredictionService(config) as sharded:
-            rounds = [sharded.predict_blocks(traffic) for _ in range(3)]
-            snapshot = sharded.snapshot()
-        assert snapshot.hot_key_replicas == 2
-        assert snapshot.hot_keys >= 1
-        assert snapshot.replicated_routes > 0
-        for served in rounds:
-            for task in in_process.model.tasks:
-                _assert_served_close(in_process, served[task], expected[task])
-
-    @pytest.mark.parametrize("hot_key_replicas", [1, 2])
-    def test_blocks_route_around_a_tripped_worker(
-        self, blocks, monkeypatch, hot_key_replicas
+    def test_sharded_with_a_tripped_breaker_equals_in_process(
+        self, blocks, monkeypatch
     ):
         """With worker 0's breaker open, every block of every submission
-        goes to worker 1 — hot keys included — and answers as in-process."""
+        goes to worker 1 — a repeated block included — and answers as
+        in-process."""
         traffic = [blocks[0]] * 32 + list(blocks)
         in_process = PredictionService(
             ServiceConfig(model_name="granite", max_batch_size=5)
@@ -105,7 +85,6 @@ class TestShardedWorkerPool:
             model_name="granite",
             max_batch_size=5,
             num_workers=2,
-            hot_key_replicas=hot_key_replicas,
             breaker_policy=BreakerPolicy(failure_threshold=1, reset_timeout_s=3600.0),
         )
         with PredictionService(config) as sharded:
@@ -123,14 +102,38 @@ class TestShardedWorkerPool:
             rounds = [sharded.predict_blocks(traffic) for _ in range(2)]
             snapshot = sharded.snapshot()
         assert snapshot.breaker_open_workers == 1
-        if hot_key_replicas > 1:
-            assert snapshot.hot_keys >= 1
         routed = [text for _, texts in jobs for text in texts]
         assert len(routed) == 2 * len(traffic)
         assert {worker for worker, _ in jobs} == {1}
         for served in rounds:
             for task in in_process.model.tasks:
                 _assert_served_close(in_process, served[task], expected[task])
+
+    def test_a_repeated_block_goes_only_to_its_ring_owner(
+        self, blocks, monkeypatch
+    ):
+        """Every block is routed to its one ring owner, a block repeated
+        across submissions included."""
+        traffic = [blocks[0]] * 16 + list(blocks)
+        config = ServiceConfig(model_name="granite", max_batch_size=5, num_workers=2)
+        with PredictionService(config) as sharded:
+            pool = sharded._pool
+            jobs = []
+            run_batches = pool.run_batches
+
+            def capture(batch_jobs):
+                jobs.extend(batch_jobs)
+                return run_batches(batch_jobs)
+
+            monkeypatch.setattr(pool, "run_batches", capture)
+            for _ in range(3):
+                sharded.predict_blocks(traffic)
+            ring = pool.ring
+        routed = [(worker, text) for worker, texts in jobs for text in texts]
+        assert len(routed) == 3 * len(traffic)
+        assert {worker for worker, _ in routed} == {0, 1}
+        for worker, text in routed:
+            assert worker == ring.owner(shard_key(text))
 
     def test_worker_crash_respawns_mid_stream(self, blocks):
         """Killing a worker between submissions must not lose any request."""
