@@ -26,10 +26,11 @@ Zipf-skewed block popularity mix.
 
 The remaining serving additions are benchmarked here too:
 
-* **work-conserving dispatch** on a bursty workload — idle-phase p99
-  enqueue->response latency must stay well below the fixed deadline a
-  static flush policy charged every lone request, while the saturated
-  phase sustains the synchronous service's blocks/s on the same burst;
+* **work-conserving dispatch** on a bursty workload — a lone request is
+  flushed as soon as the flush slot is free, never held for company, so
+  idle-phase p99 enqueue->response latency must stay well below the
+  ``DEADLINE_MS`` budget, while the saturated phase sustains the
+  synchronous service's blocks/s on the same burst;
 * **elastic scaling** N -> N+1 -> N under live load — no request lost,
   consistent-ring key movement ~1/(N+1), and per-worker cache hit rates
   recovering once the pool returns to its original size;
@@ -61,6 +62,9 @@ from repro.serve import (
 
 REQUEST_SIZE = 2
 NUM_REQUESTS = 200  # per measurement phase
+#: The latency budget these tests hold waits and latencies to.  It is also
+#: passed as ``AsyncOptions.max_latency_ms``, which only budgets the
+#: elasticity monitor: dispatch is work-conserving, so no flush waits for it.
 DEADLINE_MS = 25.0
 NUM_WORKERS = 2
 NUM_PRODUCERS = 4
@@ -376,8 +380,8 @@ def _run_work_conserving(idle_runs, saturated_runs, warm_texts):
     with AsyncPredictionService(service_config=config) as front_end:
         front_end.predict_blocks(warm_texts)  # warm model + code paths
 
-        # Idle-heavy phase: sparse lone requests.  A static flush policy
-        # held each one for its full deadline; nothing holds them now.
+        # Idle-heavy phase: sparse lone requests.  The flush slot is free
+        # when each arrives, so each is flushed alone, at once.
         for idle_texts in idle_runs:
             latencies = []
             futures = []
@@ -440,9 +444,10 @@ def _run_sync_burst(saturated_runs, warm_texts):
 
 def test_work_conserving_dispatch_on_bursty_traffic():
     """The dispatch acceptance bar: on a bursty workload, idle-phase p99
-    enqueue->response latency stays well below the fixed deadline a static
-    flush policy charged every lone request, and the saturated phase
-    sustains the synchronous service's throughput on the same burst."""
+    enqueue->response latency stays well below the ``DEADLINE_MS`` budget,
+    because work-conserving dispatch flushes a lone request as soon as the
+    flush slot is free, and the saturated phase sustains the synchronous
+    service's throughput on the same burst."""
     repeats = 2
     idle_run_size = IDLE_REQUESTS * REQUEST_SIZE
     run_size = SATURATED_REQUESTS * REQUEST_SIZE
@@ -471,7 +476,7 @@ def test_work_conserving_dispatch_on_bursty_traffic():
     print("--- bursty traffic: work-conserving dispatch ---")
     print(
         f"idle p50={min(p50s) * 1e3:7.2f} ms  p99={min(p99s) * 1e3:7.2f} ms "
-        f"(runs: {['%.1f' % (p * 1e3) for p in p99s]}; static deadline "
+        f"(runs: {['%.1f' % (p * 1e3) for p in p99s]}; latency budget "
         f"{DEADLINE_MS} ms)"
     )
     print(
@@ -485,11 +490,11 @@ def test_work_conserving_dispatch_on_bursty_traffic():
     idle_p99 = min(p99s)
     margin = _throughput_margin()
 
-    # Idle-heavy phase: a static policy charged every lone request the
-    # full deadline; work-conserving dispatch must be decisively below it.
+    # Idle-heavy phase: nothing holds a lone request, so work-conserving
+    # dispatch must answer it decisively inside the latency budget.
     assert idle_p99 < 0.8 * DEADLINE_MS / 1e3, (
         f"idle-phase p99 ({idle_p99 * 1e3:.2f} ms) is not below 0.8x the "
-        f"{DEADLINE_MS} ms static deadline"
+        f"{DEADLINE_MS} ms latency budget"
     )
     # Saturated phase: the backlog leaves in full batches, which must
     # sustain the request-at-a-time sync loop's throughput.

@@ -10,7 +10,12 @@ into the four phases of a step:
 * **backward** — reverse-mode gradient computation,
 * **optimizer** — gradient clipping + the Adam update.
 
-It can additionally print cProfile's hottest functions.
+Next to each phase's time it prints that phase's mean minor page faults
+per step (``ru_minflt`` of this process): a phase that allocates fresh
+pages every step pays for them in kernel time.  A step whose batch is
+larger than any before it also faults in the heap it grows, so the mean
+settles only over tens of steps.  It can additionally print cProfile's
+hottest functions.
 
 Run it with::
 
@@ -28,8 +33,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import argparse
 import cProfile
 import pstats
+import resource
 import time
-from typing import Dict, List
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -43,57 +50,72 @@ from repro.training.trainer import Trainer
 PHASES = ("encode", "forward", "backward", "optimizer")
 
 
-def profile_phases(trainer: Trainer, dataset, steps: int) -> Dict[str, List[float]]:
-    """Runs ``steps`` training steps, timing each phase separately.
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def profile_phases(
+    trainer: Trainer, dataset, steps: int
+) -> Tuple[Dict[str, List[float]], Dict[str, List[int]]]:
+    """Runs ``steps`` training steps, measuring each phase separately.
 
     Mirrors ``Trainer.train_step`` (same batch sampling, loss and update
-    sequence) with a ``perf_counter`` between the phases.
+    sequence) with a ``perf_counter`` and a fault count between the phases.
+    Returns per-phase seconds and minor page faults, one entry per step.
     """
     model = trainer.model
     timings: Dict[str, List[float]] = {phase: [] for phase in PHASES}
+    faults: Dict[str, List[int]] = {phase: [] for phase in PHASES}
+
+    @contextmanager
+    def measure(phase: str) -> Iterator[None]:
+        faults_before = _minor_faults()
+        start = time.perf_counter()
+        yield
+        timings[phase].append(time.perf_counter() - start)
+        faults[phase].append(_minor_faults() - faults_before)
+
     all_blocks, labels = trainer._batch_source(dataset)
     batch_size = min(trainer.config.batch_size, len(dataset))
     for _ in range(steps):
         indices = trainer.rng.choice(len(dataset), size=batch_size, replace=False)
         blocks = [all_blocks[index] for index in indices]
 
-        start = time.perf_counter()
-        encoded = model.encode_blocks(blocks)
-        timings["encode"].append(time.perf_counter() - start)
+        with measure("encode"):
+            encoded = model.encode_blocks(blocks)
 
-        start = time.perf_counter()
-        predictions = model.forward(encoded)
-        total_loss = None
-        for task in model.tasks:
-            task_loss = trainer.loss_fn(predictions[task], Tensor(labels[task][indices]))
-            total_loss = task_loss if total_loss is None else total_loss + task_loss
-        timings["forward"].append(time.perf_counter() - start)
+        with measure("forward"):
+            predictions = model.forward(encoded)
+            total_loss = None
+            for task in model.tasks:
+                task_loss = trainer.loss_fn(predictions[task], Tensor(labels[task][indices]))
+                total_loss = task_loss if total_loss is None else total_loss + task_loss
 
-        start = time.perf_counter()
-        model.zero_grad()
-        total_loss.backward()
-        timings["backward"].append(time.perf_counter() - start)
+        with measure("backward"):
+            model.zero_grad()
+            total_loss.backward()
 
-        start = time.perf_counter()
-        if trainer.config.gradient_clip_norm > 0:
-            clip_gradients_by_global_norm(model.parameters(), trainer.config.gradient_clip_norm)
-        trainer.optimizer.step()
-        timings["optimizer"].append(time.perf_counter() - start)
-    return timings
+        with measure("optimizer"):
+            if trainer.config.gradient_clip_norm > 0:
+                clip_gradients_by_global_norm(
+                    model.parameters(), trainer.config.gradient_clip_norm
+                )
+            trainer.optimizer.step()
+    return timings, faults
 
 
-def report(label: str, timings: Dict[str, List[float]]) -> None:
+def report(label: str, timings: Dict[str, List[float]], faults: Dict[str, List[int]]) -> None:
     """Prints the per-phase breakdown."""
     totals = {phase: float(np.sum(values)) for phase, values in timings.items()}
     steps = len(next(iter(timings.values())))
     grand_total = sum(totals.values())
     print(f"\n== {label}: {steps} steps, {steps / grand_total:.2f} steps/s ==")
-    print(f"{'phase':<12} {'total s':>10} {'ms/step':>10} {'share':>8}")
+    print(f"{'phase':<12} {'total s':>10} {'ms/step':>10} {'share':>8} {'faults/step':>12}")
     for phase in PHASES:
         seconds = totals[phase]
         print(
             f"{phase:<12} {seconds:>10.3f} {seconds / steps * 1e3:>10.2f}"
-            f" {seconds / grand_total:>7.1%}"
+            f" {seconds / grand_total:>7.1%} {sum(faults[phase]) / steps:>12.0f}"
         )
 
 
@@ -122,10 +144,10 @@ def main() -> None:
     if args.cprofile:
         profiler = cProfile.Profile()
         profiler.enable()
-    timings = profile_phases(trainer, dataset, args.steps)
+    timings, faults = profile_phases(trainer, dataset, args.steps)
     if args.cprofile:
         profiler.disable()
-    report(args.model, timings)
+    report(args.model, timings, faults)
     if args.cprofile:
         print("\n-- cProfile, hottest 20 by internal time --")
         pstats.Stats(profiler).sort_stats("tottime").print_stats(20)

@@ -3,9 +3,12 @@
 This subpackage replaces the TensorFlow 1.x runtime used by the original
 GRANITE implementation with a small numpy reverse-mode autodiff engine
 (``scipy.sparse`` runs its row scatter-adds) and the layers the paper's
-models need.
+models need.  Importing it sets the process's heap policy once
+(``repro.nn._allocator``) so a training step's freed tape stays mapped for
+the next step.
 """
 
+from repro.nn import _allocator  # noqa: F401  (sets the heap policy)
 from repro.nn.fused import (
     fused_dense,
     fused_layer_norm,
