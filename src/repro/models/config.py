@@ -59,8 +59,6 @@ class GraniteConfig:
         use_layer_norm: Layer normalisation at the input of every update
             network and decoder (the Section 5.2 ablation disables it).
         use_residual: Residual connections in update networks and decoder.
-        use_global_features: Whether to use the token/edge frequency global
-            feature (True in the paper).
         aggregation: Reducer used when aggregating edge features into nodes
             and node/edge features into the global feature.  Graph Nets (and
             hence the paper) default to ``"sum"``; ``"mean"`` is numerically
@@ -99,7 +97,6 @@ class GraniteConfig:
     tasks: Tuple[str, ...] = TARGET_MICROARCHITECTURES
     use_layer_norm: bool = True
     use_residual: bool = True
-    use_global_features: bool = True
     aggregation: str = "mean"
     readout: str = "per_instruction"
     output_scale: float = 100.0

@@ -205,14 +205,8 @@ class GraniteModel(ThroughputModel):
         else:
             zeros = np.zeros((0, self.config.edge_embedding_size), dtype=dtype)
             edge_features = Tensor(zeros) if grad else zeros
-        if self.config.use_global_features:
-            globals_input = Tensor(graphs.globals_features) if grad else graphs.globals_features
-            global_features = self.global_encoder(globals_input)
-        else:
-            zeros = np.zeros(
-                (graphs.num_graphs, self.config.global_embedding_size), dtype=dtype
-            )
-            global_features = Tensor(zeros) if grad else zeros
+        globals_input = Tensor(graphs.globals_features) if grad else graphs.globals_features
+        global_features = self.global_encoder(globals_input)
         state = GraphState(nodes=node_features, edges=edge_features, globals_=global_features)
         return self.graph_network(state, batch.topology)
 

@@ -1,4 +1,4 @@
-"""Neural-network substrate: autodiff tensors, layers, losses, optimizers.
+"""Neural-network substrate: autodiff tensors, layers, losses, the Adam optimizer.
 
 This subpackage replaces the TensorFlow 1.x runtime used by the original
 GRANITE implementation with a small numpy reverse-mode autodiff engine
@@ -15,7 +15,7 @@ from repro.nn.fused import (
     fused_lstm_sequence,
     fused_piece_update,
 )
-from repro.nn.layers import Dense, Embedding, LayerNorm, MLP, ResidualMLP, Sequential
+from repro.nn.layers import Dense, Embedding, LayerNorm, MLP, ResidualMLP
 from repro.nn.losses import (
     LOSS_FUNCTIONS,
     get_loss,
@@ -34,8 +34,6 @@ from repro.nn.module import (
 )
 from repro.nn.optim import (
     Adam,
-    Optimizer,
-    SGD,
     clip_gradients_by_global_norm,
     global_gradient_norm,
 )
@@ -59,13 +57,9 @@ from repro.nn.tensor import (
     no_grad,
     raw,
     resolve_dtype,
-    relu,
     scatter_rows,
     segment_mean,
     segment_sum,
-    sigmoid,
-    stack,
-    tanh,
     use_fast_path,
     where,
 )
@@ -76,7 +70,6 @@ __all__ = [
     "LayerNorm",
     "MLP",
     "ResidualMLP",
-    "Sequential",
     "LOSS_FUNCTIONS",
     "get_loss",
     "huber_loss",
@@ -89,8 +82,6 @@ __all__ = [
     "Module",
     "Parameter",
     "Adam",
-    "Optimizer",
-    "SGD",
     "clip_gradients_by_global_norm",
     "global_gradient_norm",
     "checkpoint_to_dict",
@@ -116,13 +107,9 @@ __all__ = [
     "parameter_version",
     "bump_parameter_version",
     "raw",
-    "relu",
     "scatter_rows",
     "segment_mean",
     "segment_sum",
-    "sigmoid",
-    "stack",
-    "tanh",
     "use_fast_path",
     "where",
 ]

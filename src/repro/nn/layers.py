@@ -43,7 +43,6 @@ __all__ = [
     "LayerNorm",
     "Embedding",
     "ResidualMLP",
-    "Sequential",
 ]
 
 
@@ -90,32 +89,18 @@ class Dense(Module):
         return fused_dense(inputs, self.weight, self.bias, self.activation)
 
 
-class Sequential(Module):
-    """Applies a list of modules in order."""
-
-    def __init__(self, layers: Sequence[Module]) -> None:
-        self.layers = list(layers)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        outputs = inputs
-        for layer in self.layers:
-            outputs = layer(outputs)
-        return outputs
-
-
 class MLP(Module):
     """A multi-layer feed-forward ReLU network.
 
     The paper uses two-layer 256-wide ReLU networks for every update function
     and decoder (Table 4).  Hidden layers use ReLU; the output layer is
-    linear unless ``output_activation`` says otherwise.
+    linear.
 
     Args:
         input_size: Number of input features.
         hidden_sizes: Sizes of the hidden layers.
         output_size: Number of output features.
         rng: Random generator for initialisation.
-        output_activation: Optional activation applied to the final layer.
     """
 
     def __init__(
@@ -124,13 +109,11 @@ class MLP(Module):
         hidden_sizes: Sequence[int],
         output_size: int,
         rng: np.random.Generator,
-        output_activation: Optional[str] = None,
     ) -> None:
         sizes = [input_size] + list(hidden_sizes) + [output_size]
         layers: List[Dense] = []
         for index in range(len(sizes) - 1):
-            is_last = index == len(sizes) - 2
-            activation = output_activation if is_last else "relu"
+            activation = None if index == len(sizes) - 2 else "relu"
             layers.append(Dense(sizes[index], sizes[index + 1], rng, activation=activation))
         self.layers = layers
         self.input_size = input_size

@@ -1,4 +1,4 @@
-"""Optimizers and gradient utilities.
+"""The Adam optimizer and gradient utilities.
 
 The paper trains every model with Adam at a learning rate of 1e-3 and the
 default moment decay rates (Section 4, Table 4).  The layer-normalisation
@@ -14,54 +14,10 @@ import numpy as np
 
 from repro.nn.module import Parameter, bump_parameter_version
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_gradients_by_global_norm", "global_gradient_norm"]
+__all__ = ["Adam", "clip_gradients_by_global_norm", "global_gradient_norm"]
 
 
-class Optimizer:
-    """Base class for optimizers over a fixed list of parameters."""
-
-    def __init__(self, parameters: Sequence[Parameter]) -> None:
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer needs at least one parameter")
-
-    def zero_grad(self) -> None:
-        """Clears the gradient of every managed parameter."""
-        for parameter in self.parameters:
-            parameter.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        learning_rate: float = 1e-2,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters)
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        self.learning_rate = float(learning_rate)
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(parameter.data) for parameter in self.parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if parameter.grad is None:
-                continue
-            velocity *= self.momentum
-            velocity -= self.learning_rate * parameter.grad
-            parameter.data += velocity
-            parameter.bump_version()
-        bump_parameter_version()
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba 2014) with the paper's default hyper-parameters.
 
     The moment state lives in two flat slabs over the concatenation of all
@@ -81,7 +37,9 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ) -> None:
-        super().__init__(parameters)
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer needs at least one parameter")
         if learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
@@ -110,6 +68,11 @@ class Adam(Optimizer):
                 self._flat_second[span[0] : span[1]].reshape(parameter.data.shape)
             )
             offset = span[1]
+
+    def zero_grad(self) -> None:
+        """Clears the gradient of every managed parameter."""
+        for parameter in self.parameters:
+            parameter.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1

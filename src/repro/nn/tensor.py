@@ -12,10 +12,10 @@ tensor whose ``_backward`` closure knows how to propagate the output gradient
 to the inputs.  :meth:`Tensor.backward` performs a topological sort of the
 recorded graph and runs the closures in reverse order.
 
-Only the operations required by the models in this repository are
-implemented (dense layers, layer normalisation, embeddings, LSTMs, graph
-segment aggregations and the paper's loss functions), but they are
-implemented with full broadcasting support so they compose freely.
+The tape holds exactly the operations that the models in this repository
+and their reference paths record (dense layers, layer normalisation,
+embeddings, LSTMs, graph segment aggregations and the paper's loss
+functions) and no other; ``tests/test_nn_tape_inventory.py`` enforces it.
 
 Inference fast path
 -------------------
@@ -23,7 +23,7 @@ Inference fast path
 Allocating a :class:`Tensor` wrapper (and, when gradients are enabled, a
 backward closure) per operation is pure overhead during inference.  The
 module-level functional operations below (:func:`matmul`,
-:func:`gather_rows`, :func:`segment_sum`, :func:`relu`, ...) therefore
+:func:`gather_rows`, :func:`segment_sum`, ...) therefore
 run plain numpy code whenever no operand is a :class:`Tensor` — no tape,
 no closures, no wrapper allocations.  Layers switch their outputs to raw
 arrays inside :class:`no_grad` (see :func:`fast_path_active`), so a whole
@@ -111,10 +111,6 @@ __all__ = [
     "scatter_rows",
     "segment_sum",
     "segment_mean",
-    "relu",
-    "tanh",
-    "sigmoid",
-    "stack",
     "concatenate",
     "where",
 ]
@@ -362,10 +358,6 @@ class Tensor:
         """Returns the underlying numpy array (not a copy)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """Returns a tensor sharing data but cut off from the autodiff graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         """Clears the accumulated gradient."""
         self.grad = None
@@ -513,15 +505,6 @@ class Tensor:
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) / self
 
-    def __pow__(self, exponent: float) -> "Tensor":
-        exponent = float(exponent)
-        data = self.data ** exponent
-
-        def backward(gradient: np.ndarray) -> None:
-            self._accumulate(gradient * exponent * self.data ** (exponent - 1.0))
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Matrix operations and shape manipulation.
     # ------------------------------------------------------------------ #
@@ -537,23 +520,6 @@ class Tensor:
         return Tensor._make(data, (self, other), backward)
 
     __matmul__ = matmul
-
-    def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
-        """Permutes the axes of the tensor."""
-        data = np.transpose(self.data, axes)
-
-        def backward(gradient: np.ndarray) -> None:
-            if axes is None:
-                self._accumulate(np.transpose(gradient))
-            else:
-                inverse = np.argsort(axes)
-                self._accumulate(np.transpose(gradient, inverse))
-
-        return Tensor._make(data, (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def reshape(self, *shape: int) -> "Tensor":
         """Reshapes the tensor."""
@@ -629,99 +595,15 @@ class Tensor:
             count = self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Maximum over ``axis``; gradient flows to the arg-max entries."""
-        data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(gradient: np.ndarray) -> None:
-            grad = np.asarray(gradient)
-            expanded = data
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-                expanded = np.expand_dims(data, axis=axis)
-            mask = (self.data == expanded).astype(np.float64)
-            mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            self._accumulate(mask * grad)
-
-        return Tensor._make(data, (self,), backward)
-
     # ------------------------------------------------------------------ #
     # Elementwise non-linearities.
     # ------------------------------------------------------------------ #
-    def relu(self) -> "Tensor":
-        """Rectified linear unit."""
-        data = np.maximum(self.data, 0.0)
-
-        def backward(gradient: np.ndarray) -> None:
-            self._accumulate(gradient * (self.data > 0.0))
-
-        return Tensor._make(data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(gradient: np.ndarray) -> None:
-            self._accumulate(gradient * (1.0 - data ** 2))
-
-        return Tensor._make(data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(gradient: np.ndarray) -> None:
-            self._accumulate(gradient * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(gradient: np.ndarray) -> None:
-            self._accumulate(gradient * data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(gradient: np.ndarray) -> None:
-            self._accumulate(gradient / self.data)
-
-        return Tensor._make(data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        data = np.sqrt(self.data)
-
-        def backward(gradient: np.ndarray) -> None:
-            self._accumulate(gradient * 0.5 / np.maximum(data, 1e-12))
-
-        return Tensor._make(data, (self,), backward)
-
     def abs(self) -> "Tensor":
         """Absolute value; the gradient at zero is defined as zero."""
         data = np.abs(self.data)
 
         def backward(gradient: np.ndarray) -> None:
             self._accumulate(gradient * np.sign(self.data))
-
-        return Tensor._make(data, (self,), backward)
-
-    def softplus(self) -> "Tensor":
-        """Numerically stable ``log(1 + exp(x))``."""
-        data = np.logaddexp(0.0, self.data)
-
-        def backward(gradient: np.ndarray) -> None:
-            self._accumulate(gradient / (1.0 + np.exp(-self.data)))
-
-        return Tensor._make(data, (self,), backward)
-
-    def clip(self, minimum: float, maximum: float) -> "Tensor":
-        """Clamps values; gradient is passed through inside the range only."""
-        data = np.clip(self.data, minimum, maximum)
-
-        def backward(gradient: np.ndarray) -> None:
-            mask = (self.data >= minimum) & (self.data <= maximum)
-            self._accumulate(gradient * mask)
 
         return Tensor._make(data, (self,), backward)
 
@@ -791,34 +673,11 @@ class Tensor:
         summed = self.segment_sum(segment_ids, num_segments)
         return summed * Tensor(1.0 / counts)
 
-    # ------------------------------------------------------------------ #
-    # Comparisons (non-differentiable, return numpy arrays).
-    # ------------------------------------------------------------------ #
-    def greater(self, other: ArrayLike) -> np.ndarray:
-        other = as_tensor(other)
-        return self.data > other.data
-
-
 def as_tensor(value: ArrayLike) -> Tensor:
     """Coerces ``value`` to a :class:`Tensor` (no copy for tensors)."""
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stacks tensors along a new axis (raw numpy under :class:`no_grad`)."""
-    if not any(isinstance(tensor, Tensor) for tensor in tensors):
-        return np.stack([raw(tensor) for tensor in tensors], axis=axis)
-    tensors = [as_tensor(tensor) for tensor in tensors]
-    data = np.stack([tensor.data for tensor in tensors], axis=axis)
-
-    def backward(gradient: np.ndarray) -> None:
-        pieces = np.split(gradient, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    return Tensor._make(data, tuple(tensors), backward)
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -947,25 +806,3 @@ def segment_mean(values: ArrayLike, segment_ids: np.ndarray, num_segments: int) 
         summed /= counts
         return summed
     return values.segment_mean(segment_ids, num_segments)
-
-
-def relu(value: ArrayLike) -> Tensor:
-    """Rectified linear unit with a raw-numpy fast path."""
-    if not isinstance(value, Tensor):
-        return np.maximum(raw(value), 0.0)
-    return value.relu()
-
-
-def tanh(value: ArrayLike) -> Tensor:
-    """Hyperbolic tangent with a raw-numpy fast path."""
-    if not isinstance(value, Tensor):
-        return np.tanh(raw(value))
-    return value.tanh()
-
-
-def sigmoid(value: ArrayLike) -> Tensor:
-    """Logistic sigmoid with a raw-numpy fast path."""
-    if not isinstance(value, Tensor):
-        array = raw(value)
-        return 1.0 / (1.0 + np.exp(-array))
-    return value.sigmoid()

@@ -12,7 +12,7 @@ import pytest
 from repro.data.synthetic import BlockGenerator, GeneratorConfig
 from repro.models import create_model
 from repro.nn.module import bump_parameter_version
-from repro.nn.optim import SGD
+from repro.nn.optim import Adam
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def blocks():
 
 def _train_one_step(model, blocks):
     """One tracked weight update: backprop-free, via the optimizer."""
-    optimizer = SGD(model.parameters(), learning_rate=1e-3)
+    optimizer = Adam(model.parameters(), learning_rate=1e-3)
     for parameter in model.parameters():
         parameter.grad = np.ones_like(parameter.data)
     optimizer.step()

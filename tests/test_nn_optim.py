@@ -7,7 +7,6 @@ from repro.nn.layers import Dense
 from repro.nn.module import Parameter
 from repro.nn.optim import (
     Adam,
-    SGD,
     clip_gradients_by_global_norm,
     global_gradient_norm,
 )
@@ -18,37 +17,6 @@ def quadratic_loss(parameter: Parameter) -> Tensor:
     """Simple convex objective with minimum at 3.0."""
     difference = parameter - 3.0
     return (difference * difference).sum()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        parameter = Parameter(np.array([0.0]))
-        optimizer = SGD([parameter], learning_rate=0.1)
-        for _ in range(100):
-            optimizer.zero_grad()
-            quadratic_loss(parameter).backward()
-            optimizer.step()
-        assert parameter.data[0] == pytest.approx(3.0, abs=1e-3)
-
-    def test_momentum_accelerates(self):
-        plain = Parameter(np.array([0.0]))
-        momentum = Parameter(np.array([0.0]))
-        sgd_plain = SGD([plain], learning_rate=0.01)
-        sgd_momentum = SGD([momentum], learning_rate=0.01, momentum=0.9)
-        for _ in range(30):
-            for parameter, optimizer in ((plain, sgd_plain), (momentum, sgd_momentum)):
-                optimizer.zero_grad()
-                quadratic_loss(parameter).backward()
-                optimizer.step()
-        assert abs(momentum.data[0] - 3.0) < abs(plain.data[0] - 3.0)
-
-    def test_invalid_learning_rate(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], learning_rate=0.0)
-
-    def test_empty_parameter_list_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], learning_rate=0.1)
 
 
 class TestAdam:
@@ -79,6 +47,18 @@ class TestAdam:
             Adam([Parameter(np.zeros(1))], learning_rate=-1.0)
         with pytest.raises(ValueError):
             Adam([Parameter(np.zeros(1))], beta1=1.5)
+
+    def test_empty_parameter_list_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([], learning_rate=0.1)
+
+    def test_zero_grad_clears_every_gradient(self, rng):
+        layer = Dense(2, 1, rng)
+        optimizer = Adam(layer.parameters())
+        layer(Tensor(rng.normal(size=(3, 2)))).sum().backward()
+        assert all(parameter.grad is not None for parameter in layer.parameters())
+        optimizer.zero_grad()
+        assert all(parameter.grad is None for parameter in layer.parameters())
 
     def test_trains_a_dense_layer_to_fit_data(self, rng):
         layer = Dense(2, 1, rng)

@@ -166,7 +166,8 @@ class TestFlatAdamEquivalence:
         adam = Adam(used.parameters() + unused.parameters(), learning_rate=0.1)
         before = unused.weight.data.copy()
         used.zero_grad()
-        (used(Tensor(rng.normal(size=(4, 2)))) ** 2.0).sum().backward()
+        outputs = used(Tensor(rng.normal(size=(4, 2))))
+        (outputs * outputs).sum().backward()
         adam.step()
         # Parameters without gradients are untouched — and their moments did
         # not decay, which the flat path cannot express.
