@@ -100,7 +100,6 @@ def _service_config(plan: FaultPlan) -> ServiceConfig:
 
 def _async_options() -> AsyncOptions:
     return AsyncOptions(
-        max_latency_ms=2.0,
         max_queue_blocks=8192,
         retry_policy=RetryPolicy(
             max_attempts=4, base_delay_ms=2.0, max_delay_ms=50.0, seed=FAULT_SEED

@@ -15,8 +15,7 @@ Three measurements over the same hash-sharded two-worker service:
   the sync rate (this is the throughput half of the acceptance bar);
 * **async paced at the sync rate** — the offered load the sync service can
   just sustain, now through the queue: the p99 flush wait must stay within
-  2x ``max_latency_ms``, the autoscaler's wait budget (the latency half of
-  the acceptance bar).
+  2x ``DEADLINE_MS`` (the latency half of the acceptance bar).
 
 A separate test checks shard affinity: under hash routing every worker's
 caches own a stable partition of the block key space, so across the pool
@@ -31,9 +30,6 @@ The remaining serving additions are benchmarked here too:
   idle-phase p99 enqueue->response latency must stay well below the
   ``DEADLINE_MS`` budget, while the saturated phase sustains the
   synchronous service's blocks/s on the same burst;
-* **elastic scaling** N -> N+1 -> N under live load — no request lost,
-  consistent-ring key movement ~1/(N+1), and per-worker cache hit rates
-  recovering once the pool returns to its original size;
 * **cancellation goodput** — a producer abandoning half its in-flight
   requests must complete the wanted half measurably faster than a
   no-cancellation baseline, because dropped requests never reach a worker.
@@ -53,18 +49,15 @@ from repro.data.synthetic import BlockGenerator
 from repro.serve import (
     AsyncOptions,
     AsyncPredictionService,
-    HashRing,
     PredictionRequest,
     PredictionService,
     ServiceConfig,
-    shard_key,
 )
 
 REQUEST_SIZE = 2
 NUM_REQUESTS = 200  # per measurement phase
-#: The latency budget these tests hold waits and latencies to.  It is also
-#: passed as ``AsyncOptions.max_latency_ms``, which only budgets the
-#: elasticity monitor: dispatch is work-conserving, so no flush waits for it.
+#: The latency budget these tests hold waits and latencies to.  Dispatch is
+#: work-conserving, so no flush waits for it.
 DEADLINE_MS = 25.0
 NUM_WORKERS = 2
 NUM_PRODUCERS = 4
@@ -104,7 +97,7 @@ def test_async_sustains_sync_throughput_within_deadline(block_texts):
     config = ServiceConfig(
         model_name="granite", max_batch_size=64, num_workers=NUM_WORKERS
     )
-    options = AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192)
+    options = AsyncOptions(max_queue_blocks=8192)
     with PredictionService(config).warm_start() as service:
         for request in _requests(block_texts[:20], 0)[: 20 // REQUEST_SIZE]:
             service.submit([request])  # warm code paths, not the caches
@@ -182,7 +175,7 @@ def test_latency_bounded_coalescing_on_warm_traffic(block_texts):
     config = ServiceConfig(
         model_name="granite",
         max_batch_size=64,
-        async_options=AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192),
+        async_options=AsyncOptions(max_queue_blocks=8192),
     )
     with AsyncPredictionService(service_config=config) as front_end:
         front_end.predict_blocks(texts)  # fill every cache
@@ -263,7 +256,7 @@ def test_multi_producer_no_loss_within_deadline():
     config = ServiceConfig(
         model_name="granite", max_batch_size=64, num_workers=NUM_WORKERS
     )
-    options = AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192)
+    options = AsyncOptions(max_queue_blocks=8192)
     with PredictionService(config).warm_start() as service:
         for start in range(0, warmup, REQUEST_SIZE):
             service.submit([PredictionRequest.of(texts[start : start + REQUEST_SIZE])])
@@ -374,7 +367,7 @@ def _run_work_conserving(idle_runs, saturated_runs, warm_texts):
     config = ServiceConfig(
         model_name="granite",
         max_batch_size=64,
-        async_options=AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192),
+        async_options=AsyncOptions(max_queue_blocks=8192),
     )
     idle_p99s, idle_p50s = [], []
     with AsyncPredictionService(service_config=config) as front_end:
@@ -505,115 +498,6 @@ def test_work_conserving_dispatch_on_bursty_traffic():
 
 
 # --------------------------------------------------------------------- #
-# Elastic scaling under live load.
-# --------------------------------------------------------------------- #
-
-
-def _hit_rates_from(stats_before, stats_after):
-    """Per-worker prediction hit rates over the window between snapshots."""
-    rates = []
-    for before, after in zip(stats_before, stats_after):
-        hits = after.cache.prediction_hits - before.cache.prediction_hits
-        misses = after.cache.prediction_misses - before.cache.prediction_misses
-        total = hits + misses
-        rates.append(hits / total if total else 0.0)
-    return rates
-
-
-def test_elastic_scaling_no_loss_and_affinity_recovery():
-    """The elasticity acceptance bar: scaling N -> N+1 -> N under load
-    loses no requests, moves only ~1/(N+1) of the key space (all of it to
-    the new worker), and the surviving workers' cache hit rates recover
-    once the pool is back at N."""
-    population = [
-        block.canonical_text()
-        for block in BlockGenerator(seed=103).generate_blocks(64)
-    ]
-    config = ServiceConfig(
-        model_name="granite", max_batch_size=16, num_workers=NUM_WORKERS
-    )
-    rng = random.Random(19)
-
-    def drive_round(service):
-        shuffled = population[:]
-        rng.shuffle(shuffled)
-        for start in range(0, len(shuffled), 4):
-            service.submit([PredictionRequest.of(shuffled[start : start + 4])])
-
-    with PredictionService(config).warm_start() as service:
-        for _ in range(3):
-            drive_round(service)  # warm every worker's caches
-        warm_stats = service.worker_stats()
-
-        # Scale up and back down while a producer thread keeps submitting.
-        results = []
-        errors = []
-
-        def produce():
-            try:
-                for _ in range(6):
-                    shuffled = population[:]
-                    random.Random(23).shuffle(shuffled)
-                    for start in range(0, len(shuffled), 4):
-                        request = PredictionRequest.of(shuffled[start : start + 4])
-                        results.append(service.submit([request])[0])
-            except Exception as error:  # noqa: BLE001 - reported below
-                errors.append(error)
-
-        producer = threading.Thread(target=produce, daemon=True)
-        producer.start()
-        time.sleep(0.05)
-        service.scale_workers(NUM_WORKERS + 1)
-        time.sleep(0.2)
-        service.scale_workers(NUM_WORKERS)
-        producer.join(timeout=300.0)
-        assert not producer.is_alive()
-
-        resized_stats = service.worker_stats()
-        for _ in range(2):
-            drive_round(service)  # post-reshard traffic: caches still warm?
-        recovered_stats = service.worker_stats()
-        events = list(service._pool.resize_events)
-
-    # No request lost or mangled while the pool resized under load.
-    assert not errors, f"submissions failed during resize: {errors}"
-    assert len(results) == 6 * len(population) // 4
-    assert all(response.num_blocks == 4 for response in results)
-    assert [event["action"] for event in events] == ["add", "remove"]
-
-    # Consistent-ring movement: growing to N+1 moves ~1/(N+1) of the
-    # population, every moved key landing on the new worker only.
-    before_ring = HashRing(nodes=range(NUM_WORKERS))
-    after_ring = HashRing(nodes=range(NUM_WORKERS + 1))
-    moved = 0
-    for text in population:
-        old = before_ring.owner(shard_key(text))
-        new = after_ring.owner(shard_key(text))
-        if old != new:
-            moved += 1
-            assert new == NUM_WORKERS, "a key moved to a pre-existing worker"
-    moved_fraction = moved / len(population)
-    assert 0.0 < moved_fraction <= 2.0 / (NUM_WORKERS + 1)
-
-    # Cache-affinity recovery: back at N workers the ring topology is the
-    # original, so the surviving workers answer the same partition from
-    # their still-warm caches.
-    warm_rates = [entry.cache.prediction_hit_rate for entry in warm_stats]
-    recovered_rates = _hit_rates_from(resized_stats, recovered_stats)
-    print()
-    print(f"--- elastic {NUM_WORKERS} -> {NUM_WORKERS + 1} -> {NUM_WORKERS} ---")
-    print(f"moved keys: {moved}/{len(population)} ({moved_fraction:.2f})")
-    print(f"pre-resize cumulative hit rates: {['%.3f' % r for r in warm_rates]}")
-    print(f"post-reshard window hit rates:   {['%.3f' % r for r in recovered_rates]}")
-    mean_warm = sum(warm_rates) / len(warm_rates)
-    mean_recovered = sum(recovered_rates) / len(recovered_rates)
-    assert mean_recovered >= 0.75 * mean_warm, (
-        f"post-reshard hit rate {mean_recovered:.3f} did not recover to "
-        f"within 0.75x of the pre-reshard {mean_warm:.3f}"
-    )
-
-
-# --------------------------------------------------------------------- #
 # Cancellation goodput.
 # --------------------------------------------------------------------- #
 
@@ -630,7 +514,7 @@ def _goodput_run(texts, abandon):
             model_name="granite",
             max_batch_size=32,
             async_options=AsyncOptions(
-                max_latency_ms=DEADLINE_MS, max_queue_blocks=65536
+                max_queue_blocks=65536
             ),
         )
     )
@@ -726,7 +610,7 @@ def test_hash_routing_caches_each_block_once_under_skewed_producers():
         model_name="granite",
         max_batch_size=16,
         num_workers=NUM_WORKERS,
-        async_options=AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192),
+        async_options=AsyncOptions(max_queue_blocks=8192),
     )
     sent = [[] for _ in range(NUM_PRODUCERS_SKEW)]
     errors = []

@@ -32,14 +32,18 @@ The serving stack has two front ends over one execution core:
   (:class:`repro.serve.Priority`): interactive traffic jumps queued bulk
   work.  The queue is bounded in blocks; the ``backpressure`` policy either
   blocks producers or rejects with :class:`repro.serve.QueueFullError`.
+  Requests carry optional per-request deadlines and their futures can be
+  ``cancel()``-ed while queued — both drop paths show up in
+  ``AsyncPredictionService.snapshot()``.
 
 Execution beneath either front end is controlled by ``ServiceConfig``:
 ``num_workers=0`` runs in-process; ``num_workers=N`` shards work across N
-warm worker processes.  Each block is routed through a consistent hash
-ring over a stable hash of its canonical text, so every worker's encode
-and prediction caches own a fixed partition of the key space — repeated
-traffic stays hot no matter how clients slice it.  Crashed workers are
-respawned automatically and their in-flight work is resubmitted.
+warm worker processes, a fixed pool sized to the cores.  Each block is
+routed through a consistent hash ring over a stable hash of its canonical
+text, so every worker's encode and prediction caches own a fixed
+partition of the key space — repeated traffic stays hot no matter how
+clients slice it.  Crashed workers are respawned automatically under the
+same worker id and their in-flight work is resubmitted.
 
 Mixed-precision serving: ``ServiceConfig(inference_dtype="float32")`` (the
 ``--dtype float32`` flag below) makes every replica — in-process or the
@@ -47,18 +51,6 @@ whole sharded pool — run its no-grad forward in single precision, roughly
 2x faster through the Dense/LayerNorm/LSTM matmuls.  Checkpoints still
 store float64 master weights, and ``tests/equivalence`` pins float32
 predictions to the float64 path within an explicit tolerance/MAPE budget.
-
-Elastic serving
----------------
-
-With ``--workers N --min-workers LO --max-workers HI`` the sharded pool
-becomes *elastic*: an autoscale monitor grows it when the queue backs up
-(or the flush-wait p99 exceeds twice ``--max-latency-ms``) and shrinks it
-after sustained idleness, with a
-consistent hash ring keeping ~(N-1)/N of every worker's cache partition
-in place across each resize.  Requests carry optional per-request
-deadlines and their futures can be ``cancel()``-ed while queued — both
-drop paths show up in ``AsyncPredictionService.snapshot()``.
 
 Network serving
 ---------------
@@ -78,9 +70,8 @@ Usage::
     # in-process serving
     python examples/serve_blocks.py --steps 100 --workers 0
 
-    # an elastic 1..3-worker hash-sharded pool
-    python examples/serve_blocks.py --workers 1 --min-workers 1 \
-        --max-workers 3 --max-latency-ms 25
+    # a 2-worker hash-sharded pool
+    python examples/serve_blocks.py --workers 2
 
     # mixed precision on top: float32 replicas behind the same queue
     python examples/serve_blocks.py --workers 2 --dtype float32
@@ -288,27 +279,6 @@ def main() -> None:
         "--workers", type=int, default=0, help="worker processes (0 = in-process)"
     )
     parser.add_argument(
-        "--max-latency-ms",
-        type=float,
-        default=10.0,
-        help="queue-wait budget of the elastic pool's autoscaler (used only with "
-        "--min-workers/--max-workers); a flush-wait p99 above twice this grows "
-        "the pool (it never delays a flush)",
-    )
-    parser.add_argument(
-        "--min-workers",
-        type=int,
-        default=None,
-        help="lower elastic bound of the worker pool (requires --workers >= 1; "
-        "enables the autoscale monitor when the bounds allow another size)",
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="upper elastic bound of the worker pool (see --min-workers)",
-    )
-    parser.add_argument(
         "--dtype",
         choices=("float64", "float32"),
         default="float64",
@@ -343,24 +313,11 @@ def main() -> None:
             checkpoint_path=checkpoint,
             max_batch_size=32,
             num_workers=arguments.workers,
-            min_workers=arguments.min_workers,
-            max_workers=arguments.max_workers,
             inference_dtype=arguments.dtype,
         )
-        is_elastic = (
-            arguments.min_workers is not None or arguments.max_workers is not None
-        )
-        elastic = (
-            f"elastic {config.min_workers}..{config.max_workers}, " if is_elastic else ""
-        )
-        # The latency budget only steers the elastic pool's autoscaler.
-        options = (
-            AsyncOptions(max_latency_ms=arguments.max_latency_ms, max_queue_blocks=1024)
-            if is_elastic
-            else AsyncOptions(max_queue_blocks=1024)
-        )
+        options = AsyncOptions(max_queue_blocks=1024)
         print(
-            f"warm-starting service (workers={config.num_workers}, {elastic}"
+            f"warm-starting service (workers={config.num_workers}, "
             f"max_batch_size={config.max_batch_size}, "
             f"inference_dtype={config.inference_dtype}) ..."
         )

@@ -157,13 +157,13 @@ def _parse_memory(text: str) -> MemoryReference:
         )
         if scale_match:
             left, right = scale_match.group(1), scale_match.group(2)
-            register_token, scale_token = (left, right) if is_register_name(left) else (right, left)
+            register_token, scale_text = (left, right) if is_register_name(left) else (right, left)
             if not is_register_name(register_token):
                 raise AssemblyParseError(f"bad scaled index in {text!r}")
             if index is not None:
                 raise AssemblyParseError(f"multiple index registers in {text!r}")
             index = register_token.upper()
-            scale = int(scale_token)
+            scale = int(scale_text)
             continue
         if is_register_name(body):
             if base is None:

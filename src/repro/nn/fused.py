@@ -45,15 +45,18 @@ from repro.nn.tensor import ArrayLike, Tensor, _row_scatter_add, _unbroadcast, a
 
 __all__ = ["fused_dense", "fused_layer_norm", "fused_lstm_sequence", "fused_piece_update"]
 
-_ACTIVATIONS = (None, "relu", "tanh", "sigmoid")
+#: The activations a Dense layer (and so the fused Dense ops) accepts.
+_ACTIVATIONS = (None, "relu")
 
 
 def _activate(outputs: np.ndarray, activation: Optional[str]) -> np.ndarray:
-    """Applies a Dense activation to ``outputs`` in place and returns it."""
+    """Applies ``activation`` to ``outputs`` in place and returns it.
+
+    ``"relu"`` and ``None`` are the Dense activations; ``"sigmoid"`` is
+    the LSTM gates'.
+    """
     if activation == "relu":
         np.maximum(outputs, 0.0, out=outputs)
-    elif activation == "tanh":
-        np.tanh(outputs, out=outputs)
     elif activation == "sigmoid":
         # 1 / (1 + exp(-x)), step by step in place.
         np.negative(outputs, out=outputs)
@@ -69,10 +72,6 @@ def _activation_delta(
     """The gradient at the pre-activation, from the activated ``outputs``."""
     if activation == "relu":
         return gradient * (outputs > 0.0)
-    if activation == "tanh":
-        return gradient * (1.0 - outputs**2)
-    if activation == "sigmoid":
-        return gradient * outputs * (1.0 - outputs)
     return gradient
 
 
@@ -550,9 +549,6 @@ def fused_piece_update(
         epsilon if normalized else None,
     )
     hidden = update[:, :hidden_size]
-    # rowdot(dA, A) needs A only where dA can be nonzero: there A equals
-    # the ReLU (or identity) output, so only tanh/sigmoid keep a copy.
-    pre = hidden.copy() if normalized and activation in ("tanh", "sigmoid") else hidden
     _activate(hidden, activation)
     activations = [hidden]
     for layer_weight, layer_bias, name in dense:
@@ -578,7 +574,9 @@ def fused_piece_update(
             d_hidden = layer_delta @ layer_weight.data.T
         delta = _activation_delta(d_hidden, hidden, activation)
         if normalized:
-            shift = np.einsum("ij,ij->i", delta, pre)
+            # rowdot(dA, A) needs A only where dA can be nonzero, and there
+            # A equals the ReLU (or identity) output ``hidden``.
+            shift = np.einsum("ij,ij->i", delta, hidden)
             if folded_bias is not None:
                 shift -= delta @ folded_bias
             row_scale = scale * scale * shift / input_size

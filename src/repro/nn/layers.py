@@ -53,7 +53,7 @@ class Dense(Module):
         input_size: Number of input features.
         output_size: Number of output features.
         rng: Random generator used for weight initialisation.
-        activation: ``"relu"``, ``"tanh"``, ``"sigmoid"`` or ``None``.
+        activation: ``"relu"`` or ``None``.
         use_bias: Whether to add a learned bias vector.
     """
 
@@ -67,7 +67,7 @@ class Dense(Module):
     ) -> None:
         if input_size <= 0 or output_size <= 0:
             raise ValueError("Dense layer sizes must be positive")
-        if activation not in (None, "relu", "tanh", "sigmoid"):
+        if activation not in (None, "relu"):
             raise ValueError(f"unsupported activation {activation!r}")
         initializer = init.he_normal if activation == "relu" else init.glorot_uniform
         self.weight = Parameter(initializer((input_size, output_size), rng), name="weight")

@@ -475,9 +475,6 @@ class Tensor:
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
         data = self.data * other.data
@@ -501,9 +498,6 @@ class Tensor:
             )
 
         return Tensor._make(data, (self, other), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) / self
 
     # ------------------------------------------------------------------ #
     # Matrix operations and shape manipulation.

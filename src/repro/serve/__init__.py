@@ -4,19 +4,17 @@ This subpackage is the production serving story of the reproduction, in
 three layers:
 
 * the synchronous :class:`PredictionService`: heterogeneous requests are
-  coalesced into size-bounded micro-batches, optionally sharded across an
-  *elastic* pool of warm worker processes via a consistent hash ring over
-  each block's text (cache affinity, health checks, automatic respawn,
-  runtime ``scale_workers`` with ~1/N cache movement per resize), and
-  reassembled into per-request responses;
+  coalesced into size-bounded micro-batches, optionally sharded across a
+  fixed pool of warm worker processes via a consistent hash ring over
+  each block's text (cache affinity, health checks, automatic respawn
+  under the same worker id), and reassembled into per-request responses;
 * the async :class:`AsyncPredictionService` front end: producers enqueue
   requests into a bounded priority queue with back-pressure and get
   futures (cancellable while queued, with optional per-request deadlines);
   dispatch is work-conserving — one dispatcher thread flushes whatever is
   queued as soon as its previous flush is done, up to ``max_batch_size``
   blocks, so batches grow with load and an idle service never holds a
-  request back — and an autoscale
-  monitor feeds queue depth into the pool's elasticity bounds;
+  request back;
 * the network layer: a :class:`ModelRegistry` hosts many named model
   variants (family × uarch × dtype) with lazy load/unload, checkpoint
   warm-start and per-tenant request accounting, and
@@ -54,7 +52,7 @@ the in-process one:
 
 * ``PredictionService.snapshot()`` -> :class:`ModelStats` — aggregate
   request/block/batch/latency counters of one service, its worker-pool
-  respawn/resize counters, and (in-process mode) a
+  respawn and resilience counters, and (in-process mode) a
   :class:`~repro.serve.stats.CacheStats` section with
   encode/prediction/parse cache hit rates;
 * ``PredictionService.worker_stats()`` -> list of
@@ -68,7 +66,7 @@ the in-process one:
   wait and request-latency percentiles), ``model`` (the
   :class:`ModelStats` above), ``resilience``
   (:class:`~repro.serve.stats.ResilienceStats`: retry, degraded-reply and
-  injected-rejection counters) and ``autoscale_errors``;
+  injected-rejection counters);
 * ``GET /v1/models/{model}/stats`` -> a serialized
   :class:`~repro.serve.registry.ModelReport`: ``info`` (a
   :class:`~repro.serve.registry.ModelInfo` with the per-tenant request
@@ -87,10 +85,9 @@ Tail-latency harness
 :class:`TraceRecorder` (the HTTP server's ``recorder`` hook) or
 synthesize Zipf-skewed bursty traces with :func:`synthesize_trace`, drive
 them through :class:`TraceReplayer` at recorded or time-scaled pacing,
-and judge the realized p50/p99/p99.9 against an :class:`SloPolicy`.  The
-tail-attacking mechanism alongside is a latency-fed autoscaler; every
-block, hot or cold, has one :class:`HashRing` owner, since a repeated
-block is a prediction-cache hit there.
+and judge the realized p50/p99/p99.9 against an :class:`SloPolicy`.
+Every block, hot or cold, has one :class:`HashRing` owner, since a
+repeated block is a prediction-cache hit there.
 
 Fault injection and self-healing
 --------------------------------
@@ -155,8 +152,6 @@ from repro.serve.types import (
     ServiceClosedError,
     UnknownModelError,
 )
-from repro.serve.workers import PoolAutoscaler
-
 __all__ = [
     # Envelopes and batching.
     "PredictionRequest",
@@ -172,8 +167,6 @@ __all__ = [
     "HashRing",
     "Priority",
     "RequestQueue",
-    # Worker pool.
-    "PoolAutoscaler",
     # Fault injection and self-healing.
     "FaultSpec",
     "FaultPlan",

@@ -31,13 +31,6 @@ budget resolve with :class:`~repro.serve.queue.RequestExpiredError` when
 the budget runs out.  The queue alone drops and counts both; the counts
 are reported by :meth:`AsyncPredictionService.snapshot`, alongside the
 queue depth and realized flush-wait percentiles.
-
-When the underlying service declares elastic worker bounds
-(``ServiceConfig(min_workers=..., max_workers=...)``), the front end also
-runs a small monitor thread that feeds the live queue depth into
-``PredictionService.maybe_autoscale`` — queue pressure grows the pool,
-sustained idleness shrinks it, and the consistent hash ring keeps cache
-movement to ~1/N per resize.
 """
 
 from __future__ import annotations
@@ -98,12 +91,6 @@ class AsyncServiceStats:
     request_latencies: Deque[float] = field(
         default_factory=lambda: deque(maxlen=8192)
     )
-    #: Wall time of each flush's ``PredictionService.submit`` call, seconds
-    #: — the per-batch service latency the autoscaler uses to estimate
-    #: drain time.
-    flush_service_s: Deque[float] = field(
-        default_factory=lambda: deque(maxlen=8192)
-    )
     #: Queue entries resolved with a response / with a service error.
     requests_completed: int = 0
     request_errors: int = 0
@@ -124,8 +111,8 @@ class AsyncServiceStats:
         """The ``quantile`` (0..1) of recorded flush waits, in seconds.
 
         NaN while no flush has been recorded: an empty window must never
-        read as 0.0, or SLO checks and the autoscaler would mistake "no
-        samples yet" for "zero latency".
+        read as 0.0, or SLO checks would mistake "no samples yet" for
+        "zero latency".
         """
         return latency_percentile(self.flush_waits, quantile)
 
@@ -180,11 +167,6 @@ class AsyncPredictionService:
         # documented idempotent, which includes concurrent callers).
         self._lifecycle_lock = threading.Lock()
         self._dispatcher: Optional[threading.Thread] = None
-        self._autoscale_monitor: Optional[threading.Thread] = None
-        self._monitor_stop = threading.Event()
-        #: Autoscale attempts that raised (e.g. a worker spawn failing
-        #: under resource pressure); the monitor retries on the next poll.
-        self.autoscale_errors = 0
         # Self-healing: the sanctioned retry loop around failed flush
         # submissions, the stale cache backing graceful degradation, and
         # the event-scoped fault injector (queue saturation), all optional.
@@ -219,8 +201,7 @@ class AsyncPredictionService:
         The service is warmed in the caller's thread (worker processes must
         not be forked from the dispatcher), then the dispatcher starts
         draining.  Requests submitted before ``start`` simply wait in the
-        queue.  When the service has elastic worker bounds, an autoscale
-        monitor thread starts too.  Idempotent while running.
+        queue.  Idempotent while running.
         """
         with self._lifecycle_lock:
             if self._closed:
@@ -233,16 +214,6 @@ class AsyncPredictionService:
                     daemon=True,
                 )
                 self._dispatcher.start()
-            if (
-                self._autoscale_monitor is None
-                and self.service.autoscaling_enabled
-            ):
-                self._autoscale_monitor = threading.Thread(
-                    target=self._autoscale_loop,
-                    name="repro-serve-autoscaler",
-                    daemon=True,
-                )
-                self._autoscale_monitor.start()
         return self
 
     def close(self) -> None:
@@ -257,10 +228,6 @@ class AsyncPredictionService:
                 return
             self._closed = True
             dispatcher, self._dispatcher = self._dispatcher, None
-            monitor, self._autoscale_monitor = self._autoscale_monitor, None
-        self._monitor_stop.set()
-        if monitor is not None:
-            monitor.join()
         self.queue.close()
         if dispatcher is None:
             # Never started: resolve whatever was queued ourselves.
@@ -361,9 +328,9 @@ class AsyncPredictionService:
         flush section (counters and realized wait/request percentiles) and
         the underlying service's :class:`~repro.serve.stats.ModelStats`.
         """
-        # Counters are mutated by client threads (submit), the dispatcher
-        # (_flush) and the autoscale monitor — read them under the same
-        # lock so the snapshot is internally consistent.
+        # Counters are mutated by client threads (submit) and the
+        # dispatcher (_flush) — read them under the same lock so the
+        # snapshot is internally consistent.
         with self._stats_lock:
             stats = self.stats
             submitted_requests = stats.requests
@@ -381,7 +348,6 @@ class AsyncPredictionService:
                 requests_completed=stats.requests_completed,
                 request_errors=stats.request_errors,
             )
-            autoscale_errors = self.autoscale_errors
             retries = stats.retries
             retries_exhausted = stats.retries_exhausted
             degraded_responses = stats.degraded_responses
@@ -413,7 +379,6 @@ class AsyncPredictionService:
             queue=queue,
             flush=flush,
             model=self.service.snapshot(),
-            autoscale_errors=autoscale_errors,
             resilience=resilience,
         )
 
@@ -433,54 +398,6 @@ class AsyncPredictionService:
                 return  # closed and fully drained
             self._flush(entries)
 
-    def _autoscale_loop(self) -> None:
-        interval = self.options.autoscale_poll_ms / 1e3
-        # The wait budget the realized-latency signals are judged against:
-        # twice ``max_latency_ms``.  Sustained flush-wait p99 beyond it
-        # means the pool drains slower than the operator's budget.
-        wait_budget_s = 2.0 * self.options.max_latency_ms / 1e3
-        flushes_seen = 0
-        while not self._monitor_stop.wait(interval):
-            with self._stats_lock:
-                # Only the waits of flushes completed since the previous
-                # poll: a percentile over any fixed-size window would keep
-                # reporting a long-gone burst forever once traffic stops,
-                # pinning the pool at its burst size.  No new flushes ->
-                # NaN -> the autoscaler sees no wait signal and the idle
-                # shrink path works exactly as before.
-                new_flushes = min(
-                    self.stats.flushes - flushes_seen, len(self.stats.flush_waits)
-                )
-                flushes_seen = self.stats.flushes
-                fresh_waits = (
-                    list(self.stats.flush_waits)[-new_flushes:]
-                    if new_flushes > 0
-                    else []
-                )
-                wait_p99_s = latency_percentile(fresh_waits, 0.99)
-                # Service time per flush barely drifts, so staleness is
-                # harmless here (and drain pressure already vanishes with
-                # an empty queue: it scales with pending_blocks).
-                batch_latency_s = latency_percentile(
-                    list(self.stats.flush_service_s)[-64:], 0.50
-                )
-            try:
-                self.service.maybe_autoscale(
-                    self.queue.pending_blocks,
-                    flush_wait_p99_s=wait_p99_s,
-                    batch_latency_s=batch_latency_s,
-                    wait_budget_s=wait_budget_s,
-                )
-            except RuntimeError:
-                return  # the service closed under us; nothing left to scale
-            except Exception:
-                # A transient failure (e.g. OSError spawning a replica under
-                # fd/memory pressure) must not kill the monitor and silently
-                # disable elasticity for the rest of the service's life:
-                # count it and retry on the next poll.
-                with self._stats_lock:
-                    self.autoscale_errors += 1
-
     def _flush(self, entries) -> None:
         # Every entry is claimed (running) by RequestQueue.take_batch, which
         # already dropped the cancelled and expired ones.
@@ -491,7 +408,6 @@ class AsyncPredictionService:
             self.stats.flushed_blocks += blocks
             self.stats.flush_waits.append(now - min(e.enqueued_at for e in entries))
             self.stats.size_flushes += int(blocks >= self.max_batch_size)
-        service_started = time.monotonic()
         try:
             responses = self._submit_with_retries(entries)
         except Exception as error:
@@ -508,7 +424,6 @@ class AsyncPredictionService:
             for entry in failed:
                 entry.future.set_exception(error)
             return
-        service_s = time.monotonic() - service_started
         if self._stale_cache is not None:
             for entry, response in zip(entries, responses):
                 self._stale_cache.record(
@@ -518,7 +433,6 @@ class AsyncPredictionService:
         # to a result must never observe stats that don't include it yet.
         done_at = time.monotonic()
         with self._stats_lock:
-            self.stats.flush_service_s.append(service_s)
             for entry in entries:
                 self.stats.request_latencies.append(done_at - entry.enqueued_at)
             self.stats.requests_completed += len(entries)

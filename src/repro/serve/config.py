@@ -37,14 +37,6 @@ class AsyncOptions:
     one lock, so a second dispatcher could not overlap flushes anyway.
 
     Attributes:
-        max_latency_ms: The queue-wait budget of the elasticity monitor.
-            When the service has elastic worker bounds, a recent flush-wait
-            p99 (or an estimated backlog drain time) above twice this value
-            is latency pressure that grows the worker pool.  It never
-            delays a flush.
-        autoscale_poll_ms: How often the elasticity monitor feeds queue
-            depth into the service's autoscaler (only runs when the
-            service has elastic worker bounds).
         max_queue_blocks: Admission bound of the queue, in blocks.
         backpressure: ``"block"`` (producers wait for space) or
             ``"reject"`` (producers get
@@ -63,8 +55,6 @@ class AsyncOptions:
             cache backing ``degraded_mode`` (0 disables recording).
     """
 
-    max_latency_ms: float = 10.0
-    autoscale_poll_ms: float = 50.0
     max_queue_blocks: int = 4096
     backpressure: str = "block"
     retry_policy: Optional[RetryPolicy] = None
@@ -72,10 +62,6 @@ class AsyncOptions:
     stale_cache_size: int = 4096
 
     def __post_init__(self) -> None:
-        if self.max_latency_ms < 0:
-            raise ValueError("max_latency_ms must be >= 0")
-        if self.autoscale_poll_ms <= 0:
-            raise ValueError("autoscale_poll_ms must be positive")
         if self.max_queue_blocks < 1:
             raise ValueError("max_queue_blocks must be positive")
         if self.backpressure not in BACKPRESSURE_POLICIES:
@@ -105,17 +91,8 @@ class ServiceConfig:
         max_batch_size: Upper bound on blocks per micro-batch — the one
             batch-size knob of the whole stack (the async front end's size
             flush uses it too).
-        num_workers: Worker processes; 0 serves in-process.  In sharded
-            mode this is the *initial* pool size; see ``min_workers`` /
-            ``max_workers`` for elasticity.
-        min_workers: Lower bound for elastic scaling (``None`` =
-            ``num_workers``, i.e. never scale below the initial size).
-        max_workers: Upper bound for elastic scaling (``None`` =
-            ``num_workers``, i.e. a fixed pool).  Autoscaling is active
-            exactly when the ``[min_workers, max_workers]`` interval allows
-            a size other than ``num_workers``; manual
-            ``PredictionService.scale_workers`` calls work regardless.
-        scale_cooldown_s: Minimum seconds between autoscaler resizes.
+        num_workers: Worker processes; 0 serves in-process.  The pool
+            size is fixed for the service's life: size it to the cores.
         inference_dtype: Compute dtype of every replica's no-grad inference
             fast path (``"float64"`` default, ``"float32"`` for
             mixed-precision serving).  Propagated to all worker processes —
@@ -153,9 +130,6 @@ class ServiceConfig:
     checkpoint_path: Optional[str] = None
     max_batch_size: int = 64
     num_workers: int = 0
-    min_workers: Optional[int] = None
-    max_workers: Optional[int] = None
-    scale_cooldown_s: float = 2.0
     inference_dtype: str = field(default_factory=default_inference_dtype)
     async_options: AsyncOptions = field(default_factory=AsyncOptions)
     worker_job_timeout_s: Optional[float] = None
@@ -167,23 +141,6 @@ class ServiceConfig:
             raise ValueError("max_batch_size must be positive")
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0")
-        if self.min_workers is not None or self.max_workers is not None:
-            if self.num_workers < 1:
-                raise ValueError(
-                    "elastic worker bounds need a sharded service "
-                    "(num_workers >= 1)"
-                )
-            low = self.num_workers if self.min_workers is None else self.min_workers
-            high = self.num_workers if self.max_workers is None else self.max_workers
-            if low < 1:
-                raise ValueError("min_workers must be >= 1")
-            if not low <= self.num_workers <= high:
-                raise ValueError(
-                    f"need min_workers <= num_workers <= max_workers, got "
-                    f"{low} / {self.num_workers} / {high}"
-                )
-        if self.scale_cooldown_s < 0:
-            raise ValueError("scale_cooldown_s must be >= 0")
         if self.inference_dtype not in SUPPORTED_DTYPES:
             raise ValueError(
                 f"inference_dtype must be one of {SUPPORTED_DTYPES}, "

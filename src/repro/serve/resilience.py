@@ -340,11 +340,6 @@ class CircuitBreaker:
             elif entry.state == BREAKER_HALF_OPEN:
                 self._trip_locked(entry)
 
-    def forget(self, worker_id: int) -> None:
-        """Drops state for a retired worker id."""
-        with self._lock:
-            self._entries.pop(worker_id, None)
-
     def states(self) -> Dict[int, str]:
         """Snapshot of every tracked worker's state."""
         with self._lock:
@@ -482,11 +477,6 @@ class RespawnGovernor:
                 for worker_id, entry in self._entries.items()
                 if now < entry.backoff_until
             ]
-
-    def forget(self, worker_id: int) -> None:
-        """Drops state for a retired worker id."""
-        with self._lock:
-            self._entries.pop(worker_id, None)
 
 
 # ---------------------------------------------------------------------------

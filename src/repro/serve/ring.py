@@ -1,22 +1,17 @@
-"""Consistent hash ring for elastic worker sharding.
+"""Consistent hash ring for worker sharding.
 
-The original hash sharding routed every block to worker
-``shard_key(text) % num_workers``.  That is perfectly stable while the
-worker count is fixed — and maximally unstable the moment it changes:
-going from N to N+1 workers remaps roughly ``N/(N+1)`` of all keys, so a
-single resize cold-starts almost every worker's encode and prediction
-caches at once.
+Every worker owns a set of *virtual nodes* — pseudo-random points on a
+32-bit ring derived from the worker id — and a key belongs to the worker
+owning the first point at or after the key's hash (wrapping around).  A
+ring is built once from its worker ids and never changes: the worker pool
+is fixed, and a respawned worker keeps its id, so every worker's share of
+the key space (and with it the contents of its encode and prediction
+caches) lasts as long as the pool.
 
-A consistent hash ring fixes the resize cost.  Every worker owns a set of
-*virtual nodes* — pseudo-random points on a 32-bit ring derived from the
-worker id — and a key belongs to the worker owning the first point at or
-after the key's hash (wrapping around).  Adding worker N only claims the
-arcs immediately before worker N's points: in expectation ``1/(N+1)`` of
-the key space moves, all of it *to* the new worker, and every key that
-does not land on the new worker keeps its previous owner exactly.
-Removing a worker is the mirror image — its arcs fall back to the ring
-neighbours, nobody else moves.  That is what lets the elastic pool scale
-with queue depth while the surviving workers' caches stay warm.
+The ring earns its keep when a worker is refused traffic.  Its vnodes
+scatter its arcs around the ring, so the walk past it (see below) spreads
+its keys over all the other workers instead of piling them onto one
+neighbour, and every key the refused worker does not own keeps its owner.
 
 Vnode points use CRC32 like :func:`repro.serve.batching.shard_key` — a
 salted ``hash()`` would scatter the ring differently in every process,
@@ -50,12 +45,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 __all__ = ["HashRing", "DEFAULT_VNODES", "RING_SPACE"]
 
 #: Virtual nodes per worker.  More vnodes mean better balance (relative
-#: load deviation shrinks roughly with 1/sqrt(vnodes)) at a small rebuild
-#: and lookup cost.  1024 keeps even a two-worker ring within ~1% of an
-#: even split — that matters: at 128 vnodes a 44/56 split made the
+#: load deviation shrinks roughly with 1/sqrt(vnodes)) at a small
+#: construction and lookup cost.  1024 keeps even a two-worker ring within
+#: ~1% of an even split — that matters: at 128 vnodes a 44/56 split made the
 #: busier worker the flush-cadence bottleneck and measurably inflated
-#: p99 flush waits in the sustained serving benchmark.  Rebuilds stay
-#: trivial (resizes sort workers x vnodes points, a few ms at most).
+#: p99 flush waits in the sustained serving benchmark.  Construction stays
+#: trivial (it sorts workers x vnodes points, a few ms at most).
 DEFAULT_VNODES = 1024
 
 #: Size of the ring's key space (CRC32 is 32-bit).
@@ -73,27 +68,30 @@ def _vnode_point(node: int, replica: int) -> int:
 
 
 class HashRing:
-    """A consistent hash ring over integer worker ids.
+    """A consistent hash ring over a fixed set of integer worker ids.
 
     Every worker places :data:`DEFAULT_VNODES` virtual nodes.
 
     Args:
-        nodes: Optional initial worker ids.
+        nodes: The worker ids (distinct).
     """
 
     def __init__(self, nodes: Sequence[int] = ()) -> None:
+        ids = [int(node) for node in nodes]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate worker ids: {ids}")
+        self._nodes = frozenset(ids)
         # Sorted, parallel: _points[i] is the ring position of the vnode
         # owned by _owners[i].  Ties (vanishingly rare CRC collisions) are
         # broken deterministically by owner id via the (point, node) sort.
-        self._points: List[int] = []
-        self._owners: List[int] = []
-        self._nodes: set = set()
-        for node in nodes:
-            self.add_node(node)
+        pairs = sorted(
+            (_vnode_point(node, replica), node)
+            for node in self._nodes
+            for replica in range(DEFAULT_VNODES)
+        )
+        self._points: List[int] = [point for point, _ in pairs]
+        self._owners: List[int] = [node for _, node in pairs]
 
-    # ------------------------------------------------------------------ #
-    # Membership.
-    # ------------------------------------------------------------------ #
     @property
     def nodes(self) -> Tuple[int, ...]:
         """The worker ids on the ring, sorted."""
@@ -104,34 +102,6 @@ class HashRing:
 
     def __contains__(self, node: int) -> bool:
         return node in self._nodes
-
-    def add_node(self, node: int) -> None:
-        """Places ``node``'s virtual nodes on the ring."""
-        node = int(node)
-        if node in self._nodes:
-            raise ValueError(f"node {node} is already on the ring")
-        self._nodes.add(node)
-        self._rebuild()
-
-    def remove_node(self, node: int) -> None:
-        """Removes ``node``'s virtual nodes; its arcs fall to the neighbours."""
-        node = int(node)
-        if node not in self._nodes:
-            raise ValueError(f"node {node} is not on the ring")
-        self._nodes.remove(node)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        # Rebuilding from scratch keeps add/remove trivially correct; the
-        # ring is tiny (workers x vnodes) and resizes are rare events
-        # guarded by a cooldown, so O(n log n) here is irrelevant.
-        pairs = sorted(
-            (_vnode_point(node, replica), node)
-            for node in self._nodes
-            for replica in range(DEFAULT_VNODES)
-        )
-        self._points = [point for point, _ in pairs]
-        self._owners = [node for _, node in pairs]
 
     # ------------------------------------------------------------------ #
     # Lookup.

@@ -50,7 +50,6 @@ from repro.serve.types import (
 )
 from repro.serve.workers import (
     PARSE_CACHE_SIZE,
-    PoolAutoscaler,
     ShardedWorkerPool,
     build_model,
     parse_texts,
@@ -68,8 +67,6 @@ class ServiceStats:
     blocks: int = 0
     batches: int = 0
     seconds: float = 0.0
-    #: Pool resizes applied (manual ``scale_workers`` and autoscaler both).
-    resizes: int = 0
 
     @property
     def blocks_per_second(self) -> float:
@@ -101,7 +98,6 @@ class PredictionService:
             )
         self._model = model
         self._pool: Optional[ShardedWorkerPool] = None
-        self._autoscaler: Optional[PoolAutoscaler] = None
         # Per-worker circuit breaker (None unless the config enables one).
         # Shared with the pool, which feeds outcomes in; routing admits
         # traffic through it to walk past open workers.
@@ -175,97 +171,10 @@ class PredictionService:
             self._pool = ShardedWorkerPool(self.config, breaker=self._breaker)
         return self._pool
 
-    # ------------------------------------------------------------------ #
-    # Elasticity.
-    # ------------------------------------------------------------------ #
-    @property
-    def worker_bounds(self) -> Tuple[int, int]:
-        """The ``(min, max)`` worker counts elastic scaling may use."""
-        low = (
-            self.config.num_workers
-            if self.config.min_workers is None
-            else self.config.min_workers
-        )
-        high = (
-            self.config.num_workers
-            if self.config.max_workers is None
-            else self.config.max_workers
-        )
-        return low, high
-
-    @property
-    def autoscaling_enabled(self) -> bool:
-        """Whether the config allows any pool size besides the initial one."""
-        if self.config.num_workers < 1:
-            return False
-        low, high = self.worker_bounds
-        return low < high
-
     @property
     def num_workers(self) -> int:
-        """The pool's current worker count (0 for in-process services)."""
-        if self._pool is not None:
-            return self._pool.num_workers
+        """The pool's worker count (0 for in-process services)."""
         return self.config.num_workers
-
-    def scale_workers(self, count: int) -> int:
-        """Resizes the worker pool to ``count`` replicas; returns the delta.
-
-        Serialized against submissions (consistent-ring routing decisions
-        must never observe a half-applied resize).  Manual calls may pick
-        any count >= 1, but note that while autoscaling is enabled the
-        monitor clamps the pool back inside ``[min_workers, max_workers]``
-        on a subsequent poll — an out-of-bounds manual override only
-        sticks on services without elastic bounds.
-        """
-        if self.config.num_workers < 1:
-            raise RuntimeError("an in-process service has no worker pool to scale")
-        with self._submit_lock:
-            delta = self._ensure_pool_locked().scale_to(count)
-            if delta:
-                self.stats.resizes += 1
-            return delta
-
-    def maybe_autoscale(
-        self,
-        pending_blocks: int,
-        *,
-        flush_wait_p99_s: Optional[float] = None,
-        batch_latency_s: Optional[float] = None,
-        wait_budget_s: Optional[float] = None,
-    ) -> int:
-        """Applies one autoscaler decision; returns the live worker count.
-
-        Called by the async front end's monitor with the current queue
-        depth plus, when it has them, realized-latency signals: the recent
-        p99 flush wait, the typical per-flush service time, and the wait
-        budget those are judged against (see
-        :meth:`repro.serve.workers.PoolAutoscaler.decide`).  NaN signals
-        mean "no data yet" and are ignored.  A no-op unless
-        :attr:`autoscaling_enabled` (and the pool has been built, so an
-        idle service is never warm-started just to shrink it).
-        """
-        if not self.autoscaling_enabled or self._pool is None or self._closed:
-            return self.num_workers
-        if self._autoscaler is None:
-            low, high = self.worker_bounds
-            self._autoscaler = PoolAutoscaler(
-                low,
-                high,
-                self.config.max_batch_size,
-                cooldown_s=self.config.scale_cooldown_s,
-            )
-        current = self._pool.num_workers
-        target = self._autoscaler.decide(
-            pending_blocks,
-            current,
-            flush_wait_p99_s=flush_wait_p99_s,
-            batch_latency_s=batch_latency_s,
-            wait_budget_s=wait_budget_s,
-        )
-        if target != current:
-            self.scale_workers(target)
-        return target
 
     def worker_stats(self) -> List[WorkerStats]:
         """Typed per-worker cache/ring stats (empty for in-process services)."""
@@ -305,7 +214,6 @@ class PredictionService:
                 seconds=stats.seconds,
                 blocks_per_second=stats.blocks_per_second,
                 respawns=pool.respawns if pool is not None else 0,
-                resizes=stats.resizes,
                 num_workers=self.num_workers,
                 breaker_trips=breaker_counts["trips"],
                 breaker_probes=breaker_counts["probes"],

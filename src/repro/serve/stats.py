@@ -42,11 +42,11 @@ def latency_percentile(samples: Iterable[float], quantile: float) -> float:
     """The ``quantile`` (0..1) of ``samples``, or NaN for an empty window.
 
     NaN — not 0.0 — is the only honest answer when there are no samples:
-    an SLO check or autoscaler reading 0.0 would mistake "no data" for
-    "zero latency" and either pass a dead service or never scale.  NaN
-    propagates through arithmetic, fails every ``<=`` comparison, and
-    serializes to ``null`` on the wire (see ``repro.serve.http._jsonable``),
-    so every consumer is forced to treat the empty window explicitly.
+    an SLO check reading 0.0 would mistake "no data" for "zero latency"
+    and pass a dead service.  NaN propagates through arithmetic, fails
+    every ``<=`` comparison, and serializes to ``null`` on the wire (see
+    ``repro.serve.http._jsonable``), so every consumer is forced to treat
+    the empty window explicitly.
     """
     if not 0.0 <= quantile <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
@@ -156,8 +156,8 @@ class FlushStats(StatsStruct):
     deliberately distinct names:
 
     * ``wait_*`` — per *flush*, the wait of that flush's oldest request
-      (the queueing delay the autoscaler watches; biased low as a request
-      latency, since only one request per flush is sampled);
+      (the queueing delay; biased low as a request latency, since only one
+      request per flush is sampled);
     * ``request_*`` — per *request*, enqueue -> completion (what a client
       actually experienced, including the service call itself).
 
@@ -190,7 +190,6 @@ class ModelStats(StatsStruct):
     seconds: float
     blocks_per_second: float
     respawns: int
-    resizes: int
     num_workers: int
     #: Circuit-breaker trips (closed/half-open -> open transitions).
     breaker_trips: int = 0
@@ -239,14 +238,13 @@ class ServiceSnapshot(StatsStruct):
     """Point-in-time view of one async serving stack.
 
     Sections: :attr:`queue` (admission), :attr:`flush` (dispatcher),
-    :attr:`model` (the underlying sync service), plus the autoscale
-    monitor's error counter and the :attr:`resilience` section.
+    :attr:`model` (the underlying sync service) and :attr:`resilience`
+    (self-healing counters).
     """
 
     queue: QueueStats
     flush: FlushStats
     model: ModelStats
-    autoscale_errors: int
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
 

@@ -23,15 +23,11 @@ workers:
   replacing a worker: a replica that keeps dying sits in exponential
   backoff, and calls routed to it fail fast with :class:`WorkerCrashError`
   instead of forking again;
-* the pool is *elastic*: :meth:`ShardedWorkerPool.scale_to` grows and
-  shrinks the worker count at runtime, keeping a consistent
-  :class:`~repro.serve.ring.HashRing` over the live worker ids in sync so
-  only ~1/N of the cache key space moves per resize.  Worker ids stay
-  contiguous (``0 .. count-1``): scaling up re-adds the lowest free id and
-  scaling down retires the highest, so the ring topology — and therefore
-  every surviving worker's cache partition — is a pure function of the
-  worker count.  :class:`PoolAutoscaler` turns queue depth into resize
-  decisions under min/max bounds and a cooldown.
+* the pool is *fixed*: its worker ids ``0 .. num_workers - 1`` and the
+  :class:`~repro.serve.ring.HashRing` over them are set at construction and
+  never change.  A respawned replica keeps its worker id, so a crash never
+  moves a key to another worker: every worker's cache partition lasts as
+  long as the pool.
 
 The job protocol is deliberately tiny: ``(kind, job_id, payload)`` requests
 and ``(status, job_id, payload)`` replies, with kinds ``predict``, ``stats``,
@@ -44,15 +40,13 @@ times nothing before it.
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 import multiprocessing.connection
 import os
 import threading
 import time
 import traceback
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +61,6 @@ from repro.serve.types import ServiceClosedError
 from repro.utils.cache import LRUCache
 
 __all__ = [
-    "PoolAutoscaler",
     "ShardedWorkerPool",
     "WorkerCrashError",
     "PARSE_CACHE_SIZE",
@@ -276,27 +269,17 @@ class _WorkerHandle:
 
 
 class ShardedWorkerPool:
-    """An elastic pool of addressable warm-model workers.
+    """A fixed pool of addressable warm-model workers.
 
     Unlike ``multiprocessing.Pool`` the assignment of work to workers is
     entirely up to the caller (jobs address workers by id), dead workers
-    are respawned automatically, in-flight work lost to a crash is
-    resubmitted to the replacement, and the worker count can be scaled at
-    runtime (:meth:`scale_to`) with a consistent hash :attr:`ring` tracking
-    the live ids so callers can route with minimal cache movement.
-
-    Worker ids are always the contiguous range ``0 .. num_workers - 1``:
-    scaling down retires the highest ids and scaling back up re-creates
-    them, which makes the ring topology (and hence each worker's cache
-    partition) a deterministic function of the worker count alone.
+    are respawned automatically and in-flight work lost to a crash is
+    resubmitted to the replacement.  The worker ids ``0 .. num_workers - 1``
+    and the consistent hash :attr:`ring` over them are fixed for the pool's
+    life; a replacement keeps the id of the worker it replaces.
     """
 
-    def __init__(
-        self,
-        config,
-        num_workers: Optional[int] = None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
+    def __init__(self, config, breaker: Optional[CircuitBreaker] = None) -> None:
         self._config = config
         self._context = _worker_context()
         self._job_ids = itertools.count()
@@ -311,20 +294,16 @@ class ShardedWorkerPool:
         self.job_timeouts = 0
         #: Predict replies with a non-finite value (handled as crashes).
         self.corrupt_replies = 0
-        count = config.num_workers if num_workers is None else num_workers
+        count = config.num_workers
         if count < 1:
             raise ValueError("a worker pool needs at least one worker")
         self._workers = [
             _WorkerHandle(config, worker_id, self._context)
             for worker_id in range(count)
         ]
-        #: Consistent hash ring over the live worker ids; hash-sharding
-        #: callers route every block to ``ring.owner(shard_key(text))``.
+        #: Consistent hash ring over the worker ids; hash-sharding callers
+        #: route every block to ``ring.owner(shard_key(text))``.
         self.ring = HashRing(nodes=range(count))
-        #: Chronological resize log: ``{"action", "worker_id",
-        #: "num_workers", "at"}`` per worker added or retired.  Bounded so
-        #: a long-lived autoscaled pool cannot grow it without limit.
-        self.resize_events: Deque[Dict[str, object]] = deque(maxlen=1024)
         # One submission owns all pipes at a time: replies are correlated to
         # jobs by per-worker FIFO order, which concurrent callers (e.g. two
         # async front ends sharing one service) would interleave.
@@ -338,45 +317,6 @@ class ShardedWorkerPool:
     def num_workers(self) -> int:
         return len(self._workers)
 
-    # ------------------------------------------------------------------ #
-    # Elasticity.
-    # ------------------------------------------------------------------ #
-    def scale_to(self, count: int) -> int:
-        """Grows or shrinks the pool to ``count`` workers; returns the delta.
-
-        Serialized against submissions via the jobs lock, so no in-flight
-        batch can be addressed to a worker being retired.  Retired workers
-        are stopped and their processes discarded; re-grown worker ids get
-        fresh (cold-cache) replicas, but every *surviving* worker keeps its
-        warm caches and — thanks to the consistent ring — almost all of its
-        key partition.
-
-        Callers routing through :attr:`ring` must serialize their routing
-        decisions against ``scale_to`` themselves (the prediction service
-        holds its submit lock across both).
-        """
-        if count < 1:
-            raise ValueError("a worker pool needs at least one worker")
-        with self._jobs_lock:
-            self._check_open_locked()
-            delta = count - len(self._workers)
-            while len(self._workers) > count:
-                worker = self._workers.pop()
-                self._retire_locked(worker)
-                self.ring.remove_node(worker.worker_id)
-                self._governor.forget(worker.worker_id)
-                if self._breaker is not None:
-                    self._breaker.forget(worker.worker_id)
-                self._record_resize("remove", worker.worker_id)
-            while len(self._workers) < count:
-                worker_id = len(self._workers)
-                self._workers.append(
-                    _WorkerHandle(self._config, worker_id, self._context)
-                )
-                self.ring.add_node(worker_id)
-                self._record_resize("add", worker_id)
-            return delta
-
     def _retire_locked(self, worker: _WorkerHandle) -> None:
         if worker.connection is not None and worker.alive():
             try:
@@ -384,16 +324,6 @@ class ShardedWorkerPool:
             except (BrokenPipeError, OSError):
                 pass
         worker.discard()
-
-    def _record_resize(self, action: str, worker_id: int) -> None:
-        self.resize_events.append(
-            {
-                "action": action,
-                "worker_id": worker_id,
-                "num_workers": len(self._workers),
-                "at": time.monotonic(),
-            }
-        )
 
     # ------------------------------------------------------------------ #
     # Health.
@@ -452,10 +382,8 @@ class ShardedWorkerPool:
         (1 = never respawned).  Cache counters are read as attributes
         (``entry.cache.prediction_hit_rate``).
 
-        Everything — the stats round-trips, the ring shares and the
-        worker pairing — happens under the jobs lock, so a concurrent
-        ``scale_to`` (e.g. the autoscale monitor) can never mispair stats
-        with a half-applied resize.
+        The stats round-trips happen under the jobs lock, so they cannot
+        interleave with a concurrent submission's replies.
 
         Dead workers are *not* round-tripped (asking them would force the
         respawn the governor may be suppressing); they report a
@@ -680,128 +608,3 @@ class ShardedWorkerPool:
             self._closed = True
             for worker in self._workers:
                 self._retire_locked(worker)
-
-
-class PoolAutoscaler:
-    """Turns queue depth and realized latency into pool-resize decisions.
-
-    The policy is deliberately conservative:
-
-    * **scale up** when the pending backlog exceeds
-      ``scale_up_backlog_batches`` size-flushes *per worker* — the queue is
-      growing faster than the current pool drains it — or when the
-      realized-latency signals say the SLO is already slipping (see
-      :meth:`decide`);
-    * **scale down** when the queue has stayed below one batch *total* —
-      and no latency signal has shown pressure — for ``idle_grace_s``:
-      the pool is provably over-provisioned;
-    * never outside ``[min_workers, max_workers]``, and never within
-      ``cooldown_s`` of the previous resize (spawning a replica costs a
-      model build; flapping would be worse than either steady state).
-
-    The caller (the async front end's autoscale monitor) polls
-    :meth:`decide` with the live queue depth and applies the returned
-    target via ``PredictionService.scale_workers``.
-    """
-
-    def __init__(
-        self,
-        min_workers: int,
-        max_workers: int,
-        max_batch_size: int,
-        cooldown_s: float = 2.0,
-        idle_grace_s: float = 1.0,
-        scale_up_backlog_batches: float = 2.0,
-    ) -> None:
-        if min_workers < 1:
-            raise ValueError("min_workers must be >= 1")
-        if max_workers < min_workers:
-            raise ValueError("need min_workers <= max_workers")
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
-        self.min_workers = int(min_workers)
-        self.max_workers = int(max_workers)
-        self.max_batch_size = int(max_batch_size)
-        self.cooldown_s = float(cooldown_s)
-        self.idle_grace_s = float(idle_grace_s)
-        self.scale_up_backlog_batches = float(scale_up_backlog_batches)
-        self._last_resize_at: Optional[float] = None
-        self._busy_since: Optional[float] = None  # last time the queue was busy
-
-    @staticmethod
-    def _signal(value: Optional[float]) -> Optional[float]:
-        """Normalizes a latency signal: ``None``/NaN mean "no data"."""
-        if value is None or math.isnan(value):
-            return None
-        return float(value)
-
-    def decide(
-        self,
-        pending_blocks: int,
-        num_workers: int,
-        now: Optional[float] = None,
-        *,
-        flush_wait_p99_s: Optional[float] = None,
-        batch_latency_s: Optional[float] = None,
-        wait_budget_s: Optional[float] = None,
-    ) -> int:
-        """The worker count the pool should run right now.
-
-        Besides the queue depth, the caller may pass realized-latency
-        signals (``None``/NaN = no data, behave exactly as before):
-
-        * ``flush_wait_p99_s`` — the recent p99 of realized flush waits.
-          Exceeding ``wait_budget_s`` means clients are *already* waiting
-          too long, however short the queue looks right now: scale up.
-        * ``batch_latency_s`` — the typical wall time of one service
-          flush.  ``pending / max_batch_size x batch_latency / workers``
-          estimates how long draining the current backlog will take; a
-          drain time over budget is pressure the pure depth threshold
-          (which assumes flushes are instant) misses on slow models.
-
-        Latency pressure also counts as "busy", so an over-budget pool is
-        never scaled down no matter how shallow its queue.  Returns
-        ``num_workers`` (no change) unless a resize is due; the caller is
-        responsible for applying the change and may call again immediately
-        (the cooldown starts from the *decision*).
-        """
-        now = time.monotonic() if now is None else now
-        wait_p99 = self._signal(flush_wait_p99_s)
-        batch_latency = self._signal(batch_latency_s)
-        budget = self._signal(wait_budget_s)
-        latency_pressure = False
-        if budget is not None and budget > 0:
-            if wait_p99 is not None and wait_p99 > budget:
-                latency_pressure = True
-            if batch_latency is not None and num_workers > 0:
-                pending_batches = pending_blocks / self.max_batch_size
-                drain_s = pending_batches * batch_latency / num_workers
-                if drain_s > budget:
-                    latency_pressure = True
-        if (
-            self._busy_since is None
-            or pending_blocks >= self.max_batch_size
-            or latency_pressure
-        ):
-            self._busy_since = now
-        target = min(max(num_workers, self.min_workers), self.max_workers)
-        if target != num_workers:
-            pass  # out of bounds: clamp back regardless of cooldown
-        elif self._last_resize_at is not None and (
-            now - self._last_resize_at < self.cooldown_s
-        ):
-            return num_workers
-        elif (
-            pending_blocks
-            >= self.scale_up_backlog_batches * self.max_batch_size * num_workers
-            or latency_pressure
-        ) and num_workers < self.max_workers:
-            target = num_workers + 1
-        elif (
-            now - self._busy_since >= self.idle_grace_s
-            and num_workers > self.min_workers
-        ):
-            target = num_workers - 1
-        if target != num_workers:
-            self._last_resize_at = now
-        return target

@@ -56,7 +56,7 @@ class TestGradcheckHarness:
 
 
 class TestFusedDense:
-    @pytest.mark.parametrize("activation", [None, "relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("activation", [None, "relu"])
     def test_against_numeric(self, rng, activation):
         inputs = _tensor(rng, (5, 4))
         weight = _tensor(rng, (4, 3))
@@ -74,9 +74,10 @@ class TestFusedDense:
             {"inputs": inputs, "weight": weight},
         )
 
-    def test_rejects_unknown_activation(self, rng):
+    @pytest.mark.parametrize("activation", ["gelu", "tanh", "sigmoid"])
+    def test_rejects_unknown_activation(self, rng, activation):
         with pytest.raises(ValueError):
-            fused_dense(_tensor(rng, (2, 2)), _tensor(rng, (2, 2)), None, "gelu")
+            fused_dense(_tensor(rng, (2, 2)), _tensor(rng, (2, 2)), None, activation)
 
 
 class TestFusedLayerNorm:
@@ -273,12 +274,11 @@ class TestFusedPieceUpdate:
         operands = self._operands(rng, layer_norm=layer_norm, projection=projection, depth=depth)
         gradcheck(lambda: self._update(operands), operands, atol=1e-5)
 
-    @pytest.mark.parametrize("activation", [None, "tanh", "sigmoid"])
-    def test_other_activations_against_numeric(self, rng, activation):
+    def test_identity_activations_against_numeric(self, rng):
         operands = self._operands(rng)
         del operands["bias2"]
         gradcheck(
-            lambda: self._update(operands, activation=activation, activations=[activation] * 2),
+            lambda: self._update(operands, activation=None, activations=[None] * 2),
             operands,
             atol=1e-5,
         )
@@ -318,6 +318,14 @@ class TestFusedPieceUpdate:
         if projection:
             expected = expected + inputs.data @ operands["projection"].data
         np.testing.assert_allclose(self._update(operands).data, expected, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    def test_rejects_activations_no_layer_uses(self, rng, activation):
+        operands = self._operands(rng)
+        with pytest.raises(ValueError, match="activation"):
+            self._update(operands, activation=activation)
+        with pytest.raises(ValueError, match="activation"):
+            self._update(operands, activations=["relu", activation])
 
     def test_rejects_bad_arguments(self, rng):
         operands = self._operands(rng)
@@ -529,7 +537,7 @@ class TestLayers:
     """The layers check end to end, through their fused tape ops."""
 
     def test_dense(self, rng):
-        layer = Dense(3, 2, rng, activation="sigmoid")
+        layer = Dense(3, 2, rng, activation="relu")
         inputs = _tensor(rng, (4, 3))
         gradcheck(
             lambda: layer(inputs),

@@ -24,12 +24,23 @@ class TestDense:
         output = layer(Tensor(rng.normal(size=(10, 4))))
         assert np.all(output.data >= 0.0)
 
-    def test_tanh_and_sigmoid_ranges(self, rng):
-        tanh_layer = Dense(4, 4, rng, activation="tanh")
-        sigmoid_layer = Dense(4, 4, rng, activation="sigmoid")
-        inputs = Tensor(rng.normal(size=(6, 4)) * 5)
-        assert np.all(np.abs(tanh_layer(inputs).data) <= 1.0)
-        assert np.all((sigmoid_layer(inputs).data >= 0.0) & (sigmoid_layer(inputs).data <= 1.0))
+    @pytest.mark.parametrize("activation", [None, "relu"])
+    def test_forward_is_the_numpy_definition(self, rng, activation):
+        """Both accepted activations, on the tape and off it, compute
+        ``activation(x @ W + b)`` exactly."""
+        layer = Dense(4, 3, rng, activation=activation)
+        inputs = rng.normal(size=(6, 4))
+        expected = inputs @ layer.weight.data + layer.bias.data
+        if activation == "relu":
+            expected = np.maximum(expected, 0.0)
+        np.testing.assert_array_equal(layer(Tensor(inputs)).data, expected)
+        with no_grad():
+            np.testing.assert_array_equal(layer(Tensor(inputs)).data, expected)
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    def test_tanh_and_sigmoid_rejected(self, rng, activation):
+        with pytest.raises(ValueError):
+            Dense(4, 4, rng, activation=activation)
 
     def test_invalid_activation_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -91,13 +91,28 @@ class TestArithmeticGradients:
         check_gradient(lambda t: (t + other).sum(), (3, 4))
 
     def test_sub_and_neg(self):
-        check_gradient(lambda t: (5.0 - t - t).sum(), (2, 3))
+        check_gradient(lambda t: (-t - t + 5.0).sum(), (2, 3))
 
     def test_mul(self):
         check_gradient(lambda t: (t * t).sum(), (4,))
 
     def test_div(self):
-        check_gradient(lambda t: (t / 3.0 + 2.0 / (t + 10.0)).sum(), (5,))
+        check_gradient(lambda t: (t / 3.0 + Tensor(np.array(2.0)) / (t + 10.0)).sum(), (5,))
+
+    def test_scalar_on_the_left_of_add(self):
+        check_gradient(lambda t: (2.0 + t).sum(), (3, 4))
+
+    def test_scalar_on_the_left_of_mul(self):
+        check_gradient(lambda t: (3.0 * t * t).sum(), (4,))
+
+    @pytest.mark.parametrize(
+        "operation", [lambda t: 5.0 - t, lambda t: 2.0 / t], ids=["sub", "truediv"]
+    )
+    def test_scalar_on_the_left_of_sub_and_div_is_rejected(self, operation):
+        """The tape has no reflected subtract or divide: a scalar minuend
+        or dividend fails loudly instead of recording an unchecked node."""
+        with pytest.raises(TypeError):
+            operation(Tensor(np.ones(3), requires_grad=True))
 
     def test_abs(self):
         check_gradient(lambda t: (t.abs() * 2.0).sum(), (7,), seed=5)

@@ -12,6 +12,7 @@ from repro.serve import (
     AsyncPredictionService,
     AuthenticationError,
     AuthorizationError,
+    HashRing,
     InvalidRequestError,
     ModelRegistry,
     ModelVariant,
@@ -30,16 +31,18 @@ from repro.serve import (
     TenantDirectory,
     UnknownModelError,
 )
+from repro.serve.resilience import CircuitBreaker, RespawnGovernor
 from repro.serve.stats import CacheStats, StatsStruct
+from repro.serve.workers import ShardedWorkerPool
 
 
 class TestLayeredConfig:
     def test_service_config_carries_async_options(self):
         config = ServiceConfig(
             max_batch_size=16,
-            async_options=AsyncOptions(max_latency_ms=5.0, backpressure="reject"),
+            async_options=AsyncOptions(max_queue_blocks=128, backpressure="reject"),
         )
-        assert config.async_options.max_latency_ms == 5.0
+        assert config.async_options.max_queue_blocks == 128
         assert config.async_options.backpressure == "reject"
 
     def test_async_options_has_no_batch_size_knob(self):
@@ -50,8 +53,6 @@ class TestLayeredConfig:
 
     def test_async_options_validation(self):
         with pytest.raises(ValueError):
-            AsyncOptions(max_latency_ms=-1.0)
-        with pytest.raises(ValueError):
             AsyncOptions(max_queue_blocks=0)
         with pytest.raises(ValueError):
             AsyncOptions(backpressure="drop")
@@ -61,9 +62,7 @@ class TestLayeredConfig:
             ServiceConfig(max_batch_size=0)
 
     def test_explicit_and_inherited_options_build_equivalent_front_ends(self):
-        options = AsyncOptions(
-            max_latency_ms=7.5, max_queue_blocks=64, backpressure="reject"
-        )
+        options = AsyncOptions(max_queue_blocks=64, backpressure="reject")
         # Explicit options around an externally configured service ...
         explicit = AsyncPredictionService(
             options, service=PredictionService(ServiceConfig(max_batch_size=8))
@@ -94,7 +93,6 @@ class TestLayeredConfig:
         # Every AsyncOptions field reaches the front end, including the
         # retry, degraded-mode and stale-cache knobs.
         options = AsyncOptions(
-            max_latency_ms=5.0,
             retry_policy=RetryPolicy(max_attempts=2),
             degraded_mode=True,
             stale_cache_size=2,
@@ -129,11 +127,37 @@ class TestLayeredConfig:
         ):
             with pytest.raises(TypeError):
                 AsyncOptions(**{removed: 1})
-        assert len(dataclasses.fields(AsyncOptions)) == 7
         # Every block has one ring owner: no hot-key replication knobs.
         for removed in ("hot_key_replicas", "hot_key_count"):
             with pytest.raises(TypeError):
                 ServiceConfig(**{removed: 1})
+        # The worker pool is fixed: no elasticity or autoscaler knobs.
+        for removed in ("min_workers", "max_workers", "scale_cooldown_s"):
+            with pytest.raises(TypeError):
+                ServiceConfig(**{removed: 1})
+        for removed in ("max_latency_ms", "autoscale_poll_ms"):
+            with pytest.raises(TypeError):
+                AsyncOptions(**{removed: 1.0})
+        assert len(dataclasses.fields(AsyncOptions)) == 5
+        assert len(dataclasses.fields(ServiceConfig)) == 12
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (PredictionService, "scale_workers"),
+            (PredictionService, "maybe_autoscale"),
+            (ShardedWorkerPool, "scale_to"),
+            (HashRing, "add_node"),
+            (HashRing, "remove_node"),
+            (CircuitBreaker, "forget"),
+            (RespawnGovernor, "forget"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_the_worker_pool_cannot_be_resized(self, owner, name):
+        """A pool's workers, and the ring over their ids, are set when it
+        is built: nothing can add, remove or forget a worker later."""
+        assert not hasattr(owner, name)
 
     def test_service_batch_size_drives_flushes(self, sample_blocks):
         config = ServiceConfig(max_batch_size=4)
@@ -217,7 +241,7 @@ class TestPublicImports:
         )
 
         names = repro.serve.__all__
-        assert len(names) == len(set(names)) == 43
+        assert len(names) == len(set(names)) == 42
         for name in names:
             assert getattr(repro.serve, name) is not None
         # Importable from their defining modules, not from the package.
@@ -315,7 +339,6 @@ class TestTypedStats:
             "queue",
             "flush",
             "model",
-            "autoscale_errors",
             "resilience",
         ]
 

@@ -219,7 +219,6 @@ class TestServiceCancellation:
             service_config=ServiceConfig(
                 model_name="granite",
                 max_batch_size=8,
-                async_options=AsyncOptions(max_latency_ms=5.0),
             )
         )
         futures = [
@@ -245,7 +244,6 @@ class TestServiceCancellation:
         service = AsyncPredictionService(
             service_config=ServiceConfig(
                 model_name="granite",
-                async_options=AsyncOptions(max_latency_ms=5.0),
             )
         )
         doomed = service.submit(_request(blocks, 0, 2), deadline_ms=1.0)
@@ -266,7 +264,6 @@ class TestServiceCancellation:
         service = AsyncPredictionService(
             service_config=ServiceConfig(
                 model_name="granite",
-                async_options=AsyncOptions(max_latency_ms=5.0),
             )
         )
         cancelled = [service.submit(_request(blocks, 0, 2)) for _ in range(3)]
@@ -374,7 +371,6 @@ class TestBusyDispatcher:
             ServiceConfig(
                 model_name="granite",
                 max_batch_size=16,
-                async_options=AsyncOptions(max_latency_ms=1.0),
             ),
             stalls=1,
         )
@@ -431,7 +427,6 @@ class TestProducersRaceOneDispatcher:
         inner = _EchoService(
             ServiceConfig(
                 max_batch_size=4,
-                async_options=AsyncOptions(max_latency_ms=0.5),
             )
         )
         futures = {}

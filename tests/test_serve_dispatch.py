@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serve import (
-    AsyncOptions,
     AsyncPredictionService,
     PredictionRequest,
     PredictionResponse,
@@ -87,11 +86,8 @@ def _take_in_thread(queue, max_blocks):
     return taker, taken
 
 
-def _front_end(max_batch_size, **options):
-    config = ServiceConfig(
-        max_batch_size=max_batch_size, async_options=AsyncOptions(**options)
-    )
-    inner = _RecordingService(config)
+def _front_end(max_batch_size):
+    inner = _RecordingService(ServiceConfig(max_batch_size=max_batch_size))
     return inner, AsyncPredictionService(service=inner)
 
 
@@ -268,9 +264,8 @@ class TestTakeBatch:
 class TestWorkConservingFrontEnd:
     def test_lone_request_on_an_idle_front_end_is_not_held(self):
         """The dispatcher only ever waits, untimed, on an empty queue: a
-        lone request is flushed on its own, however large the batch bound
-        and however long ``max_latency_ms``."""
-        inner, front_end = _front_end(4096, max_latency_ms=60_000.0)
+        lone request is flushed on its own, however large the batch bound."""
+        inner, front_end = _front_end(4096)
         recorder = _RecordingCondition(front_end.queue._lock)
         front_end.queue._work = recorder
         with front_end:
@@ -399,9 +394,12 @@ class TestWorkConservingFrontEnd:
         assert sum(inner.batches, []) == ["first"] + [f"l{index}" for index in range(late)]
         assert front_end.stats.size_flushes == full_flushes
 
-    @pytest.mark.parametrize("max_latency_ms", [0.0, 10.0, 60_000.0])
-    def test_sequential_requests_are_each_flushed_alone(self, max_latency_ms):
-        inner, front_end = _front_end(64, max_latency_ms=max_latency_ms)
+    @pytest.mark.parametrize("max_batch_size", [2, 64, 4096])
+    def test_sequential_requests_are_each_flushed_alone(self, max_batch_size):
+        """However large the batch bound, a request never waits for
+        company: each of a sequence of one-block requests is its own
+        flush."""
+        inner, front_end = _front_end(max_batch_size)
         recorder = _RecordingCondition(front_end.queue._lock)
         front_end.queue._work = recorder
         with front_end:
@@ -427,6 +425,18 @@ class TestWorkConservingFrontEnd:
         started = dispatchers() - before
         assert len(started) == 1
         front_end.close()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_a_served_front_end_starts_no_thread_but_the_dispatcher(self):
+        """The front end runs no monitor beside its dispatcher: serving a
+        request leaves exactly one new thread alive, and closing ends it."""
+        before = set(threading.enumerate())
+        inner, front_end = _front_end(64)
+        with front_end:
+            front_end.submit(_request("only")).result(timeout=60.0)
+            started = set(threading.enumerate()) - before
+            assert [thread.name for thread in started] == ["repro-serve-dispatcher"]
+        assert inner.batches == [["only"]]
         assert not any(thread.is_alive() for thread in started)
 
     def test_a_parked_flush_holds_every_later_request_in_the_queue(

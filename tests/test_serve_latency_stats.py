@@ -2,7 +2,7 @@
 
 The historical bug: ``flush_wait_percentile`` and friends returned 0.0
 for an empty sample window, so an idle (or dead) service read as
-"zero latency" to every SLO check and to the autoscaler.  These tests pin
+"zero latency" to every SLO check.  These tests pin
 the fix at every layer — the percentile helper, the async service's
 accessors, the snapshot dataclasses, and the JSON wire format.
 """
@@ -16,7 +16,6 @@ import pytest
 from repro.serve import (
     AsyncOptions,
     AsyncPredictionService,
-    PoolAutoscaler,
     PredictionRequest,
     latency_percentile,
 )
@@ -57,7 +56,7 @@ class TestLatencyPercentile:
 
 class TestEmptyWindowSurfaces:
     def test_idle_service_percentiles_are_nan_everywhere(self):
-        with AsyncPredictionService(AsyncOptions(max_latency_ms=5.0)) as service:
+        with AsyncPredictionService(AsyncOptions()) as service:
             assert math.isnan(service.stats.flush_wait_percentile(0.99))
             assert math.isnan(service.stats.request_latency_percentile(0.999))
             snapshot = service.snapshot()
@@ -68,7 +67,7 @@ class TestEmptyWindowSurfaces:
         assert math.isnan(snapshot.flush.request_p999_ms)
 
     def test_served_requests_populate_request_percentiles(self):
-        with AsyncPredictionService(AsyncOptions(max_latency_ms=2.0)) as service:
+        with AsyncPredictionService(AsyncOptions()) as service:
             for _ in range(3):
                 service.predict_blocks(["MOV RAX, RBX"])
             snapshot = service.snapshot()
@@ -96,7 +95,7 @@ class TestNanWireRoundTrip:
         }
 
     def test_idle_snapshot_serializes_percentiles_as_null(self):
-        with AsyncPredictionService(AsyncOptions(max_latency_ms=5.0)) as service:
+        with AsyncPredictionService(AsyncOptions()) as service:
             snapshot = service.snapshot()
         wire = json.loads(json.dumps(_jsonable(snapshot.to_dict())))
         flush = wire["flush"]
@@ -110,68 +109,6 @@ class TestNanWireRoundTrip:
             assert flush[key] is None, key
         # And never the old lie:
         assert 0.0 not in {flush["wait_p99_ms"], flush["request_p999_ms"]}
-
-
-class TestAutoscalerLatencySignals:
-    def test_nan_signals_behave_like_legacy(self):
-        legacy = PoolAutoscaler(1, 4, 8, cooldown_s=0.0, idle_grace_s=10.0)
-        guarded = PoolAutoscaler(1, 4, 8, cooldown_s=0.0, idle_grace_s=10.0)
-        nan = float("nan")
-        for pending in (0, 10, 100, 500):
-            assert guarded.decide(
-                pending,
-                2,
-                now=1.0,
-                flush_wait_p99_s=nan,
-                batch_latency_s=nan,
-                wait_budget_s=nan,
-            ) == legacy.decide(pending, 2, now=1.0)
-
-    def test_wait_pressure_scales_up_without_backlog(self):
-        scaler = PoolAutoscaler(1, 4, 8, cooldown_s=0.0)
-        # Queue looks empty, but clients waited 5x the budget: grow.
-        assert (
-            scaler.decide(
-                0, 2, now=1.0, flush_wait_p99_s=0.5, wait_budget_s=0.1
-            )
-            == 3
-        )
-
-    def test_drain_pressure_scales_up_on_slow_batches(self):
-        scaler = PoolAutoscaler(1, 4, 8, cooldown_s=0.0)
-        # 4 batches pending x 200ms each / 2 workers = 400ms drain > 100ms
-        # budget, despite the backlog threshold (2*8*2=32 blocks) not
-        # being met.
-        assert (
-            scaler.decide(
-                32 - 1,
-                2,
-                now=1.0,
-                batch_latency_s=0.2,
-                wait_budget_s=0.1,
-            )
-            == 3
-        )
-
-    def test_latency_pressure_blocks_scale_down(self):
-        scaler = PoolAutoscaler(1, 4, 8, cooldown_s=0.0, idle_grace_s=0.5)
-        assert scaler.decide(0, 2, now=0.0) == 2
-        # A shallow queue would normally shrink after the grace period,
-        # but over-budget waits mean the pool is not over-provisioned.
-        assert (
-            scaler.decide(
-                0, 2, now=1.0, flush_wait_p99_s=0.5, wait_budget_s=0.1
-            )
-            == 3
-        )
-
-    def test_within_budget_still_shrinks_when_idle(self):
-        scaler = PoolAutoscaler(1, 4, 8, cooldown_s=0.0, idle_grace_s=0.5)
-        assert scaler.decide(0, 2, now=0.0, flush_wait_p99_s=0.01, wait_budget_s=0.1) == 2
-        assert (
-            scaler.decide(0, 2, now=1.0, flush_wait_p99_s=0.01, wait_budget_s=0.1)
-            == 1
-        )
 
 
 class TestPerRequestVsPerFlushBias:

@@ -158,7 +158,6 @@ class TestAsyncPredictionService:
         config = ServiceConfig(
             model_name="granite",
             max_batch_size=8,
-            async_options=AsyncOptions(max_latency_ms=5.0),
         )
         with AsyncPredictionService(service_config=config) as service:
             direct = service.service.model.predict(blocks)
@@ -188,7 +187,6 @@ class TestAsyncPredictionService:
         config = ServiceConfig(
             model_name="granite",
             max_batch_size=4096,
-            async_options=AsyncOptions(max_latency_ms=30.0),
         )
         with AsyncPredictionService(service_config=config) as service:
             service.predict_blocks(blocks[:1])  # warm every cache
@@ -256,7 +254,6 @@ class TestAsyncPredictionService:
         config = ServiceConfig(
             model_name="granite",
             max_batch_size=8,
-            async_options=AsyncOptions(max_latency_ms=5.0),
         )
         service = AsyncPredictionService(service_config=config)
         doomed = service.submit(PredictionRequest.of(blocks[:2]))
@@ -290,7 +287,7 @@ class TestAsyncPredictionService:
         with pytest.raises(ValueError):
             ServiceConfig(max_batch_size=0)
         with pytest.raises(ValueError):
-            AsyncOptions(max_latency_ms=-1.0)
+            AsyncOptions(max_queue_blocks=0)
 
     def test_predict_blocks_starts_an_unstarted_front_end(self, blocks):
         """predict_blocks waits for its own answer, so it cannot queue behind

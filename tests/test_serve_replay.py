@@ -301,7 +301,7 @@ class TestTraceReplayer:
             num_requests=30, seed=17, num_keys=8, mean_rate_rps=400.0
         )
         policy = SloPolicy(p50_ms=5_000.0, max_error_rate=0.0)
-        with AsyncPredictionService(AsyncOptions(max_latency_ms=2.0)) as service:
+        with AsyncPredictionService(AsyncOptions()) as service:
             replayer = TraceReplayer(service, speedup=2.0, slo=policy)
             report = replayer.run(trace)
         assert report.num_requests == 30

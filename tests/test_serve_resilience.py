@@ -348,15 +348,6 @@ class TestRespawnGovernor:
         assert governor.may_respawn(0) is False
         assert governor.may_respawn(1) is True
 
-    def test_forget_clears_state(self):
-        clock = FakeClock()
-        governor = self.make(clock)
-        for _ in range(2):
-            governor.record_respawn(0)
-        assert governor.may_respawn(0) is False
-        governor.forget(0)
-        assert governor.may_respawn(0) is True
-
 
 # ---------------------------------------------------------------------------
 # Stale prediction cache
@@ -419,7 +410,6 @@ class TestDegradedMode:
         options = AsyncOptions(
             retry_policy=RetryPolicy(max_attempts=2, base_delay_ms=1.0),
             degraded_mode=True,
-            max_latency_ms=5.0,
         )
         with AsyncPredictionService(options, service_config=config) as front:
             warm = front.submit(PredictionRequest.of(chaos_blocks[:4])).result(30)
@@ -449,7 +439,7 @@ class TestDegradedMode:
 
     def test_uncached_blocks_still_fail(self, chaos_blocks):
         config = ServiceConfig(max_batch_size=8)
-        options = AsyncOptions(degraded_mode=True, max_latency_ms=5.0)
+        options = AsyncOptions(degraded_mode=True)
         with AsyncPredictionService(options, service_config=config) as front:
 
             def failing(requests):
@@ -471,7 +461,7 @@ class TestQueueSaturationFault:
             )
         )
         config = ServiceConfig(max_batch_size=8, fault_plan=plan)
-        options = AsyncOptions(max_latency_ms=5.0)
+        options = AsyncOptions()
         with AsyncPredictionService(options, service_config=config) as front:
             from repro.serve import QueueFullError
 
@@ -497,7 +487,6 @@ class TestRespawnUnderLiveTraffic:
         )
         options = AsyncOptions(
             retry_policy=RetryPolicy(max_attempts=3, base_delay_ms=1.0),
-            max_latency_ms=5.0,
         )
         completions = []
         completion_lock = threading.Lock()

@@ -92,71 +92,68 @@ class TestHashRing:
             # No node owns a wildly disproportionate share.
             assert max(shares.values()) < 3.0 / count
 
-    def test_add_node_moves_keys_only_to_new_node(self, keys):
-        """The consistency property: growing N -> N+1 moves ~1/(N+1) of the
-        keys, all of them *to* the new node; nobody else's keys move."""
-        for count in (2, 3, 4):
-            before = HashRing(nodes=range(count))
-            after = HashRing(nodes=range(count + 1))
-            moved = 0
-            for key in keys:
-                old, new = before.owner(key), after.owner(key)
-                if old != new:
-                    moved += 1
-                    assert new == count  # moved keys land on the new node only
-            fraction = moved / len(keys)
-            # Expectation is 1/(count+1); allow generous slack for a small
-            # sample of keys.
-            assert 0.0 < fraction < 2.0 / (count + 1)
-
-    def test_remove_node_is_inverse_of_add(self, keys):
-        ring = HashRing(nodes=range(4))
-        reference = {key: ring.owner(key) for key in keys}
-        ring.add_node(4)
-        ring.remove_node(4)
-        assert ring.nodes == (0, 1, 2, 3)
-        assert {key: ring.owner(key) for key in keys} == reference
-
-    def test_incremental_equals_from_scratch(self, keys):
-        grown = HashRing(nodes=(0,))
-        grown.add_node(1)
-        grown.add_node(2)
-        fresh = HashRing(nodes=range(3))
-        for key in keys:
-            assert grown.owner(key) == fresh.owner(key)
-
-    def test_invalid_operations(self):
-        ring = HashRing(nodes=(0, 1))
-        with pytest.raises(ValueError):
-            ring.add_node(0)
-        with pytest.raises(ValueError):
-            ring.remove_node(9)
+    def test_empty_ring_and_duplicate_ids(self):
         empty = HashRing()
+        assert len(empty) == 0 and empty.nodes == ()
         with pytest.raises(LookupError):
             empty.owner(123)
         assert empty.shares() == {}
+        with pytest.raises(ValueError):
+            HashRing(nodes=(0, 1, 0))
 
-
-    def test_remove_node_moves_only_the_removed_nodes_keys(self, keys):
-        """The mirror of growth: survivors keep every key they owned, and
-        the removed node's keys fall to the survivors."""
-        for removed in (0, 2, 3):
-            ring = HashRing(nodes=range(4))
-            before = {key: ring.owner(key) for key in keys}
-            ring.remove_node(removed)
-            for key in keys:
-                if before[key] == removed:
-                    assert ring.owner(key) != removed
-                else:
-                    assert ring.owner(key) == before[key]
-
-    def test_removed_nodes_keys_spread_over_the_survivors(self, keys):
-        """Virtual nodes scatter a removed node's arcs: its keys do not all
-        fall onto a single neighbour."""
+    @pytest.mark.parametrize("refused", range(4))
+    def test_refusing_a_worker_moves_only_its_keys(self, keys, refused):
+        """Survivors keep every key they own, and the refused worker's
+        keys fall to the survivors."""
         ring = HashRing(nodes=range(4))
-        orphans = [key for key in keys if ring.owner(key) == 0]
-        ring.remove_node(0)
-        assert len({ring.owner(key) for key in orphans}) == 3
+        for key in keys:
+            routed = ring.owner(key, lambda node: node != refused)
+            if ring.owner(key) == refused:
+                assert routed != refused
+            else:
+                assert routed == ring.owner(key)
+
+    def test_routing_around_refused_workers_leaves_the_ring_unchanged(self, keys):
+        """An admit walk only reads the ring: after routing around every
+        worker in turn, each key has its old owner and each worker its old
+        share."""
+        ring = HashRing(nodes=range(4))
+        owners = [ring.owner(key) for key in keys]
+        shares = ring.shares()
+        for refused in range(4):
+            for key in keys:
+                ring.owner(key, lambda node: node != refused)
+        assert ring.nodes == (0, 1, 2, 3)
+        assert ring.shares() == shares
+        assert [ring.owner(key) for key in keys] == owners
+
+    @pytest.mark.parametrize("order", [(3, 2, 1, 0), (2, 0, 3, 1), (1, 3, 0, 2)])
+    def test_ring_does_not_depend_on_node_order(self, keys, order):
+        """A ring is a function of its set of ids: the parent and a
+        respawned worker agree however each lists the pool."""
+        ring = HashRing(nodes=order)
+        reference = HashRing(nodes=range(4))
+        assert ring.nodes == reference.nodes
+        assert ring.shares() == reference.shares()
+        assert [ring.owner(key) for key in keys] == [reference.owner(key) for key in keys]
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_one_more_worker_moves_keys_only_to_it(self, keys, count):
+        """The consistency property between fixed rings: a pool built with
+        one more worker moves ~1/(N+1) of the keys, all of them *to* the
+        new worker; nobody else's keys move."""
+        before = HashRing(nodes=range(count))
+        after = HashRing(nodes=range(count + 1))
+        moved = 0
+        for key in keys:
+            old, new = before.owner(key), after.owner(key)
+            if old != new:
+                moved += 1
+                assert new == count  # moved keys land on the new worker only
+        fraction = moved / len(keys)
+        # Expectation is 1/(count+1); allow generous slack for a small
+        # sample of keys.
+        assert 0.0 < fraction < 2.0 / (count + 1)
 
     def test_single_node_owns_everything(self, keys):
         ring = HashRing(nodes=(5,))
@@ -168,39 +165,15 @@ class TestHashRing:
         ring = HashRing(nodes=(3, 10, 42))
         assert ring.nodes == (3, 10, 42)
         assert {ring.owner(key) for key in keys} == {3, 10, 42}
-        ring.remove_node(10)
-        assert ring.nodes == (3, 42)
-        assert {ring.owner(key) for key in keys} == {3, 42}
+        assert {ring.owner(key, lambda node: node != 10) for key in keys} == {3, 42}
+        assert HashRing(nodes=(42, 3)).shares().keys() == {3, 42}
 
     def test_node_ids_are_normalised_to_int(self):
         ring = HashRing(nodes=[np.int64(1), 2.0])
         assert ring.nodes == (1, 2)
         assert all(type(node) is int for node in ring.nodes)
         with pytest.raises(ValueError):
-            ring.add_node(1.0)
-        ring.remove_node(2.0)
-        assert ring.nodes == (1,)
-
-    def test_failed_membership_change_leaves_routing_unchanged(self, keys):
-        ring = HashRing(nodes=range(3))
-        before = {key: ring.owner(key) for key in keys}
-        shares = ring.shares()
-        with pytest.raises(ValueError):
-            ring.add_node(1)
-        with pytest.raises(ValueError):
-            ring.remove_node(7)
-        assert ring.nodes == (0, 1, 2)
-        assert ring.shares() == shares
-        assert {key: ring.owner(key) for key in keys} == before
-
-    def test_membership_tracks_add_and_remove(self):
-        ring = HashRing()
-        assert len(ring) == 0 and ring.nodes == ()
-        ring.add_node(4)
-        ring.add_node(1)
-        assert ring.nodes == (1, 4) and len(ring) == 2 and 4 in ring
-        ring.remove_node(4)
-        assert ring.nodes == (1,) and 4 not in ring
+            HashRing(nodes=[1, 1.0])
 
     @pytest.mark.parametrize("offset", [RING_SPACE, -RING_SPACE, 5 * RING_SPACE])
     def test_keys_are_taken_modulo_the_ring(self, keys, offset):
@@ -250,15 +223,6 @@ class TestHashRing:
             owned[ring.owner(index * RING_SPACE // samples)] += 1
         for node, share in ring.shares().items():
             assert owned[node] / samples == pytest.approx(share, abs=0.01)
-
-    def test_shares_follow_membership_changes(self):
-        ring = HashRing(nodes=range(2))
-        ring.add_node(2)
-        assert ring.shares() == HashRing(nodes=range(3)).shares()
-        ring.remove_node(0)
-        shares = ring.shares()
-        assert set(shares) == {1, 2}
-        assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_owners_agree_across_processes(self, keys):
         """Workers and the parent must agree on the ring without sharing
@@ -318,26 +282,6 @@ class TestRingCoalescing:
             for text in batch.block_texts:
                 assert ring.owner(shard_key(text)) == worker_id
 
-    def test_routing_survives_resize_for_unmoved_keys(self, blocks):
-        """After adding a worker, every block either keeps its worker or
-        lands on the new one — the cache-affinity contract of elasticity."""
-        small = HashRing(nodes=range(2))
-        grown = HashRing(nodes=range(3))
-        request = [PredictionRequest.of(blocks)]
-        before = {
-            text: worker_id
-            for worker_id, batch in coalesce_requests(request, 64, _ring_owner(small))
-            for text in batch.block_texts
-        }
-        after = {
-            text: worker_id
-            for worker_id, batch in coalesce_requests(request, 64, _ring_owner(grown))
-            for text in batch.block_texts
-        }
-        assert set(before) == set(after)
-        for text, owner in after.items():
-            assert owner == before[text] or owner == 2
-
     def test_a_repeated_block_has_one_owner_across_requests(self, blocks):
         """Every key has exactly one owner: a hot block repeated in every
         request of a submission is never spread over workers."""
@@ -389,6 +333,33 @@ class TestRingCoalescing:
         )
         assert {worker_id for worker_id, _ in assignments} == {0, 2}
         assert sum(batch.num_blocks for _, batch in assignments) == len(blocks)
+
+    @pytest.mark.parametrize("refused", range(3))
+    def test_refused_workers_blocks_move_and_the_rest_keep_their_worker(
+        self, blocks, refused
+    ):
+        """Routing around a refused worker moves only the blocks it owns:
+        every other block is batched for the same worker as before."""
+        ring = HashRing(nodes=range(3))
+        request = [PredictionRequest.of(blocks)]
+        before = {
+            text: worker_id
+            for worker_id, batch in coalesce_requests(request, 64, _ring_owner(ring))
+            for text in batch.block_texts
+        }
+        after = {
+            text: worker_id
+            for worker_id, batch in coalesce_requests(
+                request,
+                64,
+                lambda text: ring.owner(shard_key(text), lambda node: node != refused),
+            )
+            for text in batch.block_texts
+        }
+        assert set(before) == set(after)
+        assert refused in before.values() and refused not in after.values()
+        for text, owner in after.items():
+            assert owner == before[text] or before[text] == refused
 
     def test_invalid_arguments(self, blocks):
         request = PredictionRequest.of(blocks[:2])
@@ -492,23 +463,17 @@ class TestAdmitWalk:
                 survivors.owner(key)
             )
 
-    def test_refused_workers_keys_spread_over_the_survivors(self, keys):
+    @pytest.mark.parametrize("refused", range(4))
+    def test_refused_workers_keys_spread_over_the_survivors(self, keys, refused):
+        """Virtual nodes scatter a worker's arcs: when it is refused, its
+        keys do not all fall onto a single neighbour."""
         ring = HashRing(nodes=range(4))
-        orphans = [key for key in keys if ring.owner(key) == 0]
-        assert len({ring.owner(key, lambda node: node != 0) for key in orphans}) == 3
+        orphans = [key for key in keys if ring.owner(key) == refused]
+        routed = {ring.owner(key, lambda node: node != refused) for key in orphans}
+        assert routed == set(range(4)) - {refused}
 
     def test_empty_ring_raises_without_asking_admit(self):
         asked = []
         with pytest.raises(LookupError):
             HashRing().owner(7, asked.append)
         assert asked == []
-
-    def test_routing_follows_an_in_place_add_node(self, keys):
-        ring = HashRing(nodes=range(2))
-        before = {key: ring.owner(key, lambda node: node != 0) for key in keys}
-        ring.add_node(2)
-        fresh = HashRing(nodes=range(3))
-        for key in keys:
-            routed = ring.owner(key, lambda node: node != 0)
-            assert routed == fresh.owner(key, lambda node: node != 0)
-            assert routed in (before[key], 2)

@@ -1,15 +1,10 @@
-"""Tests of hash-ring sharding and the elastic, respawning worker pool."""
-
-import time
+"""Tests of hash-ring sharding and the fixed, respawning worker pool."""
 
 import pytest
 
 from repro.data.synthetic import BlockGenerator, GeneratorConfig
 from repro.serve import (
-    AsyncOptions,
-    AsyncPredictionService,
     HashRing,
-    PoolAutoscaler,
     PredictionRequest,
     PredictionService,
     ServiceConfig,
@@ -17,6 +12,7 @@ from repro.serve import (
     shard_key,
 )
 from repro.serve.resilience import BreakerPolicy
+from repro.serve.workers import ShardedWorkerPool
 from repro.testing.equivalence import assert_allclose_for_dtype
 
 
@@ -57,8 +53,36 @@ class TestShardPartitioning:
         assert mixed_shards == {solo_shard}
 
 
+class TestFixedPoolConstruction:
+    def test_a_pool_needs_a_worker(self):
+        with pytest.raises(ValueError):
+            ShardedWorkerPool(ServiceConfig(num_workers=0))
+
+
 @pytest.mark.slow
 class TestShardedWorkerPool:
+    @pytest.mark.parametrize("num_workers", [1, 3])
+    def test_worker_ids_and_ring_are_set_at_construction(self, blocks, num_workers):
+        """The pool's ids are ``0 .. N-1`` and its ring is the fresh ring
+        over them; serving and a health check change neither."""
+        config = ServiceConfig(
+            model_name="granite", max_batch_size=8, num_workers=num_workers
+        )
+        reference = HashRing(nodes=range(num_workers))
+        with PredictionService(config) as service:
+            service.predict_blocks(blocks)
+            assert service.check_health() == 0
+            pool = service._pool
+            stats = service.worker_stats()
+        assert pool.num_workers == num_workers
+        assert [worker.worker_id for worker in pool._workers] == list(range(num_workers))
+        assert pool.ring.nodes == reference.nodes
+        assert pool.ring.shares() == reference.shares()
+        assert [entry.worker_id for entry in stats] == list(range(num_workers))
+        assert [entry.ring_share for entry in stats] == pytest.approx(
+            [reference.shares()[worker_id] for worker_id in range(num_workers)]
+        )
+
     def test_hash_sharding_matches_in_process(self, blocks):
         in_process = PredictionService(
             ServiceConfig(model_name="granite", max_batch_size=5)
@@ -136,17 +160,27 @@ class TestShardedWorkerPool:
             assert worker == ring.owner(shard_key(text))
 
     def test_worker_crash_respawns_mid_stream(self, blocks):
-        """Killing a worker between submissions must not lose any request."""
+        """Killing a worker between submissions must not lose any request,
+        and the replacement takes over the dead worker's id and its whole
+        key partition: the ring never changes while the pool lives."""
         config = ServiceConfig(model_name="granite", max_batch_size=4, num_workers=2)
+        sampled_keys = [shard_key(f"sampled block {index}") for index in range(1000)]
         with PredictionService(config) as service:
             first = service.predict_blocks(blocks)
-            victim = service._pool._workers[0]
+            pool = service._pool
+            shares = pool.ring.shares()
+            owners = [pool.ring.owner(key) for key in sampled_keys]
+            victim = pool._workers[0]
             victim.process.kill()
             victim.process.join()
             assert not victim.alive()
             second = service.predict_blocks(blocks)
             assert service.snapshot().respawns >= 1
-            assert service._pool._workers[0].alive()
+            assert pool._workers[0] is victim and victim.alive()
+            assert victim.worker_id == 0 and victim.spawn_count == 2
+            assert pool.ring.shares() == shares
+            assert [pool.ring.owner(key) for key in sampled_keys] == owners
+            assert [entry.worker_id for entry in service.worker_stats()] == [0, 1]
         for task in first:
             _assert_served_close(service, second[task], first[task])
 
@@ -199,162 +233,3 @@ class TestShardedWorkerPool:
         with pytest.raises(RuntimeError):
             service.predict_blocks(blocks[:2])
         assert service._pool is None
-
-
-class TestElasticConfig:
-    def test_bounds_require_sharded_service(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(num_workers=0, min_workers=1)
-        with pytest.raises(ValueError):
-            ServiceConfig(num_workers=0, max_workers=2)
-
-    def test_bounds_must_bracket_num_workers(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(num_workers=2, max_workers=1)
-        with pytest.raises(ValueError):
-            ServiceConfig(num_workers=2, min_workers=3)
-        with pytest.raises(ValueError):
-            ServiceConfig(num_workers=2, min_workers=0, max_workers=4)
-        config = ServiceConfig(num_workers=2, min_workers=1, max_workers=4)
-        service = PredictionService(config)
-        assert service.worker_bounds == (1, 4)
-        assert service.autoscaling_enabled
-
-    def test_defaults_disable_autoscaling(self):
-        assert not PredictionService(
-            ServiceConfig(num_workers=2)
-        ).autoscaling_enabled
-        assert not PredictionService(ServiceConfig()).autoscaling_enabled
-
-    def test_in_process_service_cannot_scale(self):
-        service = PredictionService(ServiceConfig(model_name="granite"))
-        with pytest.raises(RuntimeError):
-            service.scale_workers(2)
-        assert service.num_workers == 0
-        assert service.worker_stats() == []
-
-
-class TestPoolAutoscaler:
-    def test_scale_up_on_backlog_with_cooldown(self):
-        scaler = PoolAutoscaler(
-            1, 3, max_batch_size=8, cooldown_s=1.0, idle_grace_s=0.5
-        )
-        assert scaler.decide(0, 1, now=0.0) == 1
-        # Backlog of two size-flushes per worker triggers a scale-up.
-        assert scaler.decide(16, 1, now=0.1) == 2
-        # ... but not again within the cooldown, however deep the queue.
-        assert scaler.decide(64, 2, now=0.5) == 2
-        assert scaler.decide(64, 2, now=1.2) == 3
-        # Never above max_workers.
-        assert scaler.decide(1000, 3, now=3.0) == 3
-
-    def test_scale_down_after_sustained_idleness(self):
-        scaler = PoolAutoscaler(
-            1, 3, max_batch_size=8, cooldown_s=0.0, idle_grace_s=0.5
-        )
-        assert scaler.decide(0, 2, now=0.0) == 2
-        assert scaler.decide(0, 2, now=0.3) == 2  # idle, but not long enough
-        assert scaler.decide(16, 2, now=0.4) == 2  # busy again: timer resets
-        assert scaler.decide(0, 2, now=0.8) == 2
-        assert scaler.decide(0, 2, now=1.0) == 1  # idle since 0.4
-        assert scaler.decide(0, 1, now=9.0) == 1  # never below min_workers
-
-    def test_out_of_bounds_count_is_clamped(self):
-        scaler = PoolAutoscaler(2, 3, max_batch_size=8)
-        assert scaler.decide(0, 5, now=0.0) == 3
-        assert scaler.decide(0, 1, now=0.1) == 2
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ValueError):
-            PoolAutoscaler(0, 2, 8)
-        with pytest.raises(ValueError):
-            PoolAutoscaler(3, 2, 8)
-        with pytest.raises(ValueError):
-            PoolAutoscaler(1, 2, 0)
-
-
-@pytest.mark.slow
-class TestElasticScaling:
-    def test_scale_round_trip_preserves_predictions(self, blocks):
-        """N -> N+1 -> N under the same traffic returns identical answers
-        (replicas share weights) and records the resizes."""
-        config = ServiceConfig(model_name="granite", max_batch_size=8, num_workers=2)
-        with PredictionService(config) as service:
-            first = service.predict_blocks(blocks)
-            assert service.scale_workers(3) == 1
-            assert service.num_workers == 3
-            second = service.predict_blocks(blocks)
-            assert service.scale_workers(2) == -1
-            assert service.num_workers == 2
-            third = service.predict_blocks(blocks)
-            events = list(service._pool.resize_events)
-            stats = service.worker_stats()
-        for task in first:
-            _assert_served_close(service, second[task], first[task])
-            _assert_served_close(service, third[task], first[task])
-        assert service.stats.resizes == 2
-        assert [event["action"] for event in events] == ["add", "remove"]
-        assert [event["worker_id"] for event in events] == [2, 2]
-        assert [entry.worker_id for entry in stats] == [0, 1]
-
-    def test_scale_to_same_size_is_a_noop(self, blocks):
-        config = ServiceConfig(model_name="granite", num_workers=2)
-        with PredictionService(config) as service:
-            service.predict_blocks(blocks[:4])
-            assert service.scale_workers(2) == 0
-            assert service.stats.resizes == 0
-            assert not service._pool.resize_events
-
-    def test_scale_to_zero_rejected(self, blocks):
-        config = ServiceConfig(model_name="granite", num_workers=1)
-        with PredictionService(config).warm_start() as service:
-            with pytest.raises(ValueError):
-                service.scale_workers(0)
-
-    def test_autoscaler_grows_and_shrinks_with_queue_depth(self, blocks):
-        """End to end: a backlog grows the pool to max_workers, sustained
-        idleness shrinks it back to min_workers — no request lost."""
-        config = ServiceConfig(
-            model_name="granite",
-            max_batch_size=8,
-            num_workers=1,
-            min_workers=1,
-            max_workers=2,
-            scale_cooldown_s=0.1,
-            async_options=AsyncOptions(max_latency_ms=5.0, autoscale_poll_ms=20.0),
-        )
-        # Novel blocks so every flush pays real model compute: the backlog
-        # must outlive several autoscaler polls, not vanish into cache hits.
-        texts = [
-            block.canonical_text()
-            for block in BlockGenerator(GeneratorConfig(seed=61)).generate_blocks(800)
-        ]
-        with AsyncPredictionService(service_config=config) as front:
-            futures = [
-                front.submit(PredictionRequest.of(texts[2 * index : 2 * index + 2]))
-                for index in range(400)
-            ]
-            grew = False
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if front.service.num_workers == 2:
-                    grew = True
-                    break
-                time.sleep(0.01)
-            for future in futures:
-                assert future.result(timeout=120.0).num_blocks == 2
-            assert grew, "autoscaler never grew the pool despite the backlog"
-            # Queue drained: sustained idleness must shrink the pool again.
-            # Poll the resize counter (incremented after the pool resize
-            # itself) so the check cannot race the monitor thread.
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if front.service.stats.resizes >= 2 and front.service.num_workers == 1:
-                    break
-                time.sleep(0.05)
-            assert front.service.num_workers == 1
-            assert front.service.stats.resizes >= 2
-            actions = [
-                event["action"] for event in front.service._pool.resize_events
-            ]
-        assert "add" in actions and "remove" in actions
