@@ -1,8 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
 Each benchmark file reproduces one table or figure of the paper.  Several of
-them analyse the *same* trained baseline models (Tables 5, Figures 3 and 4),
-so those models are trained once per benchmark session here and shared.
+them analyse the *same* trained baseline models (Table 5, Figures 3 and 4 and
+the decoder ablation), so those arms are trained once per benchmark session
+here and shared.
 
 All benchmarks run at :class:`repro.eval.ExperimentScale` "quick", which is
 sized so the whole suite finishes in minutes on a laptop CPU.  Set the
@@ -17,7 +18,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.eval.harness import ExperimentHarness, ExperimentScale
+from repro.eval import ExperimentScale, run_experiment
+from repro.eval.experiments import TABLE5_ARMS
 
 
 def _scale_from_environment() -> ExperimentScale:
@@ -42,23 +44,14 @@ def quick_scale() -> ExperimentScale:
 
 
 @pytest.fixture(scope="session")
-def shared_harness(quick_scale) -> ExperimentHarness:
-    """One harness (and hence one pair of datasets) for the whole session."""
-    return ExperimentHarness(quick_scale)
+def baseline_results(quick_scale):
+    """Table 5's GRANITE, Ithemal+ and Ithemal trained on the Ithemal-like
+    dataset, keyed by arm name.
 
-
-@pytest.fixture(scope="session")
-def baseline_models(shared_harness):
-    """GRANITE, Ithemal+ and Ithemal trained on the Ithemal-like dataset.
-
-    Used by the Table 5 benchmark and re-analysed by the Figure 3/4
-    benchmarks, so they are trained exactly once per session.
+    Used by the Table 5 benchmark and re-analysed by the Figure 3/4 and
+    decoder-ablation benchmarks, so they are trained exactly once per session.
     """
-    return {
-        "granite": shared_harness.train_standard_model("granite"),
-        "ithemal+": shared_harness.train_standard_model("ithemal+"),
-        "ithemal": shared_harness.train_standard_model("ithemal"),
-    }
+    return run_experiment(TABLE5_ARMS, quick_scale)[quick_scale.seed]
 
 
 def format_paper_comparison(title: str, rows) -> str:

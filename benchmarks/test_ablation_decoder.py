@@ -8,32 +8,29 @@ computation itself.
 """
 
 
+import numpy as np
+
 from repro.eval import paper_reference as paper
-from repro.eval.ablations import DecoderAblationResult
+from repro.eval.experiments import format_decoder_ablation, mape_delta
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 
 from conftest import format_paper_comparison
 
 
-def test_decoder_ablation(benchmark, baseline_models):
-    vanilla = baseline_models["ithemal"]
-    extended = baseline_models["ithemal+"]
+def test_decoder_ablation(benchmark, baseline_results):
+    vanilla = baseline_results["ithemal"]
+    extended = baseline_results["ithemal+"]
 
-    def analyse():
-        return DecoderAblationResult(
-            dot_product_mape={m: vanilla.mape(m) for m in TARGET_MICROARCHITECTURES},
-            mlp_decoder_mape={m: extended.mape(m) for m in TARGET_MICROARCHITECTURES},
-            paper_improvement=paper.DECODER_ABLATION_IMPROVEMENT,
-        )
-
-    result = benchmark.pedantic(analyse, rounds=1, iterations=1)
+    improvement = benchmark.pedantic(
+        lambda: mape_delta(vanilla, extended), rounds=1, iterations=1
+    )
 
     print()
-    print(result.format_table())
+    print(format_decoder_ablation(baseline_results))
     rows = [
         (
             f"decoder improvement / {microarchitecture}",
-            result.improvement(microarchitecture),
+            improvement[microarchitecture],
             paper.DECODER_ABLATION_IMPROVEMENT[microarchitecture],
         )
         for microarchitecture in TARGET_MICROARCHITECTURES
@@ -41,4 +38,5 @@ def test_decoder_ablation(benchmark, baseline_models):
     print(format_paper_comparison("Decoder ablation — MAPE reduction from MLP decoder", rows))
 
     # Paper shape: the MLP decoder improves the LSTM baseline on average.
-    assert result.average_improvement() > 0.0
+    average_improvement = float(np.mean(list(improvement.values())))
+    assert average_improvement > 0.0

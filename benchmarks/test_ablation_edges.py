@@ -1,4 +1,4 @@
-"""DESIGN.md ablation: the value of the data-dependency edges.
+"""Ablation beyond the paper's own: the value of the data-dependency edges.
 
 The paper's central argument is that representing basic blocks as dependency
 graphs — rather than flat instruction sequences — provides the inductive
@@ -8,21 +8,21 @@ graph is compared against a degraded graph that keeps only the sequential
 (structural) edges, i.e. roughly the information a sequence model sees.
 """
 
-import numpy as np
-
-from repro.eval.ablations import run_edge_ablation
+from repro.eval import run_experiment
+from repro.eval.experiments import EDGE_ARMS, format_edge_ablation
 
 
 def test_dependency_edge_ablation(benchmark, quick_scale):
-    result = benchmark.pedantic(lambda: run_edge_ablation(quick_scale), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: run_experiment(EDGE_ARMS, quick_scale)[quick_scale.seed], rounds=1, iterations=1
+    )
 
     print()
-    print(result.format_table())
-    benefit = result.dependency_edge_benefit()
+    print(format_edge_ablation(results))
+    full = results["granite"].average_mape()
+    structural = results["granite-structural-only"].average_mape()
+    benefit = structural - full
     print(f"mean MAPE reduction from dependency edges: {benefit:+.4f}")
-
-    full = np.mean(list(result.full_graph_mape.values()))
-    structural = np.mean(list(result.structural_only_mape.values()))
 
     # Paper shape: the dependency edges carry useful signal — the full graph
     # is at least as accurate as the structural-only encoding.

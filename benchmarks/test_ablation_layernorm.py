@@ -12,29 +12,37 @@ import numpy as np
 
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.eval import paper_reference as paper
-from repro.eval.ablations import run_layernorm_ablation
+from repro.eval import run_experiment
+from repro.eval.experiments import LAYERNORM_ARMS, format_layernorm_ablation, mape_delta
 
 from conftest import format_paper_comparison
 
 
 def test_layernorm_ablation(benchmark, quick_scale):
-    result = benchmark.pedantic(lambda: run_layernorm_ablation(quick_scale), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: run_experiment(LAYERNORM_ARMS, quick_scale)[quick_scale.seed],
+        rounds=1,
+        iterations=1,
+    )
+    with_result, without_result = results["granite"], results["granite-no-layernorm"]
 
     print()
-    print(result.format_table())
+    print(format_layernorm_ablation(results))
+    error_increase = mape_delta(without_result, with_result)
     rows = [
         (
             f"error increase without LN / {microarchitecture}",
-            result.error_increase(microarchitecture),
+            error_increase[microarchitecture],
             paper.LAYER_NORM_ABLATION_ERROR_INCREASE[microarchitecture],
         )
         for microarchitecture in TARGET_MICROARCHITECTURES
     ]
     print(format_paper_comparison("Layer-norm ablation — MAPE increase when removed", rows))
-    print(f"training without layer norm diverged: {result.without_layernorm_diverged}")
+    without_layernorm_diverged = without_result.history.diverged()
+    print(f"training without layer norm diverged: {without_layernorm_diverged}")
 
-    with_layernorm = np.mean(list(result.with_layernorm_mape.values()))
-    without_layernorm = np.mean(list(result.without_layernorm_mape.values()))
+    with_layernorm = with_result.average_mape()
+    without_layernorm = without_result.average_mape()
     print(f"mean MAPE: with LN {with_layernorm:.3f}, without LN {without_layernorm:.3f}")
 
     # Both configurations must at least train to finite, sane errors.
@@ -48,5 +56,5 @@ def test_layernorm_ablation(benchmark, quick_scale):
     # problems, so the direction of the gap is noisy and is reported rather
     # than asserted; run with REPRO_BENCH_STEPS / REPRO_BENCH_BLOCKS raised
     # (or ExperimentScale.full()) to test the converged behaviour.
-    if result.without_layernorm_diverged:
+    if without_layernorm_diverged:
         print("training without layer normalisation diverged, as the paper reports")

@@ -10,40 +10,43 @@ version of the plot.
 import numpy as np
 
 from repro.data.datasets import TARGET_MICROARCHITECTURES
-from repro.eval.figures import compute_heatmaps, render_heatmap_ascii
+from repro.eval.experiments import diagonal_mass, heatmap, render_heatmap_ascii
 
 
-def test_figure3_heatmaps(benchmark, baseline_models, shared_harness):
-    models = {name: trained.model for name, trained in baseline_models.items()
-              if name in ("granite", "ithemal+")}
-    test_split = shared_harness.ithemal_splits.test
+def test_figure3_heatmaps(benchmark, baseline_results):
+    models = {name: baseline_results[name] for name in ("granite", "ithemal+")}
+    test_size = len(models["granite"].labels["haswell"])
 
-    result = benchmark.pedantic(
-        lambda: compute_heatmaps(models, test_split), rounds=1, iterations=1
-    )
+    def analyse():
+        return {
+            name: {m: heatmap(result, m) for m in TARGET_MICROARCHITECTURES}
+            for name, result in models.items()
+        }
+
+    histograms = benchmark.pedantic(analyse, rounds=1, iterations=1)
+    masses = {
+        name: {m: diagonal_mass(result, m) for m in TARGET_MICROARCHITECTURES}
+        for name, result in models.items()
+    }
 
     print()
     for model_name in models:
         for microarchitecture in TARGET_MICROARCHITECTURES:
-            mass = result.diagonal_mass[model_name][microarchitecture]
+            mass = masses[model_name][microarchitecture]
             print(f"{model_name:<10} {microarchitecture:<11} diagonal mass (±25%): {mass:.3f}")
     print("\nGRANITE Haswell heatmap (measured →, predicted ↑):")
-    print(render_heatmap_ascii(result.histograms["granite"]["haswell"]))
+    print(render_heatmap_ascii(histograms["granite"]["haswell"]))
 
     # Every heatmap contains a meaningful share of the test blocks (the
     # paper crops at 10 cycles per iteration, which covers most blocks).
     for model_name in models:
         for microarchitecture in TARGET_MICROARCHITECTURES:
-            histogram = result.histograms[model_name][microarchitecture]
-            assert histogram.sum() > 0.3 * len(test_split)
+            histogram = histograms[model_name][microarchitecture]
+            assert histogram.sum() > 0.3 * test_size
 
     # Paper shape: GRANITE concentrates at least as much probability mass
     # near the diagonal as the LSTM baseline, on average.
-    granite_mass = np.mean(
-        [result.diagonal_mass["granite"][m] for m in TARGET_MICROARCHITECTURES]
-    )
-    baseline_mass = np.mean(
-        [result.diagonal_mass["ithemal+"][m] for m in TARGET_MICROARCHITECTURES]
-    )
+    granite_mass = np.mean([masses["granite"][m] for m in TARGET_MICROARCHITECTURES])
+    baseline_mass = np.mean([masses["ithemal+"][m] for m in TARGET_MICROARCHITECTURES])
     print(f"\nmean diagonal mass: granite={granite_mass:.3f} ithemal+={baseline_mass:.3f}")
     assert granite_mass >= baseline_mass - 0.05

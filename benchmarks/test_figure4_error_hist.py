@@ -10,28 +10,40 @@ fraction (blocks with predicted < measured) of the two model families.
 import numpy as np
 
 from repro.data.datasets import TARGET_MICROARCHITECTURES
-from repro.eval.figures import compute_error_distributions
+from repro.eval.experiments import underestimation
+from repro.training.metrics import relative_error_histogram
 
 
-def test_figure4_relative_error_distribution(benchmark, baseline_models, shared_harness):
-    models = {name: trained.model for name, trained in baseline_models.items()}
-    test_split = shared_harness.ithemal_splits.test
+def test_figure4_relative_error_distribution(benchmark, baseline_results):
+    models = baseline_results
+    test_size = len(models["granite"].labels["haswell"])
 
-    result = benchmark.pedantic(
-        lambda: compute_error_distributions(models, test_split), rounds=1, iterations=1
-    )
+    def analyse():
+        return {
+            name: {
+                m: relative_error_histogram(*result.predicted_and_actual(m))
+                for m in TARGET_MICROARCHITECTURES
+            }
+            for name, result in models.items()
+        }
+
+    histograms = benchmark.pedantic(analyse, rounds=1, iterations=1)
+    fractions = {
+        name: {m: underestimation(result, m) for m in TARGET_MICROARCHITECTURES}
+        for name, result in models.items()
+    }
 
     print()
     for model_name in models:
         for microarchitecture in TARGET_MICROARCHITECTURES:
-            fraction = result.underestimation[model_name][microarchitecture]
+            fraction = fractions[model_name][microarchitecture]
             print(f"{model_name:<10} {microarchitecture:<11} underestimated fraction: {fraction:.3f}")
 
     # Histograms cover the whole test split.
     for model_name in models:
         for microarchitecture in TARGET_MICROARCHITECTURES:
-            counts, edges = result.histograms[model_name][microarchitecture]
-            assert counts.sum() == len(test_split)
+            counts, edges = histograms[model_name][microarchitecture]
+            assert counts.sum() == test_size
             assert len(edges) == len(counts) + 1
 
     # Paper shape: GRANITE's predictions are at least as balanced around the
@@ -39,7 +51,7 @@ def test_figure4_relative_error_distribution(benchmark, baseline_models, shared_
     # underestimation fraction is not larger).
     def mean_imbalance(model_name):
         return np.mean(
-            [abs(result.underestimation[model_name][m] - 0.5) for m in TARGET_MICROARCHITECTURES]
+            [abs(fractions[model_name][m] - 0.5) for m in TARGET_MICROARCHITECTURES]
         )
 
     granite_imbalance = mean_imbalance("granite")

@@ -8,33 +8,40 @@ dataset (hence sparser heatmaps).
 
 
 from repro.data.datasets import TARGET_MICROARCHITECTURES
-from repro.eval.figures import compute_error_distributions, compute_heatmaps, render_heatmap_ascii
+from repro.eval import run_experiment
+from repro.eval.experiments import (
+    FIGURE5_ARMS,
+    diagonal_mass,
+    heatmap,
+    render_heatmap_ascii,
+    underestimation,
+)
 
 
-def test_figure5_bhive_heatmaps(benchmark, quick_scale, shared_harness):
-    trained = shared_harness.train_standard_model("granite", splits=shared_harness.bhive_splits)
-    models = {"granite": trained.model}
-    test_split = shared_harness.bhive_splits.test
+def test_figure5_bhive_heatmaps(benchmark, quick_scale):
+    granite = run_experiment(FIGURE5_ARMS, quick_scale)[quick_scale.seed]["granite"]
+    test_size = len(granite.labels["haswell"])
 
-    result = benchmark.pedantic(
-        lambda: compute_heatmaps(models, test_split), rounds=1, iterations=1
+    histograms = benchmark.pedantic(
+        lambda: {m: heatmap(granite, m) for m in TARGET_MICROARCHITECTURES},
+        rounds=1,
+        iterations=1,
     )
-    errors = compute_error_distributions(models, test_split)
 
     print()
     for microarchitecture in TARGET_MICROARCHITECTURES:
-        mass = result.diagonal_mass["granite"][microarchitecture]
-        fraction = errors.underestimation["granite"][microarchitecture]
+        mass = diagonal_mass(granite, microarchitecture)
+        fraction = underestimation(granite, microarchitecture)
         print(f"granite/BHive {microarchitecture:<11} diagonal mass {mass:.3f}  "
               f"underestimated {fraction:.3f}")
     print("\nGRANITE Skylake heatmap on BHive (measured →, predicted ↑):")
-    print(render_heatmap_ascii(result.histograms["granite"]["skylake"]))
+    print(render_heatmap_ascii(histograms["skylake"]))
 
     for microarchitecture in TARGET_MICROARCHITECTURES:
-        histogram = result.histograms["granite"][microarchitecture]
+        histogram = histograms[microarchitecture]
         # The BHive-like test split is small (sparser heatmaps, as in the
         # paper), but a meaningful share of blocks must land in the plot.
-        assert histogram.sum() > 0.15 * len(test_split)
+        assert histogram.sum() > 0.15 * test_size
         # Predictions are neither all-over nor all-under the measurement.
-        fraction = errors.underestimation["granite"][microarchitecture]
+        fraction = underestimation(granite, microarchitecture)
         assert 0.01 < fraction < 0.99

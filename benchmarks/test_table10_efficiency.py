@@ -13,45 +13,43 @@ Paper claims:
 
 
 from repro.eval import paper_reference as paper
-from repro.eval.timing import run_table10
+from repro.eval.timing import format_table10, table10_timings
 
 from conftest import format_paper_comparison
 
 
 def test_table10_per_batch_runtime(benchmark, quick_scale):
-    result = benchmark.pedantic(
-        lambda: run_table10(quick_scale, batch_size=100, num_blocks=300),
+    timings = benchmark.pedantic(
+        lambda: table10_timings(quick_scale, batch_size=100, num_blocks=300),
         rounds=1,
         iterations=1,
     )
 
     print()
-    print(result.format_table())
+    print(format_table10(timings))
     rows = [
         (
             "granite multi-task train s/batch",
-            result.timings["granite_multi"].training_seconds_per_batch,
+            timings["granite_multi"].training_seconds_per_batch,
             paper.TABLE10_RUNTIME_SECONDS[("granite_multi", "gpu_training")],
         ),
         (
             "ithemal+ multi-task train s/batch",
-            result.timings["ithemal+_multi"].training_seconds_per_batch,
+            timings["ithemal+_multi"].training_seconds_per_batch,
             paper.TABLE10_RUNTIME_SECONDS[("ithemal+_multi", "gpu_training")],
         ),
         (
             "granite multi-task infer s/batch",
-            result.timings["granite_multi"].inference_seconds_per_batch,
+            timings["granite_multi"].inference_seconds_per_batch,
             paper.TABLE10_RUNTIME_SECONDS[("granite_multi", "gpu_inference")],
         ),
         (
             "ithemal+ multi-task infer s/batch",
-            result.timings["ithemal+_multi"].inference_seconds_per_batch,
+            timings["ithemal+_multi"].inference_seconds_per_batch,
             paper.TABLE10_RUNTIME_SECONDS[("ithemal+_multi", "gpu_inference")],
         ),
     ]
     print(format_paper_comparison("Table 10 — seconds per batch of 100 blocks", rows))
-
-    timings = result.timings
 
     # Sanity: inference is cheaper than training for every configuration.
     for name, timing in timings.items():

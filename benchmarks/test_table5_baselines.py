@@ -9,44 +9,32 @@ budget are much smaller) and prints the side-by-side comparison.
 """
 
 import numpy as np
-import pytest
 
-from repro.eval import paper_reference as paper
-from repro.eval.tables import BaselineComparisonResult
+from repro.eval import ExperimentHarness, paper_reference as paper
+from repro.eval.experiments import format_baseline_table
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.training.trainer import evaluate_model
 
 from conftest import format_paper_comparison
 
 
-@pytest.fixture(scope="module")
-def table5_result(baseline_models):
-    return BaselineComparisonResult(
-        dataset_name="ithemal",
-        models=dict(baseline_models),
-        paper_mape=paper.TABLE5_MAPE,
-    )
-
-
-def test_table5_baseline_comparison(benchmark, table5_result, shared_harness):
+def test_table5_baseline_comparison(benchmark, baseline_results):
     """Regenerates Table 5 and checks the model ordering."""
 
     def analyse():
-        return {
-            name: trained.average_mape() for name, trained in table5_result.models.items()
-        }
+        return {name: result.average_mape() for name, result in baseline_results.items()}
 
     averages = benchmark.pedantic(analyse, rounds=1, iterations=1)
 
     print()
-    print(table5_result.format_table())
+    print(format_baseline_table(baseline_results))
     rows = []
     for model_name in ("granite", "ithemal+", "ithemal"):
         for microarchitecture in TARGET_MICROARCHITECTURES:
             rows.append(
                 (
                     f"{model_name} / {microarchitecture} MAPE",
-                    table5_result.mape(model_name, microarchitecture),
+                    baseline_results[model_name].mape(microarchitecture),
                     paper.TABLE5_MAPE[model_name][microarchitecture],
                 )
             )
@@ -59,19 +47,19 @@ def test_table5_baseline_comparison(benchmark, table5_result, shared_harness):
 
     # GRANITE improves over vanilla Ithemal on every single microarchitecture.
     for microarchitecture in TARGET_MICROARCHITECTURES:
-        assert table5_result.mape("granite", microarchitecture) < table5_result.mape(
-            "ithemal", microarchitecture
-        )
+        assert baseline_results["granite"].mape(microarchitecture) < baseline_results[
+            "ithemal"
+        ].mape(microarchitecture)
 
 
-def test_table5_pearson_correlations(benchmark, table5_result):
+def test_table5_pearson_correlations(benchmark, baseline_results):
     """Paper shape: GRANITE and Ithemal+ have far better Pearson correlation
     than vanilla Ithemal (whose dot-product decoder distorts the scale)."""
     def analyse():
         return (
-            np.mean([table5_result.models["granite"].test_metrics[m].pearson
+            np.mean([baseline_results["granite"].metrics(m).pearson
                      for m in TARGET_MICROARCHITECTURES]),
-            np.mean([table5_result.models["ithemal"].test_metrics[m].pearson
+            np.mean([baseline_results["ithemal"].metrics(m).pearson
                      for m in TARGET_MICROARCHITECTURES]),
         )
 
@@ -81,14 +69,14 @@ def test_table5_pearson_correlations(benchmark, table5_result):
     assert granite_pearson > ithemal_pearson
 
 
-def test_table5_cross_dataset_degradation(benchmark, table5_result, shared_harness):
+def test_table5_cross_dataset_degradation(benchmark, baseline_results, quick_scale):
     """Section 5.1: models trained on the Ithemal dataset degrade when tested
     on BHive because the measurement methodology differs."""
-    granite = table5_result.models["granite"]
+    granite = baseline_results["granite"]
     in_domain = granite.average_mape()
+    bhive_test = ExperimentHarness(quick_scale).splits("bhive").test
     cross = benchmark.pedantic(
-        lambda: evaluate_model(granite.model, shared_harness.bhive_splits.test),
-        rounds=1, iterations=1,
+        lambda: evaluate_model(granite.model, bhive_test), rounds=1, iterations=1
     )
     cross_average = float(np.mean([metric.mape for metric in cross.values()]))
     print(f"\nGRANITE MAPE in-domain={in_domain:.3f} cross-dataset={cross_average:.3f} "

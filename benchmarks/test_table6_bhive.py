@@ -10,7 +10,8 @@ import numpy as np
 
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.eval import paper_reference as paper
-from repro.eval.tables import run_table6
+from repro.eval import run_experiment
+from repro.eval.experiments import TABLE6_ARMS, format_baseline_table
 
 from conftest import format_paper_comparison
 
@@ -38,17 +39,21 @@ def _ordering_margins(num_training_steps: int):
 
 def test_table6_bhive_comparison(benchmark, quick_scale):
     """Regenerates Table 6 and checks GRANITE's advantage on BHive."""
-    result = benchmark.pedantic(lambda: run_table6(quick_scale), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: run_experiment(TABLE6_ARMS, quick_scale)[quick_scale.seed],
+        rounds=1,
+        iterations=1,
+    )
 
     print()
-    print(result.format_table())
+    print(format_baseline_table(results))
     rows = []
     for model_name in ("granite", "ithemal+"):
         for microarchitecture in TARGET_MICROARCHITECTURES:
             rows.append(
                 (
                     f"{model_name} / {microarchitecture} MAPE",
-                    result.mape(model_name, microarchitecture),
+                    results[model_name].mape(microarchitecture),
                     paper.TABLE6_MAPE[model_name][microarchitecture],
                 )
             )
@@ -62,16 +67,16 @@ def test_table6_bhive_comparison(benchmark, quick_scale):
 
     # Paper shape: GRANITE beats Ithemal+ on average on the BHive dataset.
     assert (
-        result.average_mape("granite")
-        < result.average_mape("ithemal+") * mape_margin
+        results["granite"].average_mape()
+        < results["ithemal+"].average_mape() * mape_margin
     )
 
     # Paper shape: GRANITE's Pearson correlation is better on average.
     granite_pearson = np.mean(
-        [result.models["granite"].test_metrics[m].pearson for m in TARGET_MICROARCHITECTURES]
+        [results["granite"].metrics(m).pearson for m in TARGET_MICROARCHITECTURES]
     )
     ithemal_pearson = np.mean(
-        [result.models["ithemal+"].test_metrics[m].pearson for m in TARGET_MICROARCHITECTURES]
+        [results["ithemal+"].metrics(m).pearson for m in TARGET_MICROARCHITECTURES]
     )
     print(f"mean Pearson: granite={granite_pearson:.4f} ithemal+={ithemal_pearson:.4f} "
           f"(paper: 0.964 vs 0.639)")

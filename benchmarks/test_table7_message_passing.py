@@ -11,7 +11,8 @@ import numpy as np
 
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.eval import paper_reference as paper
-from repro.eval.tables import run_table7
+from repro.eval import run_experiment
+from repro.eval.experiments import TABLE7_ARMS, format_table7
 
 from conftest import format_paper_comparison
 
@@ -19,27 +20,30 @@ ITERATION_COUNTS = (1, 2, 4, 8)
 
 
 def test_table7_message_passing_sweep(benchmark, quick_scale):
-    result = benchmark.pedantic(
-        lambda: run_table7(quick_scale, iteration_counts=ITERATION_COUNTS),
+    results = benchmark.pedantic(
+        lambda: run_experiment(TABLE7_ARMS, quick_scale)[quick_scale.seed],
         rounds=1,
         iterations=1,
     )
 
+    def average_mape(iterations):
+        return results[f"granite-mp{iterations}"].average_mape()
+
     print()
-    print(result.format_table())
+    print(format_table7(results))
     rows = []
     for iterations in ITERATION_COUNTS:
         rows.append(
             (
                 f"GRANITE mp={iterations} mean MAPE",
-                result.average_mape(iterations),
+                average_mape(iterations),
                 float(np.mean([paper.TABLE7_MESSAGE_PASSING_MAPE[m][iterations]
                                for m in TARGET_MICROARCHITECTURES])),
             )
         )
     print(format_paper_comparison("Table 7 — message passing sweep", rows))
 
-    averages = {iterations: result.average_mape(iterations) for iterations in ITERATION_COUNTS}
+    averages = {iterations: average_mape(iterations) for iterations in ITERATION_COUNTS}
 
     # Paper shape: a single message passing iteration is not the best
     # configuration — propagating information along the dependency graph for

@@ -7,11 +7,10 @@ while costing roughly one third per microarchitecture.  (Vanilla Ithemal is
 the exception — its dot-product decoder is too weak to benefit.)
 """
 
-import numpy as np
-
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.eval import paper_reference as paper
-from repro.eval.tables import run_table8
+from repro.eval import run_experiment
+from repro.eval.experiments import TABLE8_ARMS, format_table8, multitask_mape
 
 from conftest import format_paper_comparison
 
@@ -19,12 +18,14 @@ MODEL_NAMES = ("granite", "ithemal+")
 
 
 def test_table8_multitask_vs_singletask(benchmark, quick_scale):
-    result = benchmark.pedantic(
-        lambda: run_table8(quick_scale, model_names=MODEL_NAMES), rounds=1, iterations=1
+    results = benchmark.pedantic(
+        lambda: run_experiment(TABLE8_ARMS, quick_scale)[quick_scale.seed],
+        rounds=1,
+        iterations=1,
     )
 
     print()
-    print(result.format_table())
+    print(format_table8(results))
     rows = []
     for model_name in MODEL_NAMES:
         for microarchitecture in TARGET_MICROARCHITECTURES:
@@ -32,16 +33,15 @@ def test_table8_multitask_vs_singletask(benchmark, quick_scale):
             rows.append(
                 (
                     f"{model_name}/{microarchitecture} multi-task MAPE",
-                    result.multi_task_mape[model_name][microarchitecture],
+                    results[model_name].mape(microarchitecture),
                     paper_multi,
                 )
             )
     print(format_paper_comparison("Table 8 — multi-task MAPE", rows))
 
     for model_name in MODEL_NAMES:
-        single_average = float(np.mean(list(result.single_task_mape[model_name].values())))
-        multi_average = float(np.mean(list(result.multi_task_mape[model_name].values())))
-        improvement = result.multitask_improvement(model_name)
+        single_average, multi_average = multitask_mape(results, model_name)
+        improvement = single_average - multi_average
         print(
             f"{model_name}: single-task mean MAPE {single_average:.3f}, "
             f"multi-task mean MAPE {multi_average:.3f}, improvement {improvement:+.3f}"
@@ -53,6 +53,6 @@ def test_table8_multitask_vs_singletask(benchmark, quick_scale):
         assert multi_average <= single_average + 0.06
 
     # Multi-task GRANITE also keeps its advantage over multi-task Ithemal+.
-    granite_multi = float(np.mean(list(result.multi_task_mape["granite"].values())))
-    ithemal_multi = float(np.mean(list(result.multi_task_mape["ithemal+"].values())))
+    granite_multi = results["granite"].average_mape()
+    ithemal_multi = results["ithemal+"].average_mape()
     assert granite_multi < ithemal_multi * 1.10

@@ -11,7 +11,8 @@ import numpy as np
 
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.eval import paper_reference as paper
-from repro.eval.tables import run_table9
+from repro.eval import run_experiment
+from repro.eval.experiments import TABLE9_ARMS, format_table9, loss_columns
 
 from conftest import format_paper_comparison
 
@@ -19,16 +20,19 @@ LOSS_NAMES = ("mape", "mse", "relative_mse", "huber", "relative_huber")
 
 
 def test_table9_loss_functions(benchmark, quick_scale):
-    result = benchmark.pedantic(
-        lambda: run_table9(quick_scale, loss_names=LOSS_NAMES), rounds=1, iterations=1
+    results = benchmark.pedantic(
+        lambda: run_experiment(TABLE9_ARMS, quick_scale)[quick_scale.seed],
+        rounds=1,
+        iterations=1,
     )
+    columns = {result.arm.loss: loss_columns(result) for result in results.values()}
 
     print()
-    print(result.format_table())
+    print(format_table9(results))
     rows = []
     for loss_name in LOSS_NAMES:
         measured = float(
-            np.mean([result.mape(loss_name, m) for m in TARGET_MICROARCHITECTURES])
+            np.mean([columns[loss_name][m]["mape"] for m in TARGET_MICROARCHITECTURES])
         )
         reference = float(
             np.mean([paper.TABLE9_LOSS_MAPE[m][loss_name] for m in TARGET_MICROARCHITECTURES])
@@ -37,7 +41,9 @@ def test_table9_loss_functions(benchmark, quick_scale):
     print(format_paper_comparison("Table 9 — test MAPE by training loss", rows))
 
     mean_mape = {
-        loss_name: float(np.mean([result.mape(loss_name, m) for m in TARGET_MICROARCHITECTURES]))
+        loss_name: float(
+            np.mean([columns[loss_name][m]["mape"] for m in TARGET_MICROARCHITECTURES])
+        )
         for loss_name in LOSS_NAMES
     }
 

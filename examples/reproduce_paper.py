@@ -2,8 +2,8 @@
 """Regenerate any table or figure of the paper from the command line.
 
 This is the command-line front end to :mod:`repro.eval`.  Each experiment
-trains the models it needs at the requested scale and prints the result next
-to the values reported in the paper.
+trains its arms at the requested scale and prints the result next to the
+values reported in the paper.
 
 Run with::
 
@@ -22,54 +22,24 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import argparse
 import time
 
-from repro.eval import (
-    ExperimentScale,
-    render_heatmap_ascii,
-    run_decoder_ablation,
-    run_edge_ablation,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_layernorm_ablation,
-    run_readout_ablation,
-    run_table5,
-    run_table6,
-    run_table7,
-    run_table8,
-    run_table9,
-    run_table10,
-)
+from repro.eval import ExperimentScale, run_experiment
+from repro.eval import experiments as ex
+from repro.eval.timing import format_table10, table10_timings
 
-
-def _print_heatmap_result(result) -> None:
-    for model_name, per_uarch in result.diagonal_mass.items():
-        for microarchitecture, mass in per_uarch.items():
-            print(f"  {model_name:<10} {microarchitecture:<11} diagonal mass (±25%): {mass:.3f}")
-    first_model = next(iter(result.histograms))
-    print(f"\n  {first_model} / haswell heatmap (measured →, predicted ↑):")
-    print(render_heatmap_ascii(result.histograms[first_model]["haswell"]))
-
-
-def _print_error_result(result) -> None:
-    for model_name, per_uarch in result.underestimation.items():
-        for microarchitecture, fraction in per_uarch.items():
-            print(f"  {model_name:<10} {microarchitecture:<11} underestimated fraction: {fraction:.3f}")
-
-
+#: Experiment name -> (arms, view of one seed's results).
 EXPERIMENTS = {
-    "table5": lambda scale: run_table5(scale, evaluate_cross_dataset=True).format_table(),
-    "table6": lambda scale: run_table6(scale).format_table(),
-    "table7": lambda scale: run_table7(scale).format_table(),
-    "table8": lambda scale: run_table8(scale).format_table(),
-    "table9": lambda scale: run_table9(scale).format_table(),
-    "table10": lambda scale: run_table10(scale).format_table(),
-    "figure3": lambda scale: run_figure3(scale),
-    "figure4": lambda scale: run_figure4(scale),
-    "figure5": lambda scale: run_figure5(scale),
-    "ablation-decoder": lambda scale: run_decoder_ablation(scale).format_table(),
-    "ablation-layernorm": lambda scale: run_layernorm_ablation(scale).format_table(),
-    "ablation-edges": lambda scale: run_edge_ablation(scale).format_table(),
-    "ablation-readout": lambda scale: run_readout_ablation(scale).format_table(),
+    "table5": (ex.TABLE5_ARMS, ex.format_baseline_table),
+    "table6": (ex.TABLE6_ARMS, ex.format_baseline_table),
+    "table7": (ex.TABLE7_ARMS, ex.format_table7),
+    "table8": (ex.TABLE8_ARMS, ex.format_table8),
+    "table9": (ex.TABLE9_ARMS, ex.format_table9),
+    "figure3": (ex.FIGURE3_ARMS, ex.format_heatmaps),
+    "figure4": (ex.FIGURE3_ARMS, ex.format_underestimation),
+    "figure5": (ex.FIGURE5_ARMS, ex.format_heatmaps),
+    "ablation-decoder": (ex.DECODER_ARMS, ex.format_decoder_ablation),
+    "ablation-layernorm": (ex.LAYERNORM_ARMS, ex.format_layernorm_ablation),
+    "ablation-edges": (ex.EDGE_ARMS, ex.format_edge_ablation),
+    "ablation-readout": (ex.READOUT_ARMS, ex.format_readout_ablation),
 }
 
 SCALES = {
@@ -79,26 +49,21 @@ SCALES = {
 }
 
 
-def run_experiment(name: str, scale: ExperimentScale) -> None:
-    print(f"\n=== {name} ===")
-    start = time.perf_counter()
-    result = EXPERIMENTS[name](scale)
-    elapsed = time.perf_counter() - start
-    if isinstance(result, str):
-        print(result)
-    elif hasattr(result, "diagonal_mass"):
-        _print_heatmap_result(result)
-    elif hasattr(result, "underestimation"):
-        _print_error_result(result)
-    print(f"({elapsed:.1f}s)")
+def report(name: str, scale: ExperimentScale) -> str:
+    """The text of one experiment at ``scale``."""
+    if name == "table10":  # wall time of untrained models, not an accuracy
+        return format_table10(table10_timings(scale))
+    arms, view = EXPERIMENTS[name]
+    return view(run_experiment(arms, scale)[scale.seed])
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
+    names = sorted([*EXPERIMENTS, "table10"])
     parser.add_argument(
         "--experiment",
         default="table5",
-        choices=sorted(EXPERIMENTS) + ["all"],
+        choices=names + ["all"],
         help="which table/figure to regenerate",
     )
     parser.add_argument("--scale", default="quick", choices=sorted(SCALES))
@@ -106,9 +71,11 @@ def main() -> None:
     args = parser.parse_args()
 
     scale = SCALES[args.scale](seed=args.seed)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        run_experiment(name, scale)
+    for name in names if args.experiment == "all" else [args.experiment]:
+        print(f"\n=== {name} ===")
+        start = time.perf_counter()
+        print(report(name, scale))
+        print(f"({time.perf_counter() - start:.1f}s)")
 
 
 if __name__ == "__main__":

@@ -1,70 +1,19 @@
-"""Experiment harness reproducing every table and figure of the paper."""
+"""Experiment runner reproducing every table and figure of the paper.
 
-from repro.eval.ablations import (
-    DecoderAblationResult,
-    EdgeAblationResult,
-    LayerNormAblationResult,
-    ReadoutAblationResult,
-    run_decoder_ablation,
-    run_edge_ablation,
-    run_layernorm_ablation,
-    run_readout_ablation,
-)
-from repro.eval.figures import (
-    ErrorDistributionResult,
-    HeatmapResult,
-    compute_error_distributions,
-    compute_heatmaps,
-    render_heatmap_ascii,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-)
-from repro.eval.harness import ExperimentHarness, ExperimentScale, TrainedModel
-from repro.eval.tables import (
-    BaselineComparisonResult,
-    LossComparisonResult,
-    MessagePassingSweepResult,
-    MultiTaskComparisonResult,
-    run_table5,
-    run_table6,
-    run_table7,
-    run_table8,
-    run_table9,
-)
-from repro.eval.timing import Table10Result, TimingResult, measure_model_timing, run_table10
+Each experiment is a tuple of named :class:`Arm` s with a view in
+``repro.eval.experiments``; :func:`run_experiment` trains the arms over
+seeds.  Table 10 (``repro.eval.timing``) times untrained models instead.
+"""
+
+from repro.eval.harness import Arm, ArmResult, ExperimentHarness, ExperimentScale, run_experiment
+from repro.eval.timing import TimingResult, measure_model_timing
 
 __all__ = [
-    "DecoderAblationResult",
-    "EdgeAblationResult",
-    "LayerNormAblationResult",
-    "ReadoutAblationResult",
-    "run_decoder_ablation",
-    "run_edge_ablation",
-    "run_layernorm_ablation",
-    "run_readout_ablation",
-    "ErrorDistributionResult",
-    "HeatmapResult",
-    "compute_error_distributions",
-    "compute_heatmaps",
-    "render_heatmap_ascii",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
+    "Arm",
+    "ArmResult",
     "ExperimentHarness",
     "ExperimentScale",
-    "TrainedModel",
-    "BaselineComparisonResult",
-    "LossComparisonResult",
-    "MessagePassingSweepResult",
-    "MultiTaskComparisonResult",
-    "run_table5",
-    "run_table6",
-    "run_table7",
-    "run_table8",
-    "run_table9",
-    "Table10Result",
+    "run_experiment",
     "TimingResult",
     "measure_model_timing",
-    "run_table10",
 ]

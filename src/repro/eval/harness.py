@@ -1,38 +1,38 @@
-"""Shared experiment harness.
+"""The experiment runner behind every table, figure and ablation.
 
-Every table and figure reproduction goes through the same three phases:
-build the datasets, train the relevant models, evaluate them.  This module
-factors out those phases so the per-experiment code in
-:mod:`repro.eval.tables`, :mod:`repro.eval.figures` and
-:mod:`repro.eval.ablations` stays declarative.
+An experiment is a tuple of named :class:`Arm` s.  :func:`run_experiment`
+trains every (seed, arm) pair once and keeps its per-block test predictions
+and labels, so every table and figure is a plain view of a run.
 
-The :class:`ExperimentScale` controls how big the reproduction run is.  The
-default ("quick") scale finishes each experiment in tens of seconds on a CPU,
-which is what the benchmark suite uses; the "full" scale approaches the
-paper's hyper-parameters (Table 4) and is meant for long offline runs.
+The :class:`ExperimentScale` sets the size of a run: "quick" (the benchmark
+suite's) trains each model in seconds on a CPU; "full" approaches the
+paper's Table 4 hyper-parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.datasets import (
     DatasetSplits,
     TARGET_MICROARCHITECTURES,
-    ThroughputDataset,
     build_bhive_like_dataset,
     build_ithemal_like_dataset,
 )
-from repro.models import create_model
+from repro.graph.builder import GraphBuilderConfig
+from repro.models import MODEL_NAMES, create_model
 from repro.models.base import ThroughputModel
 from repro.models.config import TrainingConfig
-from repro.training.metrics import RegressionMetrics
-from repro.training.trainer import Trainer, TrainingHistory, evaluate_model
+from repro.training.metrics import RegressionMetrics, compute_metrics
+from repro.training.trainer import Trainer, TrainingHistory
 
-__all__ = ["ExperimentScale", "TrainedModel", "ExperimentHarness"]
+__all__ = ["ExperimentScale", "Arm", "ArmResult", "ExperimentHarness", "run_experiment"]
+
+#: The two datasets of the paper.
+DATASETS = ("ithemal", "bhive")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ class ExperimentScale:
         eval_batch_size: Micro-batch size of the batched inference path used
             for every evaluation (validation and test).
         small_models: Use the reduced model configuration.
-        seed: Master seed; model seeds are derived from it.
+        seed: Master seed of the datasets, the model initialisation and the
+            batch sampling.
     """
 
     ithemal_dataset_size: int = 1000
@@ -88,70 +89,97 @@ class ExperimentScale:
         )
 
 
-@dataclass
-class TrainedModel:
-    """A model together with its training history and evaluation results."""
+@dataclass(frozen=True)
+class Arm:
+    """One model trained one way: the unit every experiment is made of.
+
+    Attributes:
+        name: Unique name of the arm within its experiment.
+        model: ``"granite"``, ``"ithemal"`` or ``"ithemal+"``.
+        dataset: Training dataset, ``"ithemal"`` or ``"bhive"``.
+        tasks: Microarchitecture heads (one entry trains a single-task model).
+        loss: Training loss (a key of ``repro.nn.losses.LOSS_FUNCTIONS``).
+        model_overrides: Fields replaced in the scale's model config.
+        graph_config: GRANITE's graph construction (``None``: the default).
+        training_overrides: Fields replaced in the scale's training config.
+    """
 
     name: str
+    model: str
+    dataset: str = "ithemal"
+    tasks: Tuple[str, ...] = TARGET_MICROARCHITECTURES
+    loss: str = "mape"
+    model_overrides: Mapping[str, object] = field(default_factory=dict)
+    graph_config: Optional[GraphBuilderConfig] = None
+    training_overrides: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.model not in MODEL_NAMES:
+            raise ValueError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
+        if self.dataset not in DATASETS:
+            raise ValueError(f"unknown dataset {self.dataset!r}; expected one of {DATASETS}")
+        if self.graph_config is not None and self.model != "granite":
+            raise ValueError("only GRANITE builds graphs")
+
+
+@dataclass
+class ArmResult:
+    """What one (seed, arm) training run leaves behind.
+
+    ``predictions[task]`` holds the per-block predictions on the test split
+    of the arm's dataset, in split order, and ``labels[task]`` the measured
+    throughputs.  ``model`` is the trained model, for a view that tests it on
+    another split (Table 5's cross-dataset check).
+    """
+
+    arm: Arm
     model: ThroughputModel
     history: TrainingHistory
-    test_metrics: Dict[str, RegressionMetrics]
+    predictions: Dict[str, np.ndarray]
+    labels: Dict[str, np.ndarray]
 
-    def mape(self, microarchitecture: str) -> float:
-        return self.test_metrics[microarchitecture].mape
+    def predicted_and_actual(self, task: str) -> Tuple[np.ndarray, np.ndarray]:
+        return self.predictions[task], self.labels[task]
+
+    def metrics(self, task: str) -> RegressionMetrics:
+        """MAPE and correlations on the test split."""
+        return compute_metrics(self.predictions[task], self.labels[task])
+
+    def mape(self, task: str) -> float:
+        return self.metrics(task).mape
 
     def average_mape(self) -> float:
-        return float(np.mean([metric.mape for metric in self.test_metrics.values()]))
+        """MAPE averaged over the arm's tasks."""
+        return float(np.mean([self.mape(task) for task in self.arm.tasks]))
 
 
 class ExperimentHarness:
-    """Builds datasets and trains models at a given :class:`ExperimentScale`."""
+    """Builds datasets and trains arms at a given :class:`ExperimentScale`."""
 
     def __init__(self, scale: Optional[ExperimentScale] = None) -> None:
         self.scale = scale or ExperimentScale.quick()
-        self._ithemal_splits: Optional[DatasetSplits] = None
-        self._bhive_splits: Optional[DatasetSplits] = None
+        self._splits: Dict[str, DatasetSplits] = {}
 
-    # ------------------------------------------------------------------ #
-    # Datasets (built lazily and cached).
-    # ------------------------------------------------------------------ #
-    @property
-    def ithemal_splits(self) -> DatasetSplits:
-        """Train/validation/test splits of the Ithemal-like dataset."""
-        if self._ithemal_splits is None:
-            dataset = build_ithemal_like_dataset(
-                self.scale.ithemal_dataset_size, seed=self.scale.seed
-            )
-            self._ithemal_splits = dataset.paper_splits(seed=self.scale.seed)
-        return self._ithemal_splits
+    def splits(self, dataset: str) -> DatasetSplits:
+        """Train/validation/test splits of ``"ithemal"`` or ``"bhive"`` (cached)."""
+        scale = self.scale
+        if dataset not in self._splits:
+            if dataset == "ithemal":
+                built = build_ithemal_like_dataset(scale.ithemal_dataset_size, seed=scale.seed)
+            else:
+                built = build_bhive_like_dataset(scale.bhive_dataset_size, seed=scale.seed + 1000)
+            self._splits[dataset] = built.paper_splits(seed=scale.seed)
+        return self._splits[dataset]
 
-    @property
-    def bhive_splits(self) -> DatasetSplits:
-        """Train/validation/test splits of the BHive-like dataset."""
-        if self._bhive_splits is None:
-            dataset = build_bhive_like_dataset(
-                self.scale.bhive_dataset_size, seed=self.scale.seed + 1000
-            )
-            self._bhive_splits = dataset.paper_splits(seed=self.scale.seed)
-        return self._bhive_splits
-
-    # ------------------------------------------------------------------ #
-    # Model construction and training.
-    # ------------------------------------------------------------------ #
-    def make_model(
-        self,
-        name: str,
-        tasks: Sequence[str] = TARGET_MICROARCHITECTURES,
-        num_message_passing_iterations: Optional[int] = None,
-        seed_offset: int = 0,
-    ) -> ThroughputModel:
-        """Creates a model ("granite", "ithemal", "ithemal+") for this run."""
+    def build_model(self, arm: Arm) -> ThroughputModel:
+        """The untrained model of ``arm`` at this scale."""
         return create_model(
-            name,
-            tasks=tasks,
+            arm.model,
+            arm.tasks,
             small=self.scale.small_models,
-            seed=self.scale.seed + seed_offset,
-            num_message_passing_iterations=num_message_passing_iterations,
+            seed=self.scale.seed,
+            graph_config=arm.graph_config,
+            **arm.model_overrides,
         )
 
     def training_config(self, loss: str = "mape", **overrides) -> TrainingConfig:
@@ -166,32 +194,35 @@ class ExperimentHarness:
         )
         return replace(config, **overrides) if overrides else config
 
-    def train_and_evaluate(
-        self,
-        model: ThroughputModel,
-        splits: DatasetSplits,
-        name: str,
-        loss: str = "mape",
-        test_dataset: Optional[ThroughputDataset] = None,
-        **training_overrides,
-    ) -> TrainedModel:
-        """Trains ``model`` on ``splits`` and evaluates it on the test split."""
-        trainer = Trainer(model, self.training_config(loss=loss, **training_overrides))
+    def train(self, arm: Arm) -> ArmResult:
+        """Trains ``arm`` and predicts the test split of its dataset."""
+        model = self.build_model(arm)
+        splits = self.splits(arm.dataset)
+        trainer = Trainer(model, self.training_config(arm.loss, **arm.training_overrides))
         history = trainer.train(splits.train, splits.validation)
-        evaluation_dataset = test_dataset if test_dataset is not None else splits.test
-        metrics = evaluate_model(
-            model, evaluation_dataset, batch_size=self.scale.eval_batch_size
-        )
-        return TrainedModel(name=name, model=model, history=history, test_metrics=metrics)
+        predicted = model.predict(splits.test.blocks(), batch_size=self.scale.eval_batch_size)
+        predictions = {task: predicted[task] for task in arm.tasks}
+        labels = {task: splits.test.throughputs(task) for task in arm.tasks}
+        return ArmResult(arm, model, history, predictions, labels)
 
-    def train_standard_model(
-        self,
-        name: str,
-        splits: Optional[DatasetSplits] = None,
-        tasks: Sequence[str] = TARGET_MICROARCHITECTURES,
-        **kwargs,
-    ) -> TrainedModel:
-        """Creates, trains and evaluates one of the paper's models."""
-        splits = splits if splits is not None else self.ithemal_splits
-        model = self.make_model(name, tasks=tasks)
-        return self.train_and_evaluate(model, splits, name=name, **kwargs)
+
+def run_experiment(
+    arms: Sequence[Arm],
+    scale: Optional[ExperimentScale] = None,
+    seeds: Optional[Iterable[int]] = None,
+) -> Dict[int, Dict[str, ArmResult]]:
+    """Trains every arm once per seed.
+
+    Each seed replaces ``scale.seed`` (default: ``(scale.seed,)``), so it
+    draws the datasets, the initialisation and the batches.  Returns
+    ``results[seed][arm.name]``; arm names must be unique.
+    """
+    scale = scale or ExperimentScale.quick()
+    names = [arm.name for arm in arms]
+    if len(set(names)) != len(names):
+        raise ValueError(f"arm names must be unique: {names}")
+    results: Dict[int, Dict[str, ArmResult]] = {}
+    for seed in (scale.seed,) if seeds is None else seeds:
+        harness = ExperimentHarness(replace(scale, seed=seed))
+        results[seed] = {arm.name: harness.train(arm) for arm in arms}
+    return results

@@ -1,9 +1,9 @@
 """Reference values reported in the paper.
 
 Every experiment in :mod:`repro.eval` prints the paper's numbers next to the
-reproduction's numbers, and ``EXPERIMENTS.md`` records both.  The constants
-here transcribe the tables of the paper (arXiv:2210.03894v2) so the
-comparison is explicit and testable.
+reproduction's numbers (no checked-in report records both yet; ROADMAP item
+4 plans one).  The constants here transcribe the tables of the paper
+(arXiv:2210.03894v2) so the comparison is explicit and testable.
 
 Absolute values are not expected to match — the reproduction trains far
 smaller models for far fewer steps on synthetic data — but the *orderings*
@@ -18,7 +18,6 @@ from typing import Dict, Tuple
 __all__ = [
     "MICROARCHITECTURE_DISPLAY_NAMES",
     "TABLE5_MAPE",
-    "TABLE5_CORRELATIONS",
     "TABLE6_MAPE",
     "TABLE7_MESSAGE_PASSING_MAPE",
     "TABLE8_MULTI_TASK_MAPE",
@@ -47,25 +46,6 @@ TABLE5_MAPE: Dict[str, Dict[str, float]] = {
     "ithemal": {"ivy_bridge": 0.0834, "haswell": 0.0990, "skylake": 0.0830},
     "ithemal+": {"ivy_bridge": 0.0789, "haswell": 0.0882, "skylake": 0.0751},
     "granite": {"ivy_bridge": 0.0667, "haswell": 0.0761, "skylake": 0.0647},
-}
-
-#: Table 5 — (Spearman, Pearson) correlations on the Ithemal dataset.
-TABLE5_CORRELATIONS: Dict[str, Dict[str, Tuple[float, float]]] = {
-    "ithemal": {
-        "ivy_bridge": (0.9640, 0.2768),
-        "haswell": (0.9720, 0.3615),
-        "skylake": (0.9643, 0.2871),
-    },
-    "ithemal+": {
-        "ivy_bridge": (0.9744, 0.9631),
-        "haswell": (0.9777, 0.9231),
-        "skylake": (0.9754, 0.9035),
-    },
-    "granite": {
-        "ivy_bridge": (0.9721, 0.8936),
-        "haswell": (0.9752, 0.8255),
-        "skylake": (0.9717, 0.7888),
-    },
 }
 
 #: Table 6 — MAPE when trained and tested on the BHive dataset.

@@ -63,13 +63,14 @@ class GraniteConfig:
             and node/edge features into the global feature.  Graph Nets (and
             hence the paper) default to ``"sum"``; ``"mean"`` is numerically
             better behaved for the short CPU training runs used in this
-            reproduction and is the default here (see DESIGN.md).  The
+            reproduction and is the default here ("sum" diverges from
+            initialisation at this scale; see ROADMAP item 2).  The
             per-instruction decoder outputs are always summed per block, as
             in Table 4.
         readout: ``"per_instruction"`` (the paper's design: decode every
             instruction mnemonic node and sum the contributions) or
             ``"global"`` (decode the graph-level global feature directly) —
-            the readout ablation called out in DESIGN.md.
+            the readout ablation (``repro.eval.experiments.READOUT_ARMS``).
         output_scale: Constant multiplier applied to decoder outputs; keeps
             the per-instruction contributions in a numerically convenient
             range given that labels are cycles per 100 iterations.

@@ -276,7 +276,8 @@ class PredictionService:
         ``multiprocessing.Pool`` endlessly respawns workers whose
         initializer raises, so a bad model name or a missing checkpoint
         would livelock ``submit`` instead of surfacing an error; validate
-        those in the parent before spawning anything.
+        those in the parent before spawning anything.  The checkpoint must
+        be a regular file: opening a FIFO blocks every replica in start-up.
         """
         from repro.models import MODEL_NAMES
 
@@ -285,11 +286,11 @@ class PredictionService:
                 f"unknown model {self.config.model_name!r}; "
                 f"expected one of {MODEL_NAMES}"
             )
-        if self.config.checkpoint_path is not None and not os.path.exists(
+        if self.config.checkpoint_path is not None and not os.path.isfile(
             self.config.checkpoint_path
         ):
             raise FileNotFoundError(
-                f"checkpoint not found: {self.config.checkpoint_path}"
+                f"checkpoint is not a regular file: {self.config.checkpoint_path}"
             )
 
     def close(self) -> None:

@@ -74,6 +74,12 @@ PARSE_CACHE_SIZE = 8192
 #: poll only bounds how quickly a *crash* is noticed, not the job itself.
 _POLL_INTERVAL_S = 0.05
 
+#: Longest a replica may take from spawn to its ``ready`` message (building
+#: its model) before the job watchdog treats it as hung and takes the crash
+#: path.  Generous: a cold replica that re-imports the package starts in
+#: about a second.
+_STARTUP_TIMEOUT_S = 60.0
+
 #: Exit code of a worker killed by an injected crash fault (visible in the
 #: parent's process table; any nonzero code is handled the same way).
 _CRASH_EXIT_CODE = 17
@@ -247,6 +253,7 @@ class _WorkerHandle:
         child_end.close()  # the parent keeps only its own end
         self.process = process
         self.connection = parent_end
+        self.spawned_at = time.monotonic()
         self.ready_at: Optional[float] = None  # None while building its model
         self.spawn_count += 1
 
@@ -290,7 +297,8 @@ class ShardedWorkerPool:
         #: The one bound on replacing a worker (see :meth:`_respawn_locked`):
         #: at most 3 respawns per worker per 5 s, then exponential backoff.
         self._governor = RespawnGovernor(RespawnPolicy())
-        #: Jobs killed by the per-job watchdog.
+        #: Jobs killed by the watchdog: a hung job, or a replica that never
+        #: got ready.
         self.job_timeouts = 0
         #: Predict replies with a non-finite value (handled as crashes).
         self.corrupt_replies = 0
@@ -517,20 +525,23 @@ class ShardedWorkerPool:
 
         def sweep_job_timeouts() -> None:
             timeout_s = self._config.worker_job_timeout_s
-            if timeout_s is None:
-                return
             now = time.monotonic()
             for worker_index, flight in in_flight.items():
-                ready_at = self._workers[worker_index].ready_at
-                # A job is timed from the later of its send and its
-                # replica's readiness, so a slow start-up is never a hang.
-                if (
-                    flight
-                    and ready_at is not None
-                    and now - max(flight[0][4], ready_at) > timeout_s
-                ):
-                    # The head job has been in flight too long: the replica
-                    # is hung (or injected to hang).
+                if not flight:
+                    continue
+                worker = self._workers[worker_index]
+                if worker.ready_at is None:
+                    # Still building its model: timed from spawn, so a
+                    # replica that never gets ready is caught while alive.
+                    hung = now - worker.spawned_at > _STARTUP_TIMEOUT_S
+                else:
+                    # A job is timed from the later of its send and its
+                    # replica's readiness, so a slow start-up is never a hang.
+                    hung = timeout_s is not None and (
+                        now - max(flight[0][4], worker.ready_at) > timeout_s
+                    )
+                if hung:
+                    # The replica is hung (or injected to hang).
                     self.job_timeouts += 1
                     handle_crash(worker_index)
 

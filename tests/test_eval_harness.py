@@ -1,10 +1,19 @@
 """Tests for the experiment harness (repro.eval.harness) and paper references."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.eval import paper_reference as paper
-from repro.eval.harness import ExperimentHarness, ExperimentScale
+from repro.eval.harness import Arm, ExperimentHarness, ExperimentScale
+from repro.graph.builder import GraphBuilderConfig
+from repro.models import GraniteConfig, GraniteModel, IthemalConfig, IthemalModel, create_model
+
+STRUCTURAL = GraphBuilderConfig(
+    include_data_edges=False, include_address_edges=False, include_implicit_operands=False
+)
 
 
 class TestExperimentScale:
@@ -24,31 +33,88 @@ class TestExperimentScale:
 class TestExperimentHarness:
     def test_datasets_are_cached(self):
         harness = ExperimentHarness(ExperimentScale.smoke())
-        first = harness.ithemal_splits
-        second = harness.ithemal_splits
+        first = harness.splits("ithemal")
+        second = harness.splits("ithemal")
         assert first is second
 
     def test_bhive_dataset_is_smaller(self):
         harness = ExperimentHarness(ExperimentScale.smoke())
-        ithemal_total = (
-            len(harness.ithemal_splits.train)
-            + len(harness.ithemal_splits.validation)
-            + len(harness.ithemal_splits.test)
-        )
-        bhive_total = (
-            len(harness.bhive_splits.train)
-            + len(harness.bhive_splits.validation)
-            + len(harness.bhive_splits.test)
-        )
-        assert bhive_total < ithemal_total
 
-    def test_make_model_names(self):
+        def total(splits):
+            return len(splits.train) + len(splits.validation) + len(splits.test)
+
+        assert total(harness.splits("bhive")) < total(harness.splits("ithemal"))
+
+    def test_build_model_names(self):
         harness = ExperimentHarness(ExperimentScale.smoke())
         for name in ("granite", "ithemal", "ithemal+"):
-            model = harness.make_model(name)
+            model = harness.build_model(Arm(name, name))
             assert model.tasks == ("ivy_bridge", "haswell", "skylake")
         with pytest.raises(ValueError):
-            harness.make_model("bert")
+            Arm("bert", "bert")
+        with pytest.raises(ValueError):
+            Arm("granite", "granite", dataset="spec")
+        with pytest.raises(ValueError):
+            Arm("ithemal", "ithemal", graph_config=GraphBuilderConfig())
+
+    @pytest.mark.parametrize("small_models", [True, False])
+    def test_arms_build_the_models_of_the_paper_configs(self, small_models):
+        """An arm's model has the weights of the model its experiment has
+        always trained: the scale's config with the arm's overrides, and the
+        direct ``GraniteModel`` constructions of the ablations."""
+        scale = replace(ExperimentScale.smoke(seed=3), small_models=small_models)
+        harness = ExperimentHarness(scale)
+
+        def granite(tasks=TARGET_MICROARCHITECTURES):
+            if small_models:
+                return GraniteConfig.small(tasks, seed=3)
+            return GraniteConfig.paper_defaults(tasks)
+
+        def ithemal(tasks, plus):
+            if small_models:
+                return IthemalConfig.small(tasks, plus=plus, seed=3)
+            return IthemalConfig.paper_defaults(tasks, plus=plus)
+
+        cases = []
+        for tasks in (TARGET_MICROARCHITECTURES, ("haswell",)):
+            cases.append((Arm("granite", "granite", tasks=tasks), GraniteModel(granite(tasks))))
+            for name in ("ithemal", "ithemal+"):
+                expected = IthemalModel(ithemal(tasks, plus=name == "ithemal+"))
+                cases.append((Arm(name, name, tasks=tasks), expected))
+        cases += [
+            (
+                Arm("mp2", "granite", model_overrides={"num_message_passing_iterations": 2}),
+                GraniteModel(replace(granite(), num_message_passing_iterations=2)),
+            ),
+            (
+                Arm("no-ln", "granite", model_overrides={"use_layer_norm": False}),
+                GraniteModel(replace(granite(), use_layer_norm=False)),
+            ),
+            (
+                Arm("global", "granite", model_overrides={"readout": "global"}),
+                GraniteModel(replace(granite(), readout="global")),
+            ),
+            (
+                Arm("structural", "granite", graph_config=STRUCTURAL),
+                GraniteModel(granite(), graph_config=STRUCTURAL),
+            ),
+        ]
+        for arm, expected in cases:
+            built = harness.build_model(arm)
+            assert built.config == expected.config, arm.name
+            if arm.model == "granite":
+                assert built.graph_builder.config == expected.graph_builder.config, arm.name
+            state, expected_state = built.state_dict(), expected.state_dict()
+            assert state.keys() == expected_state.keys(), arm.name
+            for key, value in expected_state.items():
+                np.testing.assert_array_equal(state[key], value, err_msg=f"{arm.name}: {key}")
+
+    def test_create_model_builds_graphs_for_granite_only(self):
+        with pytest.raises(ValueError):
+            create_model("ithemal+", graph_config=STRUCTURAL)
+        model = create_model("granite", graph_config=STRUCTURAL, use_layer_norm=False)
+        assert model.graph_builder.config == STRUCTURAL
+        assert not model.config.use_layer_norm
 
     def test_training_config_reflects_scale(self):
         scale = ExperimentScale.smoke()
@@ -59,13 +125,13 @@ class TestExperimentHarness:
         overridden = harness.training_config(loss="huber", num_steps=3)
         assert overridden.loss == "huber" and overridden.num_steps == 3
 
-    def test_train_and_evaluate_smoke(self):
+    def test_train_smoke(self):
         harness = ExperimentHarness(ExperimentScale.smoke())
-        trained = harness.train_standard_model("granite")
-        assert trained.name == "granite"
-        assert set(trained.test_metrics) == {"ivy_bridge", "haswell", "skylake"}
-        assert np.isfinite(trained.average_mape())
-        assert len(trained.history.steps) == harness.scale.num_training_steps
+        result = harness.train(Arm("granite", "granite"))
+        assert result.arm.name == "granite"
+        assert set(result.predictions) == {"ivy_bridge", "haswell", "skylake"}
+        assert np.isfinite(result.average_mape())
+        assert len(result.history.steps) == harness.scale.num_training_steps
 
 
 class TestPaperReferenceValues:

@@ -1,5 +1,7 @@
 """Tests of the batched prediction service (repro.serve)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -157,13 +159,16 @@ class TestInProcessService:
             PredictionService(ServiceConfig(num_workers=1), model=model)
 
     def test_bad_worker_config_fails_fast(self, tmp_path):
-        """A config that would crash workers must raise, not livelock."""
-        missing = str(tmp_path / "nope.npz")
-        service = PredictionService(
-            ServiceConfig(num_workers=1, checkpoint_path=missing)
-        )
-        with pytest.raises(FileNotFoundError):
-            service.warm_start()
+        """A config that would crash or hang workers must raise, not livelock."""
+        fifo = tmp_path / "never-written.npz"
+        os.mkfifo(fifo)  # opening it would block every replica in start-up
+        for checkpoint in (tmp_path / "nope.npz", fifo, tmp_path):
+            service = PredictionService(
+                ServiceConfig(num_workers=1, checkpoint_path=str(checkpoint))
+            )
+            with pytest.raises(FileNotFoundError):
+                service.warm_start()
+            assert service._pool is None, checkpoint
         with pytest.raises(ValueError):
             PredictionService(
                 ServiceConfig(model_name="not-a-model", num_workers=1)

@@ -1,6 +1,7 @@
 """Tests of the self-healing machinery: retries, breakers, backoff, degradation."""
 
 import multiprocessing
+import os
 import random
 import threading
 import time
@@ -609,3 +610,38 @@ class TestWatchdogSkipsStartUp:
         assert snapshot.job_timeouts == 1
         assert snapshot.respawns == 1
         assert all(len(values) == 4 for values in served.values())
+
+
+class TestStartUpWatchdog:
+    """A replica is timed from spawn until it reports ``ready``."""
+
+    def test_replica_hung_while_building_its_model_takes_the_crash_path(
+        self, monkeypatch, tmp_path, chaos_blocks
+    ):
+        monkeypatch.setattr(workers, "_STARTUP_TIMEOUT_S", 0.3)
+        # Nothing ever writes the FIFO, so every replica blocks opening its
+        # "checkpoint" and never gets ready, but stays alive.
+        checkpoint = tmp_path / "never-written.npz"
+        os.mkfifo(checkpoint)
+        pool = ShardedWorkerPool(ServiceConfig(num_workers=1, checkpoint_path=str(checkpoint)))
+        texts = tuple(block.render() for block in chaos_blocks[:2])
+        errors = []
+
+        def submit():
+            try:
+                pool.run_batches([(0, texts)])
+            except WorkerCrashError as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=submit, daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        hung = thread.is_alive()
+        if not hung:  # a hung call holds the pool's lock, so close would hang too
+            pool.close()
+        assert not hung, "the pool kept waiting on a replica hung in start-up"
+        # Each hung replica is replaced until the respawn governor refuses.
+        assert len(errors) == 1
+        assert pool.respawns == RespawnPolicy().max_respawns
+        assert pool.job_timeouts == pool.respawns + 1
+
