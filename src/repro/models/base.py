@@ -64,8 +64,14 @@ class ThroughputModel(Module):
     #: does not invalidate another model's cache.
     prediction_cache_size: int = 8192
 
-    def encode_blocks(self, blocks: Sequence[BasicBlock]):
-        """Encodes basic blocks into the model's batch representation."""
+    def encode_blocks(self, blocks: Sequence[BasicBlock], cache_batch: bool = True):
+        """Encodes basic blocks into the model's batch representation.
+
+        ``cache_batch=False`` neither looks up nor stores the whole batch in
+        the model's batch cache (per-block encodings are still cached): a
+        training step's random batch never repeats, so caching it would only
+        hold its arrays until later batches evict them.
+        """
         raise NotImplementedError
 
     def forward(self, batch) -> Dict[str, Tensor]:

@@ -138,20 +138,21 @@ class GraniteModel(ThroughputModel):
     # ------------------------------------------------------------------ #
     # Encoding.
     # ------------------------------------------------------------------ #
-    def encode_blocks(self, blocks: Sequence[BasicBlock]) -> GraniteBatch:
+    def encode_blocks(self, blocks: Sequence[BasicBlock], cache_batch: bool = True) -> GraniteBatch:
         """Builds and packs the GRANITE graphs of ``blocks``.
 
         Each block's graph is built and encoded into arrays
         (:func:`repro.graph.graph.encode_graph`) once, and cached in an LRU
         keyed by the canonical block text; a batch is the concatenation of
         its cached arrays.  Whole packed batches are cached by their key
-        tuple too, so evaluation sweeps that predict the same blocks
-        repeatedly skip graph construction entirely.
+        tuple too (unless ``cache_batch`` is False, see
+        :meth:`ThroughputModel.encode_blocks`), so evaluation sweeps that
+        predict the same blocks repeatedly skip graph construction entirely.
         """
         if not blocks:
             raise ValueError("cannot encode an empty list of blocks")
         keys = tuple(block.canonical_text() for block in blocks)
-        cached_batch = self._batch_cache.get(keys)
+        cached_batch = self._batch_cache.get(keys) if cache_batch else None
         if cached_batch is not None:
             return cached_batch
         graphs = []
@@ -170,7 +171,8 @@ class GraniteModel(ThroughputModel):
             num_graphs=packed.num_graphs,
         )
         batch = GraniteBatch(graphs=packed, topology=topology)
-        self._batch_cache.put(keys, batch)
+        if cache_batch:
+            self._batch_cache.put(keys, batch)
         return batch
 
     def encode_caches(self):

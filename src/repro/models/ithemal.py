@@ -166,12 +166,13 @@ class IthemalModel(ThroughputModel):
             self._token_cache.put(key, encoded)
         return encoded
 
-    def encode_blocks(self, blocks: Sequence[BasicBlock]) -> IthemalBatch:
-        """Tokenizes and pads a batch of basic blocks (LRU cached)."""
+    def encode_blocks(self, blocks: Sequence[BasicBlock], cache_batch: bool = True) -> IthemalBatch:
+        """Tokenizes and pads a batch of basic blocks (LRU cached; see
+        :meth:`ThroughputModel.encode_blocks` for ``cache_batch``)."""
         if not blocks:
             raise ValueError("cannot encode an empty list of blocks")
         keys = tuple(block.canonical_text() for block in blocks)
-        cached_batch = self._batch_cache.get(keys)
+        cached_batch = self._batch_cache.get(keys) if cache_batch else None
         if cached_batch is not None:
             return cached_batch
 
@@ -206,7 +207,8 @@ class IthemalModel(ThroughputModel):
                 instruction_block_id_array, block_length_array, max_instructions
             ),
         )
-        self._batch_cache.put(keys, batch)
+        if cache_batch:
+            self._batch_cache.put(keys, batch)
         return batch
 
     def encode_caches(self):

@@ -2,8 +2,9 @@
 
 This subpackage replaces the TensorFlow 1.x runtime used by the original
 GRANITE implementation with a small numpy reverse-mode autodiff engine
-(``scipy.sparse`` runs its row scatter-adds) and the layers the paper's
-models need.  Importing it sets the process's heap policy once
+(``scipy.sparse`` runs its row scatter-adds, imported at the tape's first
+scatter-add, so no-grad inference never loads scipy) and the layers the
+paper's models need.  Importing it sets the process's heap policy once
 (``repro.nn._allocator``) so a training step's freed tape stays mapped for
 the next step.
 """

@@ -42,6 +42,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_to_dict",
+    "checkpoint_file",
 ]
 
 #: The archive entry holding the integrity checksum (never a parameter
@@ -122,20 +123,35 @@ def save_checkpoint(
     return target
 
 
-def checkpoint_to_dict(path: str) -> Dict[str, np.ndarray]:
-    """Loads a checkpoint file into a plain ``{name: array}`` dictionary.
+def checkpoint_file(path: str) -> str:
+    """The regular file a checkpoint ``path`` names: ``path`` itself, or its
+    ``.npz`` spelling when nothing is at ``path``.
 
     Raises:
-        FileNotFoundError: Nothing at ``path`` (or its ``.npz`` spelling).
-        CheckpointCorruptError: The archive is unreadable, or its embedded
-            checksum does not match the recomputed one.  Legacy archives
-            without a checksum entry load unverified.
+        FileNotFoundError: Nothing at either name, or what is there is not a
+            regular file (opening a FIFO would block the loader forever).
     """
     if not os.path.exists(path):
         normalized = _npz_path(path)
         if normalized == path or not os.path.exists(normalized):
             raise FileNotFoundError(f"checkpoint not found: {path}")
         path = normalized
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"checkpoint is not a regular file: {path}")
+    return path
+
+
+def checkpoint_to_dict(path: str) -> Dict[str, np.ndarray]:
+    """Loads a checkpoint file into a plain ``{name: array}`` dictionary.
+
+    Raises:
+        FileNotFoundError: No regular file at ``path`` (or its ``.npz``
+            spelling); see :func:`checkpoint_file`.
+        CheckpointCorruptError: The archive is unreadable, or its embedded
+            checksum does not match the recomputed one.  Legacy archives
+            without a checksum entry load unverified.
+    """
+    path = checkpoint_file(path)
     try:
         with np.load(path) as archive:
             state = {name: archive[name] for name in archive.files}

@@ -79,7 +79,9 @@ The tape's scatters are vectorized too:
   :meth:`Tensor.segment_sum` / integer-array ``__getitem__``) runs as a
   ``scipy.sparse`` product for 2-D feature matrices and on ``np.bincount``
   for vectors, rather than on ``np.add.at``, and basic-index slices
-  accumulate in place into the parent's gradient region;
+  accumulate in place into the parent's gradient region.  ``scipy.sparse``
+  is imported at the first such scatter-add, not with this module, so a
+  serving process (no-grad inference only) never loads it;
 * gradients accumulate into preallocated per-tensor buffers (reused across
   steps for long-lived tensors such as :class:`repro.nn.module.Parameter`),
   and ``repro.nn.optim.Adam`` applies its update through one flat slab over
@@ -92,7 +94,6 @@ import threading
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "Tensor",
@@ -269,6 +270,8 @@ def _row_scatter_add(target: np.ndarray, indices: np.ndarray, values: np.ndarray
         # indexing does (any index the forward accepted is in [-n, n)).
         indices = indices % target.shape[0]
     if values.ndim == 2 and target.ndim == 2:
+        import scipy.sparse  # imported here so no-grad inference never loads it
+
         # S @ values with S[indices[r], r] = 1: a CSC matrix with one entry
         # per column, built without sorting.
         count = indices.shape[0]

@@ -27,7 +27,6 @@ with any transport (CLI, RPC, files) without pulling one in here.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ import numpy as np
 from repro.data.datasets import TARGET_MICROARCHITECTURES
 from repro.isa.basic_block import BasicBlock
 from repro.models.base import ThroughputModel
+from repro.nn.serialization import checkpoint_file
 from repro.serve.batching import coalesce_requests, shard_key
 from repro.serve.config import ServiceConfig
 from repro.serve.resilience import CircuitBreaker
@@ -271,13 +271,16 @@ class PredictionService:
         return self._pool.ensure_healthy()
 
     def _validate_worker_config(self) -> None:
-        """Catches configs that would crash the worker initializer.
+        """Catches configs that would fail every replica's model build.
 
-        ``multiprocessing.Pool`` endlessly respawns workers whose
-        initializer raises, so a bad model name or a missing checkpoint
-        would livelock ``submit`` instead of surfacing an error; validate
-        those in the parent before spawning anything.  The checkpoint must
-        be a regular file: opening a FIFO blocks every replica in start-up.
+        ``ShardedWorkerPool`` crashes and respawns a replica whose build
+        raises until ``RespawnGovernor`` holds it in backoff, and a build
+        that blocks (a FIFO checkpoint) is only replaced after the start-up
+        watchdog's timeout; either way ``submit`` would spin through fork /
+        build / crash cycles before surfacing anything.  Validate the model
+        name and the checkpoint (a regular file, as
+        :func:`repro.nn.serialization.checkpoint_file` requires) in the
+        parent before spawning anything.
         """
         from repro.models import MODEL_NAMES
 
@@ -286,12 +289,8 @@ class PredictionService:
                 f"unknown model {self.config.model_name!r}; "
                 f"expected one of {MODEL_NAMES}"
             )
-        if self.config.checkpoint_path is not None and not os.path.isfile(
-            self.config.checkpoint_path
-        ):
-            raise FileNotFoundError(
-                f"checkpoint is not a regular file: {self.config.checkpoint_path}"
-            )
+        if self.config.checkpoint_path is not None:
+            checkpoint_file(self.config.checkpoint_path)
 
     def close(self) -> None:
         """Shuts down the worker pool (idempotent).

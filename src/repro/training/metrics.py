@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.nn.losses import ZERO_TARGET_THRESHOLD
 
@@ -60,9 +59,14 @@ def mape(predicted: np.ndarray, actual: np.ndarray) -> float:
 
 
 def spearman_correlation(predicted: np.ndarray, actual: np.ndarray) -> float:
-    """Spearman rank correlation between predictions and measurements."""
+    """Spearman rank correlation between predictions and measurements.
+
+    0.0 when either input is exactly constant (the correlation is undefined).
+    """
+    from scipy import stats  # only evaluation pays for scipy.stats
+
     predicted, actual = _validate(predicted, actual)
-    if np.allclose(predicted, predicted[0]) or np.allclose(actual, actual[0]):
+    if np.ptp(predicted) == 0 or np.ptp(actual) == 0:
         return 0.0
     result = stats.spearmanr(actual, predicted)
     value = float(result.statistic if hasattr(result, "statistic") else result[0])
@@ -70,9 +74,14 @@ def spearman_correlation(predicted: np.ndarray, actual: np.ndarray) -> float:
 
 
 def pearson_correlation(predicted: np.ndarray, actual: np.ndarray) -> float:
-    """Pearson linear correlation between predictions and measurements."""
+    """Pearson linear correlation between predictions and measurements.
+
+    0.0 when either input is exactly constant (the correlation is undefined).
+    """
+    from scipy import stats
+
     predicted, actual = _validate(predicted, actual)
-    if np.allclose(predicted, predicted[0]) or np.allclose(actual, actual[0]):
+    if np.ptp(predicted) == 0 or np.ptp(actual) == 0:
         return 0.0
     result = stats.pearsonr(actual, predicted)
     value = float(result.statistic if hasattr(result, "statistic") else result[0])

@@ -172,7 +172,7 @@ class Trainer:
         indices = self.rng.choice(len(dataset), size=batch_size, replace=False)
         blocks = [all_blocks[index] for index in indices]
 
-        encoded = self.model.encode_blocks(blocks)
+        encoded = self.model.encode_blocks(blocks, cache_batch=False)
         predictions = self.model.forward(encoded)
 
         total_loss: Optional[Tensor] = None

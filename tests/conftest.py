@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -93,6 +94,41 @@ def flush_gate():
     yield gate
     for opened in gates:
         opened.release.set()
+
+
+@pytest.fixture()
+def fifo_checkpoint(tmp_path):
+    """``(path, call)``: a FIFO named like a checkpoint, and
+    ``call(fn, *args, **kwargs)``, which runs ``fn`` in a thread and returns the
+    exception it raised (None if it returned).  A call still running after
+    5 s fails the test instead of hanging it; teardown opens the FIFO for
+    writing once, so a reader stuck in ``open`` sees EOF and its thread
+    ends."""
+    path = tmp_path / "never-written.npz"
+    os.mkfifo(path)
+
+    def call(fn, *args, **kwargs):
+        raised = []
+
+        def run():
+            try:
+                fn(*args, **kwargs)
+            except Exception as exc:  # handed to the test
+                raised.append(exc)
+            else:
+                raised.append(None)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(5.0)
+        assert not thread.is_alive(), f"{fn.__name__} blocked on a FIFO checkpoint"
+        return raised[0]
+
+    yield str(path), call
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+    except OSError:  # ENXIO: no reader is blocked on it
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,12 @@ import pytest
 
 from repro.nn.layers import Dense, MLP
 from repro.nn.module import Module, Parameter
-from repro.nn.serialization import checkpoint_to_dict, load_checkpoint, save_checkpoint
+from repro.nn.serialization import (
+    checkpoint_file,
+    checkpoint_to_dict,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -108,3 +113,17 @@ class TestCheckpointFiles:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             checkpoint_to_dict(str(tmp_path / "missing.npz"))
+
+    def test_a_fifo_raises_instead_of_blocking(self, fifo_checkpoint):
+        path, call = fifo_checkpoint
+        raised = call(checkpoint_to_dict, path)
+        assert isinstance(raised, FileNotFoundError)
+        assert "not a regular file" in str(raised)
+
+    def test_a_directory_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="not a regular file"):
+            checkpoint_to_dict(str(tmp_path))
+
+    def test_the_npz_spelling_is_found(self, rng, tmp_path):
+        save_checkpoint(Dense(2, 3, rng), str(tmp_path / "dense"))
+        assert checkpoint_file(str(tmp_path / "dense")) == str(tmp_path / "dense.npz")

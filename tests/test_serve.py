@@ -174,6 +174,15 @@ class TestInProcessService:
                 ServiceConfig(model_name="not-a-model", num_workers=1)
             ).warm_start()
 
+    def test_a_fifo_checkpoint_raises_in_process(self, fifo_checkpoint):
+        """``create_model`` and an in-process service reject a FIFO instead
+        of blocking forever in ``np.load``'s open."""
+        path, call = fifo_checkpoint
+        raised = call(create_model, "granite", checkpoint_path=path)
+        assert isinstance(raised, FileNotFoundError)
+        service = PredictionService(ServiceConfig(checkpoint_path=path))
+        assert isinstance(call(service.warm_start), FileNotFoundError)
+
     def test_warm_start_checkpoint(self, blocks, tmp_path):
         """The service restores trained weights at warm start."""
         trained = create_model("granite", small=True, seed=2)

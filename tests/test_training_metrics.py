@@ -70,6 +70,15 @@ class TestCorrelations:
         assert spearman_correlation(predicted, actual) == 0.0
         assert pearson_correlation(predicted, actual) == 0.0
 
+    def test_near_constant_predictions_are_still_ranked(self):
+        # Spread 3e-4 on values near 100: inside np.allclose's rtol, but not
+        # constant, so both correlations are defined (and here perfect).
+        actual = np.array([1.0, 2.0, 3.0, 4.0])
+        predicted = np.array([100.0, 100.0001, 100.0002, 100.0003])
+        assert spearman_correlation(predicted, actual) == pytest.approx(1.0)
+        assert pearson_correlation(predicted, actual) == pytest.approx(1.0)
+        assert spearman_correlation(actual, predicted) == pytest.approx(1.0)
+
     def test_compute_metrics_bundle(self):
         actual = np.array([100.0, 200.0, 300.0, 400.0])
         predicted = actual * 1.1

@@ -52,6 +52,18 @@ class TestTrainer:
         assert np.isfinite(result.loss)
         assert result.seconds > 0
 
+    @pytest.mark.parametrize("name", ["granite", "ithemal+"])
+    def test_training_batches_stay_out_of_the_batch_cache(self, splits, name):
+        """A random training batch never repeats: caching it would only
+        hold its packed arrays until later batches evict them."""
+        model = create_model(name, small=True, seed=1)
+        trainer = Trainer(model, TrainingConfig(batch_size=8, seed=0))
+        for step in range(3):
+            trainer.train_step(splits.train, step)
+        stats = model.encode_cache_stats
+        assert stats["batch_hits"] + stats["batch_misses"] == 0
+        assert len(model.encode_caches()[1]) == 0
+
     def test_validation_selects_best_checkpoint(self, splits):
         model = create_model("granite", small=True, seed=2)
         trainer = Trainer(
