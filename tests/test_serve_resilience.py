@@ -1,7 +1,6 @@
 """Tests of the self-healing machinery: retries, breakers, backoff, degradation."""
 
 import multiprocessing
-import os
 import random
 import threading
 import time
@@ -616,14 +615,18 @@ class TestStartUpWatchdog:
     """A replica is timed from spawn until it reports ``ready``."""
 
     def test_replica_hung_while_building_its_model_takes_the_crash_path(
-        self, monkeypatch, tmp_path, chaos_blocks
+        self, monkeypatch, chaos_blocks
     ):
         monkeypatch.setattr(workers, "_STARTUP_TIMEOUT_S", 0.3)
-        # Nothing ever writes the FIFO, so every replica blocks opening its
-        # "checkpoint" and never gets ready, but stays alive.
-        checkpoint = tmp_path / "never-written.npz"
-        os.mkfifo(checkpoint)
-        pool = ShardedWorkerPool(ServiceConfig(num_workers=1, checkpoint_path=str(checkpoint)))
+        # Forked replicas inherit a model builder that never returns, so each
+        # one blocks building its model and never gets ready, but stays
+        # alive.  (A FIFO checkpoint no longer hangs a replica: the loader
+        # rejects it and the replica exits, which is the EOF path instead.)
+        monkeypatch.setattr(
+            workers, "_worker_context", lambda: multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(workers, "build_model", lambda config: threading.Event().wait())
+        pool = ShardedWorkerPool(ServiceConfig(num_workers=1))
         texts = tuple(block.render() for block in chaos_blocks[:2])
         errors = []
 
