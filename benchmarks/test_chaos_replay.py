@@ -6,8 +6,8 @@ seed) is armed underneath a live :class:`AsyncPredictionService` backed by
 real worker processes, and a seeded, Zipf-skewed trace is replayed through
 it.  Crash-prone texts kill their worker mid-batch, hang-prone texts stall
 past the job watchdog, corrupt replies are rejected by the parent — and the
-self-healing plane (watchdog kill + respawn, per-worker circuit breaker,
-bounded retries) has to absorb all of it.
+self-healing plane (watchdog kill + respawn and resend, per-worker circuit
+breaker) has to absorb all of it.
 
 The gate is the availability story the resilience work promises:
 
@@ -38,7 +38,6 @@ from repro.serve import (
     BreakerPolicy,
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     ServiceConfig,
     SloPolicy,
     TraceReplayer,
@@ -99,12 +98,7 @@ def _service_config(plan: FaultPlan) -> ServiceConfig:
 
 
 def _async_options() -> AsyncOptions:
-    return AsyncOptions(
-        max_queue_blocks=8192,
-        retry_policy=RetryPolicy(
-            max_attempts=4, base_delay_ms=2.0, max_delay_ms=50.0, seed=FAULT_SEED
-        ),
-    )
+    return AsyncOptions(max_queue_blocks=8192)
 
 
 def _warmup_texts(plan: FaultPlan, count: int):
@@ -146,7 +140,6 @@ def _deterministic_outcome(report, snapshot):
         "errors": report.errors,
         "rejected": report.rejected,
         "lost": report.lost,
-        "retries_exhausted": snapshot.resilience.retries_exhausted,
         "degraded_responses": snapshot.resilience.degraded_responses,
     }
 
@@ -193,8 +186,7 @@ def test_chaos_storm_zero_lost_and_breaker_recovers():
             f"availability={rep.availability(BUDGET_MS):.4f}  "
             f"p99={rep.p99_ms:.1f} ms  respawns={snap.model.respawns}  "
             f"trips={snap.model.breaker_trips}  "
-            f"recoveries={snap.model.breaker_recoveries}  "
-            f"retries={snap.resilience.retries}"
+            f"recoveries={snap.model.breaker_recoveries}"
         )
 
     for rep, snap in ((report, snapshot), (rerun_report, rerun_snapshot)):
@@ -246,8 +238,6 @@ def test_chaos_storm_zero_lost_and_breaker_recovers():
             "breaker_open_workers": snapshot.model.breaker_open_workers,
             "job_timeouts": snapshot.model.job_timeouts,
             "corrupt_replies": snapshot.model.corrupt_replies,
-            "retries": snapshot.resilience.retries,
-            "retries_exhausted": snapshot.resilience.retries_exhausted,
         },
         "deterministic_outcome": _deterministic_outcome(report, snapshot),
     }

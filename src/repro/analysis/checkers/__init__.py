@@ -5,7 +5,6 @@ from repro.analysis.checkers import (  # noqa: F401
     dtype_discipline,
     exception_hygiene,
     lock_discipline,
-    retry_discipline,
     tape_coverage,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "dtype_discipline",
     "exception_hygiene",
     "lock_discipline",
-    "retry_discipline",
     "tape_coverage",
 ]

@@ -38,10 +38,9 @@ machine-readable :class:`ReasonCode` (``queue_full``,
 ``deadline_expired``, ``service_closed``, ``unknown_model``,
 ``unauthenticated``, ``forbidden``, ``invalid_request``), so transports
 map outcomes to their status space without string matching — the HTTP
-front end's ``STATUS_BY_REASON`` table is exactly that mapping.  Each
-error also inherits the builtin its pre-taxonomy ancestor did
-(:class:`QueueFullError` is a ``RuntimeError``, etc.), so existing
-``except`` clauses keep working.
+front end's ``STATUS_BY_REASON`` table is exactly that mapping.  The
+errors derive from :class:`ServeError` alone: catch them by type, never
+through a builtin such as ``RuntimeError`` or ``ValueError``.
 
 Stats schema
 ------------
@@ -65,8 +64,8 @@ the in-process one:
   (:class:`~repro.serve.stats.FlushStats`: flush counters plus realized
   wait and request-latency percentiles), ``model`` (the
   :class:`ModelStats` above), ``resilience``
-  (:class:`~repro.serve.stats.ResilienceStats`: retry, degraded-reply and
-  injected-rejection counters);
+  (:class:`~repro.serve.stats.ResilienceStats`: degraded-reply, stale-cache
+  and injected-rejection counters);
 * ``GET /v1/models/{model}/stats`` -> a serialized
   :class:`~repro.serve.registry.ModelReport`: ``info`` (a
   :class:`~repro.serve.registry.ModelInfo` with the per-tenant request
@@ -97,14 +96,14 @@ Fault injection and self-healing
 ``REPRO_FAULT_PLAN`` environment variable) selects faults — worker
 crashes, hangs, slow or corrupted replies, queue saturation — by content
 hash or event index, so every chaos run is bit-reproducible.
-:mod:`repro.serve.resilience` is the machinery it validates:
-:class:`RetryPolicy` (capped, seeded exponential backoff behind
-``AsyncOptions.retry_policy``, bounded by a sliding-window retry budget),
-a per-worker circuit breaker (``ServiceConfig.breaker_policy``) whose open
+:mod:`repro.serve.resilience` is the machinery it validates: a
+per-worker circuit breaker (``ServiceConfig.breaker_policy``) whose open
 workers the hash ring routes around, the respawn governor — the one bound
 on replacing a worker, 3 respawns per worker per 5 s and then exponential
 backoff — and a stale prediction cache serving ``degraded=True``
-responses when the backend keeps failing (``AsyncOptions.degraded_mode``).
+responses when a flush fails (``AsyncOptions.degraded_mode``).  A failed
+flush is never retried: the pool already resends the jobs of a replaced
+worker, and the stale check runs on the first failure.
 Every way a worker can fail a job (a crash, a hang caught by the
 watchdog, a non-finite reply) takes the same path: terminate, feed the
 breaker, respawn if the governor admits it, resubmit.  A malformed request
@@ -126,7 +125,7 @@ from repro.serve.http import (
 )
 from repro.serve.queue import Priority, RequestQueue
 from repro.serve.registry import ModelRegistry, ModelVariant
-from repro.serve.resilience import BreakerPolicy, RetryPolicy
+from repro.serve.resilience import BreakerPolicy
 from repro.serve.replay import (
     ReplayReport,
     SloPolicy,
@@ -170,7 +169,6 @@ __all__ = [
     # Fault injection and self-healing.
     "FaultSpec",
     "FaultPlan",
-    "RetryPolicy",
     "BreakerPolicy",
     # Error taxonomy.
     "ReasonCode",

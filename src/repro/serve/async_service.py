@@ -31,6 +31,11 @@ budget resolve with :class:`~repro.serve.queue.RequestExpiredError` when
 the budget runs out.  The queue alone drops and counts both; the counts
 are reported by :meth:`AsyncPredictionService.snapshot`, alongside the
 queue depth and realized flush-wait percentiles.
+
+A flush whose submission fails is not retried.  With ``degraded_mode`` on,
+each request of the failed batch whose blocks all have a last-known-good
+value is answered from the stale cache (``degraded=True``); every other
+request's future resolves with the error.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from repro.isa.basic_block import BasicBlock
 from repro.serve.config import AsyncOptions, ServiceConfig
 from repro.serve.faults import FaultInjector
 from repro.serve.queue import Priority, QueueFullError, RequestQueue
-from repro.serve.resilience import StalePredictionCache, run_with_retries
+from repro.serve.resilience import StalePredictionCache
 from repro.serve.service import PredictionService
 from repro.serve.stats import (
     FlushStats,
@@ -64,6 +69,9 @@ from repro.serve.types import (
 )
 
 __all__ = ["AsyncServiceStats", "AsyncPredictionService"]
+
+#: Entry bound of the last-known-good cache behind ``degraded_mode``.
+_STALE_CACHE_ENTRIES = 4096
 
 
 @dataclass
@@ -94,10 +102,6 @@ class AsyncServiceStats:
     #: Queue entries resolved with a response / with a service error.
     requests_completed: int = 0
     request_errors: int = 0
-    #: Backoff retries the dispatcher actually took / submissions that
-    #: still failed after the last attempt.
-    retries: int = 0
-    retries_exhausted: int = 0
     #: Requests answered from the stale prediction cache (``degraded=True``).
     degraded_responses: int = 0
     #: Submissions rejected by an armed queue-saturation fault.
@@ -167,17 +171,10 @@ class AsyncPredictionService:
         # documented idempotent, which includes concurrent callers).
         self._lifecycle_lock = threading.Lock()
         self._dispatcher: Optional[threading.Thread] = None
-        # Self-healing: the sanctioned retry loop around failed flush
-        # submissions, the stale cache backing graceful degradation, and
-        # the event-scoped fault injector (queue saturation), all optional.
-        self._retry_policy = options.retry_policy
-        self._retry_budget = (
-            options.retry_policy.make_budget()
-            if options.retry_policy is not None
-            else None
-        )
+        # Self-healing: the stale cache backing graceful degradation and
+        # the event-scoped fault injector (queue saturation), both optional.
         self._stale_cache = (
-            StalePredictionCache(options.stale_cache_size)
+            StalePredictionCache(_STALE_CACHE_ENTRIES)
             if options.degraded_mode
             else None
         )
@@ -348,8 +345,6 @@ class AsyncPredictionService:
                 requests_completed=stats.requests_completed,
                 request_errors=stats.request_errors,
             )
-            retries = stats.retries
-            retries_exhausted = stats.retries_exhausted
             degraded_responses = stats.degraded_responses
             injected_queue_rejections = stats.injected_queue_rejections
         queue = QueueStats(
@@ -364,11 +359,6 @@ class AsyncPredictionService:
             expired_drops=self.queue.expired,
         )
         resilience = ResilienceStats(
-            retries=retries,
-            retries_exhausted=retries_exhausted,
-            retry_budget_denied=(
-                self._retry_budget.denied if self._retry_budget is not None else 0
-            ),
             degraded_responses=degraded_responses,
             stale_cache_entries=(
                 len(self._stale_cache) if self._stale_cache is not None else 0
@@ -409,7 +399,7 @@ class AsyncPredictionService:
             self.stats.flush_waits.append(now - min(e.enqueued_at for e in entries))
             self.stats.size_flushes += int(blocks >= self.max_batch_size)
         try:
-            responses = self._submit_with_retries(entries)
+            responses = self.service.submit([entry.request for entry in entries])
         except Exception as error:
             served, failed = self._degraded_responses(entries)
             done_at = time.monotonic()
@@ -442,42 +432,6 @@ class AsyncPredictionService:
     # ------------------------------------------------------------------ #
     # Self-healing.
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _retryable(error: BaseException) -> bool:
-        """Transient failures retry; client errors and closure never do.
-
-        Worker crashes, hang timeouts and fd pressure all surface as
-        ``RuntimeError``/``OSError``/``TimeoutError`` from the sync layer.
-        ``ServiceClosedError`` subclasses ``RuntimeError`` but retrying a
-        closed service can only fail again, so it is excluded explicitly.
-        """
-        if isinstance(error, ServiceClosedError):
-            return False
-        return isinstance(error, (RuntimeError, OSError, TimeoutError))
-
-    def _submit_with_retries(self, entries) -> list:
-        requests = [entry.request for entry in entries]
-        if self._retry_policy is None:
-            return self.service.submit(requests)
-
-        def on_retry(attempt: int, delay_s: float, error: BaseException) -> None:
-            with self._stats_lock:
-                self.stats.retries += 1
-
-        try:
-            return run_with_retries(
-                lambda: self.service.submit(requests),
-                self._retry_policy,
-                budget=self._retry_budget,
-                retryable=self._retryable,
-                on_retry=on_retry,
-                token=entries[0].request.request_id,
-            )
-        except Exception:
-            with self._stats_lock:
-                self.stats.retries_exhausted += 1
-            raise
-
     def _degraded_responses(self, entries) -> tuple:
         """Splits a failed batch into stale-servable and truly failed entries.
 

@@ -18,7 +18,7 @@ from repro.models.config import default_inference_dtype
 from repro.nn.tensor import SUPPORTED_DTYPES
 from repro.serve.faults import FaultPlan, default_fault_plan
 from repro.serve.queue import BACKPRESSURE_POLICIES
-from repro.serve.resilience import BreakerPolicy, RetryPolicy
+from repro.serve.resilience import BreakerPolicy
 
 __all__ = ["AsyncOptions", "ServiceConfig"]
 
@@ -41,25 +41,15 @@ class AsyncOptions:
         backpressure: ``"block"`` (producers wait for space) or
             ``"reject"`` (producers get
             :class:`~repro.serve.types.QueueFullError`).
-        retry_policy: Optional :class:`~repro.serve.resilience.RetryPolicy`
-            applied to failed flush submissions.  ``None`` (default) keeps
-            the historical fail-fast behaviour; a policy makes the
-            dispatcher retry transient backend failures with capped,
-            seeded exponential backoff, bounded by the policy's budget.
         degraded_mode: Serve stale prediction-cache entries (flagged
-            ``degraded=True``) when the backend keeps failing after
-            retries, instead of erroring the request.  Only requests whose
-            every block (and task) has a last-known-good value degrade;
-            the rest still fail.
-        stale_cache_size: Entry bound of the last-known-good prediction
-            cache backing ``degraded_mode`` (0 disables recording).
+            ``degraded=True``) when a flush submission fails, instead of
+            erroring the request.  Only requests whose every block (and
+            task) has a last-known-good value degrade; the rest still fail.
     """
 
     max_queue_blocks: int = 4096
     backpressure: str = "block"
-    retry_policy: Optional[RetryPolicy] = None
     degraded_mode: bool = False
-    stale_cache_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.max_queue_blocks < 1:
@@ -69,10 +59,6 @@ class AsyncOptions:
                 f"unknown back-pressure policy {self.backpressure!r}; "
                 f"expected one of {BACKPRESSURE_POLICIES}"
             )
-        if self.retry_policy is not None and not isinstance(self.retry_policy, RetryPolicy):
-            raise ValueError("retry_policy must be a RetryPolicy (or None)")
-        if self.stale_cache_size < 0:
-            raise ValueError("stale_cache_size must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ A :class:`FaultPlan` is the frozen description (seed + specs); a
 tracks first-occurrence / incarnation gating:
 
 - Content faults fire at most **once per text per injector** (``_seen``
-  sets), so a retried request observes the fault exactly once and then
+  sets), so a resent job observes the fault exactly once and then
   succeeds — the self-healing path is exercised, not starved.
 - Worker-side faults are additionally gated on the worker's **incarnation**
   (its spawn generation): a replica respawned after an injected crash does

@@ -191,8 +191,7 @@ class RequestQueue:
             QueueFullError: Capacity exceeded and the policy is ``reject``,
                 the ``block`` wait timed out, or the request alone exceeds
                 ``max_blocks`` (it could never be admitted).
-            ServiceClosedError: The queue is closed (a ``RuntimeError``
-                subclass, so historical handlers still catch it).
+            ServiceClosedError: The queue is closed.
         """
         if deadline_s is not None and not 0 <= deadline_s < math.inf:
             raise ValueError("deadline_s must be finite and >= 0")

@@ -1,16 +1,5 @@
-"""Self-healing primitives: retries, circuit breaking, respawn backoff.
+"""Self-healing primitives: circuit breaking, respawn backoff, stale replies.
 
-This module is the sanctioned home of every retry/backoff decision in
-``repro.serve`` (analyzer rule RT001 flags ad-hoc ``time.sleep`` retry
-loops elsewhere in the package):
-
-- :class:`RetryPolicy` — frozen description of capped exponential backoff
-  with *seeded* jitter: the delay for attempt ``n`` of request ``token`` is
-  a pure function of ``(seed, token, n)``, so a replayed chaos run waits
-  the same amount at every step.  :func:`run_with_retries` is the one
-  sanctioned retry loop; :class:`RetryBudget` bounds how many retries the
-  whole service may issue per sliding window so a dying backend cannot be
-  hammered into the ground.
 - :class:`CircuitBreaker` — per-worker closed/open/half-open state machine.
   Failures (crashes, job timeouts, corrupted replies) trip a worker open;
   after ``reset_timeout_s`` the breaker admits exactly ``probe_quota``
@@ -37,7 +26,6 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence
@@ -47,9 +35,6 @@ import numpy as np
 from repro.utils.cache import LRUCache
 
 __all__ = [
-    "RetryPolicy",
-    "RetryBudget",
-    "run_with_retries",
     "BreakerPolicy",
     "CircuitBreaker",
     "RespawnPolicy",
@@ -63,127 +48,6 @@ __all__ = [
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
-
-
-# ---------------------------------------------------------------------------
-# Retries
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with seeded, deterministic jitter.
-
-    Attributes:
-        max_attempts: Total attempts including the first (1 disables
-            retries).
-        base_delay_ms: Delay before the first retry.
-        max_delay_ms: Cap on any single delay.
-        multiplier: Exponential growth factor between retries.
-        jitter: Fraction of the delay randomized *downward* (0.5 means the
-            actual delay lands in ``[0.5, 1.0] * capped``).  The jitter is
-            derived from ``crc32(f"{seed}:{token}:{attempt}")``, not an RNG,
-            so identical runs wait identically.
-        seed: Jitter seed.
-        budget: Retries allowed per ``budget_window_s`` sliding window
-            across the whole service (0 disables the budget).
-        budget_window_s: Width of the budget window.
-    """
-
-    max_attempts: int = 3
-    base_delay_ms: float = 2.0
-    max_delay_ms: float = 100.0
-    multiplier: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
-    budget: int = 64
-    budget_window_s: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.base_delay_ms < 0.0 or self.max_delay_ms < 0.0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be at least 1.0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
-        if self.budget < 0 or self.budget_window_s <= 0.0:
-            raise ValueError("budget must be >= 0 and budget_window_s positive")
-
-    def delay_s(self, attempt: int, token: str = "") -> float:
-        """Deterministic delay (seconds) before retry number ``attempt``."""
-        capped = min(self.base_delay_ms * self.multiplier**attempt, self.max_delay_ms)
-        unit = zlib.crc32(f"{self.seed}:{token}:{attempt}".encode("utf-8")) / 2**32
-        return capped * (1.0 - self.jitter * unit) / 1000.0
-
-    def make_budget(self, clock: Callable[[], float] = time.monotonic) -> Optional["RetryBudget"]:
-        """Builds the runtime budget, or None when the budget is disabled."""
-        if self.budget <= 0:
-            return None
-        return RetryBudget(self.budget, self.budget_window_s, clock=clock)
-
-
-class RetryBudget:
-    """Sliding-window cap on service-wide retries (thread-safe)."""
-
-    def __init__(
-        self,
-        max_retries: int,
-        window_s: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.max_retries = int(max_retries)
-        self.window_s = float(window_s)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._spent: Deque[float] = deque()  # guarded-by: _lock
-        self.denied = 0  # guarded-by: _lock
-
-    def try_acquire(self) -> bool:
-        """Consumes one retry token; False when the window is exhausted."""
-        now = self._clock()
-        with self._lock:
-            while self._spent and now - self._spent[0] > self.window_s:
-                self._spent.popleft()
-            if len(self._spent) >= self.max_retries:
-                self.denied += 1
-                return False
-            self._spent.append(now)
-            return True
-
-
-def run_with_retries(
-    fn: Callable[[], object],
-    policy: RetryPolicy,
-    budget: Optional[RetryBudget] = None,
-    retryable: Optional[Callable[[BaseException], bool]] = None,
-    on_retry: Optional[Callable[[int, float, BaseException], None]] = None,
-    token: str = "",
-    sleep: Callable[[float], None] = time.sleep,
-) -> object:
-    """The sanctioned retry loop: runs ``fn`` under ``policy``.
-
-    Retries only errors ``retryable`` admits (everything, when None), stops
-    when attempts or the budget run out, and re-raises the last error.
-    ``on_retry(attempt, delay_s, error)`` fires before each backoff sleep.
-    """
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except Exception as error:
-            if retryable is not None and not retryable(error):
-                raise
-            if attempt + 1 >= policy.max_attempts:
-                raise
-            if budget is not None and not budget.try_acquire():
-                raise
-            delay = policy.delay_s(attempt, token)
-            if on_retry is not None:
-                on_retry(attempt, delay, error)
-            sleep(delay)
-            attempt += 1
 
 
 # ---------------------------------------------------------------------------

@@ -216,18 +216,13 @@ class ModelStats(StatsStruct):
 class ResilienceStats(StatsStruct):
     """Self-healing counters of the async front end.
 
-    ``retries`` counts backoff retries actually taken by the dispatcher;
-    ``retries_exhausted`` counts submissions that still failed after the
-    last attempt; ``retry_budget_denied`` counts retries refused by the
-    sliding-window budget.  ``degraded_responses`` counts requests served
-    from the stale prediction cache (flagged ``degraded=True``), and
+    ``degraded_responses`` counts requests served from the stale
+    prediction cache (flagged ``degraded=True``) after their flush failed,
+    ``stale_cache_entries`` is that cache's current size, and
     ``injected_queue_rejections`` counts submissions rejected by an armed
     queue-saturation fault.
     """
 
-    retries: int = 0
-    retries_exhausted: int = 0
-    retry_budget_denied: int = 0
     degraded_responses: int = 0
     stale_cache_entries: int = 0
     injected_queue_rejections: int = 0

@@ -72,51 +72,51 @@ class ReasonCode(enum.Enum):
 class ServeError(Exception):
     """Base of every serving error; carries a :class:`ReasonCode`.
 
-    Subclasses double-inherit from the builtin exception their historical
-    counterpart derived from (``RuntimeError`` / ``TimeoutError`` / ...),
-    so pre-existing ``except`` clauses keep catching them.
+    Subclasses derive from this class alone, with no builtin second base:
+    catch a serving error by its type (or as ``ServeError``), never as a
+    ``ValueError`` or ``RuntimeError``.
     """
 
     code: ReasonCode = ReasonCode.INTERNAL
 
 
-class QueueFullError(ServeError, RuntimeError):
+class QueueFullError(ServeError):
     """The queue is at capacity and the back-pressure policy rejected."""
 
     code = ReasonCode.QUEUE_FULL
 
 
-class RequestExpiredError(ServeError, TimeoutError):
+class RequestExpiredError(ServeError):
     """A request's per-request deadline passed before it was dispatched."""
 
     code = ReasonCode.DEADLINE_EXPIRED
 
 
-class ServiceClosedError(ServeError, RuntimeError):
+class ServiceClosedError(ServeError):
     """The service (or its queue / worker pool / registry) is closed."""
 
     code = ReasonCode.SERVICE_CLOSED
 
 
-class UnknownModelError(ServeError, LookupError):
+class UnknownModelError(ServeError):
     """No model variant is registered under the requested name."""
 
     code = ReasonCode.UNKNOWN_MODEL
 
 
-class AuthenticationError(ServeError, PermissionError):
+class AuthenticationError(ServeError):
     """The request carried no API key, or one no tenant owns."""
 
     code = ReasonCode.UNAUTHENTICATED
 
 
-class AuthorizationError(ServeError, PermissionError):
+class AuthorizationError(ServeError):
     """The tenant is authenticated but may not use the requested model."""
 
     code = ReasonCode.FORBIDDEN
 
 
-class InvalidRequestError(ServeError, ValueError):
+class InvalidRequestError(ServeError):
     """The request payload is malformed."""
 
     code = ReasonCode.INVALID_REQUEST

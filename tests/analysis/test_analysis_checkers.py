@@ -183,28 +183,6 @@ class TestExceptionHygiene:
         assert run_rule("EX001", context) == []
 
 
-class TestRetryDiscipline:
-    def test_bad_fixture_flags_each_adhoc_retry_sleep(self):
-        context = fixture_context("retry_bad.py", "src/repro/serve/retry_bad.py")
-        findings = run_rule("RT001", context)
-        assert [(f.rule, f.line) for f in findings] == [("RT001", 11), ("RT001", 21)]
-        assert "run_with_retries" in findings[0].message
-
-    def test_good_fixture_is_clean(self):
-        context = fixture_context("retry_good.py", "src/repro/serve/retry_good.py")
-        assert run_rule("RT001", context) == []
-
-    def test_rule_is_scoped_to_serve(self):
-        context = fixture_context("retry_bad.py", "src/repro/data/retry_bad.py")
-        assert run_rule("RT001", context) == []
-
-    def test_resilience_module_hosts_the_sanctioned_loop(self):
-        context = fixture_context(
-            "retry_bad.py", "src/repro/serve/resilience.py"
-        )
-        assert run_rule("RT001", context) == []
-
-
 class TestTapeCoverage:
     @pytest.fixture()
     def mini_project(self, tmp_path):

@@ -22,7 +22,6 @@ from repro.serve import (
     ReasonCode,
     RequestExpiredError,
     RequestQueue,
-    RetryPolicy,
     ServeError,
     ServiceClosedError,
     ServiceConfig,
@@ -91,19 +90,15 @@ class TestLayeredConfig:
 
     def test_explicit_options_keep_resilience_knobs(self, sample_blocks):
         # Every AsyncOptions field reaches the front end, including the
-        # retry, degraded-mode and stale-cache knobs.
-        options = AsyncOptions(
-            retry_policy=RetryPolicy(max_attempts=2),
-            degraded_mode=True,
-            stale_cache_size=2,
-        )
+        # degraded-mode knob.
+        options = AsyncOptions(degraded_mode=True)
         service = PredictionService(ServiceConfig(max_batch_size=4))
         with AsyncPredictionService(options, service=service) as front_end:
             front_end.predict_blocks(sample_blocks[:3], timeout=120.0)
             snapshot = front_end.snapshot()
-        assert front_end.options.retry_policy == RetryPolicy(max_attempts=2)
-        # The stale cache records served blocks, bounded at its size.
-        assert snapshot.resilience.stale_cache_entries == 2
+        assert front_end.options.degraded_mode is True
+        # The stale cache records every served block.
+        assert snapshot.resilience.stale_cache_entries == 3
         service.close()
 
     def test_removed_settings_are_rejected(self):
@@ -138,7 +133,16 @@ class TestLayeredConfig:
         for removed in ("max_latency_ms", "autoscale_poll_ms"):
             with pytest.raises(TypeError):
                 AsyncOptions(**{removed: 1.0})
-        assert len(dataclasses.fields(AsyncOptions)) == 5
+        # A failed flush is never retried, and the stale cache has a fixed
+        # bound: neither the retry policy nor the cache size is a knob.
+        for removed in ("retry_policy", "stale_cache_size"):
+            with pytest.raises(TypeError):
+                AsyncOptions(**{removed: None})
+        assert [spec.name for spec in dataclasses.fields(AsyncOptions)] == [
+            "max_queue_blocks",
+            "backpressure",
+            "degraded_mode",
+        ]
         assert len(dataclasses.fields(ServiceConfig)) == 12
 
     @pytest.mark.parametrize(
@@ -159,6 +163,12 @@ class TestLayeredConfig:
         is built: nothing can add, remove or forget a worker later."""
         assert not hasattr(owner, name)
 
+    @pytest.mark.parametrize("name", ["RetryPolicy", "RetryBudget", "run_with_retries"])
+    def test_a_failed_flush_cannot_be_retried(self, name):
+        """There is no retry layer: a failed flush goes straight to the
+        degraded-reply check and then to the client."""
+        assert not hasattr(repro.serve.resilience, name)
+
     def test_service_batch_size_drives_flushes(self, sample_blocks):
         config = ServiceConfig(max_batch_size=4)
         with AsyncPredictionService(service_config=config) as front_end:
@@ -176,25 +186,23 @@ class TestLayeredConfig:
 
 class TestReasonCodes:
     @pytest.mark.parametrize(
-        "error_type, legacy_base, code",
+        "error_type, code",
         [
-            (QueueFullError, RuntimeError, ReasonCode.QUEUE_FULL),
-            (RequestExpiredError, TimeoutError, ReasonCode.DEADLINE_EXPIRED),
-            (ServiceClosedError, RuntimeError, ReasonCode.SERVICE_CLOSED),
-            (UnknownModelError, LookupError, ReasonCode.UNKNOWN_MODEL),
-            (AuthenticationError, PermissionError, ReasonCode.UNAUTHENTICATED),
-            (AuthorizationError, PermissionError, ReasonCode.FORBIDDEN),
-            (InvalidRequestError, ValueError, ReasonCode.INVALID_REQUEST),
+            (QueueFullError, ReasonCode.QUEUE_FULL),
+            (RequestExpiredError, ReasonCode.DEADLINE_EXPIRED),
+            (ServiceClosedError, ReasonCode.SERVICE_CLOSED),
+            (UnknownModelError, ReasonCode.UNKNOWN_MODEL),
+            (AuthenticationError, ReasonCode.UNAUTHENTICATED),
+            (AuthorizationError, ReasonCode.FORBIDDEN),
+            (InvalidRequestError, ReasonCode.INVALID_REQUEST),
         ],
     )
-    def test_machine_readable_and_backward_compatible(
-        self, error_type, legacy_base, code
-    ):
+    def test_machine_readable_and_caught_only_as_serve_errors(self, error_type, code):
         error = error_type("boom")
         assert error.code is code
-        assert isinstance(error, ServeError)
-        # Pre-taxonomy except clauses must keep catching these.
-        assert isinstance(error, legacy_base)
+        # No builtin second base: a handler for ValueError, OSError or
+        # RuntimeError cannot swallow a serving error by accident.
+        assert error_type.__mro__ == (error_type, ServeError, Exception, BaseException, object)
 
     def test_codes_are_wire_stable_strings(self):
         assert ReasonCode.QUEUE_FULL.value == "queue_full"
@@ -241,7 +249,7 @@ class TestPublicImports:
         )
 
         names = repro.serve.__all__
-        assert len(names) == len(set(names)) == 42
+        assert len(names) == len(set(names)) == 41
         for name in names:
             assert getattr(repro.serve, name) is not None
         # Importable from their defining modules, not from the package.
@@ -255,8 +263,6 @@ class TestPublicImports:
             "FAULT_KINDS",
             "FaultInjector",
             "load_fault_plan_from_env",
-            "RetryBudget",
-            "run_with_retries",
             "CircuitBreaker",
             "RespawnPolicy",
             "RespawnGovernor",
@@ -302,6 +308,9 @@ class TestPublicImports:
             "HedgeStats",
             "HotKeyRouter",
             "HotKeyTracker",
+            "RetryPolicy",
+            "RetryBudget",
+            "run_with_retries",
         ):
             assert removed not in names
             assert not hasattr(repro.serve, removed)

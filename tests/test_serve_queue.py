@@ -143,7 +143,7 @@ class TestRequestQueue:
         assert [len(batch) for batch in batches] == batch_lengths
         assert sum(batches, []) == [f"r{index}" for index in range(requests)]
         assert queue.take_batch(max_blocks=max_blocks) == []
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ServiceClosedError):
             queue.put(_request(blocks, 1))
 
     def test_invalid_configuration(self):
@@ -271,9 +271,9 @@ class TestAsyncPredictionService:
             service_config=ServiceConfig(model_name="granite")
         )
         service.close()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ServiceClosedError):
             service.submit(PredictionRequest.of(blocks[:1]))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ServiceClosedError):
             service.start()
 
     def test_conflicting_construction_rejected(self):

@@ -71,7 +71,7 @@ class TestTrace:
     def test_version_mismatch_rejected(self):
         raw = json.loads(synthesize_trace(num_requests=2, seed=0).to_json())
         raw["version"] = 999
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(InvalidRequestError, match="version"):
             Trace.from_json(json.dumps(raw))
 
     def test_scaled_compresses_the_timeline(self):

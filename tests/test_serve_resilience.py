@@ -1,4 +1,4 @@
-"""Tests of the self-healing machinery: retries, breakers, backoff, degradation."""
+"""Tests of the self-healing machinery: breakers, backoff, degradation."""
 
 import multiprocessing
 import random
@@ -25,11 +25,8 @@ from repro.serve.resilience import (
     CircuitBreaker,
     RespawnGovernor,
     RespawnPolicy,
-    RetryPolicy,
     StalePredictionCache,
-    run_with_retries,
 )
-from repro.serve.types import ServiceClosedError
 from repro.serve import workers
 from repro.serve.workers import ShardedWorkerPool, WorkerCrashError
 from repro.testing.equivalence import assert_allclose_for_dtype
@@ -44,106 +41,6 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
-
-
-# ---------------------------------------------------------------------------
-# Retry policy and the sanctioned loop
-# ---------------------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_delays_are_deterministic_per_token_and_attempt(self):
-        policy = RetryPolicy(seed=9)
-        assert policy.delay_s(2, "req-1") == RetryPolicy(seed=9).delay_s(2, "req-1")
-
-    def test_delays_are_capped_and_jitter_bounded(self):
-        policy = RetryPolicy(
-            base_delay_ms=10.0, max_delay_ms=40.0, multiplier=2.0, jitter=0.5
-        )
-        for attempt in range(6):
-            delay_ms = policy.delay_s(attempt, "t") * 1000.0
-            capped = min(10.0 * 2.0**attempt, 40.0)
-            assert 0.5 * capped <= delay_ms <= capped
-
-    def test_rejects_zero_attempts(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-
-    def test_budget_disabled_when_zero(self):
-        assert RetryPolicy(budget=0).make_budget() is None
-
-
-class TestRunWithRetries:
-    def test_recovers_after_transient_failures(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return "done"
-
-        retries = []
-        result = run_with_retries(
-            flaky,
-            RetryPolicy(max_attempts=5),
-            on_retry=lambda attempt, delay, error: retries.append(delay),
-            sleep=lambda seconds: None,
-        )
-        assert result == "done"
-        assert calls["n"] == 3
-        assert len(retries) == 2
-
-    def test_non_retryable_raises_immediately(self):
-        calls = {"n": 0}
-
-        def closed():
-            calls["n"] += 1
-            raise ServiceClosedError("closed")
-
-        with pytest.raises(ServiceClosedError):
-            run_with_retries(
-                closed,
-                RetryPolicy(max_attempts=5),
-                retryable=lambda error: not isinstance(error, ServiceClosedError),
-                sleep=lambda seconds: None,
-            )
-        assert calls["n"] == 1
-
-    def test_exhaustion_reraises_last_error(self):
-        def always():
-            raise RuntimeError("still broken")
-
-        with pytest.raises(RuntimeError, match="still broken"):
-            run_with_retries(
-                always, RetryPolicy(max_attempts=3), sleep=lambda seconds: None
-            )
-
-    def test_budget_denial_stops_retrying(self):
-        clock = FakeClock()
-        policy = RetryPolicy(max_attempts=10, budget=2, budget_window_s=60.0)
-        budget = policy.make_budget(clock=clock)
-        attempts = {"n": 0}
-
-        def always():
-            attempts["n"] += 1
-            raise RuntimeError("down")
-
-        with pytest.raises(RuntimeError):
-            run_with_retries(
-                always, policy, budget=budget, sleep=lambda seconds: None
-            )
-        # First attempt + the two budgeted retries, then denial.
-        assert attempts["n"] == 3
-        assert budget.denied == 1
-
-    def test_budget_window_slides(self):
-        clock = FakeClock()
-        budget = RetryPolicy(budget=1, budget_window_s=5.0).make_budget(clock=clock)
-        assert budget.try_acquire() is True
-        assert budget.try_acquire() is False
-        clock.advance(6.0)
-        assert budget.try_acquire() is True
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +304,16 @@ def chaos_blocks():
 class TestDegradedMode:
     def test_stale_cache_serves_when_backend_fails(self, chaos_blocks):
         config = ServiceConfig(max_batch_size=8)
-        options = AsyncOptions(
-            retry_policy=RetryPolicy(max_attempts=2, base_delay_ms=1.0),
-            degraded_mode=True,
-        )
+        options = AsyncOptions(degraded_mode=True)
         with AsyncPredictionService(options, service_config=config) as front:
             warm = front.submit(PredictionRequest.of(chaos_blocks[:4])).result(30)
             assert warm.degraded is False
 
             real_submit = front.service.submit
+            failed_calls = []
 
             def failing(requests):
+                failed_calls.append(requests)
                 raise RuntimeError("backend down")
 
             front.service.submit = failing
@@ -434,7 +330,8 @@ class TestDegradedMode:
                 )
             snapshot = front.snapshot()
             assert snapshot.resilience.degraded_responses == 1
-            assert snapshot.resilience.retries >= 1
+            # The stale reply follows the first failure: no hidden retry.
+            assert len(failed_calls) == 1
             assert snapshot.resilience.stale_cache_entries == 4
 
     def test_uncached_blocks_still_fail(self, chaos_blocks):
@@ -485,9 +382,6 @@ class TestRespawnUnderLiveTraffic:
             max_batch_size=4,
             fault_plan=plan,
         )
-        options = AsyncOptions(
-            retry_policy=RetryPolicy(max_attempts=3, base_delay_ms=1.0),
-        )
         completions = []
         completion_lock = threading.Lock()
 
@@ -498,7 +392,7 @@ class TestRespawnUnderLiveTraffic:
 
             return callback
 
-        with AsyncPredictionService(options, service_config=config) as front:
+        with AsyncPredictionService(service_config=config) as front:
             futures = []
             for index, block in enumerate(chaos_blocks):
                 future = front.submit(PredictionRequest.of([block]))

@@ -7,6 +7,7 @@ from repro.serve import (
     HashRing,
     PredictionRequest,
     PredictionService,
+    ServiceClosedError,
     ServiceConfig,
     coalesce_requests,
     shard_key,
@@ -230,6 +231,6 @@ class TestShardedWorkerPool:
         ).warm_start()
         service.close()
         service.close()  # idempotent
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ServiceClosedError):
             service.predict_blocks(blocks[:2])
         assert service._pool is None
