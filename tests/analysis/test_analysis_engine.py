@@ -18,6 +18,14 @@ def det_context(source, path="examples/clock.py"):
 WALL_CLOCK = "import time\n\n\ndef when():\n    return time.time()\n"
 
 
+class TestRegistry:
+    def test_the_built_in_rules(self):
+        # Each rule here has its bad/good fixtures in test_analysis_checkers;
+        # a rule added or deleted changes this list with them.
+        rules = [checker.rule for checker in all_checkers()]
+        assert rules == ["DET001", "DT001", "EX001", "RC001", "TP001"]
+
+
 class TestSuppressions:
     def test_trailing_comment_suppresses_its_line(self):
         source = WALL_CLOCK.replace(

@@ -381,6 +381,28 @@ class TestTypedStats:
         assert document["model"]["model_name"] == "granite"
         assert document["model"]["cache"]["prediction_misses"] >= 1
 
+    def test_resilience_section_counts_no_retries(self, sample_blocks):
+        # One served request, then one answered stale after its flush
+        # failed: the wire section holds exactly these three counters.
+        options = AsyncOptions(degraded_mode=True)
+        with AsyncPredictionService(
+            options, service_config=ServiceConfig(max_batch_size=8)
+        ) as front_end:
+            front_end.submit(PredictionRequest.of(sample_blocks[:2])).result(120.0)
+
+            def failing(requests):
+                raise RuntimeError("backend down")
+
+            front_end.service.submit = failing
+            stale = front_end.submit(PredictionRequest.of(sample_blocks[:2]))
+            assert stale.result(120.0).degraded is True
+            document = front_end.snapshot().to_dict()
+        assert document["resilience"] == {
+            "degraded_responses": 1,
+            "stale_cache_entries": 2,
+            "injected_queue_rejections": 0,
+        }
+
     def test_service_snapshot_typed(self, sample_blocks):
         service = PredictionService(ServiceConfig(max_batch_size=8)).warm_start()
         service.submit([PredictionRequest.of(sample_blocks[:2])])

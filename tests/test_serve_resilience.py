@@ -14,6 +14,7 @@ from repro.serve import (
     AsyncPredictionService,
     PredictionRequest,
     PredictionService,
+    ServiceClosedError,
     ServiceConfig,
 )
 from repro.serve.faults import FaultPlan, FaultSpec
@@ -346,6 +347,181 @@ class TestDegradedMode:
             future = front.submit(PredictionRequest.of(chaos_blocks[:2]))
             with pytest.raises(RuntimeError, match="backend down"):
                 future.result(30)
+
+
+def _fail_flushes(front, error, count=None):
+    """Makes the first ``count`` flushes of ``front`` (every flush when
+    None) raise ``error``; later ones reach the real service.  Returns the
+    list that records each flush's number of requests, in order."""
+    real_submit = front.service.submit
+    flushes = []
+
+    def submit(requests):
+        flushes.append(len(requests))
+        if count is None or len(flushes) <= count:
+            raise error
+        return real_submit(requests)
+
+    front.service.submit = submit
+    return flushes
+
+
+class TestFirstFailedFlush:
+    """A failed flush calls the service once, then goes through the
+    degraded-reply check to the client: nothing is retried."""
+
+    def test_every_request_of_the_failed_batch_gets_the_error(
+        self, chaos_blocks, flush_gate
+    ):
+        error = RuntimeError("backend down")
+        with AsyncPredictionService(
+            service_config=ServiceConfig(max_batch_size=8)
+        ) as front:
+            flushes = _fail_flushes(front, error)
+            gate = flush_gate(front.service)
+            first = front.submit(PredictionRequest.of(chaos_blocks[:1]))
+            assert gate.entered.wait(30)
+            # Queued behind the parked flush, so both join the next batch.
+            batch = [
+                front.submit(PredictionRequest.of(chaos_blocks[start : start + 2]))
+                for start in (1, 3)
+            ]
+            gate.release.set()
+            for future in [first, *batch]:
+                assert future.exception(30) is error
+            snapshot = front.snapshot()
+        assert flushes == [1, 2]
+        assert snapshot.flush.flushes == 2
+        assert snapshot.flush.request_errors == 3
+        assert snapshot.flush.requests_completed == 0
+        assert snapshot.resilience.degraded_responses == 0
+
+    def test_the_flush_after_a_failure_is_served_fresh(self, chaos_blocks):
+        error = RuntimeError("transient")
+        options = AsyncOptions(degraded_mode=True)
+        with AsyncPredictionService(
+            options, service_config=ServiceConfig(max_batch_size=8)
+        ) as front:
+            flushes = _fail_flushes(front, error, count=1)
+            failed = front.submit(PredictionRequest.of(chaos_blocks[:2]))
+            assert failed.exception(30) is error
+            # A failed flush leaves nothing in the stale cache.
+            assert front.snapshot().resilience.stale_cache_entries == 0
+            fresh = front.submit(PredictionRequest.of(chaos_blocks[:2])).result(30)
+            snapshot = front.snapshot()
+        assert flushes == [1, 1]
+        assert fresh.degraded is False
+        assert fresh.num_blocks == 2
+        for values in fresh.predictions.values():
+            assert np.all(np.isfinite(values))
+        assert snapshot.resilience.stale_cache_entries == 2
+        assert snapshot.flush.request_errors == 1
+        assert snapshot.flush.requests_completed == 1
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            RuntimeError("backend down"),
+            WorkerCrashError("worker 0 is crash-looping"),
+            ServiceClosedError("pool closed"),
+            TimeoutError("job timed out"),
+        ],
+        ids=["runtime", "worker-crash", "service-closed", "timeout"],
+    )
+    def test_the_client_gets_the_backend_error_itself(self, chaos_blocks, error):
+        """No error class is set apart: each is raised once, unwrapped."""
+        options = AsyncOptions(degraded_mode=True)
+        with AsyncPredictionService(
+            options, service_config=ServiceConfig(max_batch_size=8)
+        ) as front:
+            flushes = _fail_flushes(front, error)
+            future = front.submit(PredictionRequest.of(chaos_blocks[5:7]))
+            assert future.exception(30) is error
+        assert flushes == [1]
+
+    def test_a_failed_batch_is_served_stale_request_by_request(
+        self, chaos_blocks, flush_gate
+    ):
+        error = RuntimeError("backend down")
+        options = AsyncOptions(degraded_mode=True)
+        with AsyncPredictionService(
+            options, service_config=ServiceConfig(max_batch_size=8)
+        ) as front:
+            warm = front.submit(PredictionRequest.of(chaos_blocks[:4])).result(30)
+            flushes = _fail_flushes(front, error)
+            gate = flush_gate(front.service)
+            blocker = front.submit(PredictionRequest.of(chaos_blocks[8:9]))
+            assert gate.entered.wait(30)
+            cached = front.submit(PredictionRequest.of(chaos_blocks[2:4]))
+            # Block 4 was never served, so this request has no stale answer.
+            uncached = front.submit(PredictionRequest.of(chaos_blocks[3:5]))
+            gate.release.set()
+            assert blocker.exception(30) is error
+            assert uncached.exception(30) is error
+            stale = cached.result(30)
+            snapshot = front.snapshot()
+        assert flushes == [1, 2]
+        assert stale.degraded is True
+        for task, values in warm.predictions.items():
+            np.testing.assert_allclose(stale.predictions[task], values[2:4])
+        assert snapshot.resilience.degraded_responses == 1
+        assert snapshot.resilience.stale_cache_entries == 4
+        assert snapshot.flush.requests_completed == 2
+        assert snapshot.flush.request_errors == 2
+
+    def test_an_expired_request_is_not_served_stale(self, chaos_blocks, flush_gate):
+        error = RuntimeError("backend down")
+        options = AsyncOptions(degraded_mode=True)
+        with AsyncPredictionService(
+            options, service_config=ServiceConfig(max_batch_size=8)
+        ) as front:
+            front.submit(PredictionRequest.of(chaos_blocks[:2])).result(30)
+            flushes = _fail_flushes(front, error)
+            gate = flush_gate(front.service)
+            late = front.submit(
+                PredictionRequest.of(chaos_blocks[:2]), deadline_ms=500.0
+            )
+            assert gate.entered.wait(30)
+            time.sleep(0.6)
+            waiting = front.submit(PredictionRequest.of(chaos_blocks[:2]))
+            gate.release.set()
+            # Claimed before its deadline and failed after it: its client
+            # stopped waiting, so it gets the error, not a stale answer.
+            assert late.exception(30) is error
+            assert waiting.result(30).degraded is True
+        assert flushes == [1, 1]
+
+    def test_a_degraded_reply_keeps_the_requested_tasks(self, chaos_blocks):
+        options = AsyncOptions(degraded_mode=True)
+        with AsyncPredictionService(
+            options, service_config=ServiceConfig(max_batch_size=8)
+        ) as front:
+            warm = front.submit(PredictionRequest.of(chaos_blocks[:3])).result(30)
+            assert len(warm.predictions) > 1
+            flushes = _fail_flushes(front, RuntimeError("backend down"))
+            stale = front.submit(
+                PredictionRequest.of(chaos_blocks[:3], tasks=("haswell",))
+            ).result(30)
+        assert flushes == [1]
+        assert stale.degraded is True
+        assert list(stale.predictions) == ["haswell"]
+        np.testing.assert_allclose(
+            stale.predictions["haswell"], warm.predictions["haswell"]
+        )
+
+    def test_without_degraded_mode_a_served_block_still_fails(self, chaos_blocks):
+        error = RuntimeError("backend down")
+        with AsyncPredictionService(
+            service_config=ServiceConfig(max_batch_size=8)
+        ) as front:
+            front.submit(PredictionRequest.of(chaos_blocks[:2])).result(30)
+            flushes = _fail_flushes(front, error)
+            future = front.submit(PredictionRequest.of(chaos_blocks[:2]))
+            assert future.exception(30) is error
+            snapshot = front.snapshot()
+        assert flushes == [1]
+        assert snapshot.resilience.stale_cache_entries == 0
+        assert snapshot.resilience.degraded_responses == 0
 
 
 class TestQueueSaturationFault:
