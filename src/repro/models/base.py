@@ -16,17 +16,102 @@ every experiment:
 
 from __future__ import annotations
 
+import os
+import threading
+from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.isa.basic_block import BasicBlock
 from repro.nn.module import Module, parameter_version
-from repro.nn.tensor import Tensor, compute_dtype, no_grad
+from repro.nn.tensor import Tensor, compute_dtype, fast_path_active, no_grad
 from repro.utils.cache import LRUCache
 
-__all__ = ["ThroughputModel"]
+__all__ = ["ThroughputModel", "inference_cores"]
+
+#: Least forward work (instructions x model width squared) worth a shard of
+#: its own.  Below it, handing a shard to another core costs more than the
+#: core saves: every forward pays a fixed, width-independent overhead of
+#: numpy calls that hold the GIL, so two small shards run slower than one.
+#: Measured on two cores with one BLAS thread, caches off, two shards
+#: against one: paper-scale GRANITE ran 0.93x at 8 blocks (3.7M of work)
+#: and 1.37x at 16 (7.8M), Ithemal+ 0.89x and 1.64x; small Ithemal+ at 200
+#: blocks (1.7M) ran 0.88x.  So a shard pays from about 3M.
+MIN_SHARD_WORK = 3_000_000
+
+#: The variables a BLAS library reads its threads per call from, in the
+#: order OpenBLAS, MKL and OpenMP builds look for them.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+#: ``(pid, pool)`` of the process-wide shard pool, built on first use.
+_SHARD_POOL: Optional[Tuple[int, ThreadPoolExecutor]] = None
+_SHARD_POOL_LOCK = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads the BLAS library runs per call: the first of its thread
+    variables that is set, else one per usable CPU (its default)."""
+    for name in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def inference_cores() -> int:
+    """How many shards of one micro-batch may run at once.
+
+    Each shard's GEMMs take as many cores as the BLAS library runs threads
+    per call, so a BLAS that already spreads over every usable CPU leaves
+    room for one shard: two shards would then only fight over the cores.
+    """
+    return max(1, _usable_cpus() // _blas_threads())
+
+
+def _shard_count(work: int) -> int:
+    """How many shards a micro-batch of ``work`` is split into."""
+    return max(1, min(inference_cores(), work // MIN_SHARD_WORK))
+
+
+def _shard_pool() -> ThreadPoolExecutor:
+    """The process's shard pool, built lazily.
+
+    Keyed by pid: a forked child inherits the parent's executor object but
+    none of its threads, so it builds a pool of its own.
+    """
+    global _SHARD_POOL
+    with _SHARD_POOL_LOCK:
+        if _SHARD_POOL is None or _SHARD_POOL[0] != os.getpid():
+            pool = ThreadPoolExecutor(
+                max_workers=inference_cores(), thread_name_prefix="repro-predict-shard"
+            )
+            _SHARD_POOL = (os.getpid(), pool)
+        return _SHARD_POOL[1]
+
+
+def _shard_bounds(blocks: Sequence[BasicBlock], shards: int) -> List[Tuple[int, int]]:
+    """Contiguous ``(start, end)`` ranges of ``blocks``, balanced by length.
+
+    Each cut falls on the first block whose running instruction count
+    reaches its share of the total; there are never empty ranges, so fewer
+    blocks than ``shards`` give one range per block.
+    """
+    ends = list(accumulate(len(block) for block in blocks))
+    cuts = {bisect_left(ends, ends[-1] * k / shards) + 1 for k in range(1, shards)}
+    edges = [0, *sorted(cut for cut in cuts if cut < len(blocks)), len(blocks)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _as_array(values) -> np.ndarray:
@@ -191,22 +276,49 @@ class ThroughputModel(Module):
     # ------------------------------------------------------------------ #
     # Inference.
     # ------------------------------------------------------------------ #
+    def forward_width(self) -> int:
+        """The model's width: its forward costs about instructions x width²."""
+        raise NotImplementedError
+
+    def _forward_in_mode(self, batch) -> Dict[str, Tensor]:
+        """``forward`` in this model's inference mode, which is per thread:
+        a shard pool thread does not inherit the caller's."""
+        with no_grad(), compute_dtype(self.inference_dtype):
+            return self.forward(batch)
+
+    def _forward_shards(self, blocks: List[BasicBlock]) -> List[Dict[str, Tensor]]:
+        """Forwards one micro-batch as contiguous shards on the usable cores.
+
+        Only the fast path shards: the tape path, the reference the fast
+        path is checked against, runs the micro-batch whole.  The shards are
+        encoded here, on the calling thread, because the encode caches are
+        not thread-safe; their forwards run on the shard pool, whose threads
+        start in the default execution mode.
+        """
+        work = sum(len(block) for block in blocks) * self.forward_width() ** 2
+        shards = _shard_count(work) if fast_path_active() else 1
+        bounds = _shard_bounds(blocks, shards)
+        if len(bounds) == 1:
+            return [self.forward(self.encode_blocks(blocks))]
+        pool = _shard_pool()
+        futures = [
+            pool.submit(self._forward_in_mode, self.encode_blocks(blocks[start:end]))
+            for start, end in bounds
+        ]
+        wait(futures)
+        return [future.result() for future in futures]
+
     def _predict_uncached(
         self, blocks: List[BasicBlock], batch_size: Optional[int]
     ) -> Dict[str, np.ndarray]:
         """Batched no-grad forward over ``blocks`` (no prediction cache)."""
+        step = len(blocks) if batch_size is None else batch_size
+        chunks: Dict[str, List[np.ndarray]] = {task: [] for task in self.tasks}
         with no_grad(), compute_dtype(self.inference_dtype):
-            if batch_size is None or batch_size >= len(blocks):
-                predictions = self.forward(self.encode_blocks(blocks))
-                return {
-                    task: _as_array(predictions[task]).copy() for task in self.tasks
-                }
-            chunks: Dict[str, List[np.ndarray]] = {task: [] for task in self.tasks}
-            for start in range(0, len(blocks), batch_size):
-                batch = self.encode_blocks(blocks[start : start + batch_size])
-                predictions = self.forward(batch)
-                for task in self.tasks:
-                    chunks[task].append(_as_array(predictions[task]))
+            for start in range(0, len(blocks), step):
+                for predictions in self._forward_shards(blocks[start : start + step]):
+                    for task in self.tasks:
+                        chunks[task].append(_as_array(predictions[task]))
         return {task: np.concatenate(chunks[task]) for task in self.tasks}
 
     def predict(
@@ -221,7 +333,12 @@ class ThroughputModel(Module):
         arrays at this boundary either way.  With
         ``batch_size`` the blocks are processed in micro-batches of at most
         that many blocks, which bounds the peak memory of the packed
-        representation; the result is identical to one large batch.  Blocks
+        representation.  A micro-batch with enough work (instructions x
+        width², at least twice :data:`MIN_SHARD_WORK`) is split into
+        contiguous shards whose forwards run at once on the usable cores
+        (:func:`inference_cores`); a served flush of a few blocks stays one
+        shard on the calling thread.  Either way the result equals one large batch up to
+        floating-point rounding.  Blocks
         already served since the last weight update come straight from the
         prediction cache (see :attr:`prediction_cache_size`).
 

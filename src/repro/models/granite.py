@@ -212,6 +212,9 @@ class GraniteModel(ThroughputModel):
         state = GraphState(nodes=node_features, edges=edge_features, globals_=global_features)
         return self.graph_network(state, batch.topology)
 
+    def forward_width(self) -> int:
+        return self.config.node_embedding_size
+
     def embed_batch(self, batch: GraniteBatch) -> Tensor:
         """Returns the final per-instruction embeddings of the batch.
 

@@ -228,6 +228,9 @@ class IthemalModel(ThroughputModel):
     # ------------------------------------------------------------------ #
     # Forward pass.
     # ------------------------------------------------------------------ #
+    def forward_width(self) -> int:
+        return self.config.hidden_size
+
     def embed_batch(self, batch: IthemalBatch) -> Tensor:
         """Returns the block embeddings ``[num_blocks, hidden_size]``."""
         # Level 1: token LSTM over every instruction of every block.

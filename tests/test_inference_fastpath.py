@@ -8,20 +8,28 @@ pin down the properties the eval harness and the serving layer rely on:
   and to the tape-tensor ("seed") path, for both model families;
 * ``no_grad`` restores gradient recording even when the body raises;
 * ``predict`` handles empty inputs and micro-batching;
+* a large micro-batch runs as contiguous shards on a thread pool, each in
+  the model's execution mode, equal to one batch up to rounding; the tape
+  reference and serve-sized batches never shard, and a forked child builds
+  a pool of its own;
 * the encode caches return correct results after retraining changes the
   weights (graphs depend only on the block text, never on the weights).
 """
+
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
 from repro.data.datasets import build_ithemal_like_dataset
 from repro.data.synthetic import BlockGenerator
-from repro.models import create_model
+from repro.models import base, create_model
 from repro.models.config import TrainingConfig
 from repro.nn import losses
 from repro.nn.tensor import (
     Tensor,
+    active_dtype,
     fast_path_active,
     is_grad_enabled,
     no_grad,
@@ -147,6 +155,157 @@ class TestPredictBatching:
                 1e-12,
                 against_tape=True,
             )
+
+
+def _force_shards(monkeypatch, count):
+    """Makes every micro-batch split into ``count`` shards, whatever its work."""
+    monkeypatch.setattr(base, "_shard_count", lambda work: count)
+
+
+def _refuse_pool(monkeypatch):
+    """Fails the test if a predict hands any shard to the pool."""
+
+    def refuse():
+        raise AssertionError("the predict was sharded")
+
+    monkeypatch.setattr(base, "_shard_pool", refuse)
+
+
+class TestShardedPredict:
+    def test_bounds_are_contiguous_and_balanced_by_instructions(self, blocks):
+        bounds = base._shard_bounds(blocks, 3)
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(blocks)
+        assert all(end == start for (_, end), (start, _) in zip(bounds, bounds[1:]))
+        assert len(bounds) == 3
+        total = sum(len(block) for block in blocks)
+        longest = max(len(block) for block in blocks)
+        for start, end in bounds:
+            assert abs(sum(len(b) for b in blocks[start:end]) - total / 3) <= longest
+
+    def test_bounds_never_hold_an_empty_shard(self, blocks):
+        assert base._shard_bounds(blocks[:2], 5) == [(0, 1), (1, 2)]
+        assert base._shard_bounds(blocks[:1], 2) == [(0, 1)]
+        assert base._shard_bounds(blocks, 1) == [(0, len(blocks))]
+
+    def test_shard_count_follows_work_and_inference_cores(self, monkeypatch):
+        monkeypatch.setattr(base, "inference_cores", lambda: 4)
+        assert base._shard_count(0) == 1
+        assert base._shard_count(2 * base.MIN_SHARD_WORK - 1) == 1
+        assert base._shard_count(2 * base.MIN_SHARD_WORK) == 2
+        assert base._shard_count(100 * base.MIN_SHARD_WORK) == 4
+        monkeypatch.setattr(base, "inference_cores", lambda: 1)
+        assert base._shard_count(100 * base.MIN_SHARD_WORK) == 1
+
+    def test_a_multithreaded_blas_leaves_fewer_cores_to_shards(self, monkeypatch):
+        monkeypatch.setattr(base, "_usable_cpus", lambda: 4)
+        for name in base._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        assert base.inference_cores() == 1  # BLAS defaults to every CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert base.inference_cores() == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert base.inference_cores() == 4
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+        assert base.inference_cores() == 1
+
+    @pytest.mark.parametrize("name", ["granite", "ithemal+"])
+    def test_a_serve_sized_batch_starts_no_thread(self, name, blocks, monkeypatch):
+        """1-8 blocks (a served flush) run on the calling thread, however
+        many CPUs the host has."""
+        model = create_model(name, small=True, seed=3)
+        _refuse_pool(monkeypatch)
+        before = set(threading.enumerate())
+        with model.caches_disabled():
+            for count in range(1, 9):
+                model.predict(blocks[:count])
+        assert set(threading.enumerate()) == before
+
+    def test_the_tape_reference_is_never_sharded(self, model, blocks, monkeypatch):
+        _force_shards(monkeypatch, 4)
+        _refuse_pool(monkeypatch)
+        with use_fast_path(False), model.caches_disabled():
+            model.predict(blocks)
+            model.predict(blocks, batch_size=7)
+        with pytest.raises(AssertionError, match="sharded"), model.caches_disabled():
+            model.predict(blocks)
+
+    def test_pool_threads_run_the_models_execution_mode(self, blocks, monkeypatch):
+        model = create_model("granite", small=True, seed=3, inference_dtype="float32")
+        seen = []
+        forward = model.forward
+
+        def recording(batch):
+            seen.append((
+                threading.current_thread().name,
+                active_dtype(),
+                is_grad_enabled(),
+                fast_path_active(),
+            ))
+            return forward(batch)
+
+        model.forward = recording
+        _force_shards(monkeypatch, 3)
+        with model.caches_disabled():
+            model.predict(blocks)
+        assert len(seen) == 3
+        for thread_name, dtype, grad, fast_path in seen:
+            assert thread_name.startswith("repro-predict-shard")
+            assert dtype == np.float32
+            assert grad is False
+            assert fast_path is True
+
+    def test_sharded_matches_one_shard(self, model, blocks, monkeypatch):
+        with model.caches_disabled():
+            whole = model.predict(blocks)
+            _force_shards(monkeypatch, 3)
+            sharded = model.predict(blocks)
+            micro = model.predict(blocks, batch_size=20)
+        for task in model.tasks:
+            _assert_close(model, sharded[task], whole[task], 1e-12)
+            _assert_close(model, micro[task], whole[task], 1e-12)
+
+    def test_repeated_sharded_predicts_are_bitwise_identical(
+        self, model, blocks, monkeypatch
+    ):
+        _force_shards(monkeypatch, 3)
+        with model.caches_disabled():
+            first = model.predict(blocks)
+            second = model.predict(blocks)
+        for task in model.tasks:
+            np.testing.assert_array_equal(first[task], second[task])
+
+    def test_a_forked_child_runs_its_own_sharded_predict(self, blocks, monkeypatch):
+        """A child forked after the parent built its pool inherits the pool
+        object but none of its threads; its sharded predict must not wait
+        on them."""
+        model = create_model("granite", small=True, seed=3)
+        model.prediction_cache_size = 0
+        _force_shards(monkeypatch, 2)
+        expected = model.predict(blocks)
+        assert any(
+            thread.name.startswith("repro-predict-shard")
+            for thread in threading.enumerate()
+        ), "the parent's predict built no pool"
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+
+        def child():
+            predictions = model.predict(blocks)
+            sender.send({task: values.tolist() for task, values in predictions.items()})
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        sender.close()
+        try:
+            assert receiver.poll(60.0), "the forked child's sharded predict hung"
+            received = receiver.recv()
+        finally:
+            process.join(10.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        assert process.exitcode == 0
+        for task in model.tasks:
+            np.testing.assert_array_equal(received[task], expected[task])
 
 
 class TestEncodeCache:

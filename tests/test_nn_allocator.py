@@ -68,10 +68,18 @@ def test_applying_the_policy_twice_is_harmless():
 def test_policy_sets_both_thresholds():
     libc = SimpleNamespace(mallopt=_RecordingMallopt())
     assert _allocator._apply_policy(libc)
-    assert libc.mallopt.calls == [
+    assert libc.mallopt.calls[:2] == [
         (_allocator._M_MMAP_THRESHOLD, 16 * 1024 * 1024),
         (_allocator._M_TRIM_THRESHOLD, 128 * 1024 * 1024),
     ]
+
+
+def test_policy_keeps_every_thread_on_one_arena():
+    """Inference shard threads share the main heap instead of each growing
+    an arena of its own (M_ARENA_MAX is -8 in glibc's <malloc.h>)."""
+    libc = SimpleNamespace(mallopt=_RecordingMallopt())
+    assert _allocator._apply_policy(libc)
+    assert libc.mallopt.calls[2:] == [(-8, 1)]
 
 
 def test_a_libc_without_mallopt_is_a_no_op():
